@@ -36,6 +36,7 @@ from hklab.fem import (
     p1_gradients,
     pcg,
     recover_nodal_gradients,
+    vertex_adjacency,
 )
 
 DEFAULT_TOL = 1e-10
@@ -280,13 +281,13 @@ def solve_mixed_bvp(
         raise ValueError(f"unknown method {method!r}")
     f[free] = x
     energy = float(0.5 * x @ (a_ff @ x) - b_f @ x)
-    return _package_solution(problem, f, grads, vols, good, iters, relres, energy)
+    return _package_solution(problem, f, grads, good, iters, relres, energy)
 
 
-def _package_solution(problem, f, grads, vols, good, iters, relres, energy) -> BvpSolution:
+def _package_solution(problem, f, grads, good, iters, relres, energy) -> BvpSolution:
     domain = problem.domain
     cg = cell_gradients_of(f, grads, domain.cells)
-    nodal = recover_nodal_gradients(domain.vertices, domain.cells, f, vols, good)
+    nodal = recover_nodal_gradients(domain.vertices, domain.cells, f, good)
     hess = cell_hessians_of(nodal, grads, domain.cells, good)
     # normal derivative on Sigma from the recovered gradient (facet vertex mean)
     normals = domain.facet_normals(domain.sigma_facets)
@@ -313,8 +314,8 @@ def solution_from_field(problem: MixedBvpProblem, values) -> BvpSolution:
         f = np.asarray(values, dtype=float)
     if f.shape != (domain.num_vertices,):
         raise HkLabError("field values must be per-vertex")
-    grads, vols, good = p1_gradients(domain.vertices, domain.cells)
-    return _package_solution(problem, f, grads, vols, good, 0, 0.0, math.nan)
+    grads, _, good = p1_gradients(domain.vertices, domain.cells)
+    return _package_solution(problem, f, grads, good, 0, 0.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +400,15 @@ class CornerFit:
 def _hop_distance(domain: DomainMesh, seeds: np.ndarray, max_hops: int) -> np.ndarray:
     """Graph distance from the seed vertices, capped at max_hops + 1."""
     nv = domain.num_vertices
+    adj = vertex_adjacency(domain.cells, nv)
     hop = np.full(nv, max_hops + 1, dtype=np.int64)
     hop[seeds] = 0
-    adj: dict[int, set[int]] = {}
-    m = domain.cells.shape[1]
-    for cell in domain.cells:
-        for a in range(m):
-            for b in range(a + 1, m):
-                adj.setdefault(int(cell[a]), set()).add(int(cell[b]))
-                adj.setdefault(int(cell[b]), set()).add(int(cell[a]))
-    frontier = [int(s) for s in seeds]
+    frontier = np.zeros(nv, dtype=np.float32)
+    frontier[seeds] = 1.0
     for level in range(1, max_hops + 1):
-        nxt = []
-        for v in frontier:
-            for w in adj.get(v, ()):
-                if hop[w] > level:
-                    hop[w] = level
-                    nxt.append(w)
-        frontier = nxt
+        reached = ((adj @ frontier) > 0) & (hop > level)
+        hop[reached] = level
+        frontier = reached.astype(np.float32)
     return hop
 
 

@@ -25,7 +25,7 @@ from hklab.caps import AnalyticCap
 from hklab.containers import Container, ContactAngle
 from hklab.errors import HkLabError, MeshQualityError
 from hklab.meshutil import graded_nodes, polyline_interp, zipper_rows
-from hklab.surface import SurfaceMesh
+from hklab.surface import SurfaceMesh, surface_spacing
 
 logger = logging.getLogger("hklab.domain")
 
@@ -547,7 +547,7 @@ def mesh_domain(
     if container is not surface.container:
         raise HkLabError("surface and requested container disagree")
     if resolution is None:
-        resolution = max(8, int(round(1.0 / _typical_spacing(surface))))
+        resolution = max(8, int(round(1.0 / surface_spacing(surface))))
     if container.has_support:
         loop_pts = surface.vertices[surface.boundary_vertices]
         dev = np.abs(support_deviation(container, loop_pts))

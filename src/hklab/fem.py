@@ -2,10 +2,16 @@
 
 Assembly is vectorized with a fixed accumulation order, so stiffness and
 boundary-mass matrices come out symmetric to the bit and repeated runs are
-reproducible.  Derivative recovery is a least-squares linear patch fit of the
-cell gradients at each vertex (exact for quadratic fields, including one-sided
-boundary patches); cell Hessians are gradients of the recovered nodal
-gradient, symmetrized.
+reproducible.
+
+Derivative recovery fits a full quadratic to the vertex values over each
+vertex's 2-hop patch (grown to 3 and 4 hops where needed), with offsets
+whitened by the patch covariance, in the manner of Zienkiewicz-Zhu patch
+recovery.  It is exact for quadratic fields, including one-sided boundary
+patches.  Patches are rows of products of one sparse vertex adjacency
+(`vertex_adjacency`); vertices are taken in fixed blocks, and within a block
+the patches of equal size are fitted together as stacked batches.  Cell
+Hessians are gradients of the recovered nodal gradient, symmetrized.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from hklab.errors import SolverError
 logger = logging.getLogger("hklab.fem")
 
 _DEGENERATE_REL = 1e-12
+_RECOVERY_BLOCK = 2048  # vertices whose patches are built and fitted together
+_RANK_RCOND = 1e-8  # a fit is full rank when s_min > _RANK_RCOND * s_max
+_GRAM_SAFE = 1e-4  # s_min / s_max above which the Gram matrix decides rank
 
 
 def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
@@ -122,81 +131,168 @@ def cell_gradients_of(f: np.ndarray, grads: np.ndarray, cells: np.ndarray) -> np
     return np.einsum("cm,cmd->cd", f[cells], grads)
 
 
-def _vertex_adjacency(cells: np.ndarray, nv: int) -> list:
-    adj: list[set] = [set() for _ in range(nv)]
-    m = cells.shape[1]
-    for cell in cells:
-        for a in range(m):
-            for b in range(a + 1, m):
-                adj[cell[a]].add(int(cell[b]))
-                adj[cell[b]].add(int(cell[a]))
+def vertex_adjacency(cells: np.ndarray, nv: int) -> sp.csr_matrix:
+    """Vertex adjacency with self loops: the sparsity pattern of C^T C.
+
+    C is the (nc, nv) cell-vertex incidence matrix, built straight from the
+    cell array, so no list of all vertex pairs is ever materialised.  Entries
+    count the cells two vertices share; only the pattern is meaningful.
+    Column indices are sorted.
+    """
+    nc, m = cells.shape
+    incidence = sp.csr_matrix(
+        (np.ones(nc * m, dtype=np.float32), cells.ravel(), np.arange(0, nc * m + 1, m)),
+        shape=(nc, nv),
+    )
+    adj = (incidence.T @ incidence).tocsr()
+    adj.sort_indices()
     return adj
 
 
-def _quadratic_design(offsets: np.ndarray) -> np.ndarray:
-    """Monomial rows [1, x_i, x_i x_j / sym] of a local quadratic model."""
-    m, d = offsets.shape
-    cols = [np.ones(m)]
-    cols.extend(offsets[:, i] for i in range(d))
+def _quadratic_monomials(offsets: np.ndarray) -> np.ndarray:
+    """Transposed quadratic design: monomials [1, x_i, x_i x_j (i <= j)] by point.
+
+    offsets is (k, m, d); the result is (k, 1 + d + d(d+1)/2, m), so that
+    row r of patch k holds monomial r at each of its m points.
+    """
+    d = offsets.shape[-1]
+    rows = [np.ones(offsets.shape[:-1])]
+    rows.extend(offsets[..., i] for i in range(d))
     for i in range(d):
         for j in range(i, d):
-            cols.append(offsets[:, i] * offsets[:, j])
-    return np.column_stack(cols)
+            rows.append(offsets[..., i] * offsets[..., j])
+    return np.stack(rows, axis=1)
+
+
+def _whitened_offsets(vertices: np.ndarray, centers: np.ndarray, ids: np.ndarray):
+    """Patch offsets whitened by their covariance, for k patches of m vertices.
+
+    Returns the whitened offsets (k, m, d), the whiteners (k, d, d) and a mask
+    of the patches whose covariance is nonzero; the other rows are zero.
+    """
+    offsets = vertices[ids] - vertices[centers][:, None, :]
+    cov = np.matmul(offsets.transpose(0, 2, 1), offsets) / ids.shape[1]
+    evals, evecs = np.linalg.eigh(cov)
+    ok = evals[:, -1] > 0
+    evals = np.maximum(evals[ok], 1e-12 * evals[ok, -1:])
+    whitener = np.zeros_like(cov)
+    scaled = evecs[ok] / np.sqrt(evals)[:, None, :]
+    whitener[ok] = np.matmul(scaled, evecs[ok].transpose(0, 2, 1))
+    return np.matmul(offsets, whitener), whitener, ok
+
+
+def _full_rank_lstsq(design_t: np.ndarray, values: np.ndarray):
+    """Batched least squares that keeps only full-rank fits.
+
+    design_t is the transposed design (k, p, m) with m >= p, and values is
+    (k, m).  A fit is full rank when its smallest singular value exceeds
+    _RANK_RCOND times its largest, the rule of lstsq(rcond=_RANK_RCOND).  Fits
+    whose Gram eigenvalues put that ratio above _GRAM_SAFE are full rank
+    beyond rounding doubt and solve the normal equations; the rest take a
+    batched SVD.  Returns coefficients (k, p) and the full-rank mask.
+    """
+    k, p, _ = design_t.shape
+    gram = np.matmul(design_t, design_t.transpose(0, 2, 1))
+    rhs = np.matmul(design_t, values[:, :, None])
+    lam = np.linalg.eigvalsh(gram)
+    full = lam[:, 0] > _GRAM_SAFE**2 * lam[:, -1]
+    coef = np.zeros((k, p))
+    coef[full] = np.linalg.solve(gram[full], rhs[full])[:, :, 0]
+    rest = np.flatnonzero(~full)
+    if len(rest):
+        u, s, vt = np.linalg.svd(design_t[rest].transpose(0, 2, 1), full_matrices=False)
+        keep = s[:, -1] > _RANK_RCOND * s[:, 0]
+        ut_f = np.einsum("kmp,km->kp", u[keep], values[rest[keep]]) / s[keep]
+        coef[rest[keep]] = np.einsum("kqp,kq->kp", vt[keep], ut_f)
+        full[rest[keep]] = True
+    return coef, full
+
+
+def _fit_quadratic_patches(vertices, f, centers, ids):
+    """Whitened quadratic fits on k patches of m vertices each.
+
+    Returns the gradients at the centers (k, d) and a mask of the patches
+    whose fit is full rank; the other rows are zero.
+    """
+    d = vertices.shape[1]
+    xi, whitener, ok = _whitened_offsets(vertices, centers, ids)
+    rows = np.flatnonzero(ok)
+    coef, full = _full_rank_lstsq(_quadratic_monomials(xi[rows]), f[ids[rows]])
+    rows = rows[full]
+    grads = np.zeros((len(centers), d))
+    grads[rows] = np.einsum("kab,kb->ka", whitener[rows], coef[full, 1 : 1 + d])
+    fitted = np.zeros(len(centers), dtype=bool)
+    fitted[rows] = True
+    return grads, fitted
+
+
+def _linear_fallback(vertices, f, v, ids):
+    """Whitened linear fit on one patch; None when its covariance vanishes."""
+    xi, whitener, ok = _whitened_offsets(vertices, np.array([v]), ids[None, :])
+    if not ok[0]:
+        return None
+    design = np.column_stack([np.ones(len(ids)), xi[0]])
+    coef, *_ = np.linalg.lstsq(design, f[ids], rcond=None)
+    return whitener[0] @ coef[1:]
 
 
 def recover_nodal_gradients(
     vertices: np.ndarray,
     cells: np.ndarray,
     f: np.ndarray,
-    vols: np.ndarray,
     good: np.ndarray,
 ) -> np.ndarray:
     """Nodal gradients from a quadratic least-squares fit of the vertex values.
 
-    Each vertex fits a full quadratic over its 2-hop patch (expanded when the
-    patch is too small or too flat).  Offsets are whitened by the patch
-    covariance before fitting, so graded anisotropic patches stay well
-    conditioned; the recovered gradient is exact for quadratic fields on any
-    mesh, one-sided boundary patches included.
+    Each vertex fits a full quadratic over its sorted 2-hop patch, grown to 3
+    and then 4 hops when the patch is too small or the fit rank-deficient.
+    Offsets are whitened by the patch covariance before fitting, so graded
+    anisotropic patches stay well conditioned; the recovered gradient is exact
+    for quadratic fields on any mesh, one-sided boundary patches included.  A
+    vertex whose 4-hop patch still supports no full quadratic takes a whitened
+    linear fit on that patch.
+
+    Vertices are processed in blocks of _RECOVERY_BLOCK: the block's patches
+    are rows of sparse adjacency products, and patches of equal size are
+    fitted together as stacked batches.
     """
     nv, d = vertices.shape
-    adj = _vertex_adjacency(cells[good] if not np.all(good) else cells, nv)
+    adj = vertex_adjacency(cells[good] if not np.all(good) else cells, nv)
     n_param = 1 + d + d * (d + 1) // 2
     nodal = np.zeros((nv, d))
-    for v in range(nv):
-        patch = set(adj[v])
-        patch.add(v)
-        last = None
-        for _hop in range(2, 5):
-            grown = set(patch)
-            for u in patch:
-                grown.update(adj[u])
-            patch = grown
-            if len(patch) <= n_param and _hop < 4:
-                continue
-            ids = np.fromiter(sorted(patch), dtype=np.int64)
-            offsets = vertices[ids] - vertices[v]
-            cov = offsets.T @ offsets / len(ids)
-            evals, evecs = np.linalg.eigh(cov)
-            if evals[-1] <= 0:
-                continue
-            evals = np.maximum(evals, 1e-12 * evals[-1])
-            whitener = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-            xi = offsets @ whitener
-            design = _quadratic_design(xi)
-            coef, _, rank, _ = np.linalg.lstsq(design, f[ids], rcond=1e-8)
-            last = (whitener, xi, ids)
-            if rank == n_param:
-                nodal[v] = whitener @ coef[1 : 1 + d]
+    fallback = 0
+    for start in range(0, nv, _RECOVERY_BLOCK):
+        rows = np.arange(start, min(start + _RECOVERY_BLOCK, nv))
+        patches = adj[rows] @ adj
+        for hop in range(2, 5):
+            if hop > 2:
+                patches = patches @ adj
+            patches.sort_indices()
+            sizes = np.diff(patches.indptr)
+            # a patch of n_param points or fewer is grown without a fit; the
+            # last hop fits every patch that can hold a full quadratic
+            tried = sizes > n_param if hop < 4 else sizes >= n_param
+            done = np.zeros(len(rows), dtype=bool)
+            for m in np.unique(sizes[tried]):
+                sel = np.flatnonzero(tried & (sizes == m))
+                ids = patches.indices[patches.indptr[sel][:, None] + np.arange(m)]
+                grads, ok = _fit_quadratic_patches(vertices, f, rows[sel], ids)
+                nodal[rows[sel[ok]]] = grads[ok]
+                done[sel[ok]] = True
+            rows = rows[~done]
+            if len(rows) == 0:
                 break
+            patches = patches[~done]
         else:
-            # patch never supported a full quadratic: whitened linear fit
-            if last is None:
-                continue
-            whitener, xi, ids = last
-            design = np.column_stack([np.ones(len(ids)), xi])
-            coef, *_ = np.linalg.lstsq(design, f[ids], rcond=None)
-            nodal[v] = whitener @ coef[1 : 1 + d]
+            # no patch up to 4 hops held a full-rank quadratic
+            for v, lo, hi in zip(rows, patches.indptr[:-1], patches.indptr[1:]):
+                if lo == hi:
+                    continue  # a vertex in no nondegenerate cell keeps a zero gradient
+                grad = _linear_fallback(vertices, f, v, patches.indices[lo:hi])
+                if grad is not None:
+                    nodal[v] = grad
+                    fallback += 1
+    logger.info("recovery: %d of %d vertices fell back to a linear fit", fallback, nv)
     return nodal
 
 

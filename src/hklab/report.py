@@ -156,11 +156,12 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
     # carry the recovery cost.
     res_int = resolution if scenario.dim == 1 else min(resolution, 48)
     res_sol = resolution if scenario.dim == 1 else min(resolution, 24)
-    needs_domain = bool({"hk", "bvp", "reilly"} & set(scenario.checks))
+    needs_solve = bool({"bvp", "reilly"} & set(scenario.checks)) and container.has_support
     domain = None
     domain_sol = None
-    if needs_domain:
+    if "hk" in scenario.checks or (needs_solve and res_sol == res_int):
         domain = mesh_domain(surface, container, res_int, grading=0.0)
+    if needs_solve:
         domain_sol = (
             domain
             if res_sol == res_int
@@ -183,7 +184,7 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
         result["hk"] = hk_report(surface, domain, container, scenario.theta).to_dict()
 
     solution = None
-    if {"bvp", "reilly"} & set(scenario.checks) and container.has_support:
+    if needs_solve:
         problem = capillary_problem(domain_sol, scenario.theta)
         solution = solve_mixed_bvp(problem, tol=scenario.tol, max_iter=scenario.max_iter)
 

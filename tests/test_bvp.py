@@ -1,6 +1,8 @@
 """Mixed BVP: assembly, solver, exact solutions, recovery, corners, wedge."""
 
+import logging
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -21,15 +23,17 @@ from hklab import (
     wedge_barrier_check,
     wedge_model_values,
 )
-from hklab.bvp import make_problem
+from hklab.bvp import _hop_distance, make_problem
 from hklab.errors import HkLabError, SolverError
 from hklab.fem import (
+    _full_rank_lstsq,
     assemble_boundary_mass,
     assemble_stiffness,
     load_facets,
     load_volume,
     p1_gradients,
     pcg,
+    recover_nodal_gradients,
 )
 
 
@@ -187,6 +191,182 @@ def test_recovery_exact_for_quadratics(hs_domain1):
     grad_exact = hs_domain1.vertices @ m + b
     assert np.max(np.linalg.norm(sol.nodal_gradients - grad_exact, axis=1)) < 1e-9
     assert np.max(np.abs(sol.cell_hessians - m)) < 1e-8
+
+
+def test_recovery_exact_for_quadratics_3d(hs_cap2):
+    dom = mesh_domain(mesh_surface(hs_cap2, 8), None, 8, grading=0.0)
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal(3)
+    m = rng.standard_normal((3, 3))
+    m = 0.5 * (m + m.T)
+
+    def field(pts):
+        return 0.3 + pts @ b + 0.5 * np.einsum("ij,jk,ik->i", pts, m, pts)
+
+    problem = make_problem(dom, rhs=float(np.trace(m)), flux=0.0, gamma=0)
+    sol = solution_from_field(problem, field)
+    grad_exact = dom.vertices @ m + b
+    assert np.max(np.linalg.norm(sol.nodal_gradients - grad_exact, axis=1)) < 1e-9
+    assert np.max(np.abs(sol.cell_hessians - m)) < 1e-8
+
+
+# The per-vertex patch recovery that the batched recover_nodal_gradients
+# replaced, kept as the reference it is compared against.
+
+
+def _oracle_adjacency(cells, nv):
+    adj = [set() for _ in range(nv)]
+    m = cells.shape[1]
+    for cell in cells:
+        for a in range(m):
+            for b in range(a + 1, m):
+                adj[cell[a]].add(int(cell[b]))
+                adj[cell[b]].add(int(cell[a]))
+    return adj
+
+
+def _oracle_design(offsets):
+    m, d = offsets.shape
+    cols = [np.ones(m)]
+    cols.extend(offsets[:, i] for i in range(d))
+    for i in range(d):
+        for j in range(i, d):
+            cols.append(offsets[:, i] * offsets[:, j])
+    return np.column_stack(cols)
+
+
+def _oracle_recovery(vertices, cells, f, good):
+    """Per-vertex recovery; returns the nodal gradients and the fallback count."""
+    nv, d = vertices.shape
+    adj = _oracle_adjacency(cells[good] if not np.all(good) else cells, nv)
+    n_param = 1 + d + d * (d + 1) // 2
+    nodal = np.zeros((nv, d))
+    fallback = 0
+    for v in range(nv):
+        patch = set(adj[v])
+        patch.add(v)
+        last = None
+        for _hop in range(2, 5):
+            grown = set(patch)
+            for u in patch:
+                grown.update(adj[u])
+            patch = grown
+            if len(patch) <= n_param and _hop < 4:
+                continue
+            ids = np.fromiter(sorted(patch), dtype=np.int64)
+            offsets = vertices[ids] - vertices[v]
+            cov = offsets.T @ offsets / len(ids)
+            evals, evecs = np.linalg.eigh(cov)
+            if evals[-1] <= 0:
+                continue
+            evals = np.maximum(evals, 1e-12 * evals[-1])
+            whitener = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+            xi = offsets @ whitener
+            coef, _, rank, _ = np.linalg.lstsq(_oracle_design(xi), f[ids], rcond=1e-8)
+            last = (whitener, xi, ids)
+            if rank == n_param:
+                nodal[v] = whitener @ coef[1 : 1 + d]
+                break
+        else:
+            if last is None:
+                continue
+            whitener, xi, ids = last
+            design = np.column_stack([np.ones(len(ids)), xi])
+            coef, *_ = np.linalg.lstsq(design, f[ids], rcond=None)
+            nodal[v] = whitener @ coef[1 : 1 + d]
+            fallback += 1
+    return nodal, fallback
+
+
+@pytest.fixture(scope="module")
+def hb_domain1_graded(hb_cap1):
+    return mesh_domain(mesh_surface(hb_cap1, 32), None, 32, grading=0.5)
+
+
+@pytest.fixture(scope="module")
+def hs_domain2(hs_cap2):
+    return mesh_domain(mesh_surface(hs_cap2, 12), None, 12, grading=0.0)
+
+
+def _jittered_grid(n, seed):
+    """A jittered n x n square grid, each square cut along the same diagonal.
+
+    The two corners off that diagonal have 2-hop patches of exactly six
+    vertices, so the rule that grows such patches before fitting is exercised.
+    """
+    rng = np.random.default_rng(seed)
+    ij = np.stack(np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij"), axis=-1)
+    vertices = ij.reshape(-1, 2) + 0.2 * rng.uniform(-1.0, 1.0, ((n + 1) ** 2, 2))
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[:-1, 1:].ravel(), idx[1:, 1:].ravel()
+    cells = np.concatenate([np.stack([a, b, d], 1), np.stack([a, d, c], 1)])
+    return vertices, cells
+
+
+@pytest.mark.parametrize("mesh", ["hs_domain2", "hb_domain1_graded", "jittered_grid"])
+def test_batched_recovery_matches_per_vertex_oracle(mesh, request):
+    if mesh == "jittered_grid":
+        vertices, cells = _jittered_grid(4, seed=1)
+    else:
+        dom = request.getfixturevalue(mesh)
+        vertices, cells = dom.vertices, dom.cells
+    _, _, good = p1_gradients(vertices, cells)
+    rng = np.random.default_rng(3)
+    f = np.sin(vertices @ rng.standard_normal(vertices.shape[1])) + np.sum(vertices**2, axis=1)
+    batched = recover_nodal_gradients(vertices, cells, f, good)
+    reference, _ = _oracle_recovery(vertices, cells, f, good)
+    assert batched.shape == vertices.shape
+    assert np.max(np.abs(batched - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+def test_rank_rule_matches_lstsq():
+    # designs whose singular-value ratios fall on both sides of rcond = 1e-8
+    rng = np.random.default_rng(11)
+    spectra = [np.geomspace(1.0, r, 6) for r in (1.0, 1e-2, 1e-4, 1e-5, 1e-7, 1e-9, 1e-12)]
+    spectra.append(np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.0]))
+    designs = []
+    for s in spectra:
+        u, _ = np.linalg.qr(rng.standard_normal((12, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        designs.append(u @ np.diag(s) @ v.T)
+    designs = np.array(designs)
+    values = rng.standard_normal((len(spectra), 12))
+    coef, full = _full_rank_lstsq(designs.transpose(0, 2, 1), values)
+    for k, design in enumerate(designs):
+        ref, _, rank, _ = np.linalg.lstsq(design, values[k], rcond=1e-8)
+        assert full[k] == (rank == 6)
+        if full[k]:
+            assert np.linalg.norm(coef[k] - ref) <= 1e-6 * np.linalg.norm(ref)
+    assert list(full) == [True] * 5 + [False] * 3
+
+
+@pytest.mark.parametrize("mesh, expected", [("hs_domain1", 0), ("hb_domain1_graded", 6)])
+def test_recovery_logs_linear_fallbacks(mesh, expected, request, caplog):
+    dom = request.getfixturevalue(mesh)
+    _, _, good = p1_gradients(dom.vertices, dom.cells)
+    f = dom.vertices[:, 0] ** 3
+    with caplog.at_level(logging.INFO, logger="hklab.fem"):
+        recover_nodal_gradients(dom.vertices, dom.cells, f, good)
+    message = f"recovery: {expected} of {dom.num_vertices} vertices fell back to a linear fit"
+    assert message in caplog.messages
+    assert _oracle_recovery(dom.vertices, dom.cells, f, good)[1] == expected
+
+
+def test_hop_distance_matches_breadth_first_search(hb_domain1_graded):
+    dom = hb_domain1_graded
+    neighbours = _oracle_adjacency(dom.cells, dom.num_vertices)
+    seeds = dom.gamma_vertices
+    expected = np.full(dom.num_vertices, 4, dtype=np.int64)
+    expected[seeds] = 0
+    queue = deque(int(s) for s in seeds)
+    while queue:
+        v = queue.popleft()
+        for w in neighbours[v]:
+            if expected[v] + 1 < expected[w]:
+                expected[w] = expected[v] + 1
+                queue.append(w)
+    assert np.array_equal(_hop_distance(dom, seeds, 3), expected)
 
 
 def test_cauchy_schwarz_per_cell(hs_solution1):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import hklab.report
 from hklab.cli import main
 
 THETA_STR = "1.0471975511965976"
@@ -58,6 +59,23 @@ def test_concurrent_ladder_is_deterministic(tmp_path):
     a["scenario"].pop("jobs")
     b["scenario"].pop("jobs")
     assert a == b
+
+
+def test_geometry_checks_mesh_no_solve_domain(tmp_path, monkeypatch):
+    calls = []
+    mesh_domain = hklab.report.mesh_domain
+
+    def counting(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("resolution"))
+        return mesh_domain(*args, **kwargs)
+
+    monkeypatch.setattr(hklab.report, "mesh_domain", counting)
+    code = run_cli(
+        "run", "--container", "half-space", "--theta", THETA_STR, "--dim", "2",
+        "--checks", "hk", "--ladder", "16,32", "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 0
+    assert calls == [16, 32]
 
 
 def test_degrees_flag(tmp_path):

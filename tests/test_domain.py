@@ -9,6 +9,7 @@ import pytest
 from conftest import THETA3
 from hklab import make_cap, mesh_domain, mesh_surface
 from hklab.domain import mesh_quality
+from hklab.surface import surface_spacing
 from hklab.errors import HkLabError
 
 
@@ -16,6 +17,14 @@ def test_planar_cap_area(hs_surface1):
     ref = math.pi / 3 - math.sqrt(3) / 4
     dom = mesh_domain(hs_surface1, "half-space", 64)
     assert abs(dom.volume - ref) / ref < 5e-3
+
+
+def test_default_resolution_from_surface_spacing(hs_surface1):
+    dom = mesh_domain(hs_surface1)
+    res = max(8, int(round(1.0 / surface_spacing(hs_surface1))))
+    explicit = mesh_domain(hs_surface1, None, res)
+    assert np.array_equal(dom.vertices, explicit.vertices)
+    assert np.array_equal(dom.cells, explicit.cells)
 
 
 def test_planar_area_refinement_ratio(hs_cap1):
