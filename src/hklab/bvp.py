@@ -38,6 +38,7 @@ from hklab.fem import (
     recover_nodal_gradients,
     vertex_adjacency,
 )
+from hklab.meshutil import ordered_sum, row_dot
 
 DEFAULT_TOL = 1e-10
 
@@ -98,36 +99,37 @@ def gamma_loop_measure(domain: DomainMesh) -> float:
     return float(np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum())
 
 
+def gamma_edges(domain: DomainMesh, facets: np.ndarray):
+    """The Gamma-edge table of a boundary patch: (ends, conormal, measure).
+
+    One row per facet that meets Gamma in a full edge (all vertices but one
+    on Gamma).  ends holds the d - 1 Gamma vertices of that edge in facet
+    order; conormal is the unit in-facet direction perpendicular to the edge
+    and pointing away from the opposite vertex; measure is the edge measure,
+    the product of its d - 2 tangent lengths: 1 for d = 2, the length for
+    d = 3.
+    """
+    on_gamma = np.isin(facets, domain.gamma_vertices)
+    full = on_gamma.sum(axis=1) == facets.shape[1] - 1
+    hit, mask = facets[full], on_gamma[full]
+    ends = hit[mask].reshape(-1, facets.shape[1] - 1)
+    opposite = hit[~mask]
+    pts = domain.vertices[ends]
+    # d <= 3, so the edge has at most one tangent and projecting it out is
+    # one unit-vector subtraction
+    tangents = pts[:, 1:] - pts[:, :1]
+    lengths = np.sqrt(row_dot(tangents, tangents))
+    unit = tangents / lengths[..., None]
+    conormal = pts.mean(axis=1) - domain.vertices[opposite]
+    conormal -= (row_dot(unit, conormal[:, None, :])[..., None] * unit).sum(axis=1)
+    conormal /= np.sqrt(row_dot(conormal, conormal))[:, None]
+    return ends, conormal, lengths.prod(axis=1)
+
+
 def gamma_mu_vertical_integral(domain: DomainMesh) -> float:
-    """integral over Gamma of <mu, E_d> with mu estimated from the Sigma facets."""
-    gamma = set(int(g) for g in domain.gamma_vertices)
-    verts = domain.vertices
-    total = 0.0
-    if domain.dim == 2:
-        for facet in domain.sigma_facets:
-            a, b = int(facet[0]), int(facet[1])
-            for corner, other in ((a, b), (b, a)):
-                if corner in gamma and other not in gamma:
-                    mu = verts[corner] - verts[other]
-                    mu /= np.linalg.norm(mu)
-                    total += float(mu[-1])
-        return total
-    for facet in domain.sigma_facets:
-        ids = [int(v) for v in facet]
-        on_gamma = [v in gamma for v in ids]
-        if sum(on_gamma) != 2:
-            continue
-        edge = [v for v, g in zip(ids, on_gamma) if g]
-        opp = [v for v, g in zip(ids, on_gamma) if not g][0]
-        pa, pb, pc = verts[edge[0]], verts[edge[1]], verts[opp]
-        e = pb - pa
-        e /= np.linalg.norm(e)
-        mid = 0.5 * (pa + pb)
-        mu = mid - pc
-        mu -= (mu @ e) * e
-        mu /= np.linalg.norm(mu)
-        total += float(mu[-1]) * float(np.linalg.norm(pb - pa))
-    return total
+    """integral over Gamma of <mu, E_d> with mu the Sigma-facet conormal at Gamma."""
+    _, mu, measure = gamma_edges(domain, domain.sigma_facets)
+    return ordered_sum(mu[:, -1] * measure)
 
 
 def t_facet_integrals(domain: DomainMesh) -> tuple[float, float]:
@@ -238,7 +240,6 @@ def solve_mixed_bvp(
     problem: MixedBvpProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    method: str = "cg",
 ) -> BvpSolution:
     """P1 Galerkin solve with strong Dirichlet elimination and CG."""
     domain = problem.domain
@@ -268,17 +269,7 @@ def solve_mixed_bvp(
         max_iter = 500 + 100 * int(math.sqrt(nv))
 
     f = np.zeros(nv)
-    if method == "cg":
-        x, iters, relres = pcg(a_ff, b_f, tol, max_iter)
-    elif method == "direct":
-        from scipy.sparse.linalg import spsolve
-
-        x = spsolve(a_ff.tocsc(), b_f)
-        iters = 0
-        bn = float(np.linalg.norm(b_f))
-        relres = float(np.linalg.norm(b_f - a_ff @ x)) / bn if bn > 0 else 0.0
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x, iters, relres = pcg(a_ff, b_f, tol, max_iter)
     f[free] = x
     energy = float(0.5 * x @ (a_ff @ x) - b_f @ x)
     return _package_solution(problem, f, grads, good, iters, relres, energy)
@@ -584,18 +575,14 @@ def wedge_model_values(
     verts = domain.vertices
     centroid = verts.mean(axis=0)
 
+    # the T edge at a corner runs against the T-facet conormal there
+    ends, conormal, _ = gamma_edges(domain, domain.t_facets)
     factors = []
     for corner in corners:
-        t_dir = None
-        for facet in domain.t_facets:
-            ids = [int(v) for v in facet]
-            if int(corner) in ids:
-                other = ids[0] if ids[1] == int(corner) else ids[1]
-                t_dir = verts[other] - verts[corner]
-                t_dir = t_dir / np.linalg.norm(t_dir)
-                break
-        if t_dir is None:
+        t_dirs = -conormal[ends[:, 0] == corner]
+        if len(t_dirs) == 0:
             raise HkLabError("corner has no adjacent T facet")
+        t_dir = t_dirs[0]
         inward = np.array([-t_dir[1], t_dir[0]])
         if inward @ (centroid - verts[corner]) < 0:
             inward = -inward

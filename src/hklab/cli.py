@@ -29,7 +29,6 @@ from hklab.bvp import (
     wedge_model_values,
 )
 from hklab.caps import make_cap
-from hklab.containers import parse_container
 from hklab.domain import mesh_domain
 from hklab.errors import HkLabError
 from hklab.meshio import (
@@ -44,7 +43,16 @@ from hklab.meshio import (
     write_surface_json,
 )
 from hklab.reilly import hk_pipeline, reilly_sides
-from hklab.report import ConfigError, Scenario, run_scenario, write_csv, write_report
+from hklab.report import (
+    REILLY_DEFECT_TOL,
+    WEIGHTED_REILLY_DEFECT_TOL,
+    ConfigError,
+    Scenario,
+    check_inputs,
+    run_scenario,
+    write_csv,
+    write_report,
+)
 from hklab.surface import mesh_surface
 
 logger = logging.getLogger("hklab.cli")
@@ -61,10 +69,13 @@ def _setup_logging() -> None:
                         format="%(name)s %(levelname)s %(message)s")
 
 
-def _angle(args) -> float | None:
-    if args.theta is None:
-        return None
-    return math.radians(args.theta) if getattr(args, "degrees", False) else args.theta
+def _angle(args, required: bool = True) -> float | None:
+    """--theta in radians; required unless the container is closed."""
+    theta = args.theta
+    if theta is not None and args.degrees:
+        theta = math.radians(theta)
+    check_inputs(getattr(args, "container", "half-space"), theta, theta_required=required)
+    return theta
 
 
 def _add_geometry_args(p: argparse.ArgumentParser) -> None:
@@ -180,8 +191,11 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cap_and_meshes(args):
-    container = parse_container(args.container)
-    cap = make_cap(container, _angle(args), args.cap_radius, args.dim)
+    theta = _angle(args)
+    container = check_inputs(args.container, theta, args.cap_radius, [args.resolution],
+                             args.grading, getattr(args, "tol", 0.0),
+                             getattr(args, "max_iter", None))
+    cap = make_cap(container, theta, args.cap_radius, args.dim)
     surface = mesh_surface(cap, args.resolution)
     domain = mesh_domain(surface, container, args.resolution, grading=args.grading)
     return cap, surface, domain
@@ -208,8 +222,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_cap(args) -> int:
-    container = parse_container(args.container)
-    cap = make_cap(container, _angle(args), args.cap_radius, args.dim)
+    theta = _angle(args)
+    container = check_inputs(args.container, theta, args.cap_radius)
+    cap = make_cap(container, theta, args.cap_radius, args.dim)
     payload = {
         "container": container.value,
         "theta": None if cap.theta is None else cap.theta.radians,
@@ -232,8 +247,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reilly(args) -> int:
-    container = parse_container(args.container)
     _, surface, domain = _cap_and_meshes(args)
+    container = domain.container
     problem = capillary_problem(domain, _angle(args))
     solution = solve_mixed_bvp(problem, tol=args.tol)
     sides = reilly_sides(domain, solution, weighted=args.weighted)
@@ -241,8 +256,8 @@ def cmd_reilly(args) -> int:
     if container.has_support:
         payload["pipeline"] = hk_pipeline(container, domain, surface, solution, _angle(args)).to_dict()
     _emit(payload, args.out)
-    ok = sides.relative_defect <= (5e-2 if args.weighted else 3e-2)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    tol = WEIGHTED_REILLY_DEFECT_TOL if args.weighted else REILLY_DEFECT_TOL
+    return EXIT_OK if sides.relative_defect <= tol else EXIT_CHECK_FAILED
 
 
 def cmd_corner(args) -> int:
@@ -262,15 +277,14 @@ def cmd_corner(args) -> int:
 
 
 def cmd_wedge(args) -> int:
-    theta = math.radians(args.theta) if args.degrees else args.theta
-    record = wedge_barrier_check(args.lam, theta, args.grid)
+    record = wedge_barrier_check(args.lam, _angle(args), args.grid)
     print(dumps_json(record.to_dict()))
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
     src, dst = Path(args.input), Path(args.output)
-    theta = math.radians(args.theta) if args.degrees and args.theta else args.theta
+    theta = _angle(args, required=False)
     if src.suffix == ".off" and dst.suffix == ".json":
         mesh = read_off(src, args.container, theta)
         write_surface_json(mesh, dst)

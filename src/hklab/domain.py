@@ -1,16 +1,18 @@
 """Simplicial meshes of the enclosed region with tagged boundary patches.
 
-Planar domains (n = 1) come from a deterministic two-rail strip mesher: the
-surface polyline and the support path are joined by straight rungs at graded
-parameters, and consecutive rungs are zippered into triangles.  This grades
-the mesh into both corners with local size ~ d_Gamma^exponent while the Sigma
-and T boundary facets stay on their rails, so tags are never ambiguous.
+Both dimensions share one deterministic strip mesher: two rails, resampled
+at shared graded parameters, are joined by straight rungs that are
+subdivided by target size, and consecutive rungs are zippered into
+triangles.  The rails stay boundary chains, so Sigma and T tags are never
+ambiguous.
 
-Solid domains (n = 2) are axisymmetric (cap, lens or ball) and are built as
-solids of revolution: the (rho, z) cross-section between the generator curve
-and the axis+support path is strip-meshed, then revolved with a fixed
-azimuthal count; prisms are split into tetrahedra with the min-vertex
-face-diagonal rule, so the mesh is conforming and deterministic.
+Planar domains (n = 1) strip-mesh between the surface polyline and the
+support path, graded into both corners with local size ~ d_Gamma^exponent.
+Solid domains (n = 2) are axisymmetric (cap, lens or ball): the (rho, z)
+cross-section between the generator curve and the axis+support path is
+strip-meshed, then revolved with a fixed azimuthal count; prisms are split
+into tetrahedra with the min-vertex face-diagonal rule, so the mesh is
+conforming and deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from hklab.caps import AnalyticCap
 from hklab.containers import Container, ContactAngle
 from hklab.errors import HkLabError, MeshQualityError
-from hklab.meshutil import graded_nodes, polyline_interp, zipper_rows
+from hklab.meshutil import graded_nodes, polyline_interp, polyline_order, zipper_rows
 from hklab.surface import SurfaceMesh, surface_spacing
 
 logger = logging.getLogger("hklab.domain")
@@ -147,80 +149,66 @@ def _support_rail(container: Container, p_start: np.ndarray, p_end: np.ndarray,
     return np.column_stack([np.sin(ang), np.cos(ang)])
 
 
-def _two_rail_mesh(sigma_rail: np.ndarray, t_rail: np.ndarray, sigma_h: np.ndarray,
-                   resolution: int, grading: float):
-    """Strip mesh between the Sigma polyline and the T polyline.
+def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, target: float,
+                scale: float):
+    """Strip mesh between two polylines that run between the same two ends.
 
-    Both rails run from corner 0 to corner 1; rail interiors are resampled at
-    shared graded parameters, rungs are subdivided by target size, and strips
-    between consecutive rungs are zipper-triangulated.
+    Rung k joins the points at arclength fraction fracs[k] of both rails.  The
+    end rungs and rungs shorter than 1e-14 collapse to their midpoint; the
+    others are subdivided to size ~ target * scale.  Consecutive rungs are
+    zipper-triangulated.  Returns the vertices, the positively oriented cells
+    and the rows of vertex ids per rung, each running from rail_a to rail_b.
     """
-    fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides="both")
-    target = 1.0 / resolution
-    sigma_pts = polyline_interp(sigma_rail, fracs)
-    t_pts = polyline_interp(t_rail, fracs)
-
+    pts_a = polyline_interp(rail_a, fracs)
+    pts_b = polyline_interp(rail_b, fracs)
     verts: list[np.ndarray] = []
     rows: list[np.ndarray] = []
     row_fracs: list[np.ndarray] = []
-
-    def add_vertex(p) -> int:
-        verts.append(np.asarray(p, dtype=float))
-        return len(verts) - 1
-
-    scale = max(np.linalg.norm(sigma_rail[0] - sigma_rail[-1]), 1.0)
-    for k, u in enumerate(fracs):
-        a, b = t_pts[k], sigma_pts[k]
+    count = 0
+    for k in range(len(fracs)):
+        a, b = pts_a[k], pts_b[k]
         length = float(np.linalg.norm(b - a))
         if k == 0 or k == len(fracs) - 1 or length < 1e-14:
-            idx = np.array([add_vertex(0.5 * (a + b))])
-            rows.append(idx)
-            row_fracs.append(np.array([0.5]))
-            continue
-        m = max(1, int(math.ceil(length / (target * scale))))
-        s = np.linspace(0.0, 1.0, m + 1)
-        pts = (1.0 - s)[:, None] * a + s[:, None] * b
-        idx = np.array([add_vertex(p) for p in pts])
-        rows.append(idx)
+            s = np.array([0.5])
+        else:
+            s = np.linspace(0.0, 1.0, max(1, int(math.ceil(length / (target * scale)))) + 1)
+        verts.append((1.0 - s)[:, None] * a + s[:, None] * b)
+        rows.append(np.arange(count, count + len(s)))
         row_fracs.append(s)
+        count += len(s)
 
     tris: list[tuple[int, int, int]] = []
     for k in range(len(rows) - 1):
         tris.extend(zipper_rows(rows[k], row_fracs[k], rows[k + 1], row_fracs[k + 1]))
-
-    vertices = np.asarray(verts)
+    vertices = np.vstack(verts)
     cells = np.asarray(tris, dtype=np.int64)
-    vols = simplex_volumes(vertices, cells)
-    flip = vols < 0
+    flip = simplex_volumes(vertices, cells) < 0
     cells[flip] = cells[flip][:, [0, 2, 1]]
+    return vertices, cells, rows
 
-    # boundary facets along the rails; interior rows have T first, Sigma last
-    t_edges, sigma_edges, sigma_mid_fracs = [], [], []
-    for k in range(len(rows) - 1):
-        t_edges.append((rows[k][0], rows[k + 1][0]))
-        sigma_edges.append((rows[k][-1], rows[k + 1][-1]))
-        sigma_mid_fracs.append(0.5 * (fracs[k] + fracs[k + 1]))
-    corners = np.array([rows[0][0], rows[-1][0]], dtype=np.int64)
-    sigma_facets = np.asarray(sigma_edges, dtype=np.int64)
-    t_facets = np.asarray(t_edges, dtype=np.int64)
-    sigma_H = np.interp(np.asarray(sigma_mid_fracs), np.linspace(0, 1, len(sigma_h)), sigma_h)
-    return vertices, cells, sigma_facets, t_facets, corners, sigma_H
+
+def _rail_edges(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary edges along rail_a and rail_b of a strip mesh."""
+    first = np.array([r[0] for r in rows], dtype=np.int64)
+    last = np.array([r[-1] for r in rows], dtype=np.int64)
+    return np.column_stack([first[:-1], first[1:]]), np.column_stack([last[:-1], last[1:]])
 
 
 def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
                     grading: float) -> DomainMesh:
-    order = _chain_order(surface.cells)
-    pts = surface.vertices[order]
-    h_along = surface.mean_curvature[order]
+    order = polyline_order(surface.cells, surface.num_vertices)
+    if order[0] == order[-1]:
+        raise HkLabError("surface polyline is not an open chain")
     # rails run corner0 -> corner1; the T rail follows the support
-    sigma_rail = pts
-    if container is Container.HALF_SPACE:
-        t_rail = _support_rail(container, pts[0], pts[-1], max(resolution, 8))
-    else:
-        t_rail = _support_rail(container, pts[0], pts[-1], max(resolution, 8))
-    vertices, cells, sig_f, t_f, corners, sigma_H = _two_rail_mesh(
-        sigma_rail, t_rail, h_along, resolution, grading
-    )
+    sigma_rail = surface.vertices[order]
+    t_rail = _support_rail(container, sigma_rail[0], sigma_rail[-1], max(resolution, 8))
+    fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides="both")
+    scale = max(np.linalg.norm(sigma_rail[0] - sigma_rail[-1]), 1.0)
+    vertices, cells, rows = _strip_mesh(t_rail, sigma_rail, fracs, 1.0 / resolution, scale)
+    t_f, sig_f = _rail_edges(rows)
+    corners = np.array([rows[0][0], rows[-1][0]], dtype=np.int64)
+    h_along = surface.mean_curvature[order]
+    sigma_H = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0, 1, len(h_along)), h_along)
     inner = vertices.mean(axis=0)
     sig_f = _orient_facets_outward(vertices, sig_f, inner)
     t_f = _orient_facets_outward(vertices, t_f, inner)
@@ -241,17 +229,6 @@ def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
     )
     _validate(dom)
     return dom
-
-
-def _chain_order(cells: np.ndarray) -> np.ndarray:
-    succ = {int(a): int(b) for a, b in cells}
-    starts = set(succ) - {v for v in succ.values()}
-    if len(starts) != 1:
-        raise HkLabError("surface polyline is not an open chain")
-    order = [starts.pop()]
-    while order[-1] in succ:
-        order.append(succ[order[-1]])
-    return np.asarray(order, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -358,62 +335,20 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
 
     sides = "none" if container is Container.CLOSED else "end"
     fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides=sides)
-    gen_pts = polyline_interp(gen, fracs)
-    oth_pts = polyline_interp(rail_other, fracs)
-    gen_fracs_len = np.linspace(0.0, 1.0, len(gen))
-
-    verts2: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    row_fracs: list[np.ndarray] = []
     scale = max(float(np.linalg.norm(apex - corner)), 1e-12)
     target = 1.0 / resolution
-
-    def add_vertex(p) -> int:
-        verts2.append(np.asarray(p, dtype=float))
-        return len(verts2) - 1
-
-    for k, u in enumerate(fracs):
-        a, b = oth_pts[k], gen_pts[k]
-        length = float(np.linalg.norm(b - a))
-        if k == 0 or k == len(fracs) - 1 or length < 1e-14:
-            rows.append(np.array([add_vertex(0.5 * (a + b))]))
-            row_fracs.append(np.array([0.5]))
-            continue
-        m = max(1, int(math.ceil(length / (target * scale))))
-        s = np.linspace(0.0, 1.0, m + 1)
-        pts = (1.0 - s)[:, None] * a + s[:, None] * b
-        idx = np.array([add_vertex(p) for p in pts])
-        rows.append(idx)
-        row_fracs.append(s)
-
-    tris2: list[tuple[int, int, int]] = []
-    for k in range(len(rows) - 1):
-        tris2.extend(zipper_rows(rows[k], row_fracs[k], rows[k + 1], row_fracs[k + 1]))
-    vertices2 = np.asarray(verts2)
-    cross_cells = np.asarray(tris2, dtype=np.int64)
-    areas2 = simplex_volumes(vertices2, cross_cells)
-    flipc = areas2 < 0
-    cross_cells[flipc] = cross_cells[flipc][:, [0, 2, 1]]
+    vertices2, cross_cells, rows = _strip_mesh(rail_other, gen, fracs, target, scale)
     if np.any(vertices2[:, 0] < -1e-12):
         raise MeshQualityError("cross-section left the rho >= 0 half plane")
     vertices2[:, 0] = np.maximum(vertices2[:, 0], 0.0)
 
-    # boundary chains of the cross-section
-    sigma_edges, sigma_h_mid = [], []
-    other_edges = []
-    for k in range(len(rows) - 1):
-        sigma_edges.append((rows[k][-1], rows[k + 1][-1]))
-        sigma_h_mid.append(
-            float(np.interp(0.5 * (fracs[k] + fracs[k + 1]), gen_fracs_len, h_gen))
-        )
-        other_edges.append((rows[k][0], rows[k + 1][0]))
-    t_edges, t_h = [], []
-    for (i0, i1) in other_edges:
-        mid_rho = 0.5 * (vertices2[i0, 0] + vertices2[i1, 0])
-        if mid_rho > 1e-10 * scale:
-            t_edges.append((i0, i1))
+    # boundary chains of the cross-section; the axis part of the other rail is not T
+    other_edges, sigma_edges = _rail_edges(rows)
+    sigma_h_mid = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0.0, 1.0, len(gen)), h_gen)
+    mid_rho = 0.5 * (vertices2[other_edges[:, 0], 0] + vertices2[other_edges[:, 1], 0])
+    t_edges = other_edges[mid_rho > 1e-10 * scale]
     if container is Container.CLOSED:
-        t_edges = []
+        t_edges = t_edges[:0]
 
     # revolve: one ring of k_azim copies per off-axis vertex
     rho_max = float(vertices2[:, 0].max())
@@ -438,6 +373,14 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
 
     jj = np.arange(k_azim)
     jn = (jj + 1) % k_azim
+
+    def revolve_edge(i0, i1) -> np.ndarray:
+        """Triangles swept by a cross-section edge: a fan at the axis, else split quads."""
+        if on_axis[i0] or on_axis[i1]:
+            ax, off = (i0, i1) if on_axis[i0] else (i1, i0)
+            return np.stack([np.full(k_azim, vid[ax, 0]), vid[off, jj], vid[off, jn]], axis=1)
+        return _split_quads(np.stack([vid[i0, jj], vid[i1, jj], vid[i1, jn], vid[i0, jn]], axis=1))
+
     n_ax = on_axis[cross_cells].sum(axis=1)
     tet_blocks: list[np.ndarray] = []
     # triangles fully off-axis become prism stacks
@@ -447,56 +390,22 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
              vid[tri[0], jn], vid[tri[1], jn], vid[tri[2], jn]], axis=1
         )
         tet_blocks.append(_split_prisms(prisms))
-    # one axis vertex: pyramid with a quad side
-    for tri in cross_cells[n_ax == 1]:
+    # triangles touching the axis: cones from the first axis vertex over the other edge
+    for tri in np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]]):
         ax = tri[on_axis[tri]][0]
-        off = tri[~on_axis[tri]]
-        quads = np.stack(
-            [vid[off[0], jj], vid[off[1], jj], vid[off[1], jn], vid[off[0], jn]], axis=1
-        )
-        tris3 = _split_quads(quads)
-        apex_col = np.full((len(tris3), 1), vid[ax, 0], dtype=np.int64)
-        tet_blocks.append(np.hstack([apex_col, tris3]))
-    # two axis vertices: single tets
-    for tri in cross_cells[n_ax == 2]:
-        ax = tri[on_axis[tri]]
-        off = tri[~on_axis[tri]][0]
-        tets = np.stack(
-            [np.full(k_azim, vid[ax[0], 0]), np.full(k_azim, vid[ax[1], 0]),
-             vid[off, jj], vid[off, jn]], axis=1
-        )
-        tet_blocks.append(tets)
+        side = revolve_edge(*tri[tri != ax])
+        tet_blocks.append(np.hstack([np.full((len(side), 1), vid[ax, 0]), side]))
     cells = np.vstack(tet_blocks).astype(np.int64)
     vols = simplex_volumes(vertices, cells)
     flip = vols < 0
     cells[flip] = cells[flip][:, [0, 1, 3, 2]]
 
-    def revolve_edges(edges):
-        facets: list[np.ndarray] = []
-        for (i0, i1) in edges:
-            if on_axis[i0] or on_axis[i1]:
-                ax, off = (i0, i1) if on_axis[i0] else (i1, i0)
-                fan = np.stack(
-                    [np.full(k_azim, vid[ax, 0]), vid[off, jj], vid[off, jn]], axis=1
-                )
-                facets.append(fan)
-            else:
-                quads = np.stack(
-                    [vid[i0, jj], vid[i1, jj], vid[i1, jn], vid[i0, jn]], axis=1
-                )
-                facets.append(_split_quads(quads))
-        if not facets:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.vstack(facets).astype(np.int64)
-
-    sigma_facets = revolve_edges(sigma_edges)
-    t_facets = revolve_edges(t_edges)
-    # per-facet H: repeat the generator values per revolved edge block
-    sigma_H_list = []
-    for (i0, i1), h_mid in zip(sigma_edges, sigma_h_mid):
-        blocks = k_azim if (on_axis[i0] or on_axis[i1]) else 2 * k_azim
-        sigma_H_list.append(np.full(blocks, h_mid))
-    sigma_H = np.concatenate(sigma_H_list) if sigma_H_list else np.zeros(0)
+    # per-facet H: the generator value of each revolved Sigma edge
+    sigma_blocks = [revolve_edge(i0, i1) for i0, i1 in sigma_edges]
+    sigma_facets = np.vstack(sigma_blocks)
+    sigma_H = np.repeat(sigma_h_mid, [len(b) for b in sigma_blocks])
+    t_facets = np.vstack([np.empty((0, 3), dtype=np.int64)]
+                         + [revolve_edge(i0, i1) for i0, i1 in t_edges])
 
     inner = vertices.mean(axis=0)
     sigma_facets = _orient_facets_outward(vertices, sigma_facets, inner)
@@ -569,7 +478,10 @@ def mesh_domain(
 
 def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> DomainMesh:
     """Triangulate the region inside a closed curve (fan of scaled loops)."""
-    order = _polyline_loop(surface.cells)
+    order = polyline_order(surface.cells, surface.num_vertices)
+    if order[0] != order[-1]:
+        raise HkLabError("closed surface polyline is not a loop")
+    order = order[:-1]
     pts = surface.vertices[order]
     seed = pts.mean(axis=0)
     layers = max(2, resolution // 2)
@@ -621,17 +533,6 @@ def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> Doma
     )
     _validate(dom)
     return dom
-
-
-def _polyline_loop(cells: np.ndarray) -> np.ndarray:
-    succ = {int(a): int(b) for a, b in cells}
-    start = int(cells[0, 0])
-    order = [start]
-    cur = succ[start]
-    while cur != start:
-        order.append(cur)
-        cur = succ[cur]
-    return np.asarray(order, dtype=np.int64)
 
 
 def _validate(dom: DomainMesh) -> None:

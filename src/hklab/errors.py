@@ -17,10 +17,6 @@ class MeshQualityError(HkLabError):
     """Degenerate or below-threshold cells in a generated mesh."""
 
 
-class TagAmbiguityError(HkLabError):
-    """A boundary facet could not be assigned a unique Sigma/T tag."""
-
-
 class SolverError(HkLabError):
     """Linear solver failed (non-convergence or loss of positive definiteness)."""
 

@@ -106,6 +106,7 @@ def pcg(a: sp.csr_matrix, b: np.ndarray, tol: float, max_iter: int):
     z = minv * r
     p = z.copy()
     rz = float(r @ z)
+    res = b_norm
     for it in range(1, max_iter + 1):
         ap = a @ p
         pap = float(p @ ap)

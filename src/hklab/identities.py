@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from hklab.bvp import t_facet_integrals
 from hklab.containers import Container, ContactAngle, as_angle
 from hklab.domain import DomainMesh
 from hklab.errors import ContainerMismatchError, MeanConvexityError
@@ -166,14 +167,12 @@ def integrate_boundary(mesh: SurfaceMesh, integrand: str | np.ndarray) -> float:
     if mesh.dim == 1:
         return float(np.sum(vals))
     total = 0.0
-    offset = 0
     index_of = mesh.boundary_index_of()
     for loop in mesh.boundary_loops:
         pts = mesh.vertices[loop]
         seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         v = np.array([vals[index_of[int(i)]] for i in loop])
         total += float(np.sum(0.5 * seg * (v + np.roll(v, -1))))
-        offset += len(loop)
     return total
 
 
@@ -342,14 +341,6 @@ class HkReport:
         }
 
 
-def _domain_t_integrals(domain: DomainMesh) -> tuple[float, float]:
-    areas = domain.facet_measures(domain.t_facets)
-    if len(areas) == 0:
-        return 0.0, 0.0
-    z = domain.vertices[domain.t_facets][:, :, -1].mean(axis=1)
-    return float(np.sum(areas)), float(np.sum(areas * z))
-
-
 def domain_volume_integrals(domain: DomainMesh) -> tuple[float, float]:
     """(|Omega|, integral of x_d over Omega) by midpoint quadrature."""
     z = domain.vertices[domain.cells][:, :, -1].mean(axis=1)
@@ -379,7 +370,7 @@ def hk_report(
     n = surface.dim
 
     volume, volume_z = domain_volume_integrals(domain)
-    area_t, int_t_z = _domain_t_integrals(domain)
+    area_t, int_t_z = t_facet_integrals(domain)
     int_nu_z = integrate_surface(surface, "nu_z")
     int_h_nu_z = integrate_surface(surface, "H*nu_z")
     components = {

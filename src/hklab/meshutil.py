@@ -1,10 +1,12 @@
-"""Deterministic node ladders and strip/band triangulation helpers."""
+"""Deterministic node ladders, strip/band triangulation and polyline order."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from hklab.errors import HkLabError
 
 
 def graded_nodes(
@@ -113,3 +115,37 @@ def polyline_interp(points: np.ndarray, fractions: np.ndarray) -> np.ndarray:
     out[np.isclose(fractions, 0.0)] = points[0]
     out[np.isclose(fractions, 1.0)] = points[-1]
     return out
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products; matmul rounds each like the 1-D `a @ b`, where einsum may not."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum like a running total; np.sum adds pairwise, in another order."""
+    return float(sum(values.tolist()))
+
+
+def polyline_order(cells: np.ndarray, nv: int) -> np.ndarray:
+    """Vertex order of a polyline given as oriented edges (a, b).
+
+    An open chain is returned from its start to its end.  A closed loop starts
+    at cells[0, 0] and repeats that vertex at the end, so order[0] ==
+    order[-1] tells the two apart.  Anything else (several chains, branches
+    or vertices no edge reaches) raises HkLabError.
+    """
+    succ = {int(a): int(b) for a, b in cells}
+    starts = set(succ) - set(succ.values())
+    if len(starts) > 1:
+        raise HkLabError("polyline mesh is not a single chain")
+    start = starts.pop() if starts else int(cells[0, 0])
+    order = [start]
+    while order[-1] in succ and len(order) <= nv:
+        order.append(succ[order[-1]])
+        if order[-1] == start:
+            break
+    closed = len(order) > 1 and order[-1] == start
+    if len(order) != nv + closed:
+        raise HkLabError("polyline mesh has disconnected vertices")
+    return np.asarray(order, dtype=np.int64)

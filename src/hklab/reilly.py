@@ -15,11 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hklab.bvp import BvpSolution, capillary_constant_from_domain, t_facet_integrals
+from hklab.bvp import (
+    BvpSolution,
+    capillary_constant_from_domain,
+    gamma_edges,
+    gamma_loop_measure,
+    t_facet_integrals,
+)
 from hklab.containers import Container, ContactAngle, as_angle
 from hklab.domain import DomainMesh
 from hklab.errors import ConstantMismatchError, HkLabError, MeanConvexityError
 from hklab.identities import domain_volume_integrals, integrate_boundary
+from hklab.meshutil import ordered_sum, row_dot
 from hklab.surface import SurfaceMesh
 
 MACHINE_FLOOR = 1e-300
@@ -141,12 +148,6 @@ def _t_trace_gradients(domain: DomainMesh, f: np.ndarray) -> np.ndarray:
     return a[:, None] * e1 + b[:, None] * e2
 
 
-def _t_facet_vertex_mean(domain: DomainMesh, values: np.ndarray) -> np.ndarray:
-    if len(domain.t_facets) == 0:
-        return np.zeros(0)
-    return values[domain.t_facets].mean(axis=1)
-
-
 def gamma_t_flux(domain: DomainMesh, solution: BvpSolution, weight: str = "1") -> float:
     """integral over Gamma of w * <grad_T f, nu_bar> with facet-planar conormals.
 
@@ -155,39 +156,10 @@ def gamma_t_flux(domain: DomainMesh, solution: BvpSolution, weight: str = "1") -
     gradient is the recovered nodal gradient (nu_bar is facet-tangential, so
     no projection is needed and the one-sided trace differences are avoided).
     """
-    gamma = set(int(g) for g in domain.gamma_vertices)
-    verts = domain.vertices
-    nodal = solution.nodal_gradients
-    total = 0.0
-    if domain.dim == 2:
-        for facet in domain.t_facets:
-            a, b = int(facet[0]), int(facet[1])
-            for corner, other in ((a, b), (b, a)):
-                if corner in gamma and other not in gamma:
-                    nubar = verts[corner] - verts[other]
-                    nubar /= np.linalg.norm(nubar)
-                    w = verts[corner][-1] if weight == "z" else 1.0
-                    total += w * float(nodal[corner] @ nubar)
-        return total
-    for facet in domain.t_facets:
-        ids = [int(v) for v in facet]
-        on_gamma = [v in gamma for v in ids]
-        if sum(on_gamma) != 2:
-            continue
-        edge = [v for v, g in zip(ids, on_gamma) if g]
-        opp = [v for v, g in zip(ids, on_gamma) if not g][0]
-        pa, pb = verts[edge[0]], verts[edge[1]]
-        e = pb - pa
-        elen = float(np.linalg.norm(e))
-        e /= elen
-        mid = 0.5 * (pa + pb)
-        nubar = mid - verts[opp]
-        nubar -= (nubar @ e) * e
-        nubar /= np.linalg.norm(nubar)
-        w = mid[-1] if weight == "z" else 1.0
-        g_mid = 0.5 * (nodal[edge[0]] + nodal[edge[1]])
-        total += w * float(g_mid @ nubar) * elen
-    return total
+    ends, nubar, measure = gamma_edges(domain, domain.t_facets)
+    grad = solution.nodal_gradients[ends].mean(axis=1)
+    w = domain.vertices[ends][:, :, -1].mean(axis=1) if weight == "z" else 1.0
+    return ordered_sum(w * row_dot(grad, nubar) * measure)
 
 
 def _sigma_data(domain: DomainMesh, solution: BvpSolution):
@@ -233,31 +205,27 @@ def reilly_sides(domain: DomainMesh, solution: BvpSolution, weighted: bool = Fal
     gamma = problem.robin_gamma
     n = domain.dim - 1
     t_part = 0.0
+    t_areas = domain.facet_measures(domain.t_facets)
+    tg = _t_trace_gradients(domain, solution.f)
+    t_grad2 = float(np.sum(t_areas * np.einsum("ij,ij->i", tg, tg)))  # int_T |grad_T f|^2
     if domain.container is Container.HALF_SPACE:
         flux_gamma = gamma_t_flux(domain, solution, "1")
         parts["gamma_flux"] = flux_gamma
         t_part = c * flux_gamma
         if gamma > 0:
-            tg = _t_trace_gradients(domain, solution.f)
-            g2 = np.einsum("ij,ij->i", tg, tg)
-            t_areas = domain.facet_measures(domain.t_facets)
-            t_part -= 2.0 * gamma * float(np.sum(t_areas * g2))
+            t_part -= 2.0 * gamma * t_grad2
     elif domain.container is Container.HALF_BALL:
-        t_areas = domain.facet_measures(domain.t_facets)
-        f_t = _t_facet_vertex_mean(domain, solution.f)
-        z_t = domain.vertices[domain.t_facets][:, :, -1].mean(axis=1)
         if weighted:
             flux_gamma = gamma_t_flux(domain, solution, "z")
             parts["gamma_flux_weighted"] = flux_gamma
-            t_part = c * flux_gamma + n * c**2 * float(np.sum(t_areas * z_t))
+            t_part = c * flux_gamma + n * c**2 * t_facet_integrals(domain)[1]
         else:
             flux_gamma = gamma_t_flux(domain, solution, "1")
             parts["gamma_flux"] = flux_gamma
-            tg = _t_trace_gradients(domain, solution.f)
-            g2 = np.einsum("ij,ij->i", tg, tg)
+            f_t = solution.f[domain.t_facets].mean(axis=1)
             t_part = (
                 c * flux_gamma
-                + (1.0 - 2.0 * gamma) * float(np.sum(t_areas * g2))
+                + (1.0 - 2.0 * gamma) * t_grad2
                 + n * float(np.sum(t_areas * (c + gamma * f_t) ** 2))
             )
     parts["t"] = t_part
@@ -300,7 +268,6 @@ def hk_pipeline(
 
     ball = container is Container.HALF_BALL
     tr = solution.laplacian()
-    h2 = np.einsum("cab,cab->c", solution.cell_hessians, solution.cell_hessians)
     cell_z = domain.vertices[domain.cells][:, :, -1].mean(axis=1)
     wcell = domain.cell_volumes * cell_z if ball else domain.cell_volumes
 
@@ -349,13 +316,7 @@ def hk_pipeline(
     if ball:
         correction = (n / (n + 1.0)) * angle.cos * int_t_z**2 / b_mu
     else:
-        gamma_measure = float(len(domain.gamma_vertices)) if domain.dim == 2 else None
-        if gamma_measure is None:
-            ring = domain.vertices[domain.gamma_vertices]
-            gamma_measure = float(
-                np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum()
-            )
-        correction = (n / (n + 1.0)) * angle.cot * area_t**2 / gamma_measure
+        correction = (n / (n + 1.0)) * angle.cot * area_t**2 / gamma_loop_measure(domain)
     steps.append(
         PipelineStep("capillary_balance", int_f_nu, vol_w + correction, "=", identity_rtol)
     )

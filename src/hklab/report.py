@@ -22,7 +22,7 @@ import numpy as np
 import hklab
 from hklab.bvp import capillary_problem, corner_exponent, exact_cap_solution, solve_mixed_bvp
 from hklab.caps import AnalyticCap, make_cap
-from hklab.containers import Container, as_angle, parse_container
+from hklab.containers import Container, ContactAngle, as_angle, parse_container
 from hklab.domain import mesh_domain
 from hklab.errors import HkLabError, WindowError
 from hklab.identities import applicable_identities, check_identity, hk_report
@@ -36,9 +36,44 @@ ALL_CHECKS = ("identities", "hk", "bvp", "reilly", "corner")
 
 RATE_FLOOR = 1e-13
 
+# verdict bounds on the top rung: relative Reilly defects (unweighted and
+# weighted), shared with `hk reilly`
+REILLY_DEFECT_TOL = 3e-2
+WEIGHTED_REILLY_DEFECT_TOL = 5e-2
+
 
 class ConfigError(HkLabError):
     """Invalid scenario configuration."""
+
+
+def check_inputs(container: str, theta: float | None, radius: float = 1.0, resolutions=(),
+                 grading: float = 0.0, tol: float = 0.0, max_iter: int | None = None,
+                 theta_required: bool = True) -> Container:
+    """The parsed container; ConfigError for input outside the documented ranges.
+
+    theta is finite in [0.05, pi/2] and given unless the container is closed
+    (or theta_required is False); radius > 0; every resolution >= 4; grading
+    in [0, 1); tol finite and >= 0; max_iter None or >= 1.
+    """
+    try:
+        kind = parse_container(container)
+        radius, grading, tol = float(radius), float(grading), float(tol)
+        if theta is not None:
+            ContactAngle(float(theta))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    for bad, message in (
+        (theta is None and theta_required and kind.has_support,
+         "a contact angle (--theta) is required unless the container is closed"),
+        (not (math.isfinite(radius) and radius > 0), f"cap radius must be positive, got {radius}"),
+        (any(r < 4 for r in resolutions), f"resolutions must be >= 4, got {list(resolutions)}"),
+        (not 0.0 <= grading < 1.0, f"grading must lie in [0, 1), got {grading}"),
+        (not (math.isfinite(tol) and tol >= 0), f"tol must be finite and >= 0, got {tol}"),
+        (max_iter is not None and max_iter < 1, f"max_iter must be at least 1, got {max_iter}"),
+    ):
+        if bad:
+            raise ConfigError(message)
+    return kind
 
 
 @dataclass
@@ -60,7 +95,10 @@ class Scenario:
     timings: bool = False
 
     def __post_init__(self) -> None:
-        self.ladder = [int(r) for r in self.ladder]
+        try:
+            self.ladder = [int(r) for r in self.ladder]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"resolution ladder must hold integers: {exc}") from None
         if len(self.ladder) == 0 or any(
             b <= a for a, b in zip(self.ladder, self.ladder[1:])
         ):
@@ -72,7 +110,8 @@ class Scenario:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
         if not self.checks:
             raise ConfigError("at least one check is required")
-        parse_container(self.container)
+        check_inputs(self.container, self.theta, self.surface.get("radius", 1.0),
+                     self.ladder, self.grading, self.tol, self.max_iter)
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
 
@@ -285,9 +324,9 @@ def _verdicts(scenario: Scenario, results: list, rates: dict) -> dict:
         verdicts["bvp"] = bool(ok)
     if "reilly" in scenario.checks and "reilly" in top:
         entry = top["reilly"]
-        ok = entry["unweighted"]["relative_defect"] <= 3e-2
+        ok = entry["unweighted"]["relative_defect"] <= REILLY_DEFECT_TOL
         if "weighted" in entry:
-            ok = ok and entry["weighted"]["relative_defect"] <= 5e-2
+            ok = ok and entry["weighted"]["relative_defect"] <= WEIGHTED_REILLY_DEFECT_TOL
         ok = ok and all(s["pass"] for s in entry["pipeline"]["steps"])
         verdicts["reilly"] = bool(ok)
     if "corner" in scenario.checks and "corner" in top:

@@ -19,7 +19,7 @@ import numpy as np
 from hklab.caps import AnalyticCap, gamma_frame
 from hklab.containers import Container, ContactAngle, support_normal
 from hklab.errors import HkLabError, MeshQualityError
-from hklab.meshutil import graded_nodes, zipper_rings
+from hklab.meshutil import graded_nodes, polyline_order, zipper_rings
 from hklab.profiles import (
     ProfileCurve,
     profile_mean_curvature,
@@ -669,7 +669,7 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
             nubar = np.empty((0, 3))
             nbar = np.empty((0, 3))
     else:
-        order = _polyline_order(mesh.cells, nv)
+        order = polyline_order(mesh.cells, nv)
         mean_curv = _circumcircle_curvature(mesh.vertices, order, normals)
         if order[0] == order[-1]:
             loops, boundary_vertices = [], np.empty(0, dtype=np.int64)
@@ -695,29 +695,6 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
         boundary_support_normal=nbar,
         low_trust=low_trust,
     )
-
-
-def _polyline_order(cells: np.ndarray, nv: int) -> np.ndarray:
-    succ = {int(a): int(b) for a, b in cells}
-    starts = set(succ) - {b for b in succ.values()}
-    if not starts:  # closed loop
-        start = int(cells[0, 0])
-        order = [start]
-        cur = succ[start]
-        while cur != start:
-            order.append(cur)
-            cur = succ[cur]
-        order.append(start)
-        return np.asarray(order, dtype=np.int64)
-    if len(starts) != 1:
-        raise HkLabError("polyline mesh is not a single chain")
-    start = starts.pop()
-    order = [start]
-    while order[-1] in succ:
-        order.append(succ[order[-1]])
-    if len(order) != nv:
-        raise HkLabError("polyline mesh has disconnected vertices")
-    return np.asarray(order, dtype=np.int64)
 
 
 def _circumcircle_curvature(vertices: np.ndarray, order: np.ndarray, normals: np.ndarray):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import THETA3, l2_relative_error
 from hklab import (
@@ -23,7 +24,13 @@ from hklab import (
     wedge_barrier_check,
     wedge_model_values,
 )
-from hklab.bvp import _hop_distance, make_problem
+from hklab.bvp import (
+    _hop_distance,
+    gamma_edges,
+    gamma_loop_measure,
+    gamma_mu_vertical_integral,
+    make_problem,
+)
 from hklab.errors import HkLabError, SolverError
 from hklab.fem import (
     _full_rank_lstsq,
@@ -35,6 +42,7 @@ from hklab.fem import (
     pcg,
     recover_nodal_gradients,
 )
+from hklab.reilly import gamma_t_flux
 
 
 def test_exact_solution_satisfies_problem_symbolically():
@@ -457,3 +465,130 @@ def test_wedge_barrier_finite_difference_oracle():
             psi(x + h, y) + psi(x - h, y) + psi(x, y + h) + psi(x, y - h) - 4 * psi(x, y)
         ) / h**2
         assert abs(lap) < 1e-4
+
+
+def test_pcg_rejects_zero_iterations(hs_domain1):
+    with pytest.raises(SolverError, match="in 0 iterations"):
+        pcg(sp.identity(3, format="csr"), np.ones(3), 1e-10, 0)
+    with pytest.raises(SolverError):
+        solve_mixed_bvp(capillary_problem(hs_domain1, THETA3), max_iter=0)
+
+
+# ---------------------------------------------------------------------------
+# the Gamma-edge table against the per-facet loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_gamma_mu_vertical_integral(domain):
+    gamma = set(int(g) for g in domain.gamma_vertices)
+    verts = domain.vertices
+    total = 0.0
+    if domain.dim == 2:
+        for facet in domain.sigma_facets:
+            a, b = int(facet[0]), int(facet[1])
+            for corner, other in ((a, b), (b, a)):
+                if corner in gamma and other not in gamma:
+                    mu = verts[corner] - verts[other]
+                    mu /= np.linalg.norm(mu)
+                    total += float(mu[-1])
+        return total
+    for facet in domain.sigma_facets:
+        ids = [int(v) for v in facet]
+        on_gamma = [v in gamma for v in ids]
+        if sum(on_gamma) != 2:
+            continue
+        edge = [v for v, g in zip(ids, on_gamma) if g]
+        opp = [v for v, g in zip(ids, on_gamma) if not g][0]
+        pa, pb, pc = verts[edge[0]], verts[edge[1]], verts[opp]
+        e = pb - pa
+        e /= np.linalg.norm(e)
+        mid = 0.5 * (pa + pb)
+        mu = mid - pc
+        mu -= (mu @ e) * e
+        mu /= np.linalg.norm(mu)
+        total += float(mu[-1]) * float(np.linalg.norm(pb - pa))
+    return total
+
+
+def _oracle_gamma_t_flux(domain, solution, weight):
+    gamma = set(int(g) for g in domain.gamma_vertices)
+    verts = domain.vertices
+    nodal = solution.nodal_gradients
+    total = 0.0
+    if domain.dim == 2:
+        for facet in domain.t_facets:
+            a, b = int(facet[0]), int(facet[1])
+            for corner, other in ((a, b), (b, a)):
+                if corner in gamma and other not in gamma:
+                    nubar = verts[corner] - verts[other]
+                    nubar /= np.linalg.norm(nubar)
+                    w = verts[corner][-1] if weight == "z" else 1.0
+                    total += w * float(nodal[corner] @ nubar)
+        return total
+    for facet in domain.t_facets:
+        ids = [int(v) for v in facet]
+        on_gamma = [v in gamma for v in ids]
+        if sum(on_gamma) != 2:
+            continue
+        edge = [v for v, g in zip(ids, on_gamma) if g]
+        opp = [v for v, g in zip(ids, on_gamma) if not g][0]
+        pa, pb = verts[edge[0]], verts[edge[1]]
+        e = pb - pa
+        elen = float(np.linalg.norm(e))
+        e /= elen
+        mid = 0.5 * (pa + pb)
+        nubar = mid - verts[opp]
+        nubar -= (nubar @ e) * e
+        nubar /= np.linalg.norm(nubar)
+        w = mid[-1] if weight == "z" else 1.0
+        g_mid = 0.5 * (nodal[edge[0]] + nodal[edge[1]])
+        total += w * float(g_mid @ nubar) * elen
+    return total
+
+
+@pytest.fixture(scope="module")
+def hb_domain2(hb_cap2):
+    return mesh_domain(mesh_surface(hb_cap2, 12), None, 12, grading=0.0)
+
+
+GAMMA_DOMAINS = ["hs_domain1", "hb_domain1_graded", "hs_domain2", "hb_domain2"]
+
+
+@pytest.mark.parametrize("mesh", GAMMA_DOMAINS)
+def test_gamma_integrals_match_per_facet_oracle(mesh, request):
+    dom = request.getfixturevalue(mesh)
+    rng = np.random.default_rng(7)
+    f = np.sin(dom.vertices @ rng.standard_normal(dom.dim)) + np.sum(dom.vertices**2, axis=1)
+    solution = solution_from_field(make_problem(dom), f)
+    pairs = [(gamma_mu_vertical_integral(dom), _oracle_gamma_mu_vertical_integral(dom))]
+    for weight in ("1", "z"):
+        pairs.append((gamma_t_flux(dom, solution, weight),
+                      _oracle_gamma_t_flux(dom, solution, weight)))
+    assert pairs[0][1] != 0.0 and pairs[1][1] != 0.0  # the z weight vanishes on a flat T
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("mesh", GAMMA_DOMAINS)
+@pytest.mark.parametrize("patch", ["sigma_facets", "t_facets"])
+def test_gamma_edge_table_geometry(mesh, patch, request):
+    dom = request.getfixturevalue(mesh)
+    facets = getattr(dom, patch)
+    ends, conormal, measure = gamma_edges(dom, facets)
+    assert ends.shape == (len(conormal), dom.dim - 1)
+    assert np.all(np.isin(ends, dom.gamma_vertices))
+    if dom.dim == 2:
+        assert float(measure.sum()) == gamma_loop_measure(dom)
+    else:
+        assert abs(measure.sum() - gamma_loop_measure(dom)) <= 1e-12 * gamma_loop_measure(dom)
+
+    on_gamma = np.isin(facets, dom.gamma_vertices)
+    hit = facets[on_gamma.sum(axis=1) == dom.dim - 1]
+    opposite = dom.vertices[hit[~np.isin(hit, dom.gamma_vertices)]]
+    pts = dom.vertices[ends]
+    assert np.allclose(np.linalg.norm(conormal, axis=1), 1.0, rtol=0, atol=1e-14)
+    # in the facet, perpendicular to the edge, away from the opposite vertex
+    assert np.allclose(np.einsum("ij,ij->i", conormal, dom.facet_normals(hit)), 0.0, atol=1e-12)
+    edge = pts[:, -1] - pts[:, 0]
+    assert np.allclose(np.einsum("ij,ij->i", conormal, edge), 0.0, atol=1e-12)
+    assert np.all(np.einsum("ij,ij->i", conormal, pts.mean(axis=1) - opposite) > 0)

@@ -190,3 +190,36 @@ def test_config_file(tmp_path):
     assert run_cli("run", "--config", str(cfg_path)) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["scenario"]["name"] == "from-config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--theta", "nan"],
+    ["run", "--theta", "inf"],
+    ["run", "--theta", "2.0"],
+    ["corner", "--dim", "1", "--theta", "nan"],
+    ["run", "--theta", THETA_STR, "--dim", "1", "--checks", "corner", "--grading", "1.0"],
+    ["solve", "--theta", THETA_STR, "--dim", "1", "--grading", "1.0"],
+    ["run", "--theta", THETA_STR, "--grading", "1.5"],
+    ["run", "--surface", "missing.off"],
+    ["run", "--container", "half-ball"],
+    ["run", "--theta", THETA_STR, "--cap-radius", "-1"],
+    ["run", "--theta", THETA_STR, "--ladder", "2,8"],
+    ["run", "--theta", THETA_STR, "--tol", "-1"],
+    ["run", "--theta", THETA_STR, "--max-iter", "0"],
+    ["run", "--container", "nowhere", "--theta", THETA_STR],
+    ["solve", "--theta", THETA_STR, "--resolution", "3"],
+    ["wedge", "--lambda", "1.2", "--theta", "nan"],
+    {"surface": {"kind": "cap", "radius": "big"}},
+    {"ladder": ["a"]},
+])
+def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
+    if isinstance(argv, dict):  # a scenario file that differs from a valid one in these keys
+        cfg = {"name": "bad", "container": "half-space", "theta": math.pi / 3, "dim": 1,
+               "surface": {"kind": "cap", "radius": 1.0}, "ladder": [16],
+               "checks": ["identities"], **argv}
+        (tmp_path / "scenario.json").write_text(json.dumps(cfg))
+        argv = ["run", "--config", str(tmp_path / "scenario.json")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hk: invalid configuration")
+    assert "Traceback" not in err

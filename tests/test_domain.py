@@ -9,6 +9,7 @@ import pytest
 from conftest import THETA3
 from hklab import make_cap, mesh_domain, mesh_surface
 from hklab.domain import mesh_quality
+from hklab.meshutil import polyline_order
 from hklab.surface import surface_spacing
 from hklab.errors import HkLabError
 
@@ -146,3 +147,16 @@ def test_boundary_off_support_rejected(hs_surface1):
 
 def test_sigma_h_matches_cap(hs_domain1, hs_cap1):
     assert np.max(np.abs(hs_domain1.sigma_H - hs_cap1.mean_curvature)) < 1e-12
+
+
+def test_polyline_order_open_closed_and_broken():
+    open_chain = np.array([[2, 0], [3, 2], [0, 1]])  # 3 -> 2 -> 0 -> 1, edges shuffled
+    assert polyline_order(open_chain, 4).tolist() == [3, 2, 0, 1]
+    loop = np.array([[1, 2], [0, 1], [3, 0], [2, 3]])
+    assert polyline_order(loop, 4).tolist() == [1, 2, 3, 0, 1]
+    with pytest.raises(HkLabError, match="single chain"):
+        polyline_order(np.array([[0, 1], [2, 3]]), 4)
+    with pytest.raises(HkLabError, match="disconnected"):
+        polyline_order(open_chain, 5)
+    with pytest.raises(HkLabError, match="disconnected"):
+        polyline_order(loop, 5)
