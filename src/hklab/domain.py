@@ -12,7 +12,10 @@ Solid domains (n = 2) are axisymmetric (cap, lens or ball): the (rho, z)
 cross-section between the generator curve and the axis+support path is
 strip-meshed, then revolved with a fixed azimuthal count; prisms are split
 into tetrahedra with the min-vertex face-diagonal rule, so the mesh is
-conforming and deterministic.
+conforming and deterministic.  The revolve is vectorised: vertex rings come
+from cumulative offsets and the prism stacks of all off-axis triangles are
+split in one call.  Tet volumes are computed once, as triple products; the
+orientation fix negates them in place and mesh_quality reuses them.
 """
 
 from __future__ import annotations
@@ -74,11 +77,18 @@ class DomainMesh:
 
 
 def simplex_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Signed cell volumes; tets by the triple product e1 . (e2 x e3) / 6.
+
+    Swapping two tet edges negates every term of the triple product, so a
+    reoriented tet's volume is exactly the negated value.
+    """
     p = vertices[cells]
-    d = vertices.shape[1]
     edges = p[:, 1:] - p[:, :1]
-    dets = np.linalg.det(edges)
-    return dets / math.factorial(d)
+    if cells.shape[1] != 4:
+        return np.linalg.det(edges) / math.factorial(vertices.shape[1])
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = edges.transpose(1, 2, 0)
+    # e2 x e3 componentwise, as np.cross rounds it, without its copies
+    return (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)) / 6.0
 
 
 def facet_areas(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
@@ -117,18 +127,26 @@ def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
     return out
 
 
-def mesh_quality(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Shape measure in (0, 1]: normalized volume / longest-edge^d."""
+def mesh_quality(vertices: np.ndarray, cells: np.ndarray,
+                 volumes: np.ndarray | None = None) -> np.ndarray:
+    """Shape measure in (0, 1]: normalized volume / longest-edge^d.
+
+    `volumes`, when given, are the signed cell volumes already computed.
+    """
     p = vertices[cells]
     d = vertices.shape[1]
-    vols = np.abs(simplex_volumes(vertices, cells))
+    vols = np.abs(simplex_volumes(vertices, cells) if volumes is None else volumes)
     m = cells.shape[1]
-    hmax = np.zeros(len(cells))
+    h2max = np.zeros(len(cells))
     for a in range(m):
         for b in range(a + 1, m):
-            hmax = np.maximum(hmax, np.linalg.norm(p[:, a] - p[:, b], axis=1))
+            e = p[:, a] - p[:, b]
+            h2 = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+            if d == 3:
+                h2 += e[:, 2] * e[:, 2]
+            np.maximum(h2max, h2, out=h2max)
     ref = {2: math.sqrt(3.0) / 4.0, 3: math.sqrt(2.0) / 12.0}[d]
-    return vols / (ref * hmax**d)
+    return vols / (ref * np.sqrt(h2max) ** d)
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +374,16 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
     psi = 2.0 * math.pi * np.arange(k_azim) / k_azim
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     on_axis = vertices2[:, 0] <= 1e-12
-    vid = np.empty((len(vertices2), k_azim), dtype=np.int64)
-    coords: list[np.ndarray] = []
-    count = 0
-    for i, (rho, z) in enumerate(vertices2):
-        if on_axis[i]:
-            coords.append(np.array([[0.0, 0.0, z]]))
-            vid[i, :] = count
-            count += 1
-        else:
-            ring = np.column_stack([rho * cos_psi, rho * sin_psi, np.full(k_azim, z)])
-            coords.append(ring)
-            vid[i, :] = np.arange(count, count + k_azim)
-            count += k_azim
-    vertices = np.vstack(coords)
-
     jj = np.arange(k_azim)
     jn = (jj + 1) % k_azim
+    ring_size = np.where(on_axis, 1, k_azim)
+    offsets = np.cumsum(ring_size) - ring_size
+    vid = offsets[:, None] + np.where(on_axis[:, None], 0, jj[None, :])
+    # azimuth index of every revolved vertex; an axis vertex is one point at rho = 0
+    j_of = np.arange(offsets[-1] + ring_size[-1]) - np.repeat(offsets, ring_size)
+    rho = np.repeat(np.where(on_axis, 0.0, vertices2[:, 0]), ring_size)
+    vertices = np.column_stack([rho * cos_psi[j_of], rho * sin_psi[j_of],
+                                np.repeat(vertices2[:, 1], ring_size)])
 
     def revolve_edge(i0, i1) -> np.ndarray:
         """Triangles swept by a cross-section edge: a fan at the axis, else split quads."""
@@ -382,23 +393,21 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
         return _split_quads(np.stack([vid[i0, jj], vid[i1, jj], vid[i1, jn], vid[i0, jn]], axis=1))
 
     n_ax = on_axis[cross_cells].sum(axis=1)
-    tet_blocks: list[np.ndarray] = []
-    # triangles fully off-axis become prism stacks
-    for tri in cross_cells[n_ax == 0]:
-        prisms = np.stack(
-            [vid[tri[0], jj], vid[tri[1], jj], vid[tri[2], jj],
-             vid[tri[0], jn], vid[tri[1], jn], vid[tri[2], jn]], axis=1
-        )
-        tet_blocks.append(_split_prisms(prisms))
+    # triangles fully off-axis become prism stacks, one stack per triangle in order
+    rings = vid[cross_cells[n_ax == 0]]  # (m, 3, k_azim)
+    prisms = np.concatenate([rings, rings[:, :, jn]], axis=1)
+    tet_blocks = [_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6))]
     # triangles touching the axis: cones from the first axis vertex over the other edge
     for tri in np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]]):
         ax = tri[on_axis[tri]][0]
         side = revolve_edge(*tri[tri != ax])
         tet_blocks.append(np.hstack([np.full((len(side), 1), vid[ax, 0]), side]))
-    cells = np.vstack(tet_blocks).astype(np.int64)
+    cells = np.vstack(tet_blocks)
+    # one volume pass: reorienting a tet negates its triple product exactly
     vols = simplex_volumes(vertices, cells)
     flip = vols < 0
     cells[flip] = cells[flip][:, [0, 1, 3, 2]]
+    vols[flip] = -vols[flip]
 
     # per-facet H: the generator value of each revolved Sigma edge
     sigma_blocks = [revolve_edge(i0, i1) for i0, i1 in sigma_edges]
@@ -432,6 +441,7 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
         gamma_vertices=gamma_vertices,
         d_gamma=d_gamma,
         sigma_H=sigma_H,
+        cell_volumes=vols,
     )
     _validate(dom)
     return dom
@@ -469,8 +479,11 @@ def mesh_domain(
             dom = _mesh_domain_2d(surface, container, resolution, grading)
     else:
         dom = _mesh_domain_3d(surface, container, resolution, grading)
-    q = mesh_quality(dom.vertices, dom.cells)
-    if float(np.min(q)) < quality_threshold:
+    q = mesh_quality(dom.vertices, dom.cells, dom.cell_volumes)
+    q_min = float(np.min(q))
+    logger.info("domain mesh: nv=%d nc=%d min_quality=%.3e", dom.num_vertices,
+                len(dom.cells), q_min)
+    if q_min < quality_threshold:
         bad = int(np.sum(q < quality_threshold))
         logger.warning("domain mesh has %d cells below quality %.1e", bad, quality_threshold)
     return dom

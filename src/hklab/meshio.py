@@ -82,23 +82,25 @@ def read_off(
             tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise HkLabError(f"{path}: not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(
-        [[float(tokens[pos + 3 * i + k]) for k in range(3)] for i in range(nv)]
-    )
-    pos += 3 * nv
-    cells = []
-    arity = None
-    for _ in range(nf):
-        m = int(tokens[pos])
-        if arity is None:
-            arity = m
-        if m != arity:
-            raise HkLabError("mixed facet arities are not supported")
-        cells.append([int(tokens[pos + 1 + k]) for k in range(m)])
-        pos += m + 1
-    cells = np.asarray(cells, dtype=np.int64)
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        pos = 4 + 3 * nv
+        verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
+        # facet lines "m i_1 ... i_m", all with the arity m of the first one
+        arity = int(tokens[pos]) if nf else None
+        width = max(arity or 0, 0) + 1
+        facet_tokens = tokens[pos:pos + nf * width]
+        whole = len(facet_tokens) // width
+        rows = np.array(facet_tokens[:whole * width], dtype=np.int64).reshape(whole, width)
+        # a short file either ends early or holds a facet of smaller arity
+        next_arity = int(facet_tokens[whole * width]) if whole < nf else arity
+    except (IndexError, ValueError) as exc:
+        raise HkLabError(f"{path}: malformed OFF file ({exc})") from None
+    if np.any(rows[:, 0] != arity) or next_arity != arity:
+        raise HkLabError("mixed facet arities are not supported")
+    if whole < nf:
+        raise HkLabError(f"{path}: OFF file ends within facet {whole}")
+    cells = rows[:, 1:].copy()
     container = parse_container(container)
     if arity == 2:
         vertices = verts[:, :2].copy()

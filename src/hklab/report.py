@@ -41,6 +41,10 @@ RATE_FLOOR = 1e-13
 REILLY_DEFECT_TOL = 3e-2
 WEIGHTED_REILLY_DEFECT_TOL = 5e-2
 
+# cap radii the meshers handle: their absolute tolerances (1e-12 to 1e-14)
+# assume geometry of unit order
+RADIUS_MIN, RADIUS_MAX = 1e-6, 1e4
+
 
 class ConfigError(HkLabError):
     """Invalid scenario configuration."""
@@ -52,8 +56,9 @@ def check_inputs(container: str, theta: float | None, radius: float = 1.0, resol
     """The parsed container; ConfigError for input outside the documented ranges.
 
     theta is finite in [0.05, pi/2] and given unless the container is closed
-    (or theta_required is False); radius > 0; every resolution >= 4; grading
-    in [0, 1); tol finite and >= 0; max_iter None or >= 1.
+    (or theta_required is False); radius in [RADIUS_MIN, RADIUS_MAX]; every
+    resolution >= 4; grading in [0, 1); tol finite and >= 0; max_iter None
+    or >= 1.
     """
     try:
         kind = parse_container(container)
@@ -65,7 +70,8 @@ def check_inputs(container: str, theta: float | None, radius: float = 1.0, resol
     for bad, message in (
         (theta is None and theta_required and kind.has_support,
          "a contact angle (--theta) is required unless the container is closed"),
-        (not (math.isfinite(radius) and radius > 0), f"cap radius must be positive, got {radius}"),
+        (not RADIUS_MIN <= radius <= RADIUS_MAX,
+         f"cap radius must lie in [{RADIUS_MIN:g}, {RADIUS_MAX:g}], got {radius}"),
         (any(r < 4 for r in resolutions), f"resolutions must be >= 4, got {list(resolutions)}"),
         (not 0.0 <= grading < 1.0, f"grading must lie in [0, 1), got {grading}"),
         (not (math.isfinite(tol) and tol >= 0), f"tol must be finite and >= 0, got {tol}"),
@@ -110,10 +116,18 @@ class Scenario:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
         if not self.checks:
             raise ConfigError("at least one check is required")
-        check_inputs(self.container, self.theta, self.surface.get("radius", 1.0),
-                     self.ladder, self.grading, self.tol, self.max_iter)
+        kind = check_inputs(self.container, self.theta, self.surface.get("radius", 1.0),
+                            self.ladder, self.grading, self.tol, self.max_iter)
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
+        try:
+            finite = math.isfinite(float(self.perturb))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"perturb must be a finite number, got {self.perturb!r}")
+        if self.perturb and not kind.has_support:
+            raise ConfigError("a perturbed cap needs a container with a support")
 
     def to_dict(self) -> dict:
         return {

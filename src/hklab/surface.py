@@ -114,16 +114,30 @@ def surface_spacing(mesh: SurfaceMesh) -> float:
 
 
 def _boundary_loops_2d(cells: np.ndarray) -> list[np.ndarray]:
-    edges = {}
-    for tri in cells:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
-    succ = {}
-    for (a, b), cnt in edges.items():
-        if cnt == 1 and (b, a) not in edges:
-            if a in succ:
-                raise HkLabError("non-manifold boundary: vertex with two outgoing edges")
-            succ[a] = b
+    """Loops of boundary half-edges, each started at its smallest vertex id.
+
+    A boundary half-edge occurs once and its reverse never; the loops come in
+    the order of their smallest vertex.
+    """
+    if len(cells) == 0:
+        return []
+    cells = np.asarray(cells, dtype=np.int64)
+    a = cells.ravel()
+    b = cells[:, [1, 2, 0]].ravel()
+    lo = int(cells.min())
+    span = int(cells.max()) - lo + 1
+    keys, inverse, counts = np.unique((a - lo) * span + (b - lo), return_inverse=True,
+                                      return_counts=True)
+    reverse = (b - lo) * span + (a - lo)
+    slot = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+    boundary = (counts[inverse] == 1) & (keys[slot] != reverse)
+    tails, heads = a[boundary], b[boundary]
+    if len(np.unique(tails)) < len(tails):
+        raise HkLabError("non-manifold boundary: vertex with two outgoing edges")
+    # with one outgoing edge per vertex, the walk below ends only on a permutation
+    if not np.array_equal(np.sort(tails), np.sort(heads)):
+        raise HkLabError("non-manifold boundary: boundary half-edges do not close into loops")
+    succ = dict(zip(tails.tolist(), heads.tolist()))
     loops = []
     visited = set()
     for start in sorted(succ):

@@ -1,9 +1,13 @@
 """CLI: subcommands, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hklab.report
 from hklab.cli import main
@@ -211,6 +215,12 @@ def test_config_file(tmp_path):
     ["wedge", "--lambda", "1.2", "--theta", "nan"],
     {"surface": {"kind": "cap", "radius": "big"}},
     {"ladder": ["a"]},
+    ["run", "--theta", THETA_STR, "--ladder", "a"],
+    ["run", "--container", "closed", "--perturb", "0.02", "--ladder", "4"],
+    ["run", "--theta", THETA_STR, "--perturb", "nan", "--ladder", "4"],
+    ["reilly", "--theta", THETA_STR, "--cap-radius", "1e308", "--resolution", "4"],
+    ["run", "--theta", THETA_STR, "--cap-radius", "1e-12", "--ladder", "4"],
+    ["corner", "--container", "closed", "--dim", "1", "--resolution", "6"],
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     if isinstance(argv, dict):  # a scenario file that differs from a valid one in these keys
@@ -223,3 +233,87 @@ def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("hk: invalid configuration")
     assert "Traceback" not in err
+
+
+def test_readme_reilly_example_passes(tmp_path):
+    # the README line, with the report written to a file instead of stdout
+    code = run_cli(
+        "reilly", "--container", "half-ball", "--theta", "1.0471975512", "--dim", "1",
+        "--cap-radius", "0.5", "--out", str(tmp_path / "reilly.json"),
+    )
+    assert code == 0
+
+
+# -- argument fuzzing --------------------------------------------------------
+# Each subcommand gets a random subset of its own options.  An option takes a
+# valid value four times as often as an invalid one (out of range or
+# unparsable).  Resolutions stay at 6 or below and the wedge grid at 16 or
+# below, so every example runs in well under a second.
+
+_FUZZ_VALUES = {  # option: (valid values, invalid values)
+    "--container": (["half-space", "half-ball", "closed"], ["nowhere", ""]),
+    "--theta": (["0.3", "0.7853981634", "1.0471975512", "1.5707963268", "45"],
+                ["nan", "inf", "-1", "0", "2", "x", ""]),
+    "--dim": (["1", "2"], ["-1", "0", "3", "x"]),
+    "--cap-radius": (["0.5", "1", "2"], ["nan", "inf", "-1", "0", "1e-12", "1e6", "1e308", "x"]),
+    "--resolution": (["4", "6"], ["-4", "0", "3", "x"]),
+    "--grading": (["0", "0.5", "0.9"], ["-0.1", "1", "nan", "x"]),
+    "--tol": (["0", "1e-10", "1e-3"], ["-1", "inf", "nan", "x"]),
+    "--max-iter": (["1", "5", "500"], ["-1", "0", "x"]),
+    "--jobs": (["1", "2"], ["0", "-1", "x"]),
+    "--ladder": (["4", "4,6"], ["6,4", "4,4", "", ",", "2,6", "a", "6,-6"]),
+    "--checks": (["identities", "hk", "bvp", "reilly", "corner", "all", "hk,bvp"],
+                 ["nonsense", ""]),
+    "--perturb": (["0", "0.02", "-0.02"], ["nan", "5", "x"]),
+    "--lambda": (["0.5", "1.4", "3"], ["-1", "0", "nan", "inf", "x"]),
+    "--grid": (["2", "16"], ["-1", "0", "1", "x"]),
+    "--corner-window": (["0.2", "0.5"], ["-1", "0", "1", "nan", "x"]),
+    "--model": (["fem", "wedge"], ["other"]),
+}
+_GEOMETRY = ["--container", "--theta", "--dim", "--cap-radius"]
+_FUZZ_COMMANDS = {  # subcommand: its options
+    "run": _GEOMETRY + ["--perturb", "--checks", "--ladder", "--grading", "--tol",
+                        "--max-iter", "--jobs"],
+    "cap": _GEOMETRY,
+    "solve": _GEOMETRY + ["--resolution", "--grading", "--tol", "--max-iter"],
+    "reilly": _GEOMETRY + ["--resolution", "--grading", "--tol"],
+    "corner": _GEOMETRY + ["--resolution", "--grading", "--model", "--lambda",
+                           "--corner-window"],
+    "wedge": ["--theta", "--lambda", "--grid"],
+    "nope": [],
+}
+_FUZZ_FLAGS = ["--degrees", "--weighted", "--timings", "--help", "--version"]
+# defaults that would mesh at the CLI's full resolution are always overridden
+_FUZZ_SMALL = {"run": "--ladder", "solve": "--resolution", "reilly": "--resolution",
+               "corner": "--resolution"}
+
+
+def _fuzz_argv(pick, subset) -> list:
+    """One argument vector; pick(values) chooses one, subset(keys) some keys."""
+    command = pick(sorted(_FUZZ_COMMANDS))
+    keys = subset(_FUZZ_COMMANDS[command])
+    small = _FUZZ_SMALL.get(command)
+    if small and small not in keys:
+        keys.append(small)
+    argv = [command]
+    for key in keys:
+        valid, invalid = _FUZZ_VALUES[key]
+        argv += [key, pick(4 * valid + invalid)]
+    return argv + subset(_FUZZ_FLAGS)[:1]
+
+
+@st.composite
+def _argv(draw):
+    return _fuzz_argv(lambda values: draw(st.sampled_from(values)),
+                      lambda keys: draw(st.lists(st.sampled_from(keys), unique=True))
+                      if keys else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_cli_arguments_never_escape_the_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,7 @@
 """Domain meshing: measures, tags, corners, grading, quality."""
 
+import hashlib
+import logging
 import math
 from collections import Counter
 
@@ -8,7 +10,7 @@ import pytest
 
 from conftest import THETA3
 from hklab import make_cap, mesh_domain, mesh_surface
-from hklab.domain import mesh_quality
+from hklab.domain import mesh_quality, simplex_volumes
 from hklab.meshutil import polyline_order
 from hklab.surface import surface_spacing
 from hklab.errors import HkLabError
@@ -160,3 +162,80 @@ def test_polyline_order_open_closed_and_broken():
         polyline_order(open_chain, 5)
     with pytest.raises(HkLabError, match="disconnected"):
         polyline_order(loop, 5)
+
+
+# ---------------------------------------------------------------------------
+# one volume pass per solid mesh
+# ---------------------------------------------------------------------------
+
+
+def _det_volumes(vertices, cells):
+    """Oracle: the batched-determinant volumes that the triple product replaced."""
+    p = vertices[cells]
+    return np.linalg.det(p[:, 1:] - p[:, :1]) / math.factorial(vertices.shape[1])
+
+
+def _norm_quality(vertices, cells):
+    """Oracle: mesh_quality with determinant volumes and longest edges from norms."""
+    p = vertices[cells]
+    d = vertices.shape[1]
+    hmax = np.zeros(len(cells))
+    for a in range(d + 1):
+        for b in range(a + 1, d + 1):
+            hmax = np.maximum(hmax, np.linalg.norm(p[:, a] - p[:, b], axis=1))
+    ref = {2: math.sqrt(3.0) / 4.0, 3: math.sqrt(2.0) / 12.0}[d]
+    return np.abs(_det_volumes(vertices, cells)) / (ref * hmax**d)
+
+
+# sha256 of the little-endian int64 bytes of cells, sigma_facets and t_facets
+# of the resolution-16 solid meshes (theta = pi/3, grading 0.5), taken before
+# the revolve was vectorised.
+SOLID_TOPOLOGY_SHA256 = {
+    ("half-space", 1.0): "c8009418c38c0430ab835510349c67798b1af94177a5c7fd5f1aac2110f3c9a0",
+    ("half-ball", 0.5): "e35d14ff643a698c7792b6563fd10d39fb0d78238c4076310a754bec32c01f3c",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SOLID_TOPOLOGY_SHA256), ids=lambda k: k[0])
+def solid_domain(request):
+    container, radius = request.param
+    cap = make_cap(container, THETA3, radius, 2)
+    return request.param, mesh_domain(mesh_surface(cap, 16), None, 16, grading=0.5)
+
+
+def test_tet_volumes_match_determinant_oracle(solid_domain):
+    _, dom = solid_domain
+    want = _det_volumes(dom.vertices, dom.cells)
+    rel = np.abs(simplex_volumes(dom.vertices, dom.cells) - want) / np.abs(want)
+    assert np.max(rel) <= 1e-12
+
+
+def test_stored_volumes_are_the_fresh_volumes(solid_domain):
+    _, dom = solid_domain
+    assert np.array_equal(dom.cell_volumes, simplex_volumes(dom.vertices, dom.cells))
+    assert np.all(dom.cell_volumes > 0)
+    q_given = mesh_quality(dom.vertices, dom.cells, dom.cell_volumes)
+    assert np.array_equal(q_given, mesh_quality(dom.vertices, dom.cells))
+
+
+def test_quality_longest_edge_matches_norm_oracle(solid_domain, hs_domain1):
+    for dom in (solid_domain[1], hs_domain1):
+        det = _det_volumes(dom.vertices, dom.cells)
+        got = mesh_quality(dom.vertices, dom.cells, det)
+        assert np.array_equal(got, _norm_quality(dom.vertices, dom.cells))
+
+
+def test_solid_mesh_topology_is_unchanged(solid_domain):
+    key, dom = solid_domain
+    digest = hashlib.sha256()
+    for a in (dom.cells, dom.sigma_facets, dom.t_facets):
+        digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    assert digest.hexdigest() == SOLID_TOPOLOGY_SHA256[key]
+
+
+def test_mesh_domain_logs_size_and_quality(hs_surface1, caplog):
+    with caplog.at_level(logging.INFO, logger="hklab.domain"):
+        dom = mesh_domain(hs_surface1, "half-space", 32, grading=0.0)
+    q_min = float(np.min(mesh_quality(dom.vertices, dom.cells)))
+    want = f"domain mesh: nv={dom.num_vertices} nc={len(dom.cells)} min_quality={q_min:.3e}"
+    assert want in caplog.messages

@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 
 from conftest import THETA3
 from hklab import make_cap, mesh_domain, mesh_surface
+from hklab.errors import HkLabError
 from hklab.meshio import (
     domain_to_dict,
     dumps_json,
@@ -100,3 +103,60 @@ def test_canonical_bytes(hs_domain1):
 
 def test_nan_serializes_as_null():
     assert json.loads(dumps_json({"x": math.nan}))["x"] is None
+
+
+def _token_off_arrays(path):
+    """Oracle: the token-by-token OFF parser that read_off used to run."""
+    tokens = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            tokens.extend(line.split())
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4
+    verts = np.array([[float(tokens[pos + 3 * i + k]) for k in range(3)] for i in range(nv)])
+    pos += 3 * nv
+    cells = []
+    for _ in range(nf):
+        m = int(tokens[pos])
+        cells.append([int(tokens[pos + 1 + k]) for k in range(m)])
+        pos += m + 1
+    return verts, np.asarray(cells, dtype=np.int64)
+
+
+def test_off_arrays_match_token_parser(hs_cap2, hs_cap1, tmp_path):
+    for name, mesh in (("tri", mesh_surface(hs_cap2, 16)), ("line", mesh_surface(hs_cap1, 16))):
+        path = tmp_path / f"{name}.off"
+        write_off(mesh, path)
+        # comments, blank lines and a header split over lines parse the same way
+        text = path.read_text().replace("OFF\n", "OFF # header\n\n", 1)
+        path.write_text("# leading comment\n" + text)
+        verts, cells = _token_off_arrays(path)
+        back = read_off(path, "half-space", THETA3)
+        assert np.array_equal(back.vertices, verts[:, : back.dim + 1])
+        assert back.cells.dtype == cells.dtype and np.array_equal(back.cells, cells)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "not an OFF file"),
+    ("COFF\n3 1 0\n", "not an OFF file"),
+    ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n2 1 3\n", "mixed facet arities"),
+    ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n4 0 1 2 3\n", "unsupported facet arity 4"),
+    ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "unsupported facet arity None"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF file"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n", "ends within facet 1"),
+    ("OFF\n3 1 0\n0 0 0\n1 0\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "malformed OFF file"),
+])
+def test_off_errors(text, message, tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(HkLabError, match=message):
+        read_off(path, "half-space", THETA3)
+
+
+def test_off_readers_stay_meshio_attributes():
+    import hklab.meshio
+
+    # the benchmark tracer wraps both functions on the meshio module
+    assert callable(hklab.meshio.read_off) and callable(hklab.meshio.discrete_geometry)

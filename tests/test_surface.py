@@ -8,7 +8,10 @@ import pytest
 
 from conftest import THETA3, rotate_z
 from hklab import make_cap, mesh_surface, discrete_geometry
-from hklab.surface import enclosed_volume_flux, frame_residual
+from hklab.errors import HkLabError
+from hklab.meshio import read_off, write_off
+from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
+from hklab.surface import _boundary_loops_2d, enclosed_volume_flux, frame_residual
 
 
 def test_cap_area_convergence(hs_cap2):
@@ -124,3 +127,71 @@ def test_single_boundary_loop(hs_surface2):
 def test_resolution_validation(hs_cap2):
     with pytest.raises(Exception):
         mesh_surface(hs_cap2, 3)
+
+
+def _dict_boundary_loops(cells):
+    """Oracle: the per-triangle dict walker that boundary loops used to come from."""
+    edges = {}
+    for tri in cells:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
+    succ = {}
+    for (a, b), cnt in edges.items():
+        if cnt == 1 and (b, a) not in edges:
+            if a in succ:
+                raise HkLabError("non-manifold boundary: vertex with two outgoing edges")
+            succ[a] = b
+    loops, visited = [], set()
+    for start in sorted(succ):
+        if start in visited:
+            continue
+        loop, cur = [start], succ[start]
+        visited.add(start)
+        while cur != start:
+            loop.append(cur)
+            visited.add(cur)
+            cur = succ[cur]
+        loops.append(np.asarray(loop, dtype=np.int64))
+    return loops
+
+
+def _loop_sources(tmp_path):
+    hb = mesh_surface(make_cap("half-ball", THETA3, 0.5, 2), 16)
+    cap = mesh_surface(make_cap("half-space", THETA3, 1.0, 2), 16)
+    prof = make_axisymmetric(
+        perturb_profile(profile_from_cap(make_cap("half-space", THETA3, 1.0, 2)), 0.02),
+        THETA3, "half-space")
+    perturbed = mesh_surface(prof, 16, grading=0.5)
+    write_off(cap, tmp_path / "cap.off")
+    off = read_off(tmp_path / "cap.off", "half-space", THETA3)
+    # the cap without its pole fan has two loops; duplicated triangles hide edges
+    holed = cap.cells[~np.any(cap.cells == 0, axis=1)]
+    doubled = np.vstack([cap.cells[:40], cap.cells[:40]])
+    return {"half-ball cap": hb.cells, "half-space cap": cap.cells,
+            "perturbed profile": perturbed.cells, "OFF": off.cells,
+            "two loops": holed, "doubled": doubled, "empty": np.empty((0, 3), np.int64)}
+
+
+def test_boundary_loops_match_dict_walker(tmp_path):
+    for name, cells in _loop_sources(tmp_path).items():
+        got, want = _boundary_loops_2d(cells), _dict_boundary_loops(cells)
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_boundary_loops_reject_two_outgoing_edges():
+    bowtie = np.array([[0, 1, 2], [0, 3, 4]], dtype=np.int64)
+    with pytest.raises(HkLabError, match="two outgoing edges"):
+        _dict_boundary_loops(bowtie)
+    with pytest.raises(HkLabError, match="two outgoing edges"):
+        _boundary_loops_2d(bowtie)
+
+
+@pytest.mark.parametrize("cells", [
+    [[0, 2, 3], [2, 0, 4], [2, 1, 4], [4, 2, 1]],  # the dict walker raised KeyError
+    [[4, 0, 1], [3, 1, 0], [2, 1, 3], [0, 1, 2]],  # the dict walker never returned
+])
+def test_boundary_loops_reject_open_boundary_chains(cells):
+    with pytest.raises(HkLabError, match="do not close into loops"):
+        _boundary_loops_2d(np.array(cells, dtype=np.int64))
