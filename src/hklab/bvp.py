@@ -50,7 +50,6 @@ class MixedBvpProblem:
     flux_constant: float  # c in d_N f - gamma f = c on T
     robin_gamma: int = 0
     flux_values: np.ndarray | None = None  # per-T-facet data overriding the constant
-    kind: str = "general"
 
     def __post_init__(self) -> None:
         if self.robin_gamma < 0 or int(self.robin_gamma) != self.robin_gamma:
@@ -137,7 +136,7 @@ def t_facet_integrals(domain: DomainMesh) -> tuple[float, float]:
     areas = domain.facet_measures(domain.t_facets)
     if len(areas) == 0:
         return 0.0, 0.0
-    z = domain.vertices[domain.t_facets][:, :, -1].mean(axis=1)
+    z = domain.vertices[:, -1][domain.t_facets].mean(axis=1)
     return float(areas.sum()), float((areas * z).sum())
 
 
@@ -204,10 +203,10 @@ def capillary_problem(
     angle = as_angle(theta) if theta is not None else domain.theta
     rhs = np.ones(domain.num_vertices)
     if domain.container is Container.CLOSED:
-        return MixedBvpProblem(domain, rhs, 0.0, 0, kind="capillary")
+        return MixedBvpProblem(domain, rhs, 0.0, 0)
     gamma = 1 if domain.container is Container.HALF_BALL else 0
     c = capillary_constant_from_domain(domain, angle)
-    return MixedBvpProblem(domain, rhs, c, gamma, kind="capillary")
+    return MixedBvpProblem(domain, rhs, c, gamma)
 
 
 def make_problem(
@@ -330,9 +329,6 @@ class QuadraticField:
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(points) - self.center) / (self.dim + 1)
-
-    def hessian(self) -> np.ndarray:
-        return np.eye(self.dim + 1) / (self.dim + 1)
 
     @property
     def neumann_constant(self) -> float | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from hklab.containers import Container, ContactAngle, as_angle, support_normal
+from hklab.containers import Container, ContactAngle, as_angle, support_conormal, support_normal
 from hklab.errors import InfeasibleCapError
 
 _SUPPORTED_DIMS = (1, 2)
@@ -273,21 +273,7 @@ def gamma_frame(cap: AnalyticCap, points: np.ndarray):
     conormal within T, and N_bar the outward support normal; they satisfy
     mu = sin(theta) N_bar + cos(theta) nu_bar exactly.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    nbar = support_normal(cap.container, pts)
-    if cap.container is Container.HALF_SPACE:
-        radial = pts.copy()
-        radial[:, -1] = 0.0
-        norms = np.linalg.norm(radial, axis=1, keepdims=True)
-        nu_bar = radial / norms
-    else:
-        # nu_bar = z_g * omega - rho_g * e_z with omega the horizontal unit vector
-        z_g = cap.quantities["gamma_height"]
-        rho_g = cap.quantities["gamma_radius"]
-        horiz = pts.copy()
-        horiz[:, -1] = 0.0
-        horiz /= np.linalg.norm(horiz, axis=1, keepdims=True)
-        nu_bar = z_g * horiz
-        nu_bar[:, -1] = -rho_g
+    nbar = support_normal(cap.container, points)
+    nu_bar = support_conormal(cap.container, points)
     mu = cap.theta.sin * nbar + cap.theta.cos * nu_bar
     return mu, nu_bar, nbar

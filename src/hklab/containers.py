@@ -3,7 +3,8 @@
 A capillary configuration lives in a container B whose boundary supports the
 wetted patch T: the upper half-space (support = hyperplane x_d = 0, outward
 support normal -E_d), the unit half-ball (support = unit sphere, outward
-support normal x), or no container at all for closed hypersurfaces.
+support normal x), or no container at all for closed hypersurfaces.  The
+support conormal nu_bar completes N_bar to the frame of Gamma in T.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from hklab.errors import ContainerMismatchError
 
 THETA_MIN_DEFAULT = 0.05
 HALF_PI = math.pi / 2.0
@@ -104,9 +107,33 @@ def support_normal(container: Container, points: np.ndarray) -> np.ndarray:
     if container is Container.HALF_BALL:
         norms = np.linalg.norm(pts, axis=1, keepdims=True)
         if np.any(norms > 1.0 + 1e-6) or np.any(norms < 1e-12):
-            raise ValueError("half-ball support normal requested off the unit sphere")
+            raise ContainerMismatchError("half-ball support normal requested off the unit sphere")
         return pts / norms
     raise ValueError("closed container has no support")
+
+
+def support_conormal(container: Container, points: np.ndarray) -> np.ndarray:
+    """Outward unit conormal nu_bar of Gamma within T at points of the support.
+
+    For the axisymmetric configurations of this package T is the part of the
+    support around the axis, so with omega the horizontal unit vector away
+    from the axis, nu_bar = omega on the half-space and, with (rho, z) the
+    components of N_bar, nu_bar = z omega - rho E_d on the half-ball.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if container is Container.HALF_BALL:
+        pts = support_normal(container, pts)
+    elif container is not Container.HALF_SPACE:
+        raise ValueError("closed container has no support")
+    horiz = pts.copy()
+    horiz[:, -1] = 0.0
+    rho = np.linalg.norm(horiz, axis=1)
+    omega = horiz / rho[:, None]
+    if container is Container.HALF_SPACE:
+        return omega
+    nubar = pts[:, -1:] * omega
+    nubar[:, -1] = -rho
+    return nubar
 
 
 def support_deviation(container: Container, points: np.ndarray) -> np.ndarray:

@@ -29,7 +29,13 @@ import numpy as np
 from hklab.caps import AnalyticCap
 from hklab.containers import Container, ContactAngle
 from hklab.errors import HkLabError, MeshQualityError
-from hklab.meshutil import graded_nodes, polyline_interp, polyline_order, zipper_rows
+from hklab.meshutil import (
+    graded_nodes,
+    polyline_interp,
+    polyline_order,
+    simplex_measures,
+    zipper_rows,
+)
 from hklab.surface import SurfaceMesh, surface_spacing
 
 logger = logging.getLogger("hklab.domain")
@@ -62,13 +68,11 @@ class DomainMesh:
         return float(self.cell_volumes.sum())
 
     def facet_measures(self, facets: np.ndarray) -> np.ndarray:
-        return facet_areas(self.vertices, facets)
-
-    def facet_centroids(self, facets: np.ndarray) -> np.ndarray:
-        return self.vertices[facets].mean(axis=1)
+        return simplex_measures(self.vertices, facets)[0]
 
     def facet_normals(self, facets: np.ndarray) -> np.ndarray:
-        return outward_facet_normals(self.vertices, facets)
+        """Unit normals implied by the stored facet orientation."""
+        return simplex_measures(self.vertices, facets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -91,35 +95,12 @@ def simplex_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)) / 6.0
 
 
-def facet_areas(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    if len(facets) == 0:
-        return np.zeros(0)
-    p = vertices[facets]
-    if facets.shape[1] == 2:
-        return np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
-
-
-def outward_facet_normals(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    """Unit normals implied by the stored facet orientation."""
-    if len(facets) == 0:
-        return np.zeros((0, vertices.shape[1]))
-    p = vertices[facets]
-    if facets.shape[1] == 2:
-        t = p[:, 1] - p[:, 0]
-        t /= np.linalg.norm(t, axis=1, keepdims=True)
-        return np.column_stack([t[:, 1], -t[:, 0]])
-    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return n / np.linalg.norm(n, axis=1, keepdims=True)
-
-
 def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
                            inner_points: np.ndarray) -> np.ndarray:
     """Flip facet vertex order until the implied normal points away from inner_points."""
     if len(facets) == 0:
         return facets
-    normals = outward_facet_normals(vertices, facets)
+    normals = simplex_measures(vertices, facets)[1]
     centroids = vertices[facets].mean(axis=1)
     flip = np.einsum("ij,ij->i", normals, centroids - inner_points) < 0
     out = facets.copy()

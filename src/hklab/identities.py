@@ -167,11 +167,13 @@ def integrate_boundary(mesh: SurfaceMesh, integrand: str | np.ndarray) -> float:
     if mesh.dim == 1:
         return float(np.sum(vals))
     total = 0.0
-    index_of = mesh.boundary_index_of()
+    start = 0
+    # boundary_vertices, and so vals, is the concatenation of the loops
     for loop in mesh.boundary_loops:
         pts = mesh.vertices[loop]
         seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        v = np.array([vals[index_of[int(i)]] for i in loop])
+        v = vals[start:start + len(loop)]
+        start += len(loop)
         total += float(np.sum(0.5 * seg * (v + np.roll(v, -1))))
     return total
 
@@ -343,7 +345,7 @@ class HkReport:
 
 def domain_volume_integrals(domain: DomainMesh) -> tuple[float, float]:
     """(|Omega|, integral of x_d over Omega) by midpoint quadrature."""
-    z = domain.vertices[domain.cells][:, :, -1].mean(axis=1)
+    z = domain.vertices[:, -1][domain.cells].mean(axis=1)
     return float(np.sum(domain.cell_volumes)), float(np.sum(domain.cell_volumes * z))
 
 
@@ -437,10 +439,6 @@ class CapVerdict:
     fit_center: np.ndarray
     fit_radius: float
     fit_rms: float
-
-    @property
-    def is_cap(self) -> bool:
-        return self.verdict == "cap"
 
     def to_dict(self) -> dict:
         return {

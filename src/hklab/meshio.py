@@ -23,7 +23,11 @@ import numpy as np
 from hklab.containers import Container, as_angle, parse_container
 from hklab.domain import DomainMesh
 from hklab.errors import HkLabError
-from hklab.surface import SurfaceMesh, cell_measures, discrete_geometry
+from hklab.meshutil import check_indices
+from hklab.surface import SurfaceMesh, build_surface_mesh, discrete_geometry
+
+# what numpy, int() and the container/angle parsers raise on malformed input
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 def _canonical(obj):
@@ -100,35 +104,13 @@ def read_off(
         raise HkLabError("mixed facet arities are not supported")
     if whole < nf:
         raise HkLabError(f"{path}: OFF file ends within facet {whole}")
-    cells = rows[:, 1:].copy()
-    container = parse_container(container)
-    if arity == 2:
-        vertices = verts[:, :2].copy()
-        dim = 1
-    elif arity == 3:
-        vertices = verts
-        dim = 2
-    else:
+    if arity not in (2, 3):
         raise HkLabError(f"unsupported facet arity {arity}")
-    areas, _, _ = cell_measures(vertices, cells, dim)
-    raw = SurfaceMesh(
-        dim=dim,
-        container=container,
-        theta=as_angle(theta),
-        vertices=vertices,
-        cells=cells,
-        cell_areas=areas,
-        normals=np.zeros_like(vertices),
-        mean_curvature=np.zeros(nv),
-        boundary_loops=[],
-        boundary_vertices=np.empty(0, dtype=np.int64),
-        boundary_mu=np.empty((0, dim + 1)),
-        boundary_conormal_support=np.empty((0, dim + 1)),
-        boundary_support_normal=np.empty((0, dim + 1)),
-        low_trust=np.zeros(nv, dtype=bool),
-        source=None,
-    )
-    return discrete_geometry(raw)
+    dim = arity - 1
+    vertices = verts[:, :2].copy() if dim == 1 else verts
+    mesh = build_surface_mesh(dim, parse_container(container), as_angle(theta), vertices,
+                              rows[:, 1:].copy())
+    return discrete_geometry(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -163,30 +145,16 @@ def write_surface_json(mesh: SurfaceMesh, path: str | Path) -> None:
 
 def read_surface_json(path: str | Path) -> SurfaceMesh:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    meta = data.get("metadata", {})
-    vertices = np.asarray(data["vertices"], dtype=float)
-    cells = np.asarray(data["cells"], dtype=np.int64)
-    dim = int(meta.get("dim", cells.shape[1] - 1))
-    container = parse_container(meta.get("container", "half-space"))
-    areas, _, _ = cell_measures(vertices, cells, dim)
-    raw = SurfaceMesh(
-        dim=dim,
-        container=container,
-        theta=as_angle(meta.get("theta")),
-        vertices=vertices,
-        cells=cells,
-        cell_areas=areas,
-        normals=np.zeros_like(vertices),
-        mean_curvature=np.zeros(len(vertices)),
-        boundary_loops=[],
-        boundary_vertices=np.empty(0, dtype=np.int64),
-        boundary_mu=np.empty((0, dim + 1)),
-        boundary_conormal_support=np.empty((0, dim + 1)),
-        boundary_support_normal=np.empty((0, dim + 1)),
-        low_trust=np.zeros(len(vertices), dtype=bool),
-        source=None,
-    )
-    return discrete_geometry(raw)
+    try:
+        meta = data.get("metadata", {})
+        vertices = np.asarray(data["vertices"], dtype=float)
+        cells = np.asarray(data["cells"], dtype=np.int64)
+        dim = int(meta.get("dim", cells.shape[-1] - 1))
+        container = parse_container(meta.get("container", "half-space"))
+        theta = as_angle(meta.get("theta"))
+    except _MALFORMED as exc:
+        raise HkLabError(f"{path}: malformed surface JSON ({exc})") from None
+    return discrete_geometry(build_surface_mesh(dim, container, theta, vertices, cells))
 
 
 def domain_to_dict(domain: DomainMesh) -> dict:
@@ -217,30 +185,40 @@ def write_domain_json(domain: DomainMesh, path: str | Path) -> None:
 
 def read_domain_json(path: str | Path) -> DomainMesh:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    meta = data.get("metadata", {})
-    vertices = np.asarray(data["vertices"], dtype=float)
-    cells = np.asarray(data["cells"], dtype=np.int64)
-    sigma, tfac = [], []
-    for tag in data["facet_tags"]:
-        (sigma if tag["tag"] == "Sigma" else tfac).append(tag["facet"])
-    d = vertices.shape[1]
-    sigma_facets = np.asarray(sigma, dtype=np.int64).reshape(-1, d)
-    t_facets = np.asarray(tfac, dtype=np.int64).reshape(-1, d)
-    gamma = np.asarray(meta.get("gamma_vertices", []), dtype=np.int64)
-    fields = data.get("fields", {})
-    if "d_gamma" in fields:
-        d_gamma = np.asarray(fields["d_gamma"], dtype=float)
-    elif len(gamma):
-        d_gamma = np.min(
+    try:
+        meta = data.get("metadata", {})
+        vertices = np.asarray(data["vertices"], dtype=float)
+        cells = np.asarray(data["cells"], dtype=np.int64)
+        sigma, tfac = [], []
+        for tag in data["facet_tags"]:
+            (sigma if tag["tag"] == "Sigma" else tfac).append(tag["facet"])
+        d = vertices.shape[1]
+        sigma_facets = np.asarray(sigma, dtype=np.int64).reshape(-1, d)
+        t_facets = np.asarray(tfac, dtype=np.int64).reshape(-1, d)
+        gamma = np.asarray(meta.get("gamma_vertices", []), dtype=np.int64)
+        fields = data.get("fields", {})
+        d_gamma = np.asarray(fields["d_gamma"], dtype=float) if "d_gamma" in fields else None
+        sigma_h = np.asarray(fields.get("sigma_H", np.zeros(len(sigma_facets))), dtype=float)
+        container = parse_container(meta.get("container", "half-space"))
+        theta = as_angle(meta.get("theta"))
+    except _MALFORMED as exc:
+        raise HkLabError(f"{path}: malformed domain JSON ({exc})") from None
+    nv = len(vertices)
+    if cells.ndim != 2 or cells.shape[1] != d + 1:
+        raise HkLabError(f"{path}: domain cells need {d + 1} vertices each")
+    if sigma_h.shape != (len(sigma_facets),) or d_gamma is not None and d_gamma.shape != (nv,):
+        raise HkLabError(f"{path}: sigma_H needs one value per Sigma facet, d_gamma one per vertex")
+    for what, index in (("cell", cells), ("Sigma facet", sigma_facets), ("T facet", t_facets),
+                        ("Gamma vertex", gamma)):
+        check_indices(index, nv, f"{path}: {what}")
+    if d_gamma is None:
+        d_gamma = np.full(nv, np.inf) if len(gamma) == 0 else np.min(
             np.linalg.norm(vertices[:, None, :] - vertices[gamma][None, :, :], axis=2), axis=1
         )
-    else:
-        d_gamma = np.full(len(vertices), np.inf)
-    sigma_h = np.asarray(fields.get("sigma_H", np.zeros(len(sigma_facets))), dtype=float)
     return DomainMesh(
         dim=d,
-        container=parse_container(meta.get("container", "half-space")),
-        theta=as_angle(meta.get("theta")),
+        container=container,
+        theta=theta,
         vertices=vertices,
         cells=cells,
         sigma_facets=sigma_facets,

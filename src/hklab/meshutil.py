@@ -1,4 +1,4 @@
-"""Deterministic node ladders, strip/band triangulation and polyline order."""
+"""Node ladders, strip/band triangulation, polyline order, simplex measures."""
 
 from __future__ import annotations
 
@@ -115,6 +115,52 @@ def polyline_interp(points: np.ndarray, fractions: np.ndarray) -> np.ndarray:
     out[np.isclose(fractions, 0.0)] = points[0]
     out[np.isclose(fractions, 1.0)] = points[-1]
     return out
+
+
+def simplex_measures(vertices: np.ndarray, simplices: np.ndarray):
+    """(measures, unit normals) of edges in the plane or triangles in space.
+
+    Normals follow the vertex order: an edge (a, b) gets its tangent turned
+    by -90 degrees, a triangle the normalised (b - a) x (c - a).
+    """
+    p = vertices[simplices]
+    if simplices.shape[1] == 2:
+        edge = p[:, 1] - p[:, 0]
+        lengths = np.linalg.norm(edge, axis=1)
+        tangents = edge / lengths[:, None]
+        return lengths, np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    doubled = np.linalg.norm(cross, axis=1)
+    return 0.5 * doubled, cross / doubled[:, None]
+
+
+def circumcircle_curvature(points: np.ndarray, closed: bool) -> np.ndarray:
+    """Signed curvature of the circle through each planar point and its neighbours.
+
+    The points are a closed loop or an open chain; an open chain's end points
+    take the value of their neighbour.
+    """
+    m = len(points)
+    idx = np.arange(m)
+    if closed:
+        ia, iv, ib = (idx - 1) % m, idx, (idx + 1) % m
+    else:
+        ia = np.clip(idx - 1, 0, m - 3)
+        iv = ia + 1
+        ib = ia + 2
+    a, v, b = points[ia], points[iv], points[ib]
+    e1, e2, e3 = v - a, b - v, b - a
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    denom = (
+        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1) * np.linalg.norm(e3, axis=1)
+    )
+    return 2.0 * cross / np.where(denom > 0, denom, np.inf)
+
+
+def check_indices(indices: np.ndarray, nv: int, what: str) -> None:
+    """HkLabError unless every entry indexes one of nv vertices (no negative wrap)."""
+    if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= nv):
+        raise HkLabError(f"{what} index outside [0, {nv})")
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

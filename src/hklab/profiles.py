@@ -15,8 +15,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hklab.containers import Container, ContactAngle, as_angle, support_deviation
+from hklab.containers import (
+    Container,
+    ContactAngle,
+    as_angle,
+    support_conormal,
+    support_deviation,
+    support_normal,
+)
 from hklab.errors import HkLabError, MeanConvexityError
+from hklab.meshutil import circumcircle_curvature
 
 # orientation of the outward normal relative to the pole-to-support tangent:
 # +1 rotates the tangent by +90 degrees, -1 by -90 degrees
@@ -76,20 +84,7 @@ def profile_normals(profile: ProfileCurve) -> np.ndarray:
 
 def profile_curvature(profile: ProfileCurve) -> np.ndarray:
     """Signed generator curvature w.r.t. the outward normal (circumcircle rule)."""
-    s = profile.samples
-    m = len(s)
-    idx = np.arange(m)
-    ia = np.clip(idx - 1, 0, m - 3)
-    iv = ia + 1
-    ib = ia + 2
-    a, v, b = s[ia], s[iv], s[ib]
-    e1, e2, e3 = v - a, b - v, b - a
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    denom = (
-        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1) * np.linalg.norm(e3, axis=1)
-    )
-    kappa_raw = 2.0 * cross / np.where(denom > 0, denom, np.inf)
-    return -_NORMAL_SIGN[profile.container] * kappa_raw
+    return -_NORMAL_SIGN[profile.container] * circumcircle_curvature(profile.samples, False)
 
 
 def profile_mean_curvature(profile: ProfileCurve) -> np.ndarray:
@@ -105,27 +100,14 @@ def profile_mean_curvature(profile: ProfileCurve) -> np.ndarray:
 
 def _capillary_end_tangent(container: Container, theta: ContactAngle,
                            endpoint: np.ndarray) -> np.ndarray:
-    """Outgoing tangent direction realizing contact angle theta at the support."""
-    if container is Container.HALF_SPACE:
-        nbar = np.array([0.0, -1.0])
-        nu_bar = np.array([1.0, 0.0])
-    else:
-        p = endpoint / np.linalg.norm(endpoint)
-        nbar = p
-        nu_bar = np.array([p[1], -p[0]])
-        if nu_bar[1] > 0:
-            nu_bar = -nu_bar
-    return theta.sin * nbar + theta.cos * nu_bar
+    """Outgoing tangent mu = sin(theta) N_bar + cos(theta) nu_bar at the support endpoint."""
+    nbar = support_normal(container, endpoint)[0]
+    return theta.sin * nbar + theta.cos * support_conormal(container, endpoint)[0]
 
 
 def measured_profile_angle(profile: ProfileCurve) -> float:
     """Contact angle implied by the stored endpoint tangent."""
-    t_end = profile.end_tangent
-    if t_end is None:
-        t_end = profile_tangents(profile)[-1]
-    nu = _rot(t_end, _NORMAL_SIGN[profile.container])
-    from hklab.containers import support_normal
-
+    nu = _rot(profile_tangents(profile)[-1], _NORMAL_SIGN[profile.container])
     nbar = support_normal(profile.container, profile.samples[-1:])[0]
     return math.acos(min(max(-float(np.dot(nu, nbar)), -1.0), 1.0))
 

@@ -158,13 +158,13 @@ def gamma_t_flux(domain: DomainMesh, solution: BvpSolution, weight: str = "1") -
     """
     ends, nubar, measure = gamma_edges(domain, domain.t_facets)
     grad = solution.nodal_gradients[ends].mean(axis=1)
-    w = domain.vertices[ends][:, :, -1].mean(axis=1) if weight == "z" else 1.0
+    w = domain.vertices[:, -1][ends].mean(axis=1) if weight == "z" else 1.0
     return ordered_sum(w * row_dot(grad, nubar) * measure)
 
 
 def _sigma_data(domain: DomainMesh, solution: BvpSolution):
     areas = domain.facet_measures(domain.sigma_facets)
-    z = domain.vertices[domain.sigma_facets][:, :, -1].mean(axis=1)
+    z = domain.vertices[:, -1][domain.sigma_facets].mean(axis=1)
     return areas, domain.sigma_H, solution.f_nu_sigma, z
 
 
@@ -180,7 +180,7 @@ def reilly_sides(domain: DomainMesh, solution: BvpSolution, weighted: bool = Fal
         raise HkLabError("solution was computed on a different domain")
     tr = solution.laplacian()
     h2 = np.einsum("cab,cab->c", solution.cell_hessians, solution.cell_hessians)
-    cell_z = domain.vertices[domain.cells][:, :, -1].mean(axis=1)
+    cell_z = domain.vertices[:, -1][domain.cells].mean(axis=1)
 
     if weighted:
         if domain.container is Container.HALF_SPACE:
@@ -268,7 +268,7 @@ def hk_pipeline(
 
     ball = container is Container.HALF_BALL
     tr = solution.laplacian()
-    cell_z = domain.vertices[domain.cells][:, :, -1].mean(axis=1)
+    cell_z = domain.vertices[:, -1][domain.cells].mean(axis=1)
     wcell = domain.cell_volumes * cell_z if ball else domain.cell_volumes
 
     areas, h_sigma, f_nu, z_sigma = _sigma_data(domain, solution)

@@ -28,7 +28,7 @@ from hklab.errors import HkLabError, WindowError
 from hklab.identities import applicable_identities, check_identity, hk_report
 from hklab.profiles import ProfileCurve, make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.reilly import hk_pipeline, reilly_sides
-from hklab.surface import mesh_surface
+from hklab.surface import SurfaceMesh, mesh_surface
 
 logger = logging.getLogger("hklab.report")
 
@@ -171,7 +171,7 @@ def _build_source(scenario: Scenario):
     if kind == "off":
         from hklab.meshio import read_off
 
-        return ("off", read_off(scenario.surface["path"], container, scenario.theta))
+        return read_off(scenario.surface["path"], container, scenario.theta)
     if kind == "profile":
         import json
 
@@ -196,11 +196,8 @@ def _l2_error(domain, values, exact) -> float:
 
 def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
     container = parse_container(scenario.container)
-    surface_source = source[1] if isinstance(source, tuple) else source
-    if isinstance(source, tuple):
-        surface = surface_source  # imported meshes are used as-is
-    else:
-        surface = mesh_surface(surface_source, resolution)
+    # imported meshes are used as-is
+    surface = source if isinstance(source, SurfaceMesh) else mesh_surface(source, resolution)
     result: dict = {"resolution": resolution}
 
     # derivative recovery is cleanest on ungraded meshes; only the corner fit
@@ -249,9 +246,9 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
             "flux_constant": solution.problem.flux_constant,
             "max_f": float(solution.f.max()),
         }
-        if isinstance(surface_source, AnalyticCap):
+        if isinstance(source, AnalyticCap):
             entry["l2_error"] = _l2_error(
-                domain_sol, solution.f, exact_cap_solution(surface_source)
+                domain_sol, solution.f, exact_cap_solution(source)
             )
         result["bvp"] = entry
 

@@ -5,7 +5,11 @@ from analytic caps and profile curves.  Analytic sources get exact fields;
 profile sources get fields from the profile's own estimators; discrete
 estimators for everything (area-weighted normals, cotangent mean curvature,
 boundary frames from the induced loop orientation) live in discrete_geometry
-and are what imported meshes rely on.
+and are what imported meshes rely on.  Every mesh comes from
+build_surface_mesh, which validates the cells and fills what a source does
+not know.  On Gamma, a source's frame takes N_bar and nu_bar from the support
+(support_normal, support_conormal) and mu from the source: exact on caps, the
+end tangent turned about the axis on profiles.
 """
 
 from __future__ import annotations
@@ -17,9 +21,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hklab.caps import AnalyticCap, gamma_frame
-from hklab.containers import Container, ContactAngle, support_normal
+from hklab.containers import Container, ContactAngle, support_conormal, support_normal
 from hklab.errors import HkLabError, MeshQualityError
-from hklab.meshutil import graded_nodes, polyline_order, zipper_rings
+from hklab.meshutil import (
+    check_indices,
+    circumcircle_curvature,
+    graded_nodes,
+    polyline_interp,
+    polyline_order,
+    simplex_measures,
+    zipper_rings,
+)
 from hklab.profiles import (
     ProfileCurve,
     profile_mean_curvature,
@@ -57,32 +69,68 @@ class SurfaceMesh:
     def num_vertices(self) -> int:
         return len(self.vertices)
 
-    def boundary_index_of(self) -> dict:
-        return {int(v): k for k, v in enumerate(self.boundary_vertices)}
+
+def build_surface_mesh(
+    dim: int,
+    container: Container,
+    theta: ContactAngle | None,
+    vertices: np.ndarray,
+    cells: np.ndarray,
+    normals: np.ndarray | None = None,
+    mean_curvature: np.ndarray | None = None,
+    low_trust: np.ndarray | None = None,
+    source: object | None = None,
+) -> SurfaceMesh:
+    """The one SurfaceMesh constructor; it fills what a source does not know.
+
+    Cells are (nc, dim + 1) indices into the (nv, dim + 1) vertices.  Cell
+    areas come from the cells; normals and curvature default to zero (the
+    discrete estimators fill them); no vertex is low trust; Gamma is empty
+    until _with_gamma sets it.
+    """
+    nv, d = len(vertices), dim + 1
+    if vertices.ndim != 2 or vertices.shape[1] != d or cells.ndim != 2 or cells.shape[1] != d:
+        raise HkLabError(f"a {dim}-dimensional surface needs {d} coordinates and {d} vertices per cell")
+    check_indices(cells, nv, "cell")
+    areas, _ = simplex_measures(vertices, cells)
+    if dim == 2 and np.any(areas <= 0):
+        raise MeshQualityError("degenerate surface cell")
+    empty = np.empty((0, d))
+    return SurfaceMesh(
+        dim=dim,
+        container=container,
+        theta=theta,
+        vertices=vertices,
+        cells=cells,
+        cell_areas=areas,
+        normals=np.zeros_like(vertices) if normals is None else normals,
+        mean_curvature=np.zeros(nv) if mean_curvature is None else mean_curvature,
+        boundary_loops=[],
+        boundary_vertices=np.empty(0, dtype=np.int64),
+        boundary_mu=empty,
+        boundary_conormal_support=empty,
+        boundary_support_normal=empty,
+        low_trust=np.zeros(nv, dtype=bool) if low_trust is None else low_trust,
+        source=source,
+    )
+
+
+def _with_gamma(mesh: SurfaceMesh, loops: list, frame) -> SurfaceMesh:
+    """mesh with Gamma as vertex loops and frame = (mu, nu_bar, N_bar) on their concatenation."""
+    mu, nubar, nbar = frame
+    return replace(
+        mesh,
+        boundary_loops=loops,
+        boundary_vertices=np.concatenate(loops),
+        boundary_mu=mu,
+        boundary_conormal_support=nubar,
+        boundary_support_normal=nbar,
+    )
 
 
 # ---------------------------------------------------------------------------
 # measures, normals, flux
 # ---------------------------------------------------------------------------
-
-
-def cell_measures(vertices: np.ndarray, cells: np.ndarray, dim: int):
-    """(areas, unit normals, centroids) of the cells; normals follow cell order."""
-    pts = vertices[cells]
-    centroids = pts.mean(axis=1)
-    if dim == 1:
-        edge = pts[:, 1] - pts[:, 0]
-        lengths = np.linalg.norm(edge, axis=1)
-        tangents = edge / lengths[:, None]
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-        return lengths, normals, centroids
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    cross = np.cross(e1, e2)
-    doubled = np.linalg.norm(cross, axis=1)
-    if np.any(doubled <= 0):
-        raise MeshQualityError("degenerate surface cell")
-    return 0.5 * doubled, cross / doubled[:, None], centroids
 
 
 def enclosed_volume_flux(mesh: SurfaceMesh) -> float:
@@ -92,7 +140,8 @@ def enclosed_volume_flux(mesh: SurfaceMesh) -> float:
     contributes nothing); the half-ball uses the field x(1 - |x|^-(n+1))/(n+1)
     which is tangential on the unit sphere.
     """
-    areas, normals, centroids = cell_measures(mesh.vertices, mesh.cells, mesh.dim)
+    areas, normals = simplex_measures(mesh.vertices, mesh.cells)
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
     d = mesh.ambient_dim
     if mesh.container is Container.HALF_BALL:
         r = np.linalg.norm(centroids, axis=1)
@@ -190,9 +239,7 @@ def _frames_from_loops(
     return np.vstack(mus), np.vstack(nubars), np.vstack(nbars)
 
 
-def _frames_1d(
-    vertices: np.ndarray, order: np.ndarray, normals: np.ndarray, container: Container
-):
+def _frames_1d(vertices: np.ndarray, order: np.ndarray, container: Container):
     """Endpoint frames of an open polyline: mu is the outgoing tangent."""
     first, last = order[0], order[-1]
     mu = np.vstack(
@@ -247,7 +294,7 @@ def _revolve(
     ring_target: float,
     close_end: bool,
 ):
-    """Revolve a generator polyline; returns vertices, triangles, ring indices.
+    """Revolve a generator polyline; returns vertices, triangles, sample per vertex.
 
     samples[0] must lie on the axis (pole); if close_end the final sample is a
     pole too (closed surface), otherwise the last ring is the boundary loop.
@@ -294,17 +341,7 @@ def _revolve(
             tris.extend(zipper_rings(ia, ring_angles[a], ib, ring_angles[a + 1]))
     vertices = np.asarray(verts, dtype=float)
     cells = np.asarray(tris, dtype=np.int64)
-    return vertices, cells, rings, np.asarray(sample_of_vertex, dtype=np.int64)
-
-
-def _orient_outward(mesh_args: dict) -> dict:
-    """Flip cell orientation (and 1d traversal) so the flux volume is positive."""
-    probe = SurfaceMesh(**mesh_args)
-    if enclosed_volume_flux(probe) < 0:
-        cells = mesh_args["cells"].copy()
-        cells[:, [0, 1]] = cells[:, [1, 0]]
-        mesh_args["cells"] = cells
-    return mesh_args
+    return vertices, cells, np.asarray(sample_of_vertex, dtype=np.int64)
 
 
 def mesh_surface(
@@ -324,56 +361,42 @@ def mesh_surface(
     raise TypeError(f"cannot mesh source of type {type(source).__name__}")
 
 
+def _revolved_mesh(source, vertices, cells, normals, mean_curv, frame_of, low_trust=None):
+    """Outward-oriented surface of revolution; unless closed, Gamma is its one
+    boundary loop with the frame frame_of(points)."""
+    mesh = build_surface_mesh(2, source.container, source.theta, vertices, cells, normals,
+                              mean_curv, low_trust, source)
+    if enclosed_volume_flux(mesh) < 0:
+        # swapping two vertices of every cell turns the flux positive; areas stay
+        cells = cells.copy()
+        cells[:, [0, 1]] = cells[:, [1, 0]]
+        mesh = replace(mesh, cells=cells)
+    if source.container is Container.CLOSED:
+        return mesh
+    loops = _boundary_loops_2d(mesh.cells)
+    if len(loops) != 1:
+        raise HkLabError(f"surface of revolution must have one boundary loop, found {len(loops)}")
+    return _with_gamma(mesh, loops, frame_of(vertices[loops[0]]))
+
+
 def _mesh_cap_2d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMesh:
     angles = _ladder_angles(cap, resolution, grading)
     samples = _cap_generator_point(cap, angles)
     ring_target = cap.radius * (angles[-1] - angles[0]) / resolution
     closed = cap.container is Container.CLOSED
-    vertices, cells, rings, sample_ix = _revolve(samples, ring_target, close_end=closed)
-
-    normals = cap.normal(vertices)
+    vertices, cells, _ = _revolve(samples, ring_target, close_end=closed)
     mean_curv = np.full(len(vertices), cap.mean_curvature)
-    areas, _, _ = cell_measures(vertices, cells, 2)
-    args = dict(
-        dim=2,
-        container=cap.container,
-        theta=cap.theta,
-        vertices=vertices,
-        cells=cells,
-        cell_areas=areas,
-        normals=normals,
-        mean_curvature=mean_curv,
-        boundary_loops=[],
-        boundary_vertices=np.empty(0, dtype=np.int64),
-        boundary_mu=np.empty((0, 3)),
-        boundary_conormal_support=np.empty((0, 3)),
-        boundary_support_normal=np.empty((0, 3)),
-        low_trust=np.zeros(len(vertices), dtype=bool),
-        source=cap,
-    )
-    args = _orient_outward(args)
-    if not closed:
-        loops = _boundary_loops_2d(args["cells"])
-        if len(loops) != 1:
-            raise HkLabError(f"cap surface must have one boundary loop, found {len(loops)}")
-        args["boundary_loops"] = loops
-        args["boundary_vertices"] = loops[0]
-        mu, nubar, nbar = gamma_frame(cap, vertices[loops[0]])
-        args["boundary_mu"] = mu
-        args["boundary_conormal_support"] = nubar
-        args["boundary_support_normal"] = nbar
-    return SurfaceMesh(**args)
+    return _revolved_mesh(cap, vertices, cells, cap.normal(vertices), mean_curv,
+                          lambda pts: gamma_frame(cap, pts))
 
 
 def _mesh_cap_1d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMesh:
     r = cap.radius
-    if cap.container is Container.CLOSED:
+    closed = cap.container is Container.CLOSED
+    if closed:
         beta = np.linspace(0.0, 2.0 * math.pi, resolution + 1)[:-1]
         # (-sin, cos) traversal keeps the enclosed disk on the left
         vertices = cap.center[None, :] + r * np.column_stack([-np.sin(beta), np.cos(beta)])
-        order = np.arange(len(beta))
-        cells = np.column_stack([order, np.roll(order, -1)]).astype(np.int64)
-        boundary = {}
     elif cap.container is Container.HALF_SPACE:
         span = cap.theta.effective
         arc = graded_nodes(2.0 * span * r, 2.0 * span * r / resolution, grading, sides="both")
@@ -381,51 +404,29 @@ def _mesh_cap_1d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMe
         vertices = cap.center[None, :] + r * np.column_stack([np.sin(beta), np.cos(beta)])
         vertices[0, 1] = 0.0
         vertices[-1, 1] = 0.0
-        order = np.arange(len(beta))
-        cells = np.column_stack([order[:-1], order[1:]]).astype(np.int64)
-        boundary = {"order": order}
     else:
         span = cap.quantities["sigma_half_angle"]
         arc = graded_nodes(2.0 * span * r, 2.0 * span * r / resolution, grading, sides="both")
         alpha = -span + arc / r  # from -alpha* to +alpha*: outward normals
         vertices = cap.center[None, :] + r * np.column_stack([np.sin(alpha), -np.cos(alpha)])
-        order = np.arange(len(alpha))
-        cells = np.column_stack([order[:-1], order[1:]]).astype(np.int64)
-        boundary = {"order": order}
-
-    normals = cap.normal(vertices)
-    mean_curv = np.full(len(vertices), cap.mean_curvature)
-    areas, _, _ = cell_measures(vertices, cells, 1)
-    args = dict(
-        dim=1,
-        container=cap.container,
-        theta=cap.theta,
-        vertices=vertices,
-        cells=cells,
-        cell_areas=areas,
-        normals=normals,
-        mean_curvature=mean_curv,
-        boundary_loops=[],
-        boundary_vertices=np.empty(0, dtype=np.int64),
-        boundary_mu=np.empty((0, 2)),
-        boundary_conormal_support=np.empty((0, 2)),
-        boundary_support_normal=np.empty((0, 2)),
-        low_trust=np.zeros(len(vertices), dtype=bool),
-        source=cap,
-    )
-    if boundary:
-        order = boundary["order"]
-        ends = np.array([order[0], order[-1]], dtype=np.int64)
-        args["boundary_loops"] = [ends[:1], ends[1:]]
-        args["boundary_vertices"] = ends
-        mu, nubar, nbar = gamma_frame(cap, vertices[ends])
-        args["boundary_mu"] = mu
-        args["boundary_conormal_support"] = nubar
-        args["boundary_support_normal"] = nbar
-    mesh = SurfaceMesh(**args)
+    order = np.arange(len(vertices), dtype=np.int64)
+    cells = np.column_stack([order, np.roll(order, -1)] if closed else [order[:-1], order[1:]])
+    mesh = build_surface_mesh(1, cap.container, cap.theta, vertices, cells, cap.normal(vertices),
+                              np.full(len(vertices), cap.mean_curvature), source=cap)
+    if not closed:
+        ends = order[[0, -1]]
+        mesh = _with_gamma(mesh, [ends[:1], ends[1:]], gamma_frame(cap, vertices[ends]))
     if enclosed_volume_flux(mesh) < 0:
         raise HkLabError("1d cap polyline orientation is inverted")
     return mesh
+
+
+def _resampled(profile: ProfileCurve, count: int, grading: float) -> ProfileCurve:
+    """count cells of the profile, arclength-uniform or graded toward the support."""
+    if grading > 0:
+        fracs = graded_nodes(1.0, 1.0 / count, grading, sides="end")
+        return replace(profile, samples=polyline_interp(profile.samples, fracs))
+    return resample_profile(profile, count)
 
 
 def _profile_vertex_fields(profile: ProfileCurve, sample_ix: np.ndarray, vertices: np.ndarray):
@@ -451,145 +452,53 @@ def _profile_vertex_fields(profile: ProfileCurve, sample_ix: np.ndarray, vertice
 
 
 def _mesh_profile_2d(profile: ProfileCurve, resolution: int, grading: float) -> SurfaceMesh:
-    prof = resample_profile(profile, resolution)
-    if grading > 0:
-        fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides="end")
-        from hklab.meshutil import polyline_interp
-
-        pts = polyline_interp(profile.samples, fracs)
-        prof = replace(prof, samples=pts)
-    samples = prof.samples
-    ring_target = prof.length / resolution
-    vertices, cells, rings, sample_ix = _revolve(samples, ring_target, close_end=False)
+    prof = _resampled(profile, resolution, grading)
+    vertices, cells, sample_ix = _revolve(prof.samples, prof.length / resolution, close_end=False)
     normals, mean_curv = _profile_vertex_fields(prof, sample_ix, vertices)
-    areas, _, _ = cell_measures(vertices, cells, 2)
-    low_trust = np.zeros(len(vertices), dtype=bool)
-    low_trust[sample_ix == len(samples) - 1] = True
-
-    args = dict(
-        dim=2,
-        container=profile.container,
-        theta=profile.theta,
-        vertices=vertices,
-        cells=cells,
-        cell_areas=areas,
-        normals=normals,
-        mean_curvature=mean_curv,
-        boundary_loops=[],
-        boundary_vertices=np.empty(0, dtype=np.int64),
-        boundary_mu=np.empty((0, 3)),
-        boundary_conormal_support=np.empty((0, 3)),
-        boundary_support_normal=np.empty((0, 3)),
-        low_trust=low_trust,
-        source=profile,
-    )
-    args = _orient_outward(args)
-    loops = _boundary_loops_2d(args["cells"])
-    if len(loops) != 1:
-        raise HkLabError("profile surface must have one boundary loop")
-    args["boundary_loops"] = loops
-    args["boundary_vertices"] = loops[0]
-    mu, nubar, nbar = _profile_boundary_frame(prof, vertices[loops[0]])
-    args["boundary_mu"] = mu
-    args["boundary_conormal_support"] = nubar
-    args["boundary_support_normal"] = nbar
-    return SurfaceMesh(**args)
+    low_trust = sample_ix == len(prof.samples) - 1
+    return _revolved_mesh(profile, vertices, cells, normals, mean_curv,
+                          lambda pts: _profile_boundary_frame(prof, pts), low_trust)
 
 
 def _profile_boundary_frame(profile: ProfileCurve, pts: np.ndarray):
-    """Revolve the profile endpoint frame onto boundary ring points."""
-    t_end = profile.end_tangent
-    if t_end is None:
-        t_end = profile_tangents(profile)[-1]
-    nbar = support_normal(profile.container, pts)
-    horiz = pts.copy()
-    horiz[:, -1] = 0.0
-    horiz /= np.linalg.norm(horiz, axis=1, keepdims=True)
-    mu = np.column_stack([t_end[0] * horiz[:, 0], t_end[0] * horiz[:, 1], np.full(len(pts), t_end[1])])
-    if profile.container is Container.HALF_SPACE:
-        nubar = horiz
-    else:
-        z_e = float(pts[0, -1])
-        rho_e = float(np.linalg.norm(pts[0, :2]))
-        nubar = z_e * horiz
-        nubar[:, -1] = -rho_e
-    return mu, nubar, nbar
+    """Turn the profile end tangent (rho, z) into mu = rho omega + z E_d at the
+    Gamma points, with omega the horizontal unit vector away from the axis."""
+    mu = pts.copy()
+    mu[:, -1] = 0.0
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    t_end = profile_tangents(profile)[-1]
+    mu *= t_end[0]
+    mu[:, -1] = t_end[1]
+    return mu, support_conormal(profile.container, pts), support_normal(profile.container, pts)
 
 
 def _mesh_profile_1d(profile: ProfileCurve, resolution: int, grading: float) -> SurfaceMesh:
-    half = max(resolution // 2, 2)
-    prof = resample_profile(profile, half)
-    if grading > 0:
-        fracs = graded_nodes(1.0, 1.0 / half, grading, sides="end")
-        from hklab.meshutil import polyline_interp
-
-        prof = replace(prof, samples=polyline_interp(profile.samples, fracs))
+    prof = _resampled(profile, max(resolution // 2, 2), grading)
     samples = prof.samples
     mirrored = samples[1:].copy()
     mirrored[:, 0] = -mirrored[:, 0]
     # right half support->pole, then mirrored pole->support keeps the enclosed
     # region on the left for the half-space; half-ball ordering is the reverse
-    right = samples[::-1]
-    vertices = np.vstack([right, mirrored])
+    vertices = np.vstack([samples[::-1], mirrored])
     m = len(samples)
     sample_ix = np.concatenate([np.arange(m)[::-1], np.arange(1, m)])
-    order = np.arange(len(vertices))
-    cells = np.column_stack([order[:-1], order[1:]]).astype(np.int64)
-
-    pn = profile_normals(prof)
-    h = profile_mean_curvature(prof)
-    normals = pn[sample_ix].copy()
-    normals[:, 0] *= np.where(order < m, 1.0, -1.0)
-    mean_curv = h[sample_ix]
-    areas, _, _ = cell_measures(vertices, cells, 1)
-
-    args = dict(
-        dim=1,
-        container=profile.container,
-        theta=profile.theta,
-        vertices=vertices,
-        cells=cells,
-        cell_areas=areas,
-        normals=normals,
-        mean_curvature=mean_curv,
-        boundary_loops=[],
-        boundary_vertices=np.empty(0, dtype=np.int64),
-        boundary_mu=np.empty((0, 2)),
-        boundary_conormal_support=np.empty((0, 2)),
-        boundary_support_normal=np.empty((0, 2)),
-        low_trust=np.zeros(len(vertices), dtype=bool),
-        source=profile,
-    )
-    mesh = SurfaceMesh(**args)
+    normals = profile_normals(prof)[sample_ix]
+    normals[m:, 0] = -normals[m:, 0]
+    mean_curv = profile_mean_curvature(prof)[sample_ix]
+    order = np.arange(len(vertices), dtype=np.int64)
+    cells = np.column_stack([order[:-1], order[1:]])
+    low_trust = np.zeros(len(vertices), dtype=bool)
+    low_trust[[0, -1]] = True
+    mesh = build_surface_mesh(1, profile.container, profile.theta, vertices, cells, normals,
+                              mean_curv, low_trust, profile)
     if enclosed_volume_flux(mesh) < 0:
-        vertices = vertices[::-1].copy()
-        sample_ix = sample_ix[::-1].copy()
-        normals = normals[::-1].copy()
-        mean_curv = mean_curv[::-1].copy()
-        args.update(vertices=vertices, normals=normals, mean_curvature=mean_curv)
-        args["cells"] = np.column_stack([order[:-1], order[1:]]).astype(np.int64)
-        mesh = SurfaceMesh(**args)
-
-    ends = np.array([0, len(vertices) - 1], dtype=np.int64)
-    mesh.boundary_loops = [ends[:1], ends[1:]]
-    mesh.boundary_vertices = ends
-    t_end = prof.end_tangent if prof.end_tangent is not None else profile_tangents(prof)[-1]
-    # endpoint at negative rho carries the mirrored tangent
-    mu = np.vstack([t_end, t_end])
-    neg = mesh.vertices[ends, 0] < 0
-    mu[neg, 0] *= -1.0
-    pts = mesh.vertices[ends]
-    nbar = support_normal(mesh.container, pts)
-    cand = np.column_stack([-nbar[:, 1], nbar[:, 0]])
-    away = pts - pts[::-1]
-    sign = np.where(np.einsum("ij,ij->i", cand, away) >= 0, 1.0, -1.0)
-    mesh.boundary_mu = mu
-    mesh.boundary_conormal_support = cand * sign[:, None]
-    mesh.boundary_support_normal = nbar
-    low = mesh.low_trust.copy()
-    low[ends] = True
-    mesh.low_trust = low
-    return mesh
+        # number the vertices from the other end; cell k still joins k and k + 1
+        mesh = build_surface_mesh(1, profile.container, profile.theta, vertices[::-1].copy(),
+                                  cells, normals[::-1].copy(), mean_curv[::-1].copy(),
+                                  low_trust, profile)
+    ends = order[[0, -1]]
+    return _with_gamma(mesh, [ends[:1], ends[1:]],
+                       _profile_boundary_frame(prof, mesh.vertices[ends]))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +566,7 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     orientation.  Boundary vertices keep one-sided estimates and are flagged
     low trust.
     """
-    areas, cell_normals, _ = cell_measures(mesh.vertices, mesh.cells, mesh.dim)
+    areas, cell_normals = simplex_measures(mesh.vertices, mesh.cells)
     nv = len(mesh.vertices)
     # area-weighted cell normals accumulated onto their vertices
     normals = np.zeros((nv, mesh.ambient_dim))
@@ -668,76 +577,28 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
         raise HkLabError("vertex with vanishing normal: mesh is not orientable here")
     normals /= norms
 
-    low_trust = np.zeros(nv, dtype=bool)
+    loops = []
     if mesh.dim == 2:
         mean_curv = _cotan_mean_curvature(mesh.vertices, mesh.cells, normals)
         loops = _boundary_loops_2d(mesh.cells)
-        boundary_vertices = (
-            np.concatenate([l for l in loops]) if loops else np.empty(0, dtype=np.int64)
-        )
-        low_trust[boundary_vertices] = True
         if loops:
-            mu, nubar, nbar = _frames_from_loops(mesh.vertices, loops, normals, mesh.container)
-        else:
-            mu = np.empty((0, 3))
-            nubar = np.empty((0, 3))
-            nbar = np.empty((0, 3))
+            frame = _frames_from_loops(mesh.vertices, loops, normals, mesh.container)
     else:
         order = polyline_order(mesh.cells, nv)
-        mean_curv = _circumcircle_curvature(mesh.vertices, order, normals)
-        if order[0] == order[-1]:
-            loops, boundary_vertices = [], np.empty(0, dtype=np.int64)
-            mu = np.empty((0, 2))
-            nubar = np.empty((0, 2))
-            nbar = np.empty((0, 2))
-        else:
-            ends = np.array([order[0], order[-1]], dtype=np.int64)
-            loops = [ends[:1], ends[1:]]
-            boundary_vertices = ends
-            low_trust[ends] = True
-            mu, nubar, nbar = _frames_1d(mesh.vertices, order, normals, mesh.container)
+        closed = order[0] == order[-1]
+        seq = order[:-1] if closed else order
+        mean_curv = np.zeros(nv)
+        mean_curv[seq] = circumcircle_curvature(mesh.vertices[seq], closed)
+        if not closed:
+            loops = [order[:1], order[-1:]]
+            frame = _frames_1d(mesh.vertices, order, mesh.container)
 
-    return replace(
-        mesh,
-        normals=normals,
-        mean_curvature=mean_curv,
-        cell_areas=areas,
-        boundary_loops=loops,
-        boundary_vertices=boundary_vertices,
-        boundary_mu=mu,
-        boundary_conormal_support=nubar,
-        boundary_support_normal=nbar,
-        low_trust=low_trust,
-    )
-
-
-def _circumcircle_curvature(vertices: np.ndarray, order: np.ndarray, normals: np.ndarray):
-    closed = order[0] == order[-1]
-    seq = order[:-1] if closed else order
-    m = len(seq)
-    kappa_on_seq = np.zeros(m)
-    idx = np.arange(m)
-    if closed:
-        ia, iv, ib = (idx - 1) % m, idx, (idx + 1) % m
-    else:
-        ia = np.clip(idx - 1, 0, m - 3)
-        iv = ia + 1
-        ib = ia + 2
-    a, v, b = vertices[seq[ia]], vertices[seq[iv]], vertices[seq[ib]]
-    e1, e2, e3 = v - a, b - v, b - a
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    denom = (
-        np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1) * np.linalg.norm(e3, axis=1)
-    )
-    kappa_mid = 2.0 * cross / np.where(denom > 0, denom, np.inf)
-    if closed:
-        kappa_on_seq = kappa_mid
-    else:
-        kappa_on_seq[iv] = kappa_mid
-        kappa_on_seq[0] = kappa_mid[0]
-        kappa_on_seq[-1] = kappa_mid[-1]
-    out = np.zeros(len(vertices))
-    out[seq] = kappa_on_seq
+    out = build_surface_mesh(mesh.dim, mesh.container, mesh.theta, mesh.vertices, mesh.cells,
+                             normals, mean_curv, source=mesh.source)
+    if not loops:
+        return out
+    out = _with_gamma(out, loops, frame)
+    out.low_trust[out.boundary_vertices] = True
     return out
 
 

@@ -235,6 +235,40 @@ def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+_SURFACE_JSON = {"metadata": {"kind": "surface", "dim": 1, "container": "half-space",
+                             "theta": 1.0},
+                 "vertices": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], "cells": [[0, 1], [1, 2]]}
+_MALFORMED_FILES = {  # name: (file text, extra convert arguments)
+    "theta-3.json": (json.dumps({**_SURFACE_JSON, "metadata": {
+        **_SURFACE_JSON["metadata"], "theta": 3.0}}), []),
+    "moon.json": (json.dumps({**_SURFACE_JSON, "metadata": {
+        **_SURFACE_JSON["metadata"], "container": "moon"}}), []),
+    "no-vertices.json": (json.dumps({"metadata": _SURFACE_JSON["metadata"],
+                                     "cells": _SURFACE_JSON["cells"]}), []),
+    "index-7.off": ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", []),
+    "index-neg.off": ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 2 1 -1\n", []),
+    "off-sphere.off": ("OFF\n3 2 0\n-2 0 0\n0 2 0\n2 0 0\n2 0 1\n2 1 2\n",
+                       ["--container", "half-ball"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_FILES))
+def test_malformed_mesh_file_exits_1_without_traceback(name, capsys, tmp_path):
+    text, extra = _MALFORMED_FILES[name]
+    src = tmp_path / name
+    src.write_text(text)
+    dst = tmp_path / ("out.json" if name.endswith(".off") else "out.off")
+    argvs = [["convert", str(src), str(dst), "--theta", THETA_STR, *extra]]
+    if name.endswith(".off"):
+        argvs.append(["run", "--surface", str(src), "--theta", THETA_STR, "--dim", "1",
+                      "--ladder", "8", "--checks", "identities", *extra])
+    for argv in argvs:
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hk: check failed: ")
+        assert "Traceback" not in err
+
+
 def test_readme_reilly_example_passes(tmp_path):
     # the README line, with the report written to a file instead of stdout
     code = run_cli(

@@ -17,8 +17,10 @@ from hklab import (
     perturb_profile,
     profile_from_cap,
 )
+from hklab.containers import Container
 from hklab.errors import ContainerMismatchError, MeanConvexityError
-from hklab.identities import IdentityId, Residual, applicable_identities
+from hklab.identities import IdentityId, Residual, applicable_identities, boundary_values
+from hklab.surface import build_surface_mesh, discrete_geometry
 
 
 def test_symbolic_cap_quantities():
@@ -47,6 +49,34 @@ def test_integrate_surface_examples(hs_surface2):
 def test_boundary_integrals(hs_surface2):
     ref = math.pi * math.sqrt(3.0)
     assert abs(integrate_boundary(hs_surface2, "1") - ref) / ref < 2e-3
+
+
+def _lookup_boundary_integral(mesh, vals) -> float:
+    """The trapezoid loop sum with values found through a vertex -> slot dict."""
+    index_of = {int(v): k for k, v in enumerate(mesh.boundary_vertices)}
+    total = 0.0
+    for loop in mesh.boundary_loops:
+        pts = mesh.vertices[loop]
+        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        v = np.array([vals[index_of[int(i)]] for i in loop])
+        total += float(np.sum(0.5 * seg * (v + np.roll(v, -1))))
+    return total
+
+
+def test_two_loop_boundary_integral_matches_lookup(hs_cap2):
+    # the cap without its pole is an annulus; shuffled ids interleave the loops
+    cap = mesh_surface(hs_cap2, 16)
+    keep = ~np.any(cap.cells == 0, axis=1)
+    perm = np.random.default_rng(5).permutation(cap.num_vertices - 1)
+    vertices = np.empty_like(cap.vertices[1:])
+    vertices[perm] = cap.vertices[1:]
+    mesh = discrete_geometry(build_surface_mesh(
+        2, Container.HALF_SPACE, hs_cap2.theta, vertices, perm[cap.cells[keep] - 1]))
+    assert len(mesh.boundary_loops) == 2
+    values = np.random.default_rng(6).normal(size=len(mesh.boundary_vertices))
+    for integrand in ("1", "mu_z", "x.mu", values):
+        vals = boundary_values(mesh, integrand)
+        assert integrate_boundary(mesh, integrand) == _lookup_boundary_integral(mesh, vals)
 
 
 def test_halfspace_identities_at_resolution(hs_surface2):

@@ -147,6 +147,8 @@ def test_off_arrays_match_token_parser(hs_cap2, hs_cap1, tmp_path):
     ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n", "ends within facet 1"),
     ("OFF\n3 1 0\n0 0 0\n1 0\n", "malformed OFF file"),
     ("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "cell index outside"),
+    ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 2 1 -1\n", "cell index outside"),
 ])
 def test_off_errors(text, message, tmp_path):
     path = tmp_path / "bad.off"
@@ -160,3 +162,56 @@ def test_off_readers_stay_meshio_attributes():
 
     # the benchmark tracer wraps both functions on the meshio module
     assert callable(hklab.meshio.read_off) and callable(hklab.meshio.discrete_geometry)
+
+
+# a valid 1-d surface file and the edits that break it
+_SURFACE = {"metadata": {"kind": "surface", "dim": 1, "container": "half-space", "theta": 1.0},
+            "vertices": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], "cells": [[0, 1], [1, 2]]}
+MALFORMED_SURFACE_JSON = {
+    "theta-3": ({"metadata": {**_SURFACE["metadata"], "theta": 3.0}}, "contact angle 3.0"),
+    "moon": ({"metadata": {**_SURFACE["metadata"], "container": "moon"}}, "unknown container"),
+    "no-vertices": ({"vertices": None}, "malformed surface JSON"),
+    "index-7": ({"cells": [[0, 1], [1, 7]]}, "cell index outside"),
+    "index-neg": ({"cells": [[0, 1], [1, -1]]}, "cell index outside"),
+    "ragged": ({"cells": [[0, 1], [1]]}, "malformed surface JSON"),
+    "dim-2": ({"metadata": {**_SURFACE["metadata"], "dim": 2}}, "3 coordinates"),
+}
+
+
+def write_surface_case(path: Path, edit: dict) -> None:
+    data = {**_SURFACE, **edit}
+    path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SURFACE_JSON))
+def test_surface_json_errors(case, tmp_path):
+    edit, message = MALFORMED_SURFACE_JSON[case]
+    path = tmp_path / "bad.json"
+    write_surface_case(path, edit)
+    with pytest.raises(HkLabError, match=message):
+        read_surface_json(path)
+
+
+def test_valid_surface_case_reads(tmp_path):
+    path = tmp_path / "good.json"
+    write_surface_case(path, {})
+    mesh = read_surface_json(path)
+    assert mesh.dim == 1 and np.array_equal(mesh.boundary_vertices, [0, 2])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["metadata"].update(container="moon"), "unknown container"),
+    (lambda d: d.pop("facet_tags"), "malformed domain JSON"),
+    (lambda d: d["cells"][0].__setitem__(0, 10**6), "cell index outside"),
+    (lambda d: d["cells"][0].__setitem__(0, -1), "cell index outside"),
+    (lambda d: d["facet_tags"][0]["facet"].__setitem__(0, -1), "facet index outside"),
+    (lambda d: d["metadata"].update(gamma_vertices=[-1]), "Gamma vertex index outside"),
+    (lambda d: d["fields"].update(sigma_H=[1.0]), "sigma_H needs one value"),
+])
+def test_domain_json_errors(edit, message, hs_domain1, tmp_path):
+    data = json.loads(dumps_json(domain_to_dict(hs_domain1)))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(HkLabError, match=message):
+        read_domain_json(path)

@@ -8,10 +8,18 @@ import pytest
 
 from conftest import THETA3, rotate_z
 from hklab import make_cap, mesh_surface, discrete_geometry
+from hklab.caps import AnalyticCap
+from hklab.containers import Container, support_conormal, support_normal
 from hklab.errors import HkLabError
 from hklab.meshio import read_off, write_off
+from hklab.meshutil import simplex_measures
 from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
-from hklab.surface import _boundary_loops_2d, enclosed_volume_flux, frame_residual
+from hklab.surface import (
+    _boundary_loops_2d,
+    build_surface_mesh,
+    enclosed_volume_flux,
+    frame_residual,
+)
 
 
 def test_cap_area_convergence(hs_cap2):
@@ -195,3 +203,68 @@ def test_boundary_loops_reject_two_outgoing_edges():
 def test_boundary_loops_reject_open_boundary_chains(cells):
     with pytest.raises(HkLabError, match="do not close into loops"):
         _boundary_loops_2d(np.array(cells, dtype=np.int64))
+
+
+def _per_source_conormal(source, mesh):
+    """nu_bar as each source built it before support_conormal existed.
+
+    n = 1 profiles turned N_bar by 90 degrees away from the other end point;
+    otherwise the half-space took the horizontal radial direction and the
+    half-ball z omega - rho E_d, with the closed-form (z, rho) of Gamma on caps
+    and (z, rho) of the first Gamma point on n = 2 profiles.
+    """
+    pts = mesh.vertices[mesh.boundary_vertices]
+    nbar = support_normal(source.container, pts)
+    if source.dim == 1 and not isinstance(source, AnalyticCap):
+        cand = np.column_stack([-nbar[:, 1], nbar[:, 0]])
+        sign = np.where(np.einsum("ij,ij->i", cand, pts - pts[::-1]) >= 0, 1.0, -1.0)
+        return cand * sign[:, None]
+    horiz = pts.copy()
+    horiz[:, -1] = 0.0
+    horiz /= np.linalg.norm(horiz, axis=1, keepdims=True)
+    if source.container is Container.HALF_SPACE:
+        return horiz
+    if isinstance(source, AnalyticCap):
+        z, rho = source.quantities["gamma_height"], source.quantities["gamma_radius"]
+    else:
+        z, rho = float(pts[0, -1]), float(np.linalg.norm(pts[0, :2]))
+    nubar = z * horiz
+    nubar[:, -1] = -rho
+    return nubar
+
+
+@pytest.mark.parametrize("kind", ["cap", "profile"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("container, radius", [("half-space", 1.0), ("half-ball", 0.5)])
+def test_support_conormal_matches_per_source_formulas(container, radius, dim, kind):
+    source = make_cap(container, THETA3, radius, dim)
+    if kind == "profile":
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02),
+                                   THETA3, container)
+    mesh = mesh_surface(source, 16)
+    pts = mesh.vertices[mesh.boundary_vertices]
+    assert np.array_equal(mesh.boundary_conormal_support, support_conormal(mesh.container, pts))
+    oracle = _per_source_conormal(source, mesh)
+    assert np.max(np.abs(mesh.boundary_conormal_support - oracle)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_build_surface_mesh_fills_what_a_source_does_not_know(dim):
+    d = dim + 1
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.5]])[:, :d]
+    cells = np.array([[0, 1], [1, 2]] if dim == 1 else [[0, 1, 2]], dtype=np.int64)
+    mesh = build_surface_mesh(dim, Container.HALF_SPACE, None, vertices, cells)
+    assert np.array_equal(mesh.cell_areas, simplex_measures(vertices, cells)[0])
+    assert mesh.boundary_loops == [] and mesh.boundary_vertices.shape == (0,)
+    for field in (mesh.boundary_mu, mesh.boundary_conormal_support, mesh.boundary_support_normal):
+        assert field.shape == (0, d)
+    assert not mesh.low_trust.any() and mesh.low_trust.shape == (3,)
+    assert not mesh.normals.any() and mesh.normals.shape == (3, d)
+    assert not mesh.mean_curvature.any() and mesh.mean_curvature.shape == (3,)
+    for bad in (7, -1):
+        wrong = cells.copy()
+        wrong[-1, -1] = bad
+        with pytest.raises(HkLabError, match="cell index outside"):
+            build_surface_mesh(dim, Container.HALF_SPACE, None, vertices, wrong)
+    with pytest.raises(HkLabError, match="vertices per cell"):
+        build_surface_mesh(dim, Container.HALF_SPACE, None, vertices, cells[:, :1])
