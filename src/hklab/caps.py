@@ -5,8 +5,8 @@ the source of all closed-form oracle values.  A half-space cap of radius R is
 centered at (0, ..., 0, -R cos(theta)); a half-ball cap is centered on the
 x_d-axis at height h with the contact condition <p, c> = 1 + R cos(theta) on
 the intersection circle, which pins h = sqrt(1 + R^2 + 2 R cos(theta)).  The
-half-ball center is nevertheless located by one-parameter root finding on the
-measured angle and then validated against the closed form.
+half-ball center takes that closed form and is then validated by an
+independent measurement of the contact angle.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from hklab.containers import Container, ContactAngle, as_angle, support_conormal, support_normal
 from hklab.errors import InfeasibleCapError
@@ -157,20 +156,6 @@ def _closed_quantities(radius: float, center: np.ndarray, n: int) -> dict:
     return q
 
 
-def _measure_halfball_angle(radius: float, h: float) -> float:
-    """Contact angle of the sphere |x - h e_z| = R against the unit sphere."""
-    z_g = (1.0 + h * h - radius * radius) / (2.0 * h)
-    if not -1.0 < z_g < 1.0:
-        raise InfeasibleCapError(
-            f"sphere of radius {radius} centered at height {h} misses the unit sphere"
-        )
-    rho_g = math.sqrt(1.0 - z_g * z_g)
-    p = np.array([rho_g, z_g])
-    nu = (p - np.array([0.0, h])) / radius
-    cos_t = -float(np.dot(nu, p))
-    return math.acos(min(max(cos_t, -1.0), 1.0))
-
-
 def make_cap(
     container: Container | str,
     theta: float | ContactAngle | None,
@@ -181,8 +166,8 @@ def make_cap(
     """Construct the theta-capillary spherical cap of the given family size.
 
     size is the cap radius R for every container.  For the half-ball the
-    center height is located by root finding on the measured contact angle
-    and the closed-form family parameter serves only as a cross-check.  For
+    center height is the closed form h = sqrt(1 + R^2 + 2 R cos(theta)),
+    rejected when the sphere misses the unit sphere in floating point.  For
     the closed container theta is ignored and center may be supplied.
     """
     from hklab.containers import parse_container
@@ -214,29 +199,14 @@ def make_cap(
             raise InfeasibleCapError("half-space cap failed its contact-angle validation")
         return cap
 
-    # half-ball: bracket the center height and solve angle(h) = theta
+    # half-ball: the contact condition <p, c> = 1 + R cos(theta) pins the center height
     r = float(size)
-    h_lo = math.sqrt(1.0 + r * r) * (1.0 + 1e-14)
-    h_hi = (1.0 + r) * (1.0 - 1e-14)
-    target = angle.effective
-    try:
-        f_lo = _measure_halfball_angle(r, h_lo) - target
-        f_hi = _measure_halfball_angle(r, h_hi) - target
-        if f_lo * f_hi > 0:
-            if abs(f_lo) < 1e-12:  # orthogonal case sits exactly on the bracket edge
-                h = h_lo
-            else:
-                raise InfeasibleCapError(
-                    f"no half-ball cap of radius {r} meets the sphere at angle {target}"
-                )
-        else:
-            h = brentq(lambda x: _measure_halfball_angle(r, x) - target,
-                       h_lo, h_hi, xtol=1e-15, rtol=8.9e-16)
-    except ValueError as exc:  # pragma: no cover - bracketing pathologies
-        raise InfeasibleCapError(str(exc)) from exc
-    h_closed = math.sqrt(1.0 + r * r + 2.0 * r * angle.cos)
-    if abs(h - h_closed) > 1e-9 * max(1.0, h_closed):
-        raise InfeasibleCapError("half-ball root finding disagrees with the closed form")
+    h = math.sqrt(1.0 + r * r + 2.0 * r * angle.cos)
+    z_g = (1.0 + h * h - r * r) / (2.0 * h)  # height of the intersection circle
+    if not -1.0 < z_g < 1.0:
+        raise InfeasibleCapError(
+            f"sphere of radius {r} centered at height {h} misses the unit sphere"
+        )
     ctr = np.zeros(d)
     ctr[-1] = h
     cap = AnalyticCap(container, angle, r, ctr, n, _halfball_quantities(angle, r, h, n))

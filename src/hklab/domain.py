@@ -14,8 +14,15 @@ strip-meshed, then revolved with a fixed azimuthal count; prisms are split
 into tetrahedra with the min-vertex face-diagonal rule, so the mesh is
 conforming and deterministic.  The revolve is vectorised: vertex rings come
 from cumulative offsets and the prism stacks of all off-axis triangles are
-split in one call.  Tet volumes are computed once, as triple products; the
-orientation fix negates them in place and mesh_quality reuses them.
+split in one call.
+
+Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
+chunk gathers its vertex coordinates once and yields the signed volumes
+(tets by the triple product, triangles by determinants) and the longest
+squared edges.  For solid meshes the same pass fixes the orientation: a
+negative tet swaps its last two vertices in place and its volume is negated.
+The mesh keeps both arrays, and mesh_quality grades it from them without
+another gather.
 """
 
 from __future__ import annotations
@@ -54,10 +61,11 @@ class DomainMesh:
     d_gamma: np.ndarray  # per-vertex distance to the corner set
     sigma_H: np.ndarray  # mean curvature of the source surface per Sigma facet
     cell_volumes: np.ndarray = field(default=None)
+    cell_h2max: np.ndarray = field(default=None)  # longest squared edge per cell
 
     def __post_init__(self) -> None:
         if self.cell_volumes is None:
-            self.cell_volumes = simplex_volumes(self.vertices, self.cells)
+            self.cell_volumes, self.cell_h2max = cell_geometry(self.vertices, self.cells)
 
     @property
     def num_vertices(self) -> int:
@@ -80,19 +88,64 @@ class DomainMesh:
 # ---------------------------------------------------------------------------
 
 
-def simplex_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Signed cell volumes; tets by the triple product e1 . (e2 x e3) / 6.
+_CELL_BLOCK = 1 << 14  # cells whose vertex coordinates are gathered together
 
-    Swapping two tet edges negates every term of the triple product, so a
-    reoriented tet's volume is exactly the negated value.
+
+def _block_geometry(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed volumes and longest squared edges of cells given coordinate-major.
+
+    p has shape (d, d + 1, k): p[c, a] is coordinate c of vertex a of each
+    cell, so every product below runs on contiguous rows.  Tets use the triple
+    product e1 . (e2 x e3) / 6, triangles the determinant of their edges.
     """
-    p = vertices[cells]
+    d, m, k = p.shape
     edges = p[:, 1:] - p[:, :1]
-    if cells.shape[1] != 4:
-        return np.linalg.det(edges) / math.factorial(vertices.shape[1])
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = edges.transpose(1, 2, 0)
-    # e2 x e3 componentwise, as np.cross rounds it, without its copies
-    return (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)) / 6.0
+    if m == 4:
+        (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = edges
+        # e2 x e3 componentwise, as np.cross rounds it, without its copies
+        vols = (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3)
+                + z1 * (x2 * y3 - y2 * x3)) / 6.0
+    else:
+        vols = np.linalg.det(edges.transpose(2, 1, 0)) / math.factorial(d)
+    h2max = np.zeros(k)
+    for a in range(m):
+        for b in range(a + 1, m):
+            e = p[:, a] - p[:, b]
+            h2 = e[0] * e[0] + e[1] * e[1]
+            if d == 3:
+                h2 += e[2] * e[2]
+            np.maximum(h2max, h2, out=h2max)
+    return vols, h2max
+
+
+def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
+                  orient: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Signed volumes and longest squared edges of all cells, chunk by chunk.
+
+    Each chunk of _CELL_BLOCK cells gathers its vertex coordinates once.  With
+    orient=True (tets only), a chunk's negatively oriented cells get columns 2
+    and 3 of `cells` swapped in place and their volumes negated: swapping two
+    tet edges negates every term of the triple product exactly and leaves the
+    set of squared edges as it was.
+    """
+    coords = np.ascontiguousarray(vertices.T)
+    vols = np.empty(len(cells))
+    h2max = np.empty(len(cells))
+    for start in range(0, len(cells), _CELL_BLOCK):
+        block = cells[start:start + _CELL_BLOCK]
+        block_vols, block_h2max = _block_geometry(coords.take(block.T, axis=1))
+        if orient:
+            flip = block_vols < 0
+            block[flip, 2:] = block[flip, 3:1:-1]
+            block_vols[flip] = -block_vols[flip]
+        vols[start:start + len(block)] = block_vols
+        h2max[start:start + len(block)] = block_h2max
+    return vols, h2max
+
+
+def simplex_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Signed cell volumes, as cell_geometry computes them."""
+    return cell_geometry(vertices, cells)[0]
 
 
 def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
@@ -109,25 +162,20 @@ def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
 
 
 def mesh_quality(vertices: np.ndarray, cells: np.ndarray,
-                 volumes: np.ndarray | None = None) -> np.ndarray:
+                 volumes: np.ndarray | None = None,
+                 h2max: np.ndarray | None = None) -> np.ndarray:
     """Shape measure in (0, 1]: normalized volume / longest-edge^d.
 
-    `volumes`, when given, are the signed cell volumes already computed.
+    `volumes` and `h2max`, when given, are the signed cell volumes and the
+    longest squared edges already computed; cell_geometry supplies the others.
     """
-    p = vertices[cells]
+    if volumes is None or h2max is None:
+        fresh_vols, fresh_h2max = cell_geometry(vertices, cells)
+        volumes = fresh_vols if volumes is None else volumes
+        h2max = fresh_h2max if h2max is None else h2max
     d = vertices.shape[1]
-    vols = np.abs(simplex_volumes(vertices, cells) if volumes is None else volumes)
-    m = cells.shape[1]
-    h2max = np.zeros(len(cells))
-    for a in range(m):
-        for b in range(a + 1, m):
-            e = p[:, a] - p[:, b]
-            h2 = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
-            if d == 3:
-                h2 += e[:, 2] * e[:, 2]
-            np.maximum(h2max, h2, out=h2max)
     ref = {2: math.sqrt(3.0) / 4.0, 3: math.sqrt(2.0) / 12.0}[d]
-    return vols / (ref * np.sqrt(h2max) ** d)
+    return np.abs(volumes) / (ref * np.sqrt(h2max) ** d)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +432,7 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
         side = revolve_edge(*tri[tri != ax])
         tet_blocks.append(np.hstack([np.full((len(side), 1), vid[ax, 0]), side]))
     cells = np.vstack(tet_blocks)
-    # one volume pass: reorienting a tet negates its triple product exactly
-    vols = simplex_volumes(vertices, cells)
-    flip = vols < 0
-    cells[flip] = cells[flip][:, [0, 1, 3, 2]]
-    vols[flip] = -vols[flip]
+    vols, h2max = cell_geometry(vertices, cells, orient=True)
 
     # per-facet H: the generator value of each revolved Sigma edge
     sigma_blocks = [revolve_edge(i0, i1) for i0, i1 in sigma_edges]
@@ -423,6 +467,7 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
         d_gamma=d_gamma,
         sigma_H=sigma_H,
         cell_volumes=vols,
+        cell_h2max=h2max,
     )
     _validate(dom)
     return dom
@@ -460,7 +505,7 @@ def mesh_domain(
             dom = _mesh_domain_2d(surface, container, resolution, grading)
     else:
         dom = _mesh_domain_3d(surface, container, resolution, grading)
-    q = mesh_quality(dom.vertices, dom.cells, dom.cell_volumes)
+    q = mesh_quality(dom.vertices, dom.cells, dom.cell_volumes, dom.cell_h2max)
     q_min = float(np.min(q))
     logger.info("domain mesh: nv=%d nc=%d min_quality=%.3e", dom.num_vertices,
                 len(dom.cells), q_min)

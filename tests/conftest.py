@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hklab import (
 )
 
 THETA3 = math.pi / 3.0
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +86,11 @@ def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
     out[:, 0] = c * points[:, 0] - s * points[:, 1]
     out[:, 1] = s * points[:, 0] + c * points[:, 1]
     return out
+
+
+def run_python(*args: str, timeout: float = 120.0):
+    """Run a fresh interpreter with this checkout's src/ first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, check=False)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_python
 from hklab import make_cap
 from hklab.caps import gamma_frame, gamma_point, measured_contact_angle
 from hklab.containers import Container
@@ -76,6 +77,23 @@ def test_halfball_construction_and_angle():
     # contact condition <p, c> = 1 + R cos theta on the intersection circle
     p = gamma_point(cap, 0.3)
     assert abs(float(p @ cap.center) - (1.0 + 0.5 * 0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_halfball_center_is_the_closed_form(n):
+    for theta in np.linspace(0.2, math.pi / 2, 6):
+        for r in (0.25, 0.5, 1.0, 2.0, 8.0):
+            cap = make_cap("half-ball", theta, r, n)
+            h = math.sqrt(1.0 + r * r + 2.0 * r * math.cos(theta))
+            assert abs(cap.center[-1] - h) <= 1e-15 * h
+            assert np.all(cap.center[:-1] == 0.0)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the cap centers need no root finding, and scipy.optimize is slow to import
+    done = run_python("-c", "import sys, hklab.cli; print('scipy.optimize' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_halfball_monte_carlo_volume_oracle():

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import THETA3
 from hklab import make_cap, mesh_domain, mesh_surface
-from hklab.domain import mesh_quality, simplex_volumes
+from hklab import domain
+from hklab.domain import cell_geometry, mesh_quality, simplex_volumes
 from hklab.meshutil import polyline_order
 from hklab.surface import surface_spacing
 from hklab.errors import HkLabError
@@ -175,6 +176,14 @@ def _det_volumes(vertices, cells):
     return np.linalg.det(p[:, 1:] - p[:, :1]) / math.factorial(vertices.shape[1])
 
 
+def _triple_product_volumes(vertices, cells):
+    """Oracle: tet volumes from one gather of the whole mesh, the unchunked expression."""
+    p = vertices[cells]
+    edges = p[:, 1:] - p[:, :1]
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = edges.transpose(1, 2, 0)
+    return (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3) + z1 * (x2 * y3 - y2 * x3)) / 6.0
+
+
 def _norm_quality(vertices, cells):
     """Oracle: mesh_quality with determinant volumes and longest edges from norms."""
     p = vertices[cells]
@@ -225,12 +234,54 @@ def test_quality_longest_edge_matches_norm_oracle(solid_domain, hs_domain1):
         assert np.array_equal(got, _norm_quality(dom.vertices, dom.cells))
 
 
-def test_solid_mesh_topology_is_unchanged(solid_domain):
-    key, dom = solid_domain
+def _topology_digest(dom) -> str:
     digest = hashlib.sha256()
     for a in (dom.cells, dom.sigma_facets, dom.t_facets):
         digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
-    assert digest.hexdigest() == SOLID_TOPOLOGY_SHA256[key]
+    return digest.hexdigest()
+
+
+def test_solid_mesh_topology_is_unchanged(solid_domain):
+    key, dom = solid_domain
+    assert _topology_digest(dom) == SOLID_TOPOLOGY_SHA256[key]
+
+
+# ---------------------------------------------------------------------------
+# chunked cell geometry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [7, domain._CELL_BLOCK])
+def test_chunk_boundaries_leave_meshes_bit_identical(block, monkeypatch, hs_surface1):
+    # a prime chunk length puts chunk ends at every offset within a prism stack
+    monkeypatch.setattr(domain, "_CELL_BLOCK", block)
+    for key in sorted(SOLID_TOPOLOGY_SHA256):
+        container, radius = key
+        cap = make_cap(container, THETA3, radius, 2)
+        dom = mesh_domain(mesh_surface(cap, 16), None, 16, grading=0.5)
+        assert _topology_digest(dom) == SOLID_TOPOLOGY_SHA256[key]
+        assert np.array_equal(dom.cell_volumes, simplex_volumes(dom.vertices, dom.cells))
+        assert np.array_equal(dom.cell_volumes, _triple_product_volumes(dom.vertices, dom.cells))
+        assert np.all(dom.cell_volumes > 0)
+        det = _det_volumes(dom.vertices, dom.cells)
+        assert np.array_equal(mesh_quality(dom.vertices, dom.cells, det, dom.cell_h2max),
+                              _norm_quality(dom.vertices, dom.cells))
+    strip = mesh_domain(hs_surface1, "half-space", 32)
+    assert np.array_equal(strip.cell_volumes, _det_volumes(strip.vertices, strip.cells))
+    assert np.all(strip.cell_volumes > 0)
+    assert np.array_equal(
+        mesh_quality(strip.vertices, strip.cells, strip.cell_volumes, strip.cell_h2max),
+        _norm_quality(strip.vertices, strip.cells),
+    )
+
+
+def test_cell_geometry_of_no_cells():
+    for d, orient in ((3, True), (2, False)):
+        vertices = np.zeros((4, d))
+        cells = np.empty((0, d + 1), dtype=np.int64)
+        vols, h2max = cell_geometry(vertices, cells, orient=orient)
+        assert vols.shape == h2max.shape == (0,)
+        assert mesh_quality(vertices, cells).shape == (0,)
 
 
 def test_mesh_domain_logs_size_and_quality(hs_surface1, caplog):
