@@ -4,7 +4,8 @@
 For each theta the wedge-model field (exact power law at both corners) and
 the FEM solution of the capillary problem are fitted on a graded planar cap
 domain; prints lambda estimates against the leading wedge exponent
-pi/(2 theta).
+pi/(2 theta).  A theta whose corner window is too small for a fit at this
+resolution prints a row that says so.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from hklab import (
     solve_mixed_bvp,
     wedge_model_values,
 )
+from hklab.errors import WindowError
 
 
 def main() -> int:
@@ -38,9 +40,12 @@ def main() -> int:
         problem = capillary_problem(dom, theta)
 
         model = solution_from_field(problem, wedge_model_values(dom, theta))
-        fit_m = corner_exponent(model, theta)
-        fem = solve_mixed_bvp(problem)
-        fit_f = corner_exponent(fem, theta)
+        try:
+            fit_m = corner_exponent(model, theta)
+            fit_f = corner_exponent(solve_mixed_bvp(problem), theta)
+        except WindowError as exc:
+            print(f"{theta:7.4f} {math.pi / (2 * theta):9.4f}  corner window too small ({exc})")
+            continue
         print(f"{theta:7.4f} {math.pi / (2 * theta):9.4f} {fit_m.lambda_hat:9.4f} "
               f"{fit_m.r2_growth:8.3f} {fit_f.beta_hat:+8.3f} {fit_f.lambda_hat:8.4f}")
     return 0

@@ -30,7 +30,7 @@ from hklab.bvp import (
 )
 from hklab.caps import make_cap
 from hklab.domain import mesh_domain
-from hklab.errors import HkLabError
+from hklab.errors import HkLabError, MeshFileError
 from hklab.meshio import (
     dump_json,
     dumps_json,
@@ -326,6 +326,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"hk: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MeshFileError as exc:
+        print(f"hk: invalid mesh file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, json.JSONDecodeError) as exc:
         print(f"hk: io failure: {exc}", file=sys.stderr)

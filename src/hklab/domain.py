@@ -2,27 +2,28 @@
 
 Both dimensions share one deterministic strip mesher: two rails, resampled
 at shared graded parameters, are joined by straight rungs that are
-subdivided by target size, and consecutive rungs are zippered into
-triangles.  The rails stay boundary chains, so Sigma and T tags are never
-ambiguous.
+subdivided by target size, and all rungs are zippered into triangles by one
+meshutil.zipper_rows call.  The rails stay boundary chains, so Sigma and T
+tags are never ambiguous.  The closed disk zips scaled copies of its loop,
+closed rings, the same way.
 
 Planar domains (n = 1) strip-mesh between the surface polyline and the
 support path, graded into both corners with local size ~ d_Gamma^exponent.
 Solid domains (n = 2) are axisymmetric (cap, lens or ball): the (rho, z)
 cross-section between the generator curve and the axis+support path is
-strip-meshed, then revolved with a fixed azimuthal count; prisms are split
-into tetrahedra with the min-vertex face-diagonal rule, so the mesh is
-conforming and deterministic.  The revolve is vectorised: vertex rings come
-from cumulative offsets and the prism stacks of all off-axis triangles are
-split in one call.
+strip-meshed, then revolved by meshutil.revolve with the azimuthal count the
+surfaces use; prisms are split into tetrahedra with the min-vertex
+face-diagonal rule, so the mesh is conforming and deterministic.  The prism
+stacks of all off-axis triangles are split in one call.
 
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
 (tets by the triple product, triangles by determinants) and the longest
-squared edges.  For solid meshes the same pass fixes the orientation: a
-negative tet swaps its last two vertices in place and its volume is negated.
-The mesh keeps both arrays, and mesh_quality grades it from them without
-another gather.
+squared edges.  The same pass fixes the orientation of every mesher: a
+negative cell swaps its last two vertices in place and its volume is
+negated.  Solid meshes keep both arrays, planar meshes recompute their
+determinant volumes on the oriented cells, and mesh_quality grades a mesh
+from them without another gather.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from hklab.meshutil import (
     graded_nodes,
     polyline_interp,
     polyline_order,
+    revolve,
     simplex_measures,
     zipper_rows,
 )
@@ -123,10 +125,12 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
     """Signed volumes and longest squared edges of all cells, chunk by chunk.
 
     Each chunk of _CELL_BLOCK cells gathers its vertex coordinates once.  With
-    orient=True (tets only), a chunk's negatively oriented cells get columns 2
-    and 3 of `cells` swapped in place and their volumes negated: swapping two
-    tet edges negates every term of the triple product exactly and leaves the
-    set of squared edges as it was.
+    orient=True, a chunk's negatively oriented cells get their last two
+    vertices swapped in place in `cells` and their volumes negated.  The set
+    of squared edges stays as it was.  For tets the swap negates every term
+    of the triple product exactly; a triangle's determinant may pivot
+    differently, so a caller that keeps triangle volumes recomputes them on
+    the oriented cells.
     """
     coords = np.ascontiguousarray(vertices.T)
     vols = np.empty(len(cells))
@@ -136,7 +140,7 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
         block_vols, block_h2max = _block_geometry(coords.take(block.T, axis=1))
         if orient:
             flip = block_vols < 0
-            block[flip, 2:] = block[flip, 3:1:-1]
+            block[flip, -2:] = block[flip, :-3:-1]
             block_vols[flip] = -block_vols[flip]
         vols[start:start + len(block)] = block_vols
         h2max[start:start + len(block)] = block_h2max
@@ -208,9 +212,7 @@ def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, targe
     """
     pts_a = polyline_interp(rail_a, fracs)
     pts_b = polyline_interp(rail_b, fracs)
-    verts: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    row_fracs: list[np.ndarray] = []
+    verts, rows, row_fracs = [], [], []
     count = 0
     for k in range(len(fracs)):
         a, b = pts_a[k], pts_b[k]
@@ -223,14 +225,9 @@ def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, targe
         rows.append(np.arange(count, count + len(s)))
         row_fracs.append(s)
         count += len(s)
-
-    tris: list[tuple[int, int, int]] = []
-    for k in range(len(rows) - 1):
-        tris.extend(zipper_rows(rows[k], row_fracs[k], rows[k + 1], row_fracs[k + 1]))
     vertices = np.vstack(verts)
-    cells = np.asarray(tris, dtype=np.int64)
-    flip = simplex_volumes(vertices, cells) < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
+    cells = zipper_rows(rows, row_fracs)
+    cell_geometry(vertices, cells, orient=True)
     return vertices, cells, rows
 
 
@@ -397,22 +394,11 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
     if container is Container.CLOSED:
         t_edges = t_edges[:0]
 
-    # revolve: one ring of k_azim copies per off-axis vertex
-    rho_max = float(vertices2[:, 0].max())
-    k_azim = max(8, int(math.ceil(2.0 * math.pi * rho_max / (target * scale))))
-    psi = 2.0 * math.pi * np.arange(k_azim) / k_azim
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     on_axis = vertices2[:, 0] <= 1e-12
+    vertices, vid, psi = revolve(vertices2, on_axis, target * scale)
+    k_azim = len(psi)
     jj = np.arange(k_azim)
     jn = (jj + 1) % k_azim
-    ring_size = np.where(on_axis, 1, k_azim)
-    offsets = np.cumsum(ring_size) - ring_size
-    vid = offsets[:, None] + np.where(on_axis[:, None], 0, jj[None, :])
-    # azimuth index of every revolved vertex; an axis vertex is one point at rho = 0
-    j_of = np.arange(offsets[-1] + ring_size[-1]) - np.repeat(offsets, ring_size)
-    rho = np.repeat(np.where(on_axis, 0.0, vertices2[:, 0]), ring_size)
-    vertices = np.column_stack([rho * cos_psi[j_of], rho * sin_psi[j_of],
-                                np.repeat(vertices2[:, 1], ring_size)])
 
     def revolve_edge(i0, i1) -> np.ndarray:
         """Triangles swept by a cross-section edge: a fan at the axis, else split quads."""
@@ -525,35 +511,20 @@ def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> Doma
     seed = pts.mean(axis=0)
     layers = max(2, resolution // 2)
     verts = [pts]
-    rows = [np.arange(len(pts))]
-    count = len(pts)
     for j in range(1, layers):
         t = 1.0 - j / layers
         keep = max(6, int(round(len(pts) * t)))
         stride_ix = np.linspace(0, len(pts), keep, endpoint=False).astype(int)
-        ring = seed + t * (pts[stride_ix] - seed)
-        verts.append(ring)
-        rows.append(np.arange(count, count + len(ring)))
-        count += len(ring)
-    verts.append(seed[None, :])
-    rows.append(np.array([count]))
+        verts.append(seed + t * (pts[stride_ix] - seed))
+    vertices = np.vstack(verts + [seed[None, :]])
 
-    vertices = np.vstack(verts)
-    tris: list[tuple[int, int, int]] = []
-    from hklab.meshutil import zipper_rings
-
-    for k in range(len(rows) - 1):
-        ia, ib = rows[k], rows[k + 1]
-        ang_a = np.arange(len(ia)) * 2.0 * math.pi / len(ia)
-        if len(ib) == 1:
-            tris.extend((int(ia[j]), int(ib[0]), int(ia[(j + 1) % len(ia)]))
-                        for j in range(len(ia)))
-        else:
-            ang_b = np.arange(len(ib)) * 2.0 * math.pi / len(ib)
-            tris.extend(zipper_rings(ia, ang_a, ib, ang_b))
-    cells = np.asarray(tris, dtype=np.int64)
-    vols = simplex_volumes(vertices, cells)
-    cells[vols < 0] = cells[vols < 0][:, [0, 2, 1]]
+    # closed rings repeat their first vertex at angle 2 pi; the seed is the apex
+    sizes = [len(v) for v in verts]
+    starts = np.cumsum([0] + sizes)
+    rows = [np.append(np.arange(a, a + m), a) for a, m in zip(starts, sizes)]
+    keys = [np.append(np.arange(m) * 2.0 * math.pi / m, 2.0 * math.pi) for m in sizes]
+    cells = zipper_rows(rows + [starts[-1:]], keys + [np.zeros(1)])
+    cell_geometry(vertices, cells, orient=True)
 
     sigma_facets = np.column_stack([order, np.roll(order, -1)]).astype(np.int64)
     sigma_facets = _orient_facets_outward(vertices, sigma_facets, seed[None, :])

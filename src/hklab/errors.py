@@ -35,3 +35,7 @@ class ConstantMismatchError(HkLabError):
 
 class WindowError(HkLabError):
     """Corner-fit window is empty or too small for a regression."""
+
+
+class MeshFileError(HkLabError):
+    """A mesh file is malformed or holds an invalid mesh."""

@@ -16,18 +16,34 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from hklab.containers import Container, as_angle, parse_container
 from hklab.domain import DomainMesh
-from hklab.errors import HkLabError
+from hklab.errors import HkLabError, MeshFileError
 from hklab.meshutil import check_indices
 from hklab.surface import SurfaceMesh, build_surface_mesh, discrete_geometry
 
 # what numpy, int() and the container/angle parsers raise on malformed input
 _MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
+@contextmanager
+def _file_data(path: str | Path, what: str):
+    """Raise MeshFileError, naming the file, for anything wrong with its data.
+
+    Parser failures become "malformed <what>"; the HkLabErrors of the mesh
+    constructors (indices, coordinates, support) keep their message.
+    """
+    try:
+        yield
+    except _MALFORMED as exc:
+        raise MeshFileError(f"{path}: malformed {what} ({exc})") from None
+    except HkLabError as exc:
+        raise MeshFileError(f"{path}: {exc}") from None
 
 
 def _canonical(obj):
@@ -79,14 +95,14 @@ def read_off(
     theta: float | None = None,
 ) -> SurfaceMesh:
     """Read an OFF surface and populate fields with the discrete estimators."""
-    tokens: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
-        raise HkLabError(f"{path}: not an OFF file")
-    try:
+    with _file_data(path, "OFF file"):
+        tokens: list[str] = []
+        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                tokens.extend(line.split())
+        if not tokens or tokens[0] != "OFF":
+            raise HkLabError("not an OFF file")
         nv, nf = int(tokens[1]), int(tokens[2])
         pos = 4 + 3 * nv
         verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
@@ -98,19 +114,17 @@ def read_off(
         rows = np.array(facet_tokens[:whole * width], dtype=np.int64).reshape(whole, width)
         # a short file either ends early or holds a facet of smaller arity
         next_arity = int(facet_tokens[whole * width]) if whole < nf else arity
-    except (IndexError, ValueError) as exc:
-        raise HkLabError(f"{path}: malformed OFF file ({exc})") from None
-    if np.any(rows[:, 0] != arity) or next_arity != arity:
-        raise HkLabError("mixed facet arities are not supported")
-    if whole < nf:
-        raise HkLabError(f"{path}: OFF file ends within facet {whole}")
-    if arity not in (2, 3):
-        raise HkLabError(f"unsupported facet arity {arity}")
-    dim = arity - 1
-    vertices = verts[:, :2].copy() if dim == 1 else verts
-    mesh = build_surface_mesh(dim, parse_container(container), as_angle(theta), vertices,
-                              rows[:, 1:].copy())
-    return discrete_geometry(mesh)
+        if np.any(rows[:, 0] != arity) or next_arity != arity:
+            raise HkLabError("mixed facet arities are not supported")
+        if whole < nf:
+            raise HkLabError(f"OFF file ends within facet {whole}")
+        if arity not in (2, 3):
+            raise HkLabError(f"unsupported facet arity {arity}")
+        dim = arity - 1
+        vertices = verts[:, :2].copy() if dim == 1 else verts
+        mesh = build_surface_mesh(dim, parse_container(container), as_angle(theta), vertices,
+                                  rows[:, 1:].copy())
+        return discrete_geometry(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +159,14 @@ def write_surface_json(mesh: SurfaceMesh, path: str | Path) -> None:
 
 def read_surface_json(path: str | Path) -> SurfaceMesh:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    with _file_data(path, "surface JSON"):
         meta = data.get("metadata", {})
         vertices = np.asarray(data["vertices"], dtype=float)
         cells = np.asarray(data["cells"], dtype=np.int64)
         dim = int(meta.get("dim", cells.shape[-1] - 1))
         container = parse_container(meta.get("container", "half-space"))
         theta = as_angle(meta.get("theta"))
-    except _MALFORMED as exc:
-        raise HkLabError(f"{path}: malformed surface JSON ({exc})") from None
-    return discrete_geometry(build_surface_mesh(dim, container, theta, vertices, cells))
+        return discrete_geometry(build_surface_mesh(dim, container, theta, vertices, cells))
 
 
 def domain_to_dict(domain: DomainMesh) -> dict:
@@ -185,7 +197,7 @@ def write_domain_json(domain: DomainMesh, path: str | Path) -> None:
 
 def read_domain_json(path: str | Path) -> DomainMesh:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
+    with _file_data(path, "domain JSON"):
         meta = data.get("metadata", {})
         vertices = np.asarray(data["vertices"], dtype=float)
         cells = np.asarray(data["cells"], dtype=np.int64)
@@ -201,16 +213,14 @@ def read_domain_json(path: str | Path) -> DomainMesh:
         sigma_h = np.asarray(fields.get("sigma_H", np.zeros(len(sigma_facets))), dtype=float)
         container = parse_container(meta.get("container", "half-space"))
         theta = as_angle(meta.get("theta"))
-    except _MALFORMED as exc:
-        raise HkLabError(f"{path}: malformed domain JSON ({exc})") from None
-    nv = len(vertices)
-    if cells.ndim != 2 or cells.shape[1] != d + 1:
-        raise HkLabError(f"{path}: domain cells need {d + 1} vertices each")
-    if sigma_h.shape != (len(sigma_facets),) or d_gamma is not None and d_gamma.shape != (nv,):
-        raise HkLabError(f"{path}: sigma_H needs one value per Sigma facet, d_gamma one per vertex")
-    for what, index in (("cell", cells), ("Sigma facet", sigma_facets), ("T facet", t_facets),
-                        ("Gamma vertex", gamma)):
-        check_indices(index, nv, f"{path}: {what}")
+        nv = len(vertices)
+        if cells.ndim != 2 or cells.shape[1] != d + 1:
+            raise HkLabError(f"domain cells need {d + 1} vertices each")
+        if sigma_h.shape != (len(sigma_facets),) or d_gamma is not None and d_gamma.shape != (nv,):
+            raise HkLabError("sigma_H needs one value per Sigma facet, d_gamma one per vertex")
+        for what, index in (("cell", cells), ("Sigma facet", sigma_facets),
+                            ("T facet", t_facets), ("Gamma vertex", gamma)):
+            check_indices(index, nv, what)
     if d_gamma is None:
         d_gamma = np.full(nv, np.inf) if len(gamma) == 0 else np.min(
             np.linalg.norm(vertices[:, None, :] - vertices[gamma][None, :, :], axis=2), axis=1

@@ -1,4 +1,10 @@
-"""Node ladders, strip/band triangulation, polyline order, simplex measures."""
+"""Node ladders, the row zipper, the revolve, polyline order, simplex measures.
+
+zipper_rows and revolve are the only copies of the two jobs every mesher
+shares: zipper_rows triangulates the strips between consecutive vertex rows
+(open rungs, closed rings, fan apices) in one vectorised merge, and revolve
+turns (rho, z) points into rings of one azimuthal count about the x_d-axis.
+"""
 
 from __future__ import annotations
 
@@ -64,46 +70,59 @@ def graded_nodes(
     raise ValueError(f"unknown sides {sides!r}")
 
 
-def zipper_rings(
-    idx_a: np.ndarray, ang_a: np.ndarray, idx_b: np.ndarray, ang_b: np.ndarray
-) -> list[tuple[int, int, int]]:
-    """Triangulate the band between two closed vertex rings by an angle merge."""
-    na, nb = len(idx_a), len(idx_b)
-    ea = np.append(ang_a, ang_a[0] + 2.0 * math.pi)
-    eb = np.append(ang_b, ang_b[0] + 2.0 * math.pi)
-    tris: list[tuple[int, int, int]] = []
-    i = j = 0
-    while i < na or j < nb:
-        if i < na and (j >= nb or ea[i + 1] <= eb[j + 1]):
-            tris.append((int(idx_a[i % na]), int(idx_b[j % nb]), int(idx_a[(i + 1) % na])))
-            i += 1
-        else:
-            tris.append((int(idx_a[i % na]), int(idx_b[j % nb]), int(idx_b[(j + 1) % nb])))
-            j += 1
-    return tris
+def zipper_rows(rows: list, keys: list) -> np.ndarray:
+    """Triangles (nt, 3) of the strips between all consecutive vertex rows.
 
-
-def zipper_rows(
-    idx_a: np.ndarray, frac_a: np.ndarray, idx_b: np.ndarray, frac_b: np.ndarray
-) -> list[tuple[int, int, int]]:
-    """Triangulate the strip between two open vertex rows by a parameter merge.
-
-    Rows of length one act as fan apices, which is how corner points of a
-    two-rail strip are absorbed.
+    Row k holds vertex ids with nondecreasing keys keys[k].  The strip
+    between rows a and b steps along a stable merge of their next keys
+    (ties step along a): a step to a's next vertex makes (a_i, b_j, a_i+1),
+    one to b's next vertex (a_i, b_j, b_j+1).  A row of length 1 is a fan
+    apex; a closed ring is a row that repeats its first vertex at the end,
+    with key + 2 pi.
     """
-    na, nb = len(idx_a), len(idx_b)
-    tris: list[tuple[int, int, int]] = []
-    i = j = 0
-    while i < na - 1 or j < nb - 1:
-        can_a = i < na - 1
-        can_b = j < nb - 1
-        if can_a and (not can_b or frac_a[i + 1] <= frac_b[j + 1]):
-            tris.append((int(idx_a[i]), int(idx_b[j]), int(idx_a[i + 1])))
-            i += 1
-        else:
-            tris.append((int(idx_a[i]), int(idx_b[j]), int(idx_b[j + 1])))
-            j += 1
-    return tris
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    ids = np.concatenate(rows).astype(np.int64)
+    key = np.concatenate(keys)
+    row = np.repeat(np.arange(len(rows)), sizes)
+    moves = np.ones(len(ids), dtype=bool)  # every vertex but a row's first is a step
+    moves[first] = False
+    a_steps = np.flatnonzero(moves & (row < len(rows) - 1))
+    b_steps = np.flatnonzero(moves & (row > 0))
+    steps = np.concatenate([a_steps, b_steps])
+    strip = np.concatenate([row[a_steps], row[b_steps] - 1])
+    on_b = np.repeat([False, True], [len(a_steps), len(b_steps)])
+    order = np.lexsort((steps, on_b, key[steps], strip))
+    steps, strip, on_b = steps[order], strip[order], on_b[order]
+    # steps already taken along each row of the strip
+    done_b = np.cumsum(on_b) - on_b
+    done_a = np.arange(len(steps)) - done_b
+    strip_start = np.searchsorted(strip, strip)
+    i = done_a - done_a[strip_start]
+    j = done_b - done_b[strip_start]
+    return np.column_stack([ids[first[strip] + i], ids[first[strip + 1] + j], ids[steps]])
+
+
+def revolve(rz: np.ndarray, on_axis: np.ndarray, spacing: float):
+    """Revolve (rho, z) points about the x_d-axis with one azimuthal count.
+
+    Every point off the axis becomes a ring of k = max(8, ceil(2 pi rho_max /
+    spacing)) vertices at the azimuths psi; a point on the axis becomes one
+    vertex.  Returns the vertices, vid (len(rz), k) with the vertex of point i
+    at azimuth j (an axis point repeats its one vertex), and psi.
+    """
+    rho_max = float(rz[:, 0].max())
+    k = max(8, int(math.ceil(2.0 * math.pi * rho_max / spacing)))
+    psi = 2.0 * math.pi * np.arange(k) / k
+    ring_size = np.where(on_axis, 1, k)
+    offsets = np.cumsum(ring_size) - ring_size
+    vid = offsets[:, None] + np.where(on_axis[:, None], 0, np.arange(k)[None, :])
+    # azimuth index of every revolved vertex; an axis vertex is one point at rho = 0
+    j_of = np.arange(offsets[-1] + ring_size[-1]) - np.repeat(offsets, ring_size)
+    rho = np.repeat(np.where(on_axis, 0.0, rz[:, 0]), ring_size)
+    vertices = np.column_stack([rho * np.cos(psi)[j_of], rho * np.sin(psi)[j_of],
+                                np.repeat(rz[:, 1], ring_size)])
+    return vertices, vid, psi
 
 
 def polyline_interp(points: np.ndarray, fractions: np.ndarray) -> np.ndarray:

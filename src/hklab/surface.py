@@ -1,15 +1,16 @@
 """Simplicial hypersurface meshes and their geometric fields.
 
-mesh_surface builds polylines (n = 1) or ring-zipper triangulations (n = 2)
-from analytic caps and profile curves.  Analytic sources get exact fields;
-profile sources get fields from the profile's own estimators; discrete
-estimators for everything (area-weighted normals, cotangent mean curvature,
-boundary frames from the induced loop orientation) live in discrete_geometry
-and are what imported meshes rely on.  Every mesh comes from
-build_surface_mesh, which validates the cells and fills what a source does
-not know.  On Gamma, a source's frame takes N_bar and nu_bar from the support
-(support_normal, support_conormal) and mu from the source: exact on caps, the
-end tangent turned about the axis on profiles.
+mesh_surface builds polylines (n = 1) or surfaces of revolution (n = 2:
+meshutil.revolve rings zipped by meshutil.zipper_rows) from analytic caps
+and profile curves.  Analytic sources get exact fields; profile sources get
+fields from the profile's own estimators; discrete estimators for everything
+(area-weighted normals, cotangent mean curvature, boundary frames from the
+induced loop orientation) live in discrete_geometry and are what imported
+meshes rely on.  Every mesh comes from build_surface_mesh, which validates
+the cells and fills what a source does not know.  On Gamma, a source's frame
+takes N_bar and nu_bar from the support (support_normal, support_conormal)
+and mu from the source: exact on caps, the end tangent turned about the axis
+on profiles.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from hklab.meshutil import (
     graded_nodes,
     polyline_interp,
     polyline_order,
+    revolve,
     simplex_measures,
-    zipper_rings,
+    zipper_rows,
 )
 from hklab.profiles import (
     ProfileCurve,
@@ -289,59 +291,27 @@ def _cap_generator_point(cap: AnalyticCap, angles: np.ndarray) -> np.ndarray:
     return np.column_stack([r * np.sin(angles), cap.center[-1] + r * np.cos(angles)])
 
 
-def _revolve(
-    samples: np.ndarray,
-    ring_target: float,
-    close_end: bool,
-):
+def _revolve(samples: np.ndarray, spacing: float, close_end: bool):
     """Revolve a generator polyline; returns vertices, triangles, sample per vertex.
 
-    samples[0] must lie on the axis (pole); if close_end the final sample is a
-    pole too (closed surface), otherwise the last ring is the boundary loop.
-    All rings share one azimuthal count: the structured lattice keeps every
-    interior vertex regular, which the cotangent estimator rewards with
+    samples[0] is the pole; if close_end the final sample is a pole too
+    (closed surface), otherwise the last ring is the boundary loop.  The poles
+    are named, not found: a closed cap of radius 1e4 ends 1.2e-12 off the
+    axis.  All rings share one azimuthal count: the structured lattice keeps
+    every interior vertex regular, which the cotangent estimator rewards with
     superconvergence (ring-adaptive counts leave O(1) error pockets at the
     stitching rows).
     """
-    rho_max = float(samples[:, 0].max())
-    k = max(8, int(math.ceil(2.0 * math.pi * rho_max / ring_target)))
-    psi = 2.0 * math.pi * np.arange(k) / k
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-
-    verts = [np.array([0.0, 0.0, samples[0, 1]])]
-    rings: list[np.ndarray] = [np.array([0])]
-    ring_angles: list[np.ndarray] = [np.array([0.0])]
-    sample_of_vertex = [0]
-    last = len(samples) - 1
-    for i in range(1, last + (0 if close_end else 1)):
-        rho, z = samples[i]
-        ring = np.arange(len(verts), len(verts) + k)
-        verts.extend(np.column_stack([rho * cos_psi, rho * sin_psi, np.full(k, z)]))
-        rings.append(ring)
-        ring_angles.append(psi)
-        sample_of_vertex.extend([i] * k)
-    if close_end:
-        verts.append(np.array([0.0, 0.0, samples[last, 1]]))
-        rings.append(np.array([len(verts) - 1]))
-        ring_angles.append(np.array([0.0]))
-        sample_of_vertex.append(last)
-
-    tris: list[tuple[int, int, int]] = []
-    for a in range(len(rings) - 1):
-        ia, ib = rings[a], rings[a + 1]
-        if len(ia) == 1:
-            tris.extend(
-                (int(ia[0]), int(ib[j]), int(ib[(j + 1) % len(ib)])) for j in range(len(ib))
-            )
-        elif len(ib) == 1:
-            tris.extend(
-                (int(ia[j]), int(ib[0]), int(ia[(j + 1) % len(ia)])) for j in range(len(ia))
-            )
-        else:
-            tris.extend(zipper_rings(ia, ring_angles[a], ib, ring_angles[a + 1]))
-    vertices = np.asarray(verts, dtype=float)
-    cells = np.asarray(tris, dtype=np.int64)
-    return vertices, cells, np.asarray(sample_of_vertex, dtype=np.int64)
+    on_axis = np.zeros(len(samples), dtype=bool)
+    on_axis[0] = True
+    on_axis[-1] = close_end
+    vertices, vid, psi = revolve(samples, on_axis, spacing)
+    ring_keys = np.append(psi, 2.0 * math.pi)
+    rows = [v[:1] if pole else np.append(v, v[0]) for v, pole in zip(vid, on_axis)]
+    keys = [ring_keys[:1] if pole else ring_keys for pole in on_axis]
+    sample_of_vertex = np.empty(len(vertices), dtype=np.int64)
+    sample_of_vertex[vid] = np.arange(len(samples))[:, None]
+    return vertices, zipper_rows(rows, keys), sample_of_vertex
 
 
 def mesh_surface(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -94,3 +95,13 @@ def run_python(*args: str, timeout: float = 120.0):
     env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout, check=False)
+
+
+def array_digest(*arrays) -> str:
+    """sha256 of the arrays' little-endian bytes: float64 for reals, int64 otherwise."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        dtype = "<f8" if a.dtype.kind == "f" else "<i8"
+        digest.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return digest.hexdigest()

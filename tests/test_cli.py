@@ -253,7 +253,7 @@ _MALFORMED_FILES = {  # name: (file text, extra convert arguments)
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED_FILES))
-def test_malformed_mesh_file_exits_1_without_traceback(name, capsys, tmp_path):
+def test_malformed_mesh_file_exits_2_without_traceback(name, capsys, tmp_path):
     text, extra = _MALFORMED_FILES[name]
     src = tmp_path / name
     src.write_text(text)
@@ -263,9 +263,9 @@ def test_malformed_mesh_file_exits_1_without_traceback(name, capsys, tmp_path):
         argvs.append(["run", "--surface", str(src), "--theta", THETA_STR, "--dim", "1",
                       "--ladder", "8", "--checks", "identities", *extra])
     for argv in argvs:
-        assert run_cli(*argv) == 1
+        assert run_cli(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("hk: check failed: ")
+        assert err.startswith("hk: invalid mesh file: ")
         assert "Traceback" not in err
 
 

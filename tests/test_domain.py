@@ -1,6 +1,5 @@
 """Domain meshing: measures, tags, corners, grading, quality."""
 
-import hashlib
 import logging
 import math
 from collections import Counter
@@ -8,11 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import THETA3
-from hklab import make_cap, mesh_domain, mesh_surface
+from conftest import THETA3, array_digest
+from hklab import make_axisymmetric, make_cap, mesh_domain, mesh_surface, perturb_profile
 from hklab import domain
 from hklab.domain import cell_geometry, mesh_quality, simplex_volumes
 from hklab.meshutil import polyline_order
+from hklab.profiles import profile_from_cap
 from hklab.surface import surface_spacing
 from hklab.errors import HkLabError
 
@@ -235,15 +235,40 @@ def test_quality_longest_edge_matches_norm_oracle(solid_domain, hs_domain1):
 
 
 def _topology_digest(dom) -> str:
-    digest = hashlib.sha256()
-    for a in (dom.cells, dom.sigma_facets, dom.t_facets):
-        digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
-    return digest.hexdigest()
+    return array_digest(dom.cells, dom.sigma_facets, dom.t_facets)
 
 
 def test_solid_mesh_topology_is_unchanged(solid_domain):
     key, dom = solid_domain
     assert _topology_digest(dom) == SOLID_TOPOLOGY_SHA256[key]
+
+
+# sha256 of vertices, cells, Sigma and T facets, cell volumes and sigma_H of
+# domains no other digest covers: n = 1 strips and the disk, and solids of
+# closed caps and of perturbed profiles (theta = pi/3).  Keys are (source,
+# container, n, resolution, grading); taken before the revolve, the row
+# zipper and the cell orientation became one primitive each.
+DOMAIN_SHA256 = {
+    ("cap", "half-space", 1, 32, 0.5): "b6d13a67e40619b52de130ca3c107126c4919db8d3efe1b63d148fc68b25582e",
+    ("cap", "half-ball", 1, 32, 0.5): "2971046949432a55afc04a087d6235a36f1181300c2c4f59ce005f71773962ed",
+    ("cap", "closed", 1, 16, 0.5): "3dc9a94dd26778d20dd72b0cc0deb37cb6b508ade6d8ef850c492ff7f7cca5a4",
+    ("cap", "closed", 2, 16, 0.5): "3e770108b69612bbcfcd7a47f2c48fbcfdd3aaf50fec9eed30c63f72653d94cb",
+    ("profile", "half-space", 2, 16, 0.5): "43040fdc7415b891efa37db4df6381cd2c56e3e4894f4b19377999fc8963bd13",
+    ("profile", "half-ball", 2, 16, 0.5): "afecae12c4cc001abeb4fbe1008368d1a088504a8bf9107bb430faa4c5a813e2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DOMAIN_SHA256), ids=lambda k: "-".join(map(str, k)))
+def test_domain_meshes_are_unchanged(key):
+    kind, container, n, resolution, grading = key
+    source = make_cap(container, THETA3, 0.5 if container == "half-ball" else 1.0, n)
+    if kind == "profile":
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
+                                   container)
+    dom = mesh_domain(mesh_surface(source, resolution), None, resolution, grading=grading)
+    got = array_digest(dom.vertices, dom.cells, dom.sigma_facets, dom.t_facets,
+                       dom.cell_volumes, dom.sigma_H)
+    assert got == DOMAIN_SHA256[key]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import THETA3
 from hklab import make_cap, mesh_domain, mesh_surface
-from hklab.errors import HkLabError
+from hklab.errors import MeshFileError
 from hklab.meshio import (
     domain_to_dict,
     dumps_json,
@@ -153,7 +153,14 @@ def test_off_arrays_match_token_parser(hs_cap2, hs_cap1, tmp_path):
 def test_off_errors(text, message, tmp_path):
     path = tmp_path / "bad.off"
     path.write_text(text)
-    with pytest.raises(HkLabError, match=message):
+    with pytest.raises(MeshFileError, match=message):
+        read_off(path, "half-space", THETA3)
+
+
+def test_off_file_that_is_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_bytes(b"OFF\n3 1 0\n\xff 0 0\n")
+    with pytest.raises(MeshFileError, match="malformed OFF file"):
         read_off(path, "half-space", THETA3)
 
 
@@ -188,7 +195,7 @@ def test_surface_json_errors(case, tmp_path):
     edit, message = MALFORMED_SURFACE_JSON[case]
     path = tmp_path / "bad.json"
     write_surface_case(path, edit)
-    with pytest.raises(HkLabError, match=message):
+    with pytest.raises(MeshFileError, match=message):
         read_surface_json(path)
 
 
@@ -213,5 +220,5 @@ def test_domain_json_errors(edit, message, hs_domain1, tmp_path):
     edit(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(HkLabError, match=message):
+    with pytest.raises(MeshFileError, match=message):
         read_domain_json(path)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hklab import make_cap, mesh_surface
 from hklab.caps import measured_contact_angle
 from hklab.containers import ContactAngle
-from hklab.meshutil import graded_nodes
+from hklab.meshutil import graded_nodes, zipper_rows
 from hklab.surface import enclosed_volume_flux, frame_residual
 
 angles = st.floats(min_value=0.2, max_value=math.pi / 2)
@@ -102,3 +102,56 @@ def test_planar_domain_tags_partition(theta, res):
     }
     assert tagged == boundary
     assert np.all(dom.cell_volumes > 0)
+
+
+def _merge_oracle(rows, keys) -> np.ndarray:
+    """Scalar zipper: walk each strip, stepping along the row with the smaller next key."""
+    tris = []
+    for a, ka, b, kb in zip(rows, keys, rows[1:], keys[1:]):
+        i = j = 0
+        while i < len(a) - 1 or j < len(b) - 1:
+            if i < len(a) - 1 and (j == len(b) - 1 or ka[i + 1] <= kb[j + 1]):
+                tris.append((a[i], b[j], a[i + 1]))
+                i += 1
+            else:
+                tris.append((a[i], b[j], b[j + 1]))
+                j += 1
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)
+
+
+def _numbered(sizes):
+    starts = np.cumsum([0] + list(sizes))
+    return [np.arange(a, a + m) for a, m in zip(starts, sizes)]
+
+
+# keys drawn from a few values so that ties within and across rows are common
+tied_keys = st.lists(st.integers(0, 4), min_size=1, max_size=8).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(tied_keys, min_size=2, max_size=6),
+       apex_first=st.booleans(), apex_last=st.booleans())
+def test_zipper_rows_matches_merge_oracle(keys, apex_first, apex_last):
+    keys = [np.asarray(k, dtype=float) for k in keys]
+    if apex_first:
+        keys[0] = keys[0][:1]
+    if apex_last:
+        keys[-1] = keys[-1][:1]
+    rows = _numbered([len(k) for k in keys])
+    got = zipper_rows(rows, keys)
+    assert got.dtype == np.int64 and got.shape[1] == 3
+    assert np.array_equal(got, _merge_oracle(rows, keys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.integers(3, 24), min_size=1, max_size=5), apex=st.booleans())
+def test_zipper_rows_closes_rings_of_unequal_counts(counts, apex):
+    # rings as the disk mesher makes them: the first vertex again at angle 2 pi
+    rows = [np.append(r, r[0]) for r in _numbered(counts)]
+    keys = [np.append(np.arange(m) * 2.0 * math.pi / m, 2.0 * math.pi) for m in counts]
+    if apex:
+        rows.append(np.array([sum(counts)]))
+        keys.append(np.zeros(1))
+    got = zipper_rows(rows, keys)
+    assert np.array_equal(got, _merge_oracle(rows, keys))
+    assert len(got) == sum(counts) + sum(counts[1:]) - (0 if apex else counts[-1])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import THETA3, rotate_z
+from conftest import THETA3, array_digest, rotate_z
 from hklab import make_cap, mesh_surface, discrete_geometry
 from hklab.caps import AnalyticCap
 from hklab.containers import Container, support_conormal, support_normal
@@ -268,3 +268,35 @@ def test_build_surface_mesh_fills_what_a_source_does_not_know(dim):
             build_surface_mesh(dim, Container.HALF_SPACE, None, vertices, wrong)
     with pytest.raises(HkLabError, match="vertices per cell"):
         build_surface_mesh(dim, Container.HALF_SPACE, None, vertices, cells[:, :1])
+
+
+# sha256 of vertices, cells, normals, mean curvature and Gamma vertices of
+# revolved surfaces (theta = pi/3).  Keys are (source, container,
+# resolution, grading); taken before the revolve and the row zipper became
+# one vectorised primitive each.
+REVOLVED_SURFACE_SHA256 = {
+    ("cap", "closed", 13, 0.0): "f70017369d4f8ce332bbf7c6711348176f093694f19a1a080ff7bc4e088b788a",
+    ("cap", "closed", 16, 0.0): "d9b210f567d94b95a9740e11e8e352ab8b60cf5eecff59fe3701b6d4fadb29a1",
+    ("cap", "half-ball", 13, 0.0): "1a0ccd7124b42f2dcbb158c1e63e4510781f2aa94cd3b067b692167cf0da90c5",
+    ("cap", "half-ball", 16, 0.0): "f20de3ebc5e5100881cb997d84f12938f6e984a4c26238152b46bd091f2cb385",
+    ("cap", "half-space", 13, 0.0): "a8e84f0b7191137927c2a9d36d1a7099696df47446239e20af60251c5d222b73",
+    ("cap", "half-space", 16, 0.0): "e23a1c1348313492eea0585146314a6a6528e89db67a8d311b1863aac5e478fe",
+    ("profile", "half-ball", 16, 0.0): "ca467ad691a41aa7a792de8f812c942d46d5a08305560e36c85ec514f442e15d",
+    ("profile", "half-ball", 16, 0.5): "5d435a5d3c5231f9d2c8f58c1d51289863b951417e18c2d35a3286243d5bef85",
+    ("profile", "half-space", 16, 0.0): "3dadb8ed009b94ce93ff0e5a2c7f14d7de9f2326cb2a3bff5da75d785cd693a2",
+    ("profile", "half-space", 16, 0.5): "bc26d7e244ea5d9d9994fdb33f287c8b849105dc9044ce1c5979c4561e1ae788",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REVOLVED_SURFACE_SHA256),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_revolved_surfaces_are_unchanged(key):
+    kind, container, resolution, grading = key
+    source = make_cap(container, THETA3, 0.5 if container == "half-ball" else 1.0, 2)
+    if kind == "profile":
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
+                                   container)
+    mesh = mesh_surface(source, resolution, grading=grading)
+    got = array_digest(mesh.vertices, mesh.cells, mesh.normals, mesh.mean_curvature,
+                       mesh.boundary_vertices)
+    assert got == REVOLVED_SURFACE_SHA256[key]
