@@ -10,8 +10,15 @@ whitened by the patch covariance, in the manner of Zienkiewicz-Zhu patch
 recovery.  It is exact for quadratic fields, including one-sided boundary
 patches.  Patches are rows of products of one sparse vertex adjacency
 (`vertex_adjacency`); vertices are taken in fixed blocks, and within a block
-the patches of equal size are fitted together as stacked batches.  Cell
-Hessians are gradients of the recovered nodal gradient, symmetrized.
+the patches of equal size are fitted together as stacked batches.
+
+Each batch of fits takes one Cholesky factorization G = L L^T of its Gram
+matrices.  The Frobenius bound kappa_2(G) <= ||G||_F ||L^-1||_F^2 certifies
+almost every patch as full rank beyond rounding doubt, and those fits solve
+the normal equations with L.  What the bound does not certify, and every fit
+of a batch whose Cholesky fails, takes a batched SVD with the rank rule of
+lstsq(rcond=1e-8).  Cell Hessians are gradients of the recovered nodal
+gradient, symmetrized.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ logger = logging.getLogger("hklab.fem")
 _DEGENERATE_REL = 1e-12
 _RECOVERY_BLOCK = 2048  # vertices whose patches are built and fitted together
 _RANK_RCOND = 1e-8  # a fit is full rank when s_min > _RANK_RCOND * s_max
-_GRAM_SAFE = 1e-4  # s_min / s_max above which the Gram matrix decides rank
+_GRAM_SAFE = 1e-4  # s_min / s_max that the Cholesky bound certifies as full rank
 
 
 def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
@@ -39,11 +46,13 @@ def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
     vols = np.linalg.det(edges) / math.factorial(d)
     scale = np.abs(vols).max() if len(vols) else 1.0
     good = np.abs(vols) > _DEGENERATE_REL * scale
-    inv = np.zeros_like(edges)
-    inv[good] = np.linalg.inv(edges[good])
-    grads = np.zeros((len(cells), d + 1, d))
-    for k in range(1, d + 1):
-        grads[:, k, :] = inv[:, :, k - 1]
+    if np.all(good):
+        inv = np.linalg.inv(edges)
+    else:
+        inv = np.zeros_like(edges)
+        inv[good] = np.linalg.inv(edges[good])
+    grads = np.empty((len(cells), d + 1, d))
+    grads[:, 1:, :] = inv.transpose(0, 2, 1)
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return grads, vols, good
 
@@ -156,13 +165,16 @@ def _quadratic_monomials(offsets: np.ndarray) -> np.ndarray:
     offsets is (k, m, d); the result is (k, 1 + d + d(d+1)/2, m), so that
     row r of patch k holds monomial r at each of its m points.
     """
-    d = offsets.shape[-1]
-    rows = [np.ones(offsets.shape[:-1])]
-    rows.extend(offsets[..., i] for i in range(d))
-    for i in range(d):
-        for j in range(i, d):
-            rows.append(offsets[..., i] * offsets[..., j])
-    return np.stack(rows, axis=1)
+    k, m, d = offsets.shape
+    cols = offsets.transpose(0, 2, 1)
+    design_t = np.empty((k, 1 + d + d * (d + 1) // 2, m))
+    design_t[:, 0] = 1.0
+    design_t[:, 1 : 1 + d] = cols
+    r = 1 + d
+    for i in range(d):  # the products x_i x_j, j = i..d-1, written in place
+        np.multiply(cols[:, i : i + 1], cols[:, i:], out=design_t[:, r : r + d - i])
+        r += d - i
+    return design_t
 
 
 def _whitened_offsets(vertices: np.ndarray, centers: np.ndarray, ids: np.ndarray):
@@ -187,18 +199,36 @@ def _full_rank_lstsq(design_t: np.ndarray, values: np.ndarray):
 
     design_t is the transposed design (k, p, m) with m >= p, and values is
     (k, m).  A fit is full rank when its smallest singular value exceeds
-    _RANK_RCOND times its largest, the rule of lstsq(rcond=_RANK_RCOND).  Fits
-    whose Gram eigenvalues put that ratio above _GRAM_SAFE are full rank
-    beyond rounding doubt and solve the normal equations; the rest take a
-    batched SVD.  Returns coefficients (k, p) and the full-rank mask.
+    _RANK_RCOND times its largest, the rule of lstsq(rcond=_RANK_RCOND).
+
+    One batched Cholesky G = L L^T of the Gram matrices G = A^T A, and L^-1
+    by forward substitution, bound the condition number from above:
+    kappa_2(G) <= ||G||_F ||G^-1||_F <= ||G||_F ||L^-1||_F^2.  A fit whose
+    bound stays below _GRAM_SAFE**-2 has s_min / s_max > _GRAM_SAFE, so it is
+    full rank beyond rounding doubt and takes coef = L^-T (L^-1 A^T values).
+    The fits the bound does not certify, and the whole batch when Cholesky
+    fails, take a batched SVD with the lstsq rule.  Returns coefficients
+    (k, p) and the full-rank mask.
     """
     k, p, _ = design_t.shape
     gram = np.matmul(design_t, design_t.transpose(0, 2, 1))
     rhs = np.matmul(design_t, values[:, :, None])
-    lam = np.linalg.eigvalsh(gram)
-    full = lam[:, 0] > _GRAM_SAFE**2 * lam[:, -1]
     coef = np.zeros((k, p))
-    coef[full] = np.linalg.solve(gram[full], rhs[full])[:, :, 0]
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        full = np.zeros(k, dtype=bool)
+    else:
+        # forward substitution L X = I, one row of X = L^-1 at a time
+        linv = np.zeros_like(gram)
+        for i in range(p):
+            row = -np.matmul(chol[:, i : i + 1, :i], linv[:, :i, : i + 1])[:, 0]
+            row[:, i] += 1.0
+            linv[:, i, : i + 1] = row / chol[:, i, i : i + 1]
+        bound = np.sqrt(np.sum(gram**2, axis=(1, 2))) * np.sum(linv**2, axis=(1, 2))
+        full = bound < _GRAM_SAFE**-2
+        lf = linv[full]
+        coef[full] = np.matmul(lf.transpose(0, 2, 1), np.matmul(lf, rhs[full]))[:, :, 0]
     rest = np.flatnonzero(~full)
     if len(rest):
         u, s, vt = np.linalg.svd(design_t[rest].transpose(0, 2, 1), full_matrices=False)
@@ -301,7 +331,7 @@ def cell_hessians_of(
     nodal_grads: np.ndarray, grads: np.ndarray, cells: np.ndarray, good: np.ndarray
 ) -> np.ndarray:
     """Symmetrized per-cell gradient of the recovered nodal gradient field."""
-    hess = np.einsum("cma,cmb->cab", nodal_grads[cells], grads)
+    hess = np.matmul(nodal_grads[cells].transpose(0, 2, 1), grads)
     hess = 0.5 * (hess + hess.transpose(0, 2, 1))
     hess[~good] = 0.0
     return hess

@@ -46,6 +46,19 @@ def _file_data(path: str | Path, what: str):
         raise MeshFileError(f"{path}: {exc}") from None
 
 
+def _read_json(path: str | Path, what: str):
+    """Parse a JSON mesh file.
+
+    Text that is not UTF-8 makes the file malformed (MeshFileError); a JSON
+    syntax error stays a JSONDecodeError, which the CLI reports as an I/O
+    failure.
+    """
+    raw = Path(path).read_bytes()
+    with _file_data(path, what):
+        text = raw.decode("utf-8")
+    return json.loads(text)
+
+
 def _canonical(obj):
     if isinstance(obj, dict):
         return {k: _canonical(v) for k, v in obj.items()}
@@ -158,7 +171,7 @@ def write_surface_json(mesh: SurfaceMesh, path: str | Path) -> None:
 
 
 def read_surface_json(path: str | Path) -> SurfaceMesh:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _read_json(path, "surface JSON")
     with _file_data(path, "surface JSON"):
         meta = data.get("metadata", {})
         vertices = np.asarray(data["vertices"], dtype=float)
@@ -196,7 +209,7 @@ def write_domain_json(domain: DomainMesh, path: str | Path) -> None:
 
 
 def read_domain_json(path: str | Path) -> DomainMesh:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _read_json(path, "domain JSON")
     with _file_data(path, "domain JSON"):
         meta = data.get("metadata", {})
         vertices = np.asarray(data["vertices"], dtype=float)

@@ -94,8 +94,9 @@ def build_surface_mesh(
     if vertices.ndim != 2 or vertices.shape[1] != d or cells.ndim != 2 or cells.shape[1] != d:
         raise HkLabError(f"a {dim}-dimensional surface needs {d} coordinates and {d} vertices per cell")
     check_indices(cells, nv, "cell")
-    areas, _ = simplex_measures(vertices, cells)
-    if dim == 2 and np.any(areas <= 0):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-measure cell is refused below
+        areas, _ = simplex_measures(vertices, cells)
+    if np.any(areas <= 0):
         raise MeshQualityError("degenerate surface cell")
     empty = np.empty((0, d))
     return SurfaceMesh(

@@ -33,9 +33,12 @@ from hklab.bvp import (
 )
 from hklab.errors import HkLabError, SolverError
 from hklab.fem import (
+    _GRAM_SAFE,
     _full_rank_lstsq,
+    _quadratic_monomials,
     assemble_boundary_mass,
     assemble_stiffness,
+    cell_hessians_of,
     load_facets,
     load_volume,
     p1_gradients,
@@ -243,6 +246,14 @@ def _oracle_design(offsets):
     return np.column_stack(cols)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_quadratic_monomials_match_oracle_design_bit_for_bit(d):
+    offsets = np.random.default_rng(d).standard_normal((5, 17, d))
+    design_t = _quadratic_monomials(offsets)
+    for k in range(len(offsets)):
+        assert design_t[k].T.tobytes() == _oracle_design(offsets[k]).tobytes()
+
+
 def _oracle_recovery(vertices, cells, f, good):
     """Per-vertex recovery; returns the nodal gradients and the fallback count."""
     nv, d = vertices.shape
@@ -296,6 +307,11 @@ def hs_domain2(hs_cap2):
     return mesh_domain(mesh_surface(hs_cap2, 12), None, 12, grading=0.0)
 
 
+@pytest.fixture(scope="module")
+def hb_domain2_res8(hb_cap2):
+    return mesh_domain(mesh_surface(hb_cap2, 8), None, 8, grading=0.0)
+
+
 def _jittered_grid(n, seed):
     """A jittered n x n square grid, each square cut along the same diagonal.
 
@@ -312,7 +328,8 @@ def _jittered_grid(n, seed):
     return vertices, cells
 
 
-@pytest.mark.parametrize("mesh", ["hs_domain2", "hb_domain1_graded", "jittered_grid"])
+@pytest.mark.parametrize("mesh", ["hs_domain2", "hb_domain1_graded", "jittered_grid",
+                                  "hb_domain2_res8"])
 def test_batched_recovery_matches_per_vertex_oracle(mesh, request):
     if mesh == "jittered_grid":
         vertices, cells = _jittered_grid(4, seed=1)
@@ -349,6 +366,82 @@ def test_rank_rule_matches_lstsq():
     assert list(full) == [True] * 5 + [False] * 3
 
 
+def _designs(spectra, rng, m=14):
+    """Transposed designs (k, p, m) with the given singular values (k, p)."""
+    designs = []
+    for s in spectra:
+        u, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+        v, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+        designs.append(u @ np.diag(s) @ v.T)
+    return np.array(designs).transpose(0, 2, 1)
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_well_conditioned_fits_are_certified_without_svd(monkeypatch):
+    rng = np.random.default_rng(12)
+    spectra = [np.geomspace(1.0, r, 10) for r in rng.uniform(0.05, 1.0, 40)]
+    design_t = _designs(spectra, rng)
+    values = rng.standard_normal((len(spectra), design_t.shape[2]))
+    calls = _counting_svd(monkeypatch)
+    coef, full = _full_rank_lstsq(design_t, values)
+    assert calls == [] and full.all()
+    for k in range(len(spectra)):
+        ref, *_ = np.linalg.lstsq(design_t[k].T, values[k], rcond=1e-8)
+        assert np.linalg.norm(coef[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full-rank", "rank-deficient"])
+def test_mixed_batch_matches_lstsq(deficient, monkeypatch):
+    rng = np.random.default_rng(13)
+    ratios = (1.0, 0.3, 1e-2, 1e-3, 1e-5, 1e-7) + ((1e-10,) if deficient else ())
+    design_t = _designs([np.geomspace(1.0, r, 10) for r in ratios], rng)
+    if deficient:
+        design_t[3, 9] = design_t[3, 2]  # two equal columns: exactly rank deficient
+    values = rng.standard_normal((len(design_t), design_t.shape[2]))
+    calls = _counting_svd(monkeypatch)
+    coef, full = _full_rank_lstsq(design_t, values)
+    for k, design in enumerate(design_t.transpose(0, 2, 1)):
+        ref, _, rank, _ = np.linalg.lstsq(design, values[k], rcond=1e-8)
+        assert full[k] == (rank == 10)
+        if full[k]:
+            assert np.linalg.norm(coef[k] - ref) <= 1e-6 * np.linalg.norm(ref)
+        else:
+            assert not coef[k].any()
+    if deficient:
+        assert list(full) == [True, True, True, False, True, True, False]
+    else:
+        # the Cholesky succeeds; only the two fits past the certificate take the SVD
+        assert full.all() and calls == [2]
+
+
+def test_certified_fits_are_beyond_the_safe_ratio(monkeypatch):
+    # spectra from 1 down to 1e-6 put fits on both sides of the certificate
+    rng = np.random.default_rng(14)
+    calls = _counting_svd(monkeypatch)
+    certified = 0
+    for _ in range(200):
+        s = np.sort(10.0 ** rng.uniform(-6.0, 0.0, 10))[::-1]
+        design_t = _designs([s / s[0]], rng)
+        before = len(calls)
+        _full_rank_lstsq(design_t, rng.standard_normal((1, design_t.shape[2])))
+        if len(calls) == before:
+            certified += 1
+            sv = np.linalg.svd(design_t[0], compute_uv=False)
+            assert sv[-1] / sv[0] > _GRAM_SAFE
+    assert 0 < certified < 200
+
+
 @pytest.mark.parametrize("mesh, expected", [("hs_domain1", 0), ("hb_domain1_graded", 6)])
 def test_recovery_logs_linear_fallbacks(mesh, expected, request, caplog):
     dom = request.getfixturevalue(mesh)
@@ -359,6 +452,45 @@ def test_recovery_logs_linear_fallbacks(mesh, expected, request, caplog):
     message = f"recovery: {expected} of {dom.num_vertices} vertices fell back to a linear fit"
     assert message in caplog.messages
     assert _oracle_recovery(dom.vertices, dom.cells, f, good)[1] == expected
+
+
+def _oracle_p1_gradients(vertices, cells):
+    """p1_gradients as it was with a zeroed array, a masked inverse and a column loop."""
+    d = vertices.shape[1]
+    edges = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+    vols = np.linalg.det(edges) / math.factorial(d)
+    scale = np.abs(vols).max() if len(vols) else 1.0
+    good = np.abs(vols) > 1e-12 * scale
+    inv = np.zeros_like(edges)
+    inv[good] = np.linalg.inv(edges[good])
+    grads = np.zeros((len(cells), d + 1, d))
+    for k in range(1, d + 1):
+        grads[:, k, :] = inv[:, :, k - 1]
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return grads, vols, good
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["solid", "one-degenerate-cell"])
+def test_p1_gradients_match_masked_oracle_bit_for_bit(degenerate, hs_domain2):
+    cells = hs_domain2.cells
+    if degenerate:  # a cell with a repeated vertex has zero volume
+        cells = np.vstack([cells, cells[:1, [0, 0, 1, 2]]])
+    got = p1_gradients(hs_domain2.vertices, cells)
+    want = _oracle_p1_gradients(hs_domain2.vertices, cells)
+    assert got[2].all() != degenerate
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_cell_hessians_match_einsum_oracle(hs_domain2):
+    dom = hs_domain2
+    grads, _, good = p1_gradients(dom.vertices, dom.cells)
+    rng = np.random.default_rng(4)
+    nodal = rng.standard_normal(dom.vertices.shape)
+    got = cell_hessians_of(nodal, grads, dom.cells, good)
+    want = np.einsum("cma,cmb->cab", nodal[dom.cells], grads)
+    want = 0.5 * (want + want.transpose(0, 2, 1))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_hop_distance_matches_breadth_first_search(hb_domain1_graded):

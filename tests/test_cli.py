@@ -249,6 +249,8 @@ _MALFORMED_FILES = {  # name: (file text, extra convert arguments)
     "index-neg.off": ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 2 1 -1\n", []),
     "off-sphere.off": ("OFF\n3 2 0\n-2 0 0\n0 2 0\n2 0 0\n2 0 1\n2 1 2\n",
                        ["--container", "half-ball"]),
+    "zero-length.json": (json.dumps({**_SURFACE_JSON, "vertices": [[0.0, 0.0]],
+                                     "cells": [[0, 0]]}), []),
 }
 
 
@@ -267,6 +269,19 @@ def test_malformed_mesh_file_exits_2_without_traceback(name, capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith("hk: invalid mesh file: ")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, code, prefix", [
+    (b'{"vertices": \xff}', 2, "hk: invalid mesh file: "),
+    (b'{"vertices": ', 3, "hk: io failure: "),
+], ids=["not-utf8", "json-syntax"])
+def test_json_mesh_file_decode_exit_codes(content, code, prefix, capsys, tmp_path):
+    src = tmp_path / "bad.json"
+    src.write_bytes(content)
+    assert run_cli("convert", str(src), str(tmp_path / "out.off")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
 
 
 def test_readme_reilly_example_passes(tmp_path):

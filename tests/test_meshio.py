@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -182,6 +183,7 @@ MALFORMED_SURFACE_JSON = {
     "index-neg": ({"cells": [[0, 1], [1, -1]]}, "cell index outside"),
     "ragged": ({"cells": [[0, 1], [1]]}, "malformed surface JSON"),
     "dim-2": ({"metadata": {**_SURFACE["metadata"], "dim": 2}}, "3 coordinates"),
+    "zero-length": ({"cells": [[0, 1], [1, 1]]}, "degenerate surface cell"),
 }
 
 
@@ -197,6 +199,32 @@ def test_surface_json_errors(case, tmp_path):
     write_surface_case(path, edit)
     with pytest.raises(MeshFileError, match=message):
         read_surface_json(path)
+
+
+def test_zero_length_cell_is_refused_without_a_warning(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({**_SURFACE, "vertices": [[0.0, 0.0]], "cells": [[0, 0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFileError, match="degenerate surface cell"):
+            read_surface_json(path)
+
+
+@pytest.mark.parametrize("reader", [read_surface_json, read_domain_json])
+def test_json_file_that_is_not_utf8_is_malformed(reader, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"vertices": \xff}')
+    with pytest.raises(MeshFileError, match="malformed (surface|domain) JSON"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", [read_surface_json, read_domain_json])
+def test_json_syntax_error_is_not_a_mesh_file_error(reader, tmp_path):
+    # a syntax error stays a JSONDecodeError, which the CLI reports as an I/O failure
+    path = tmp_path / "cut.json"
+    path.write_text('{"vertices": ')
+    with pytest.raises(json.JSONDecodeError):
+        reader(path)
 
 
 def test_valid_surface_case_reads(tmp_path):
