@@ -46,11 +46,8 @@ def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
     vols = np.linalg.det(edges) / math.factorial(d)
     scale = np.abs(vols).max() if len(vols) else 1.0
     good = np.abs(vols) > _DEGENERATE_REL * scale
-    if np.all(good):
-        inv = np.linalg.inv(edges)
-    else:
-        inv = np.zeros_like(edges)
-        inv[good] = np.linalg.inv(edges[good])
+    inv = np.zeros_like(edges)
+    inv[good] = np.linalg.inv(edges[good])
     grads = np.empty((len(cells), d + 1, d))
     grads[:, 1:, :] = inv.transpose(0, 2, 1)
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
@@ -165,16 +162,13 @@ def _quadratic_monomials(offsets: np.ndarray) -> np.ndarray:
     offsets is (k, m, d); the result is (k, 1 + d + d(d+1)/2, m), so that
     row r of patch k holds monomial r at each of its m points.
     """
-    k, m, d = offsets.shape
-    cols = offsets.transpose(0, 2, 1)
-    design_t = np.empty((k, 1 + d + d * (d + 1) // 2, m))
-    design_t[:, 0] = 1.0
-    design_t[:, 1 : 1 + d] = cols
-    r = 1 + d
-    for i in range(d):  # the products x_i x_j, j = i..d-1, written in place
-        np.multiply(cols[:, i : i + 1], cols[:, i:], out=design_t[:, r : r + d - i])
-        r += d - i
-    return design_t
+    d = offsets.shape[-1]
+    rows = [np.ones(offsets.shape[:-1])]
+    rows.extend(offsets[..., i] for i in range(d))
+    for i in range(d):
+        for j in range(i, d):
+            rows.append(offsets[..., i] * offsets[..., j])
+    return np.stack(rows, axis=1)
 
 
 def _whitened_offsets(vertices: np.ndarray, centers: np.ndarray, ids: np.ndarray):
@@ -219,7 +213,8 @@ def _full_rank_lstsq(design_t: np.ndarray, values: np.ndarray):
     except np.linalg.LinAlgError:
         full = np.zeros(k, dtype=bool)
     else:
-        # forward substitution L X = I, one row of X = L^-1 at a time
+        # forward substitution L X = I, one row of X = L^-1 at a time (on these
+        # small batches it is faster than np.linalg.inv, which pivots an LU)
         linv = np.zeros_like(gram)
         for i in range(p):
             row = -np.matmul(chol[:, i : i + 1, :i], linv[:, :i, : i + 1])[:, 0]

@@ -35,7 +35,6 @@ from hklab.errors import HkLabError, SolverError
 from hklab.fem import (
     _GRAM_SAFE,
     _full_rank_lstsq,
-    _quadratic_monomials,
     assemble_boundary_mass,
     assemble_stiffness,
     cell_hessians_of,
@@ -246,14 +245,6 @@ def _oracle_design(offsets):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_quadratic_monomials_match_oracle_design_bit_for_bit(d):
-    offsets = np.random.default_rng(d).standard_normal((5, 17, d))
-    design_t = _quadratic_monomials(offsets)
-    for k in range(len(offsets)):
-        assert design_t[k].T.tobytes() == _oracle_design(offsets[k]).tobytes()
-
-
 def _oracle_recovery(vertices, cells, f, good):
     """Per-vertex recovery; returns the nodal gradients and the fallback count."""
     nv, d = vertices.shape
@@ -404,7 +395,7 @@ def test_well_conditioned_fits_are_certified_without_svd(monkeypatch):
 @pytest.mark.parametrize("deficient", [False, True], ids=["full-rank", "rank-deficient"])
 def test_mixed_batch_matches_lstsq(deficient, monkeypatch):
     rng = np.random.default_rng(13)
-    ratios = (1.0, 0.3, 1e-2, 1e-3, 1e-5, 1e-7) + ((1e-10,) if deficient else ())
+    ratios = (1.0, 0.3, 1e-2, 1e-3, 1e-5, 1e-6) + ((1e-10,) if deficient else ())
     design_t = _designs([np.geomspace(1.0, r, 10) for r in ratios], rng)
     if deficient:
         design_t[3, 9] = design_t[3, 2]  # two equal columns: exactly rank deficient
