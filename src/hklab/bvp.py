@@ -21,6 +21,7 @@ import numpy as np
 from hklab.containers import Container, ContactAngle, as_angle
 from hklab.domain import DomainMesh
 from hklab.errors import (
+    ConfigError,
     DegenerateConfigurationError,
     HkLabError,
     SolverError,
@@ -359,6 +360,13 @@ def exact_cap_solution(cap) -> QuadraticField:
 # corner exponents
 # ---------------------------------------------------------------------------
 
+# corner fits leave out this many layers of cells at Gamma (recovery
+# pollution), bin log d_Gamma into this many bins and mark a growth fit with a
+# lower r^2 as low trust
+COLLAR_LAYERS = 2
+FIT_BINS = 12
+MIN_GROWTH_R2 = 0.9
+
 
 @dataclass
 class CornerFit:
@@ -399,7 +407,7 @@ def _hop_distance(domain: DomainMesh, seeds: np.ndarray, max_hops: int) -> np.nd
     return hop
 
 
-def _binned_log_fit(d: np.ndarray, vals: np.ndarray, bins: int, agg: str):
+def _binned_log_fit(d: np.ndarray, vals: np.ndarray, agg: str):
     mask = (d > 0) & (vals > 0) & np.isfinite(vals)
     if int(mask.sum()) < 4:
         raise WindowError("not enough samples in the corner window")
@@ -408,10 +416,10 @@ def _binned_log_fit(d: np.ndarray, vals: np.ndarray, bins: int, agg: str):
     lo, hi = float(ld.min()), float(ld.max())
     if hi - lo < 0.5:
         raise WindowError("corner window spans less than half a decade")
-    edges = np.linspace(lo, hi, bins + 1)
-    which = np.clip(np.digitize(ld, edges) - 1, 0, bins - 1)
+    edges = np.linspace(lo, hi, FIT_BINS + 1)
+    which = np.clip(np.digitize(ld, edges) - 1, 0, FIT_BINS - 1)
     xs, ys = [], []
-    for b in range(bins):
+    for b in range(FIT_BINS):
         sel = which == b
         if not np.any(sel):
             continue
@@ -432,18 +440,17 @@ def _binned_log_fit(d: np.ndarray, vals: np.ndarray, bins: int, agg: str):
 def corner_exponent(
     solution: BvpSolution,
     theta: float | ContactAngle | None = None,
-    collar_layers: int = 2,
     window_fraction: float = 0.2,
-    bins: int = 12,
-    min_r2: float = 0.9,
 ) -> CornerFit:
     """Log-log fits of the Hessian decay and the |f| growth against d_Gamma.
 
-    The window excludes collar_layers layers of cells at Gamma (recovery
-    pollution) and caps distances at window_fraction of the domain diameter.
-    lambda_hat comes from the |f| growth; the Hessian fit reports
-    beta_hat and the implied 3 - 2 beta_hat.
+    The window excludes COLLAR_LAYERS layers of cells at Gamma (recovery
+    pollution) and caps distances at window_fraction, in (0, 1), of the
+    domain diameter.  lambda_hat comes from the |f| growth; the Hessian fit
+    reports beta_hat and the implied 3 - 2 beta_hat.
     """
+    if not 0.0 < window_fraction < 1.0:
+        raise ConfigError(f"corner window fraction must lie in (0, 1), got {window_fraction}")
     domain = solution.domain
     if domain.dim != 2:
         raise HkLabError("corner exponent fits are for planar domains (n = 1)")
@@ -455,21 +462,21 @@ def corner_exponent(
     diam = float(np.linalg.norm(extent))
     d_hi = window_fraction * diam
 
-    hop = _hop_distance(domain, domain.gamma_vertices, collar_layers)
+    hop = _hop_distance(domain, domain.gamma_vertices, COLLAR_LAYERS)
     cell_hop = hop[domain.cells].min(axis=1)
     centroids = domain.vertices[domain.cells].mean(axis=1)
     gamma_pts = domain.vertices[domain.gamma_vertices]
     d_cell = np.min(
         np.linalg.norm(centroids[:, None, :] - gamma_pts[None, :, :], axis=2), axis=1
     )
-    cell_ok = (cell_hop > collar_layers) & (d_cell <= d_hi)
+    cell_ok = (cell_hop > COLLAR_LAYERS) & (d_cell <= d_hi)
     hess_mag = solution.hessian_frobenius()
-    beta_slope, r2_h = _binned_log_fit(d_cell[cell_ok], hess_mag[cell_ok], bins, "mean")
+    beta_slope, r2_h = _binned_log_fit(d_cell[cell_ok], hess_mag[cell_ok], "mean")
     beta_hat = -beta_slope
 
-    vert_ok = (hop > collar_layers) & (domain.d_gamma <= d_hi)
+    vert_ok = (hop > COLLAR_LAYERS) & (domain.d_gamma <= d_hi)
     growth_slope, r2_g = _binned_log_fit(
-        domain.d_gamma[vert_ok], np.abs(solution.f[vert_ok]), bins, "max"
+        domain.d_gamma[vert_ok], np.abs(solution.f[vert_ok]), "max"
     )
 
     d_used = d_cell[cell_ok]
@@ -483,7 +490,7 @@ def corner_exponent(
         r2_hessian=r2_h,
         r2_growth=r2_g,
         wedge_reference=wedge_ref,
-        low_trust=(r2_g < min_r2),
+        low_trust=(r2_g < MIN_GROWTH_R2),
     )
 
 
@@ -522,10 +529,10 @@ def wedge_barrier_check(lam: float, theta: float | ContactAngle, grid: int = 128
     """
     angle = as_angle(theta)
     if grid < 64:
-        raise HkLabError("wedge grid must be at least 64")
+        raise ConfigError(f"wedge grid must be at least 64, got {grid}")
     upper = math.pi / (2.0 * angle.radians)
     if not (1.0 - 1e-9 <= lam <= upper + 1e-9):
-        raise HkLabError(
+        raise ConfigError(
             f"lambda {lam} outside the admissible window [1, pi/(2 theta)] = [1, {upper}]"
         )
     eta = np.linspace(0.0, angle.radians, grid)

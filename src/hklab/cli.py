@@ -30,7 +30,7 @@ from hklab.bvp import (
 )
 from hklab.caps import make_cap
 from hklab.domain import mesh_domain
-from hklab.errors import HkLabError, MeshFileError
+from hklab.errors import ConfigError, HkLabError, MeshFileError
 from hklab.meshio import (
     dump_json,
     dumps_json,
@@ -46,7 +46,6 @@ from hklab.reilly import hk_pipeline, reilly_sides
 from hklab.report import (
     REILLY_DEFECT_TOL,
     WEIGHTED_REILLY_DEFECT_TOL,
-    ConfigError,
     Scenario,
     check_inputs,
     run_scenario,
@@ -100,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normal bump amplitude applied to a cap source")
     run_p.add_argument("--checks", default="all",
                        help="comma list of identities,hk,bvp,reilly,corner or all")
-    run_p.add_argument("--ladder", default="16,32,64", help="comma list of resolutions")
+    run_p.add_argument("--ladder", default=None,
+                       help="comma list of resolutions (default 16,32,64 at --dim 1, "
+                            "8,16,24 at --dim 2)")
     run_p.add_argument("--grading", type=float, default=0.5, help="corner grading exponent")
     run_p.add_argument("--tol", type=float, default=1e-10, help="linear solver tolerance")
     run_p.add_argument("--max-iter", type=int, default=None, help="CG iteration cap")
@@ -171,7 +172,10 @@ def _scenario_from_args(args) -> Scenario:
     else:
         surface = {"kind": "cap", "radius": args.cap_radius}
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    ladder = [r for r in args.ladder.split(",") if r.strip()]  # Scenario checks them
+    ladder = args.ladder
+    if ladder is None:  # every rung is solved at its own resolution: n = 2 at 64 is ~500k vertices
+        ladder = "16,32,64" if args.dim == 1 else "8,16,24"
+    ladder = [r for r in ladder.split(",") if r.strip()]  # Scenario checks them
     name = args.name or f"{args.container}-n{args.dim}"
     return Scenario(
         name=name,

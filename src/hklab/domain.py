@@ -10,7 +10,8 @@ closed rings, the same way.
 Planar domains (n = 1) strip-mesh between the surface polyline and the
 support path, graded into both corners with local size ~ d_Gamma^exponent.
 Solid domains (n = 2) are axisymmetric (cap, lens or ball): the (rho, z)
-cross-section between the generator curve and the axis+support path is
+cross-section between the generator curve (surface.generator_polyline,
+the samples the surface revolves) and the axis+support path is
 strip-meshed, then revolved by meshutil.revolve with the azimuthal count the
 surfaces use; prisms are split into tetrahedra with the min-vertex
 face-diagonal rule, so the mesh is conforming and deterministic.  The prism
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hklab.caps import AnalyticCap
 from hklab.containers import Container, ContactAngle
 from hklab.errors import HkLabError, MeshQualityError
 from hklab.meshutil import (
@@ -45,9 +45,11 @@ from hklab.meshutil import (
     simplex_measures,
     zipper_rows,
 )
-from hklab.surface import SurfaceMesh, surface_spacing
+from hklab.surface import SurfaceMesh, generator_polyline
 
 logger = logging.getLogger("hklab.domain")
+
+QUALITY_WARNING = 1e-4  # mesh_domain warns about cells whose shape measure is below this
 
 
 @dataclass
@@ -332,24 +334,6 @@ def _split_quads(quads: np.ndarray) -> np.ndarray:
     return tris.reshape(-1, 3)
 
 
-def _generator_polyline(surface: SurfaceMesh, resolution: int):
-    """(rho, z) generator samples (pole first) and mean curvature along them."""
-    source = surface.source
-    if isinstance(source, AnalyticCap):
-        from hklab.surface import _cap_generator_point, _ladder_angles
-
-        angles = _ladder_angles(source, resolution, 0.0)
-        samples = _cap_generator_point(source, angles)
-        h = np.full(len(samples), source.mean_curvature)
-        return samples, h
-    from hklab.profiles import ProfileCurve, profile_mean_curvature, resample_profile
-
-    if isinstance(source, ProfileCurve):
-        prof = resample_profile(source, resolution)
-        return prof.samples, profile_mean_curvature(prof)
-    raise HkLabError("3-d domain meshing needs an analytic cap or profile source")
-
-
 def _other_rail(container: Container, apex: np.ndarray, corner: np.ndarray,
                 count: int) -> np.ndarray:
     """Axis + support path from the apex to the corner of the cross-section."""
@@ -373,7 +357,7 @@ def _other_rail(container: Container, apex: np.ndarray, corner: np.ndarray,
 
 def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
                     grading: float) -> DomainMesh:
-    gen, h_gen = _generator_polyline(surface, resolution)
+    gen, h_gen, _ = generator_polyline(surface.source, resolution)
     apex, corner = gen[0], gen[-1]
     rail_other = _other_rail(container, apex, corner, max(resolution, 8))
 
@@ -466,19 +450,20 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
 
 def mesh_domain(
     surface: SurfaceMesh,
-    container: Container | str | None = None,
-    resolution: int | None = None,
+    container: Container | str | None,
+    resolution: int,
     grading: float = 0.5,
-    quality_threshold: float = 1e-4,
 ) -> DomainMesh:
-    """Mesh the region enclosed by the surface and its support patch."""
+    """Mesh the region enclosed by the surface and its support patch.
+
+    container None takes the surface's; a mesh with cells below
+    QUALITY_WARNING is kept, with a warning.
+    """
     from hklab.containers import parse_container, support_deviation
 
     container = surface.container if container is None else parse_container(container)
     if container is not surface.container:
         raise HkLabError("surface and requested container disagree")
-    if resolution is None:
-        resolution = max(8, int(round(1.0 / surface_spacing(surface))))
     if container.has_support:
         loop_pts = surface.vertices[surface.boundary_vertices]
         dev = np.abs(support_deviation(container, loop_pts))
@@ -495,9 +480,9 @@ def mesh_domain(
     q_min = float(np.min(q))
     logger.info("domain mesh: nv=%d nc=%d min_quality=%.3e", dom.num_vertices,
                 len(dom.cells), q_min)
-    if q_min < quality_threshold:
-        bad = int(np.sum(q < quality_threshold))
-        logger.warning("domain mesh has %d cells below quality %.1e", bad, quality_threshold)
+    if q_min < QUALITY_WARNING:
+        bad = int(np.sum(q < QUALITY_WARNING))
+        logger.warning("domain mesh has %d cells below quality %.1e", bad, QUALITY_WARNING)
     return dom
 
 

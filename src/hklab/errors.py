@@ -5,6 +5,10 @@ class HkLabError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(HkLabError):
+    """Invalid configuration: an input outside its documented range."""
+
+
 class InfeasibleCapError(HkLabError):
     """No spherical cap meets the requested container/angle/size."""
 

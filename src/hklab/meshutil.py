@@ -20,14 +20,14 @@ def graded_nodes(
     target: float,
     exponent: float = 0.0,
     sides: str = "both",
-    cap_fraction: float = 0.25,
 ) -> np.ndarray:
     """Monotone nodes on [0, length] with spacing ~ target * (d/cap)^exponent.
 
-    d is the distance to the refined end(s); sides selects refinement toward
-    both ends, only the start, only the end, or none (uniform).  The first
-    cell size is the self-consistent fixed point of the grading law, which
-    for exponent 0.5 is quadratically smaller than target.
+    d is the distance to the refined end(s) and cap a quarter of the length;
+    sides selects refinement toward both ends, only the end, or none
+    (uniform).  The first cell size is the self-consistent fixed point of
+    the grading law, which for exponent 0.5 is quadratically smaller than
+    target.
     """
     if length <= 0 or target <= 0:
         raise ValueError("graded_nodes needs positive length and target")
@@ -35,7 +35,7 @@ def graded_nodes(
         k = max(1, int(round(length / target)))
         return np.linspace(0.0, length, k + 1)
 
-    cap = cap_fraction * length
+    cap = 0.25 * length
     c = target / cap**exponent
     d1 = min(c ** (1.0 / (1.0 - exponent)), cap)
     interior = c * cap**exponent
@@ -62,11 +62,8 @@ def graded_nodes(
         if half - left[-1] > 1e-12 * length:
             return np.concatenate([left, [half], right])
         return np.concatenate([left, right[1:]])
-    if sides in ("start", "end"):
-        nodes = np.concatenate([march(length), [length]])
-        if sides == "end":
-            nodes = length - nodes[::-1]
-        return nodes
+    if sides == "end":
+        return length - np.concatenate([march(length), [length]])[::-1]
     raise ValueError(f"unknown sides {sides!r}")
 
 

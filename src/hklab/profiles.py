@@ -152,20 +152,14 @@ def profile_from_cap(cap, samples: int = 257) -> ProfileCurve:
     return replace(prof, mean_convex=True)
 
 
-def perturb_profile(profile: ProfileCurve, amplitude: float, mode: str = "apex") -> ProfileCurve:
+def perturb_profile(profile: ProfileCurve, amplitude: float) -> ProfileCurve:
     """Normal perturbation by a bump vanishing to second order at the support.
 
-    mode "apex" peaks at the pole (gentler curvature excursion), "interior"
-    vanishes to second order at both ends.  Contact angle and endpoint are
-    preserved exactly.
+    The bump cos^2(pi s / 2) of the arclength fraction s peaks at the pole.
+    Contact angle and endpoint are preserved exactly.
     """
     s = profile.arclengths / profile.length
-    if mode == "apex":
-        bump = np.cos(0.5 * math.pi * s) ** 2
-    elif mode == "interior":
-        bump = np.sin(math.pi * s) ** 2
-    else:
-        raise ValueError(f"unknown bump mode {mode!r}")
+    bump = np.cos(0.5 * math.pi * s) ** 2
     normals = profile_normals(profile)
     pts = profile.samples + amplitude * bump[:, None] * normals
     pts[0, 0] = 0.0  # pole stays on the axis
@@ -190,14 +184,13 @@ def make_axisymmetric(
     theta: float | ContactAngle,
     container: Container | str,
     require_mean_convex: bool = False,
-    blend_fraction: float = 0.25,
 ) -> ProfileCurve:
     """Correct a profile into an exactly capillary one and flag mean convexity.
 
     The endpoint is projected onto the support, the endpoint tangent is set to
-    the direction realizing contact angle theta, and the last blend_fraction of
-    the curve is replaced by a cubic Hermite blend.  Profiles already capillary
-    within 1e-12 are returned unchanged.
+    the direction realizing contact angle theta, and the last quarter of the
+    curve (by arclength) is replaced by a cubic Hermite blend.  Profiles
+    already capillary within 1e-12 are returned unchanged.
     """
     from hklab.containers import parse_container
 
@@ -222,7 +215,7 @@ def make_axisymmetric(
 
     # Hermite blend over the tail of the curve
     s = prof.arclengths
-    anchor = int(np.searchsorted(s, (1.0 - blend_fraction) * s[-1]))
+    anchor = int(np.searchsorted(s, 0.75 * s[-1]))
     anchor = min(max(anchor, 1), len(s) - 3)
     p0 = prof.samples[anchor]
     t0 = profile_tangents(prof)[anchor]

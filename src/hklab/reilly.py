@@ -244,7 +244,6 @@ def hk_pipeline(
     surface: SurfaceMesh,
     solution: BvpSolution,
     theta: float | ContactAngle | None = None,
-    identity_rtol: float = IDENTITY_RTOL,
 ) -> PipelineTrace:
     """Replay the inequality chain on a discrete solution, step by step."""
     from hklab.containers import parse_container
@@ -294,7 +293,7 @@ def hk_pipeline(
         )
     )
     steps.append(
-        PipelineStep("reilly_identity", sides.volume_side, sides.boundary_side, "=", identity_rtol)
+        PipelineStep("reilly_identity", sides.volume_side, sides.boundary_side, "=", IDENTITY_RTOL)
     )
 
     if ball:
@@ -305,24 +304,24 @@ def hk_pipeline(
     else:
         flux = gamma_t_flux(domain, solution, "1")
         corner_rhs = (n / (n + 1.0)) * area_t
-    steps.append(PipelineStep("corner_flux", flux, corner_rhs, "=", identity_rtol))
+    steps.append(PipelineStep("corner_flux", flux, corner_rhs, "=", IDENTITY_RTOL))
 
     int_f_nu = float(np.sum(wface * f_nu))
     int_h_f_nu2 = float(np.sum(wface * h_sigma * f_nu**2))
     int_inv_h = float(np.sum(wface / h_sigma))
     t_term = c * (int_t_z if ball else area_t)
-    steps.append(PipelineStep("divergence", vol_w, int_f_nu + t_term, "=", identity_rtol))
+    steps.append(PipelineStep("divergence", vol_w, int_f_nu + t_term, "=", IDENTITY_RTOL))
 
     if ball:
         correction = (n / (n + 1.0)) * angle.cos * int_t_z**2 / b_mu
     else:
         correction = (n / (n + 1.0)) * angle.cot * area_t**2 / gamma_loop_measure(domain)
     steps.append(
-        PipelineStep("capillary_balance", int_f_nu, vol_w + correction, "=", identity_rtol)
+        PipelineStep("capillary_balance", int_f_nu, vol_w + correction, "=", IDENTITY_RTOL)
     )
     steps.append(
         PipelineStep(
-            "main_inequality", int_f_nu, (n + 1.0) / n * int_h_f_nu2, ">=", identity_rtol
+            "main_inequality", int_f_nu, (n + 1.0) / n * int_h_f_nu2, ">=", IDENTITY_RTOL
         )
     )
     steps.append(
@@ -333,13 +332,13 @@ def hk_pipeline(
         int_inv_h,
         (n + 1.0) / n * vol_w + correction * (n + 1.0) / n,
         ">=",
-        identity_rtol,
+        IDENTITY_RTOL,
     )
     steps.append(final)
 
     eq_steps = [s for s in steps if s.sense == ">="]
     equality_case = all(
-        abs(s.margin) <= identity_rtol * max(abs(s.lhs), abs(s.rhs), MACHINE_FLOOR)
+        abs(s.margin) <= IDENTITY_RTOL * max(abs(s.lhs), abs(s.rhs), MACHINE_FLOOR)
         for s in eq_steps
     ) and all(s.passed for s in steps)
 

@@ -24,7 +24,7 @@ from hklab.bvp import capillary_problem, corner_exponent, exact_cap_solution, so
 from hklab.caps import AnalyticCap, make_cap
 from hklab.containers import Container, ContactAngle, as_angle, parse_container
 from hklab.domain import mesh_domain
-from hklab.errors import HkLabError, WindowError
+from hklab.errors import ConfigError, WindowError
 from hklab.identities import applicable_identities, check_identity, hk_report
 from hklab.profiles import ProfileCurve, make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.reilly import hk_pipeline, reilly_sides
@@ -44,10 +44,6 @@ WEIGHTED_REILLY_DEFECT_TOL = 5e-2
 # cap radii the meshers handle: their absolute tolerances (1e-12 to 1e-14)
 # assume geometry of unit order
 RADIUS_MIN, RADIUS_MAX = 1e-6, 1e4
-
-
-class ConfigError(HkLabError):
-    """Invalid scenario configuration."""
 
 
 def check_inputs(container: str, theta: float | None, radius: float = 1.0, resolutions=(),
@@ -120,6 +116,8 @@ class Scenario:
                             self.ladder, self.grading, self.tol, self.max_iter)
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         try:
             finite = math.isfinite(float(self.perturb))
         except (TypeError, ValueError):
@@ -158,7 +156,12 @@ class Scenario:
 
 
 def _build_source(scenario: Scenario):
-    """Geometry source per the scenario surface spec."""
+    """Geometry source per the scenario surface spec.
+
+    An OFF file is one mesh: it takes one rung, and at n = 2 only the
+    identities, which need no domain.  A file must hold a surface of the
+    scenario's dimension.
+    """
     kind = scenario.surface.get("kind", "cap")
     container = parse_container(scenario.container)
     if kind == "cap":
@@ -171,8 +174,15 @@ def _build_source(scenario: Scenario):
     if kind == "off":
         from hklab.meshio import read_off
 
-        return read_off(scenario.surface["path"], container, scenario.theta)
-    if kind == "profile":
+        if len(scenario.ladder) > 1:
+            raise ConfigError(f"an OFF surface is one mesh and takes one rung, "
+                              f"got the ladder {scenario.ladder}")
+        source = read_off(scenario.surface["path"], container, scenario.theta)
+        domain_checks = sorted({"hk", "bvp", "reilly"} & set(scenario.checks))
+        if source.dim == 2 and domain_checks:
+            raise ConfigError(f"{', '.join(domain_checks)} need a domain mesh, which an n = 2 "
+                              f"OFF surface cannot give: use a cap or a profile source")
+    elif kind == "profile":
         import json
 
         data = json.loads(Path(scenario.surface["path"]).read_text(encoding="utf-8"))
@@ -182,8 +192,13 @@ def _build_source(scenario: Scenario):
             as_angle(data.get("theta", scenario.theta)),
             dim=int(data.get("dim", scenario.dim)),
         )
-        return make_axisymmetric(prof, scenario.theta, container)
-    raise ConfigError(f"unknown surface kind {kind!r}")
+        source = make_axisymmetric(prof, scenario.theta, container)
+    else:
+        raise ConfigError(f"unknown surface kind {kind!r}")
+    if source.dim != scenario.dim:
+        raise ConfigError(f"the surface file holds an n = {source.dim} surface, "
+                          f"but the scenario asks for dim {scenario.dim}")
+    return source
 
 
 def _l2_error(domain, values, exact) -> float:
@@ -201,22 +216,12 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
     result: dict = {"resolution": resolution}
 
     # derivative recovery is cleanest on ungraded meshes; only the corner fit
-    # needs the grading toward Gamma.  Solid (n = 2) domains are capped: the
-    # integral checks only need O(h^2) volume accuracy and the solver stages
-    # carry the recovery cost.
-    res_int = resolution if scenario.dim == 1 else min(resolution, 48)
-    res_sol = resolution if scenario.dim == 1 else min(resolution, 24)
+    # needs the grading toward Gamma.  Every domain of the rung is meshed at
+    # the rung's own resolution.
     needs_solve = bool({"bvp", "reilly"} & set(scenario.checks)) and container.has_support
     domain = None
-    domain_sol = None
-    if "hk" in scenario.checks or (needs_solve and res_sol == res_int):
-        domain = mesh_domain(surface, container, res_int, grading=0.0)
-    if needs_solve:
-        domain_sol = (
-            domain
-            if res_sol == res_int
-            else mesh_domain(surface, container, res_sol, grading=0.0)
-        )
+    if "hk" in scenario.checks or needs_solve:
+        domain = mesh_domain(surface, container, resolution, grading=0.0)
 
     if "identities" in scenario.checks:
         entries = []
@@ -235,7 +240,7 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
 
     solution = None
     if needs_solve:
-        problem = capillary_problem(domain_sol, scenario.theta)
+        problem = capillary_problem(domain, scenario.theta)
         solution = solve_mixed_bvp(problem, tol=scenario.tol, max_iter=scenario.max_iter)
 
     if "bvp" in scenario.checks and solution is not None:
@@ -247,18 +252,16 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
             "max_f": float(solution.f.max()),
         }
         if isinstance(source, AnalyticCap):
-            entry["l2_error"] = _l2_error(
-                domain_sol, solution.f, exact_cap_solution(source)
-            )
+            entry["l2_error"] = _l2_error(domain, solution.f, exact_cap_solution(source))
         result["bvp"] = entry
 
     if "reilly" in scenario.checks and solution is not None:
-        sides = reilly_sides(domain_sol, solution, weighted=False)
+        sides = reilly_sides(domain, solution, weighted=False)
         entry = {"unweighted": sides.to_dict()}
         if container is Container.HALF_BALL:
-            entry["weighted"] = reilly_sides(domain_sol, solution, weighted=True).to_dict()
+            entry["weighted"] = reilly_sides(domain, solution, weighted=True).to_dict()
         entry["pipeline"] = hk_pipeline(
-            container, domain_sol, surface, solution, scenario.theta
+            container, domain, surface, solution, scenario.theta
         ).to_dict()
         result["reilly"] = entry
 

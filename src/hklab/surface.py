@@ -1,16 +1,17 @@
 """Simplicial hypersurface meshes and their geometric fields.
 
-mesh_surface builds polylines (n = 1) or surfaces of revolution (n = 2:
-meshutil.revolve rings zipped by meshutil.zipper_rows) from analytic caps
-and profile curves.  Analytic sources get exact fields; profile sources get
-fields from the profile's own estimators; discrete estimators for everything
-(area-weighted normals, cotangent mean curvature, boundary frames from the
-induced loop orientation) live in discrete_geometry and are what imported
-meshes rely on.  Every mesh comes from build_surface_mesh, which validates
-the cells and fills what a source does not know.  On Gamma, a source's frame
-takes N_bar and nu_bar from the support (support_normal, support_conormal)
-and mu from the source: exact on caps, the end tangent turned about the axis
-on profiles.
+mesh_surface builds ungraded polylines (n = 1) or surfaces of revolution
+(n = 2: meshutil.revolve rings zipped by meshutil.zipper_rows) from analytic
+caps and profile curves.  An n = 2 surface revolves the samples of
+generator_polyline, which domain meshing revolves too.  Analytic sources get
+exact fields; profile sources get fields from the profile's own estimators;
+discrete estimators for everything (area-weighted normals, cotangent mean
+curvature, boundary frames from the induced loop orientation) live in
+discrete_geometry and are what imported meshes rely on.  Every mesh comes
+from build_surface_mesh, which validates the cells and fills what a source
+does not know.  On Gamma, a source's frame takes N_bar and nu_bar from the
+support (support_normal, support_conormal) and mu from the source: exact on
+caps, the end tangent turned about the axis on profiles.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from hklab.errors import HkLabError, MeshQualityError
 from hklab.meshutil import (
     check_indices,
     circumcircle_curvature,
-    graded_nodes,
-    polyline_interp,
     polyline_order,
     revolve,
     simplex_measures,
@@ -154,12 +153,6 @@ def enclosed_volume_flux(mesh: SurfaceMesh) -> float:
     return float(np.sum(areas * np.einsum("ij,ij->i", w, normals)))
 
 
-def surface_spacing(mesh: SurfaceMesh) -> float:
-    if mesh.dim == 1:
-        return float(np.mean(mesh.cell_areas))
-    return float(np.sqrt(np.mean(mesh.cell_areas)))
-
-
 # ---------------------------------------------------------------------------
 # boundary loops and frames
 # ---------------------------------------------------------------------------
@@ -268,28 +261,31 @@ def _frames_1d(vertices: np.ndarray, order: np.ndarray, container: Container):
 # ---------------------------------------------------------------------------
 
 
-def _ladder_angles(cap: AnalyticCap, resolution: int, grading: float) -> np.ndarray:
-    """Polar ladder of the generator arc, graded toward the support end."""
-    if cap.container is Container.HALF_SPACE:
-        span = cap.theta.effective
-        sides = "end"
-    elif cap.container is Container.HALF_BALL:
-        span = cap.quantities["sigma_half_angle"]
-        sides = "end"
+def generator_polyline(source: AnalyticCap | ProfileCurve, resolution: int):
+    """The generator of an n = 2 source at resolution uniform steps.
+
+    Returns the (rho, z) samples, pole first, the mean curvature at each and
+    the step length.  Caps step uniformly in polar angle, profiles in
+    arclength; the surface and the domain meshers revolve these same samples.
+    """
+    if isinstance(source, ProfileCurve):
+        prof = resample_profile(source, resolution)
+        return prof.samples, profile_mean_curvature(prof), prof.length / resolution
+    if not isinstance(source, AnalyticCap):
+        raise HkLabError("3-d domain meshing needs an analytic cap or profile source")
+    r = source.radius
+    if source.container is Container.HALF_SPACE:
+        span = source.theta.effective
+    elif source.container is Container.HALF_BALL:
+        span = source.quantities["sigma_half_angle"]
     else:
         span = math.pi
-        sides = "none"
-    arc = span * cap.radius
-    nodes = graded_nodes(arc, arc / resolution, grading, sides=sides)
-    return nodes / cap.radius
-
-
-def _cap_generator_point(cap: AnalyticCap, angles: np.ndarray) -> np.ndarray:
-    """Generator (rho, z) samples at polar angles measured from the pole."""
-    r = cap.radius
-    if cap.container is Container.HALF_BALL:
-        return np.column_stack([r * np.sin(angles), cap.center[-1] - r * np.cos(angles)])
-    return np.column_stack([r * np.sin(angles), cap.center[-1] + r * np.cos(angles)])
+    angles = np.linspace(0.0, span * r, resolution + 1) / r  # polar angles from the pole
+    rho, z = r * np.sin(angles), r * np.cos(angles)
+    # the half-ball cap hangs below its centre, the others stand above it
+    z = source.center[-1] - z if source.container is Container.HALF_BALL else source.center[-1] + z
+    samples = np.column_stack([rho, z])
+    return samples, np.full(len(samples), source.mean_curvature), r * angles[-1] / resolution
 
 
 def _revolve(samples: np.ndarray, spacing: float, close_end: bool):
@@ -315,53 +311,54 @@ def _revolve(samples: np.ndarray, spacing: float, close_end: bool):
     return vertices, zipper_rows(rows, keys), sample_of_vertex
 
 
-def mesh_surface(
-    source: AnalyticCap | ProfileCurve, resolution: int, grading: float = 0.0
-) -> SurfaceMesh:
-    """Simplicial mesh of the hypersurface with all geometric fields populated."""
+def mesh_surface(source: AnalyticCap | ProfileCurve, resolution: int) -> SurfaceMesh:
+    """Ungraded simplicial mesh of the hypersurface with all geometric fields populated."""
     if resolution < 4:
         raise HkLabError("resolution must be at least 4")
+    if not isinstance(source, (AnalyticCap, ProfileCurve)):
+        raise TypeError(f"cannot mesh source of type {type(source).__name__}")
+    if source.dim == 2:
+        return _mesh_revolved(source, resolution)
     if isinstance(source, AnalyticCap):
-        if source.dim == 1:
-            return _mesh_cap_1d(source, resolution, grading)
-        return _mesh_cap_2d(source, resolution, grading)
-    if isinstance(source, ProfileCurve):
-        if source.dim == 1:
-            return _mesh_profile_1d(source, resolution, grading)
-        return _mesh_profile_2d(source, resolution, grading)
-    raise TypeError(f"cannot mesh source of type {type(source).__name__}")
+        return _mesh_cap_1d(source, resolution)
+    return _mesh_profile_1d(source, resolution)
 
 
-def _revolved_mesh(source, vertices, cells, normals, mean_curv, frame_of, low_trust=None):
-    """Outward-oriented surface of revolution; unless closed, Gamma is its one
-    boundary loop with the frame frame_of(points)."""
+def _mesh_revolved(source: AnalyticCap | ProfileCurve, resolution: int) -> SurfaceMesh:
+    """Outward-oriented surface of revolution of the source's generator; unless
+    closed, Gamma is its one boundary loop.
+
+    Caps keep their exact normals and Gamma frame; profiles take theirs from
+    the resampled profile, and their Gamma ring is low trust.
+    """
+    samples, mean_curv, step = generator_polyline(source, resolution)
+    closed = source.container is Container.CLOSED
+    vertices, cells, sample_ix = _revolve(samples, step, close_end=closed)
+    cap = isinstance(source, AnalyticCap)
+    if cap:
+        normals, low_trust = source.normal(vertices), None
+    else:
+        prof = replace(source, samples=samples)
+        normals = _profile_vertex_normals(prof, sample_ix, vertices)
+        low_trust = sample_ix == len(samples) - 1
     mesh = build_surface_mesh(2, source.container, source.theta, vertices, cells, normals,
-                              mean_curv, low_trust, source)
+                              mean_curv[sample_ix], low_trust, source)
     if enclosed_volume_flux(mesh) < 0:
         # swapping two vertices of every cell turns the flux positive; areas stay
         cells = cells.copy()
         cells[:, [0, 1]] = cells[:, [1, 0]]
         mesh = replace(mesh, cells=cells)
-    if source.container is Container.CLOSED:
+    if closed:
         return mesh
     loops = _boundary_loops_2d(mesh.cells)
     if len(loops) != 1:
         raise HkLabError(f"surface of revolution must have one boundary loop, found {len(loops)}")
-    return _with_gamma(mesh, loops, frame_of(vertices[loops[0]]))
+    pts = vertices[loops[0]]
+    return _with_gamma(mesh, loops,
+                       gamma_frame(source, pts) if cap else _profile_boundary_frame(prof, pts))
 
 
-def _mesh_cap_2d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMesh:
-    angles = _ladder_angles(cap, resolution, grading)
-    samples = _cap_generator_point(cap, angles)
-    ring_target = cap.radius * (angles[-1] - angles[0]) / resolution
-    closed = cap.container is Container.CLOSED
-    vertices, cells, _ = _revolve(samples, ring_target, close_end=closed)
-    mean_curv = np.full(len(vertices), cap.mean_curvature)
-    return _revolved_mesh(cap, vertices, cells, cap.normal(vertices), mean_curv,
-                          lambda pts: gamma_frame(cap, pts))
-
-
-def _mesh_cap_1d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMesh:
+def _mesh_cap_1d(cap: AnalyticCap, resolution: int) -> SurfaceMesh:
     r = cap.radius
     closed = cap.container is Container.CLOSED
     if closed:
@@ -370,14 +367,14 @@ def _mesh_cap_1d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMe
         vertices = cap.center[None, :] + r * np.column_stack([-np.sin(beta), np.cos(beta)])
     elif cap.container is Container.HALF_SPACE:
         span = cap.theta.effective
-        arc = graded_nodes(2.0 * span * r, 2.0 * span * r / resolution, grading, sides="both")
+        arc = np.linspace(0.0, 2.0 * span * r, resolution + 1)
         beta = span - arc / r  # from +theta down to -theta: outward normals
         vertices = cap.center[None, :] + r * np.column_stack([np.sin(beta), np.cos(beta)])
         vertices[0, 1] = 0.0
         vertices[-1, 1] = 0.0
     else:
         span = cap.quantities["sigma_half_angle"]
-        arc = graded_nodes(2.0 * span * r, 2.0 * span * r / resolution, grading, sides="both")
+        arc = np.linspace(0.0, 2.0 * span * r, resolution + 1)
         alpha = -span + arc / r  # from -alpha* to +alpha*: outward normals
         vertices = cap.center[None, :] + r * np.column_stack([np.sin(alpha), -np.cos(alpha)])
     order = np.arange(len(vertices), dtype=np.int64)
@@ -392,18 +389,10 @@ def _mesh_cap_1d(cap: AnalyticCap, resolution: int, grading: float) -> SurfaceMe
     return mesh
 
 
-def _resampled(profile: ProfileCurve, count: int, grading: float) -> ProfileCurve:
-    """count cells of the profile, arclength-uniform or graded toward the support."""
-    if grading > 0:
-        fracs = graded_nodes(1.0, 1.0 / count, grading, sides="end")
-        return replace(profile, samples=polyline_interp(profile.samples, fracs))
-    return resample_profile(profile, count)
-
-
-def _profile_vertex_fields(profile: ProfileCurve, sample_ix: np.ndarray, vertices: np.ndarray):
-    """Transfer profile normals and curvature onto revolved ring vertices."""
+def _profile_vertex_normals(profile: ProfileCurve, sample_ix: np.ndarray,
+                            vertices: np.ndarray) -> np.ndarray:
+    """Transfer profile normals onto revolved ring vertices."""
     pn = profile_normals(profile)
-    h = profile_mean_curvature(profile)
     rho = np.linalg.norm(vertices[:, :2], axis=1)
     omega = np.zeros((len(vertices), 2))
     off_axis = rho > 1e-12
@@ -419,16 +408,7 @@ def _profile_vertex_fields(profile: ProfileCurve, sample_ix: np.ndarray, vertice
     on_axis = ~off_axis
     normals[on_axis] = 0.0
     normals[on_axis, 2] = np.sign(pn[sample_ix[on_axis], 1])
-    return normals, h[sample_ix]
-
-
-def _mesh_profile_2d(profile: ProfileCurve, resolution: int, grading: float) -> SurfaceMesh:
-    prof = _resampled(profile, resolution, grading)
-    vertices, cells, sample_ix = _revolve(prof.samples, prof.length / resolution, close_end=False)
-    normals, mean_curv = _profile_vertex_fields(prof, sample_ix, vertices)
-    low_trust = sample_ix == len(prof.samples) - 1
-    return _revolved_mesh(profile, vertices, cells, normals, mean_curv,
-                          lambda pts: _profile_boundary_frame(prof, pts), low_trust)
+    return normals
 
 
 def _profile_boundary_frame(profile: ProfileCurve, pts: np.ndarray):
@@ -443,8 +423,8 @@ def _profile_boundary_frame(profile: ProfileCurve, pts: np.ndarray):
     return mu, support_conormal(profile.container, pts), support_normal(profile.container, pts)
 
 
-def _mesh_profile_1d(profile: ProfileCurve, resolution: int, grading: float) -> SurfaceMesh:
-    prof = _resampled(profile, max(resolution // 2, 2), grading)
+def _mesh_profile_1d(profile: ProfileCurve, resolution: int) -> SurfaceMesh:
+    prof = resample_profile(profile, max(resolution // 2, 2))
     samples = prof.samples
     mirrored = samples[1:].copy()
     mirrored[:, 0] = -mirrored[:, 0]
@@ -564,8 +544,9 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
             loops = [order[:1], order[-1:]]
             frame = _frames_1d(mesh.vertices, order, mesh.container)
 
-    out = build_surface_mesh(mesh.dim, mesh.container, mesh.theta, mesh.vertices, mesh.cells,
-                             normals, mean_curv, source=mesh.source)
+    # the cells were validated when the mesh was built; only the fields change
+    out = replace(mesh, cell_areas=areas, normals=normals, mean_curvature=mean_curv,
+                  low_trust=np.zeros(nv, dtype=bool))
     if not loops:
         return out
     out = _with_gamma(out, loops, frame)

@@ -74,12 +74,28 @@ def test_geometry_checks_mesh_no_solve_domain(tmp_path, monkeypatch):
         return mesh_domain(*args, **kwargs)
 
     monkeypatch.setattr(hklab.report, "mesh_domain", counting)
+    out = tmp_path / "r.json"
     code = run_cli(
         "run", "--container", "half-space", "--theta", THETA_STR, "--dim", "2",
-        "--checks", "hk", "--ladder", "16,32", "--out", str(tmp_path / "r.json"),
+        "--checks", "hk", "--ladder", "16,52", "--out", str(out),
     )
     assert code == 0
-    assert calls == [16, 32]
+    # each rung is meshed at its own resolution (n = 2 rungs were once capped
+    # at 48), and the rate divides by the resolutions used
+    assert calls == [16, 52]
+    report = json.loads(out.read_text())
+    coarse, fine = (r["hk"]["gap"] for r in report["results"])
+    assert report["rates"]["hk_gap"] == [
+        math.log2(abs(coarse) / abs(fine)) / math.log2(52 / 16)
+    ]
+
+
+@pytest.mark.parametrize("dim, ladder", [("1", [16, 32, 64]), ("2", [8, 16, 24])])
+def test_default_ladder_follows_the_dimension(dim, ladder):
+    from hklab.cli import _scenario_from_args, build_parser
+
+    args = build_parser().parse_args(["run", "--theta", THETA_STR, "--dim", dim])
+    assert _scenario_from_args(args).ladder == ladder
 
 
 def test_degrees_flag(tmp_path):
@@ -221,6 +237,28 @@ def test_config_file(tmp_path):
     ["reilly", "--theta", THETA_STR, "--cap-radius", "1e308", "--resolution", "4"],
     ["run", "--theta", THETA_STR, "--cap-radius", "1e-12", "--ladder", "4"],
     ["corner", "--container", "closed", "--dim", "1", "--resolution", "6"],
+    ["wedge", "--lambda", "1.2", "--theta", THETA_STR, "--grid", "16"],
+    ["wedge", "--lambda", "0.5", "--theta", THETA_STR],
+    ["wedge", "--lambda", "2", "--theta", THETA_STR],
+    ["wedge", "--lambda", "nan", "--theta", THETA_STR],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--corner-window", "0"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--corner-window", "1"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16",
+     "--corner-window", "nan"],
+    ["run", "--theta", THETA_STR, "--ladder", "4", "--jobs", "-3"],
+    ["run", "--theta", THETA_STR, "--ladder", "4", "--jobs", "0"],
+    ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8,16",
+     "--checks", "identities"],
+    ["run", "--surface", "@cap1.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8",
+     "--checks", "identities"],
+    ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "1", "--ladder", "8",
+     "--checks", "identities"],
+    ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8",
+     "--checks", "hk"],
+    ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8",
+     "--checks", "bvp"],
+    ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8",
+     "--checks", "reilly"],
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     if isinstance(argv, dict):  # a scenario file that differs from a valid one in these keys
@@ -229,10 +267,22 @@ def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
                "checks": ["identities"], **argv}
         (tmp_path / "scenario.json").write_text(json.dumps(cfg))
         argv = ["run", "--config", str(tmp_path / "scenario.json")]
+    argv = [_write_cap_off(tmp_path, arg) if arg.startswith("@") else arg for arg in argv]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("hk: invalid configuration")
     assert "Traceback" not in err
+
+
+def _write_cap_off(tmp_path, placeholder: str) -> str:
+    """Path of an OFF file of the pi/3 half-space cap; "@cap<n>.off" names its dim n."""
+    from hklab import make_cap, mesh_surface
+    from hklab.meshio import write_off
+
+    path = tmp_path / placeholder[1:]
+    dim = int(placeholder[len("@cap")])
+    write_off(mesh_surface(make_cap("half-space", math.pi / 3, 1.0, dim), 8), path)
+    return str(path)
 
 
 _SURFACE_JSON = {"metadata": {"kind": "surface", "dim": 1, "container": "half-space",
@@ -296,8 +346,8 @@ def test_readme_reilly_example_passes(tmp_path):
 # -- argument fuzzing --------------------------------------------------------
 # Each subcommand gets a random subset of its own options.  An option takes a
 # valid value four times as often as an invalid one (out of range or
-# unparsable).  Resolutions stay at 6 or below and the wedge grid at 16 or
-# below, so every example runs in well under a second.
+# unparsable).  Resolutions stay at 6 or below and the wedge grid at 64, its
+# least valid value, so every example runs in well under a second.
 
 _FUZZ_VALUES = {  # option: (valid values, invalid values)
     "--container": (["half-space", "half-ball", "closed"], ["nowhere", ""]),
@@ -315,7 +365,7 @@ _FUZZ_VALUES = {  # option: (valid values, invalid values)
                  ["nonsense", ""]),
     "--perturb": (["0", "0.02", "-0.02"], ["nan", "5", "x"]),
     "--lambda": (["0.5", "1.4", "3"], ["-1", "0", "nan", "inf", "x"]),
-    "--grid": (["2", "16"], ["-1", "0", "1", "x"]),
+    "--grid": (["64"], ["-1", "0", "1", "2", "16", "x"]),
     "--corner-window": (["0.2", "0.5"], ["-1", "0", "1", "nan", "x"]),
     "--model": (["fem", "wedge"], ["other"]),
 }

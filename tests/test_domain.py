@@ -13,7 +13,6 @@ from hklab import domain
 from hklab.domain import cell_geometry, mesh_quality, simplex_volumes
 from hklab.meshutil import polyline_order
 from hklab.profiles import profile_from_cap
-from hklab.surface import surface_spacing
 from hklab.errors import HkLabError
 
 
@@ -21,14 +20,6 @@ def test_planar_cap_area(hs_surface1):
     ref = math.pi / 3 - math.sqrt(3) / 4
     dom = mesh_domain(hs_surface1, "half-space", 64)
     assert abs(dom.volume - ref) / ref < 5e-3
-
-
-def test_default_resolution_from_surface_spacing(hs_surface1):
-    dom = mesh_domain(hs_surface1)
-    res = max(8, int(round(1.0 / surface_spacing(hs_surface1))))
-    explicit = mesh_domain(hs_surface1, None, res)
-    assert np.array_equal(dom.vertices, explicit.vertices)
-    assert np.array_equal(dom.cells, explicit.cells)
 
 
 def test_planar_area_refinement_ratio(hs_cap1):

@@ -125,6 +125,14 @@ def test_scaling_equivariance_analytic_path():
     assert np.max(np.abs(b.mean_curvature - 0.5 * a.mean_curvature)) < 1e-15
 
 
+def test_closed_profile_revolves_to_a_closed_surface():
+    # caps and profiles share one revolved mesher, which closes both poles
+    mesh = mesh_surface(profile_from_cap(make_cap("closed", None, 1.0, 2)), 16)
+    assert len(mesh.boundary_vertices) == 0
+    assert abs(mesh.cell_areas.sum() / (4.0 * math.pi) - 1.0) < 1e-2
+    assert enclosed_volume_flux(mesh) > 0
+
+
 def test_single_boundary_loop(hs_surface2):
     assert len(hs_surface2.boundary_loops) == 1
     loop = hs_surface2.boundary_loops[0]
@@ -169,7 +177,7 @@ def _loop_sources(tmp_path):
     prof = make_axisymmetric(
         perturb_profile(profile_from_cap(make_cap("half-space", THETA3, 1.0, 2)), 0.02),
         THETA3, "half-space")
-    perturbed = mesh_surface(prof, 16, grading=0.5)
+    perturbed = mesh_surface(prof, 16)
     write_off(cap, tmp_path / "cap.off")
     off = read_off(tmp_path / "cap.off", "half-space", THETA3)
     # the cap without its pole fan has two loops; duplicated triangles hide edges
@@ -273,7 +281,8 @@ def test_build_surface_mesh_fills_what_a_source_does_not_know(dim):
 # sha256 of vertices, cells, normals, mean curvature and Gamma vertices of
 # revolved surfaces (theta = pi/3).  Keys are (source, container,
 # resolution, grading); taken before the revolve and the row zipper became
-# one vectorised primitive each.
+# one vectorised primitive each, when surfaces could still be graded.  Every
+# surface is ungraded now, so every key has grading 0.0.
 REVOLVED_SURFACE_SHA256 = {
     ("cap", "closed", 13, 0.0): "f70017369d4f8ce332bbf7c6711348176f093694f19a1a080ff7bc4e088b788a",
     ("cap", "closed", 16, 0.0): "d9b210f567d94b95a9740e11e8e352ab8b60cf5eecff59fe3701b6d4fadb29a1",
@@ -282,21 +291,60 @@ REVOLVED_SURFACE_SHA256 = {
     ("cap", "half-space", 13, 0.0): "a8e84f0b7191137927c2a9d36d1a7099696df47446239e20af60251c5d222b73",
     ("cap", "half-space", 16, 0.0): "e23a1c1348313492eea0585146314a6a6528e89db67a8d311b1863aac5e478fe",
     ("profile", "half-ball", 16, 0.0): "ca467ad691a41aa7a792de8f812c942d46d5a08305560e36c85ec514f442e15d",
-    ("profile", "half-ball", 16, 0.5): "5d435a5d3c5231f9d2c8f58c1d51289863b951417e18c2d35a3286243d5bef85",
     ("profile", "half-space", 16, 0.0): "3dadb8ed009b94ce93ff0e5a2c7f14d7de9f2326cb2a3bff5da75d785cd693a2",
-    ("profile", "half-space", 16, 0.5): "bc26d7e244ea5d9d9994fdb33f287c8b849105dc9044ce1c5979c4561e1ae788",
 }
 
 
 @pytest.mark.parametrize("key", sorted(REVOLVED_SURFACE_SHA256),
                          ids=lambda k: "-".join(map(str, k)))
 def test_revolved_surfaces_are_unchanged(key):
-    kind, container, resolution, grading = key
+    kind, container, resolution, _ = key
     source = make_cap(container, THETA3, 0.5 if container == "half-ball" else 1.0, 2)
     if kind == "profile":
         source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
                                    container)
-    mesh = mesh_surface(source, resolution, grading=grading)
+    mesh = mesh_surface(source, resolution)
     got = array_digest(mesh.vertices, mesh.cells, mesh.normals, mesh.mean_curvature,
                        mesh.boundary_vertices)
     assert got == REVOLVED_SURFACE_SHA256[key]
+
+
+# sha256 of the fields discrete_geometry gives (cell areas, normals, mean
+# curvature, low trust, Gamma vertices and frame, loops) on meshes of caps and
+# perturbed profiles (theta = pi/3).  Keys are (source, container, dim,
+# resolution); taken while it still measured the cells twice.
+DISCRETE_GEOMETRY_SHA256 = {
+    ("cap", "half-space", 2, 16): "cfa8550bf925ddda3cf03c89bfd089d6df175642c64fb4b97ff594c9872ee9ae",
+    ("cap", "closed", 2, 13): "7fdb9123833f43640af5aae469c5d32cdbdd894184424cff00e98e79d8aca0fc",
+    ("cap", "half-ball", 1, 16): "d71d086836121f0f1faa02b307a63906376c23e3f22834b9cb3469795bc9a11a",
+    ("cap", "closed", 1, 16): "59c70dbece9521a4cf78e9c290b5ada5590db9d16b8461f6c550760e3fd7e2de",
+    ("profile", "half-ball", 2, 16): "d1dee318a1ec8e85e2338c9c955cc9e2de1dd8fe8ec3d36b2f96fe72a687c03c",
+    ("profile", "half-space", 1, 16): "b8f997cbd19e35ea95bdd06a92a854690f8bccbd88860823322ec600195d3e88",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DISCRETE_GEOMETRY_SHA256),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_discrete_geometry_measures_the_cells_once(key, monkeypatch):
+    from hklab import surface
+
+    kind, container, dim, resolution = key
+    source = make_cap(container, None if container == "closed" else THETA3,
+                      0.5 if container == "half-ball" else 1.0, dim)
+    if kind == "profile":
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
+                                   container)
+    mesh = mesh_surface(source, resolution)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return simplex_measures(*args)
+
+    monkeypatch.setattr(surface, "simplex_measures", counting)
+    out = discrete_geometry(mesh)
+    assert calls == [len(mesh.cells)]
+    got = array_digest(out.cell_areas, out.normals, out.mean_curvature, out.low_trust,
+                       out.boundary_vertices, out.boundary_mu, out.boundary_conormal_support,
+                       out.boundary_support_normal, *out.boundary_loops)
+    assert got == DISCRETE_GEOMETRY_SHA256[key]
