@@ -37,12 +37,12 @@ def main() -> int:
         cap = make_cap("half-space", theta, 1.0, 1)
         surf = mesh_surface(cap, args.resolution)
         dom = mesh_domain(surf, None, args.resolution, grading=args.grading)
-        problem = capillary_problem(dom, theta)
+        problem = capillary_problem(dom)
 
-        model = solution_from_field(problem, wedge_model_values(dom, theta))
+        model = solution_from_field(problem, wedge_model_values(dom))
         try:
-            fit_m = corner_exponent(model, theta)
-            fit_f = corner_exponent(solve_mixed_bvp(problem), theta)
+            fit_m = corner_exponent(model)
+            fit_f = corner_exponent(solve_mixed_bvp(problem))
         except WindowError as exc:
             print(f"{theta:7.4f} {math.pi / (2 * theta):9.4f}  corner window too small ({exc})")
             continue

@@ -19,6 +19,7 @@ from hklab import (
     mesh_surface,
     perturb_profile,
     profile_from_cap,
+    reilly_sides,
     solve_mixed_bvp,
 )
 
@@ -42,12 +43,11 @@ def main() -> int:
         surf = mesh_surface(source, args.resolution)
         dom = mesh_domain(surf, None, args.resolution, grading=0.0)
         report = hk_report(surf, dom)
-        sol = solve_mixed_bvp(capillary_problem(dom, args.theta))
-        trace = hk_pipeline("half-space", dom, surf, sol, args.theta)
-        verdict = alexandrov_certify(surf, dom, args.theta).verdict
-        cs = trace.step("cauchy_schwarz")
-        cmc = alexandrov_certify(surf, dom, args.theta).cmc_defect
-        print(f"{eps:6.3f} {report.gap:12.4e} {cmc:11.4e} {cs.margin:12.4e} {verdict:>8s}")
+        sol = solve_mixed_bvp(capillary_problem(dom))
+        cs = hk_pipeline(surf, sol, reilly_sides(sol)).step("cauchy_schwarz")
+        cert = alexandrov_certify(surf, dom)
+        print(f"{eps:6.3f} {report.gap:12.4e} {cert.cmc_defect:11.4e} {cs.margin:12.4e} "
+              f"{cert.verdict:>8s}")
     return 0
 
 

@@ -38,7 +38,7 @@ def main() -> int:
                 for ident in applicable_identities(cap.container):
                     rel = []
                     for res in ladder:
-                        r = check_identity(ident, mesh_surface(cap, res), theta)
+                        r = check_identity(ident, mesh_surface(cap, res))
                         rel.append(r.relative)
                         rows.append([container, n, theta, ident.value, res, r.relative])
                     if rel[-1] > 1e-13:

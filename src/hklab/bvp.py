@@ -8,7 +8,8 @@ solved by Jacobi-preconditioned conjugate gradients after eliminating the
 Sigma closure (corner vertices are Dirichlet).  The capillary constant c is
 always computed from mesh-measured patch integrals so that the discrete
 divergence identities close at finite resolution; closed forms serve as
-cross-checks only.
+cross-checks only.  The problem, the constant, the corner fits and the wedge
+model read the container and the contact angle from the domain mesh.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class MixedBvpProblem:
     rhs: np.ndarray  # per-vertex source of laplace f = rhs
     flux_constant: float  # c in d_N f - gamma f = c on T
     robin_gamma: int = 0
-    flux_values: np.ndarray | None = None  # per-T-facet data overriding the constant
 
     def __post_init__(self) -> None:
         if self.robin_gamma < 0 or int(self.robin_gamma) != self.robin_gamma:
@@ -175,10 +175,9 @@ def capillary_constant(
     raise HkLabError("closed container has no capillary constant")
 
 
-def capillary_constant_from_domain(
-    domain: DomainMesh, theta: float | ContactAngle | None = None
-) -> float:
-    angle = as_angle(theta) if theta is not None else domain.theta
+def capillary_constant_from_domain(domain: DomainMesh) -> float:
+    """The capillary constant from the domain's own patch integrals and angle."""
+    angle = domain.theta
     n = domain.dim - 1
     if domain.container is Container.HALF_SPACE:
         area_t, _ = t_facet_integrals(domain)
@@ -197,30 +196,20 @@ def capillary_constant_from_domain(
     raise HkLabError("closed container has no capillary constant")
 
 
-def capillary_problem(
-    domain: DomainMesh, theta: float | ContactAngle | None = None
-) -> MixedBvpProblem:
+def capillary_problem(domain: DomainMesh) -> MixedBvpProblem:
     """The capillary configuration: unit source, mesh-measured flux constant."""
-    angle = as_angle(theta) if theta is not None else domain.theta
     rhs = np.ones(domain.num_vertices)
     if domain.container is Container.CLOSED:
         return MixedBvpProblem(domain, rhs, 0.0, 0)
     gamma = 1 if domain.container is Container.HALF_BALL else 0
-    c = capillary_constant_from_domain(domain, angle)
-    return MixedBvpProblem(domain, rhs, c, gamma)
+    return MixedBvpProblem(domain, rhs, capillary_constant_from_domain(domain), gamma)
 
 
 def make_problem(
-    domain: DomainMesh,
-    rhs: float | np.ndarray = 1.0,
-    flux: float | np.ndarray = 0.0,
-    gamma: int = 0,
+    domain: DomainMesh, rhs: float = 1.0, flux: float = 0.0, gamma: int = 0
 ) -> MixedBvpProblem:
-    """General mixed problem with constant or per-vertex/facet data."""
-    rhs_v = np.full(domain.num_vertices, float(rhs)) if np.isscalar(rhs) else np.asarray(rhs)
-    if np.isscalar(flux):
-        return MixedBvpProblem(domain, rhs_v, float(flux), gamma)
-    return MixedBvpProblem(domain, rhs_v, 0.0, gamma, flux_values=np.asarray(flux))
+    """General mixed problem with a constant source and a constant flux."""
+    return MixedBvpProblem(domain, np.full(domain.num_vertices, float(rhs)), float(flux), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +239,7 @@ def solve_mixed_bvp(
     stiff = assemble_stiffness(grads, vols, domain.cells, nv)
 
     t_areas = domain.facet_measures(domain.t_facets)
-    if problem.flux_values is not None:
-        flux = problem.flux_values
-    else:
-        flux = np.full(len(domain.t_facets), problem.flux_constant)
+    flux = np.full(len(domain.t_facets), problem.flux_constant)
     b = load_facets(domain.t_facets, t_areas, flux, nv) - load_volume(
         domain.cells, vols, problem.rhs, nv
     )
@@ -437,11 +423,7 @@ def _binned_log_fit(d: np.ndarray, vals: np.ndarray, agg: str):
     return float(slope), r2
 
 
-def corner_exponent(
-    solution: BvpSolution,
-    theta: float | ContactAngle | None = None,
-    window_fraction: float = 0.2,
-) -> CornerFit:
+def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> CornerFit:
     """Log-log fits of the Hessian decay and the |f| growth against d_Gamma.
 
     The window excludes COLLAR_LAYERS layers of cells at Gamma (recovery
@@ -456,7 +438,7 @@ def corner_exponent(
         raise HkLabError("corner exponent fits are for planar domains (n = 1)")
     if len(domain.gamma_vertices) == 0:
         raise HkLabError("domain has no corners")
-    angle = as_angle(theta) if theta is not None else domain.theta
+    angle = domain.theta
 
     extent = domain.vertices.max(axis=0) - domain.vertices.min(axis=0)
     diam = float(np.linalg.norm(extent))
@@ -557,21 +539,19 @@ def wedge_barrier_check(lam: float, theta: float | ContactAngle, grid: int = 128
     )
 
 
-def wedge_model_values(
-    domain: DomainMesh, theta: float | ContactAngle | None = None, lam: float | None = None
-) -> np.ndarray:
+def wedge_model_values(domain: DomainMesh, *, lam: float | None = None) -> np.ndarray:
     """Vertex values of a field with the exact wedge behavior at every corner.
 
     Each corner contributes r^lambda cos(lambda eta) in its own (T-edge,
     inward) frame; the product of the contributions vanishes on Sigma near the
     corners and keeps the pure power law r^lambda at each corner, so corner
-    fits on this field recover lambda directly.
+    fits on this field recover lambda directly.  lambda defaults to
+    pi/(2 theta) with the domain's contact angle theta.
     """
     if domain.dim != 2:
         raise HkLabError("wedge model fields are planar")
-    angle = as_angle(theta) if theta is not None else domain.theta
     if lam is None:
-        lam = math.pi / (2.0 * angle.radians)
+        lam = math.pi / (2.0 * domain.theta.radians)
     corners = domain.gamma_vertices
     if len(corners) != 2:
         raise HkLabError("wedge model expects exactly two corners")

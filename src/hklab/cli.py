@@ -29,6 +29,7 @@ from hklab.bvp import (
     wedge_model_values,
 )
 from hklab.caps import make_cap
+from hklab.containers import Container
 from hklab.domain import mesh_domain
 from hklab.errors import ConfigError, HkLabError, MeshFileError
 from hklab.meshio import (
@@ -246,21 +247,21 @@ def cmd_cap(args) -> int:
 
 def cmd_solve(args) -> int:
     _, _, domain = _cap_and_meshes(args)
-    problem = capillary_problem(domain, _angle(args))
-    solution = solve_mixed_bvp(problem, tol=args.tol, max_iter=args.max_iter)
+    solution = solve_mixed_bvp(capillary_problem(domain), tol=args.tol, max_iter=args.max_iter)
     _emit(solution_to_dict(solution), args.out)
     return EXIT_OK
 
 
 def cmd_reilly(args) -> int:
     _, surface, domain = _cap_and_meshes(args)
-    container = domain.container
-    problem = capillary_problem(domain, _angle(args))
-    solution = solve_mixed_bvp(problem, tol=args.tol)
-    sides = reilly_sides(domain, solution, weighted=args.weighted)
+    solution = solve_mixed_bvp(capillary_problem(domain), tol=args.tol)
+    sides = reilly_sides(solution, weighted=args.weighted)
     payload = {"reilly": sides.to_dict()}
-    if container.has_support:
-        payload["pipeline"] = hk_pipeline(container, domain, surface, solution, _angle(args)).to_dict()
+    if domain.container.has_support:
+        # the chain takes the weighting of its container: weighted on the half-ball
+        ball = domain.container is Container.HALF_BALL
+        chain_sides = sides if sides.weighted == ball else reilly_sides(solution, weighted=ball)
+        payload["pipeline"] = hk_pipeline(surface, solution, chain_sides).to_dict()
     _emit(payload, args.out)
     tol = WEIGHTED_REILLY_DEFECT_TOL if args.weighted else REILLY_DEFECT_TOL
     return EXIT_OK if sides.relative_defect <= tol else EXIT_CHECK_FAILED
@@ -272,14 +273,12 @@ def cmd_corner(args) -> int:
     if not check_inputs(args.container, None, theta_required=False).has_support:
         raise ConfigError("corner fits need a container with a support")
     _, _, domain = _cap_and_meshes(args)
-    theta = _angle(args)
-    problem = capillary_problem(domain, theta)
+    problem = capillary_problem(domain)
     if args.model == "wedge":
-        values = wedge_model_values(domain, theta, args.lam)
-        solution = solution_from_field(problem, values)
+        solution = solution_from_field(problem, wedge_model_values(domain, lam=args.lam))
     else:
         solution = solve_mixed_bvp(problem)
-    fit = corner_exponent(solution, theta, window_fraction=args.corner_window)
+    fit = corner_exponent(solution, window_fraction=args.corner_window)
     _emit(fit.to_dict(), args.out)
     return EXIT_OK if not fit.low_trust else EXIT_CHECK_FAILED
 

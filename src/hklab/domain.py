@@ -296,41 +296,41 @@ _PRISM_PERMS = np.array(
 )
 
 
+# the three tets of a prism brought to its smallest vertex by _PRISM_PERMS, by
+# whether the face diagonals run from vertex 1 to 5 (case a, row 1) or not
+_PRISM_TETS = np.array(
+    [
+        [[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]],
+        [[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]],
+    ],
+    dtype=np.int64,
+)
+# the two triangles of a quad (u0, v0, v1, u1), by whether its diagonal runs
+# from u0 to v1 (row 1) or from v0 to u1 (row 0)
+_QUAD_TRIS = np.array([[[0, 1, 3], [1, 2, 3]], [[0, 1, 2], [0, 2, 3]]], dtype=np.int64)
+
+
 def _split_prisms(prisms: np.ndarray) -> np.ndarray:
     """Split prisms (n, 6) into tets with the min-vertex face-diagonal rule.
 
     Every quad face receives the diagonal through its smallest global vertex
-    id, which makes splits of face-sharing elements agree.
+    id, which makes splits of face-sharing elements agree.  Prisms are split
+    _CELL_BLOCK at a time, so the index arrays of the lookups stay small.
     """
-    if len(prisms) == 0:
-        return np.empty((0, 4), dtype=np.int64)
-    gpos = np.argmin(prisms, axis=1)
-    w = np.take_along_axis(prisms, _PRISM_PERMS[gpos], axis=1)
-    case_a = np.minimum(w[:, 1], w[:, 5]) < np.minimum(w[:, 2], w[:, 4])
     tets = np.empty((len(prisms), 3, 4), dtype=np.int64)
-    a = w[case_a]
-    tets[case_a, 0] = a[:, [0, 1, 2, 5]]
-    tets[case_a, 1] = a[:, [0, 1, 5, 4]]
-    tets[case_a, 2] = a[:, [0, 4, 5, 3]]
-    b = w[~case_a]
-    tets[~case_a, 0] = b[:, [0, 1, 2, 4]]
-    tets[~case_a, 1] = b[:, [0, 4, 2, 5]]
-    tets[~case_a, 2] = b[:, [0, 4, 5, 3]]
+    for start in range(0, len(prisms), _CELL_BLOCK):
+        block = prisms[start:start + _CELL_BLOCK]
+        w = np.take_along_axis(block, _PRISM_PERMS[np.argmin(block, axis=1)], axis=1)
+        case_a = np.minimum(w[:, 1], w[:, 5]) < np.minimum(w[:, 2], w[:, 4])
+        tets[start:start + len(block)] = np.take_along_axis(
+            w[:, None, :], _PRISM_TETS[case_a.astype(np.intp)], axis=2)
     return tets.reshape(-1, 4)
 
 
 def _split_quads(quads: np.ndarray) -> np.ndarray:
     """Split quads (n, 4) given as (u0, v0, v1, u1) by the min-vertex diagonal."""
-    if len(quads) == 0:
-        return np.empty((0, 3), dtype=np.int64)
     diag_a = np.minimum(quads[:, 0], quads[:, 2]) < np.minimum(quads[:, 1], quads[:, 3])
-    tris = np.empty((len(quads), 2, 3), dtype=np.int64)
-    qa = quads[diag_a]
-    tris[diag_a, 0] = qa[:, [0, 1, 2]]
-    tris[diag_a, 1] = qa[:, [0, 2, 3]]
-    qb = quads[~diag_a]
-    tris[~diag_a, 0] = qb[:, [0, 1, 3]]
-    tris[~diag_a, 1] = qb[:, [1, 2, 3]]
+    tris = np.take_along_axis(quads[:, None, :], _QUAD_TRIS[diag_a.astype(np.intp)], axis=2)
     return tris.reshape(-1, 3)
 
 

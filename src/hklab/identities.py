@@ -1,11 +1,13 @@
 """Surface/boundary integrals, integral identities and the main inequalities.
 
 Quadrature is the barycentric midpoint rule per cell (exact for affine
-integrands of the P1 fields); boundary integrals over Gamma use the trapezoid
-rule on the loop for n = 2 and the counting measure for n = 1.  Identity
-checks return scaled residuals; the two equivalent right-hand sides of the
-main inequality are evaluated independently so their agreement is itself a
-check of the balancing identities.
+integrands of the P1 fields) on an array of per-vertex values; boundary
+integrals over Gamma take one value per boundary vertex and use the trapezoid
+rule on the loop for n = 2 and the counting measure for n = 1.  Every check
+reads the container and the contact angle from the meshes it is given.
+Identity checks return scaled residuals; the two equivalent right-hand sides
+of the main inequality are evaluated independently so their agreement is
+itself a check of the balancing identities.
 """
 
 from __future__ import annotations
@@ -17,13 +19,17 @@ from enum import Enum
 import numpy as np
 
 from hklab.bvp import t_facet_integrals
-from hklab.containers import Container, ContactAngle, as_angle
+from hklab.containers import Container
 from hklab.domain import DomainMesh
 from hklab.errors import ContainerMismatchError, MeanConvexityError
 from hklab.surface import SurfaceMesh
 
 MACHINE_FLOOR = 1e-300
 EQUALITY_RTOL = 5e-3
+# alexandrov_certify calls a surface a cap when its CMC defect and its sphere
+# fit rms (relative to the fitted radius) are both within these
+CMC_TOL = 1e-2
+FIT_TOL = 1e-2
 
 
 class IdentityId(Enum):
@@ -88,108 +94,43 @@ def _require_mean_convex(mesh: SurfaceMesh) -> None:
         raise MeanConvexityError(f"surface is not mean convex (min H = {hmin:.3e})")
 
 
-def vertex_values(mesh: SurfaceMesh, integrand: str | np.ndarray) -> np.ndarray:
-    """Per-vertex values of a named field expression."""
-    if isinstance(integrand, np.ndarray):
-        if integrand.shape[0] != mesh.num_vertices:
-            raise ValueError("integrand array length does not match vertex count")
-        return integrand.astype(float)
-    x = mesh.vertices
-    nu = mesh.normals
-    h = mesh.mean_curvature
-    name = integrand.strip()
-    if name == "1":
-        return np.ones(mesh.num_vertices)
-    if name == "z":
-        return x[:, -1].copy()
-    if name == "H":
-        return h.copy()
-    if name == "nu_z":
-        return nu[:, -1].copy()
-    if name == "H*nu_z":
-        return h * nu[:, -1]
-    if name == "x.nu":
-        return np.einsum("ij,ij->i", x, nu)
-    if name == "X.nu":
-        return np.einsum("ij,ij->i", conformal_field(x), nu)
-    if name == "H*X.nu":
-        return h * np.einsum("ij,ij->i", conformal_field(x), nu)
-    if name == "1/H":
-        _require_mean_convex(mesh)
-        return 1.0 / h
-    if name == "z/H":
-        _require_mean_convex(mesh)
-        return x[:, -1] / h
-    raise KeyError(f"unknown surface integrand {integrand!r}")
-
-
-def integrate_surface(mesh: SurfaceMesh, integrand: str | np.ndarray) -> float:
-    """Midpoint-rule integral of the named field over the surface cells."""
-    vals = vertex_values(mesh, integrand)
-    cell_mean = vals[mesh.cells].mean(axis=1)
+def integrate_surface(mesh: SurfaceMesh, values: np.ndarray) -> float:
+    """Midpoint-rule integral of per-vertex values over the surface cells."""
+    if len(values) != mesh.num_vertices:
+        raise ValueError("integrand array length does not match vertex count")
+    cell_mean = values[mesh.cells].mean(axis=1)
     return float(np.sum(mesh.cell_areas * cell_mean))
 
 
-def boundary_values(mesh: SurfaceMesh, integrand: str | np.ndarray) -> np.ndarray:
-    """Values per boundary vertex (aligned with mesh.boundary_vertices)."""
-    if isinstance(integrand, np.ndarray):
-        if integrand.shape[0] != len(mesh.boundary_vertices):
-            raise ValueError("boundary integrand length mismatch")
-        return integrand.astype(float)
-    pts = mesh.vertices[mesh.boundary_vertices]
-    mu = mesh.boundary_mu
-    nubar = mesh.boundary_conormal_support
-    name = integrand.strip()
-    if name == "1":
-        return np.ones(len(pts))
-    if name == "mu_z":
-        return mu[:, -1].copy()
-    if name == "x.mu":
-        return np.einsum("ij,ij->i", pts, mu)
-    if name == "X.mu":
-        return np.einsum("ij,ij->i", conformal_field(pts), mu)
-    if name == "(X+E).mu":
-        xe = conformal_field(pts)
-        xe[:, -1] += 1.0
-        return np.einsum("ij,ij->i", xe, mu)
-    if name == "(E-z*x).nu_bar":
-        f = -pts * pts[:, -1:].copy()
-        f[:, -1] += 1.0
-        return np.einsum("ij,ij->i", f, nubar)
-    raise KeyError(f"unknown boundary integrand {integrand!r}")
+def integrate_boundary(mesh: SurfaceMesh, values: np.ndarray) -> float:
+    """Trapezoid integral over Gamma (n = 2) or counting sum (n = 1).
 
-
-def integrate_boundary(mesh: SurfaceMesh, integrand: str | np.ndarray) -> float:
-    """Trapezoid integral over Gamma (n = 2) or counting sum (n = 1)."""
-    vals = boundary_values(mesh, integrand)
-    if len(vals) == 0:
+    values holds one entry per boundary vertex, aligned with
+    mesh.boundary_vertices.
+    """
+    if len(values) != len(mesh.boundary_vertices):
+        raise ValueError("boundary integrand length mismatch")
+    if len(values) == 0:
         return 0.0
     if mesh.dim == 1:
-        return float(np.sum(vals))
+        return float(np.sum(values))
     total = 0.0
     start = 0
-    # boundary_vertices, and so vals, is the concatenation of the loops
+    # boundary_vertices, and so values, is the concatenation of the loops
     for loop in mesh.boundary_loops:
         pts = mesh.vertices[loop]
         seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        v = vals[start:start + len(loop)]
+        v = values[start:start + len(loop)]
         start += len(loop)
         total += float(np.sum(0.5 * seg * (v + np.roll(v, -1))))
     return total
-
-
-def _integrate_boundary_vector(mesh: SurfaceMesh, values: np.ndarray) -> np.ndarray:
-    comps = [
-        integrate_boundary(mesh, values[:, k]) for k in range(values.shape[1])
-    ]
-    return np.asarray(comps)
 
 
 def gamma_measure(mesh: SurfaceMesh) -> float:
     """|Gamma|: loop length for n = 2, number of boundary points for n = 1."""
     if mesh.dim == 1:
         return float(len(mesh.boundary_vertices))
-    return integrate_boundary(mesh, "1")
+    return integrate_boundary(mesh, np.ones(len(mesh.boundary_vertices)))
 
 
 def wetted_area_from_loop(mesh: SurfaceMesh) -> float:
@@ -215,8 +156,11 @@ def wetted_height_integral_from_loop(mesh: SurfaceMesh) -> float:
     """
     if mesh.container is not Container.HALF_BALL:
         raise ContainerMismatchError("loop-based T-height integral needs the half-ball")
-    n = mesh.dim
-    return -integrate_boundary(mesh, "(E-z*x).nu_bar") / n
+    pts = mesh.vertices[mesh.boundary_vertices]
+    flux = -pts * pts[:, -1:].copy()
+    flux[:, -1] += 1.0
+    nubar = mesh.boundary_conormal_support
+    return -integrate_boundary(mesh, np.einsum("ij,ij->i", flux, nubar)) / mesh.dim
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +168,10 @@ def wetted_height_integral_from_loop(mesh: SurfaceMesh) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_identity(
-    ident: IdentityId | str, mesh: SurfaceMesh, theta: float | ContactAngle | None = None
-) -> Residual:
+def check_identity(ident: IdentityId | str, mesh: SurfaceMesh) -> Residual:
     """Scaled residual of one integral identity on the given surface."""
     ident = IdentityId(ident) if not isinstance(ident, IdentityId) else ident
-    angle = as_angle(theta) if theta is not None else mesh.theta
+    angle = mesh.theta
     if ident in _HALF_SPACE_IDS and mesh.container is not Container.HALF_SPACE:
         raise ContainerMismatchError(f"{ident.value} requires a half-space surface")
     if ident in _BALL_IDS and mesh.container is not Container.HALF_BALL:
@@ -237,17 +179,21 @@ def check_identity(
     if ident is not IdentityId.STRUCTURAL_LEMMA and angle is None:
         raise ValueError("identity requires a contact angle")
     n = mesh.dim
+    x, h = mesh.vertices, mesh.mean_curvature
+    nu_z = mesh.normals[:, -1]
 
     if ident is IdentityId.STRUCTURAL_LEMMA:
         surf = np.asarray(
             [integrate_surface(mesh, mesh.normals[:, k]) for k in range(mesh.ambient_dim)]
         )
         if len(mesh.boundary_vertices):
-            pts = mesh.vertices[mesh.boundary_vertices]
+            pts = x[mesh.boundary_vertices]
             x_mu = np.einsum("ij,ij->i", pts, mesh.boundary_mu)
             x_nu = np.einsum("ij,ij->i", pts, mesh.normals[mesh.boundary_vertices])
             integrand = x_mu[:, None] * mesh.normals[mesh.boundary_vertices] - x_nu[:, None] * mesh.boundary_mu
-            bnd = _integrate_boundary_vector(mesh, integrand)
+            bnd = np.asarray(
+                [integrate_boundary(mesh, integrand[:, k]) for k in range(mesh.ambient_dim)]
+            )
             bnd_scale = integrate_boundary(mesh, np.abs(x_mu)) + integrate_boundary(
                 mesh, np.abs(x_nu)
             )
@@ -255,45 +201,37 @@ def check_identity(
             bnd = np.zeros(mesh.ambient_dim)
             bnd_scale = 0.0
         raw = float(np.linalg.norm(n * surf - bnd))
-        scale = n * integrate_surface(mesh, "1") + bnd_scale
+        scale = n * integrate_surface(mesh, np.ones(mesh.num_vertices)) + bnd_scale
         return Residual(ident.value, raw, scale)
 
-    if ident is IdentityId.CONSERVATION_HALF_SPACE:
-        lhs = integrate_surface(mesh, "nu_z")
-        rhs = wetted_area_from_loop(mesh)
+    if ident in (IdentityId.CONSERVATION_HALF_SPACE, IdentityId.CONSERVATION_BALL):
+        lhs = integrate_surface(mesh, nu_z)
+        if ident is IdentityId.CONSERVATION_HALF_SPACE:
+            rhs = wetted_area_from_loop(mesh)
+        else:
+            rhs = -wetted_height_integral_from_loop(mesh)
         return Residual(ident.value, lhs - rhs, abs(lhs) + abs(rhs))
 
-    if ident is IdentityId.BALANCING_HALF_SPACE:
-        lhs = integrate_surface(mesh, "H*nu_z")
-        rhs = angle.sin * gamma_measure(mesh)
+    if ident in (IdentityId.BALANCING_HALF_SPACE, IdentityId.BALANCING_BALL):
+        lhs = integrate_surface(mesh, h * nu_z)
+        if ident is IdentityId.BALANCING_HALF_SPACE:
+            rhs = angle.sin * gamma_measure(mesh)
+        else:
+            rhs = -integrate_boundary(mesh, mesh.boundary_mu[:, -1])
         return Residual(ident.value, lhs - rhs, abs(lhs) + abs(rhs))
 
     if ident is IdentityId.MINKOWSKI_HALF_SPACE:
-        nu_z = vertex_values(mesh, "nu_z")
-        x_nu = vertex_values(mesh, "x.nu")
-        h = mesh.mean_curvature
-        raw = integrate_surface(mesh, n * (1.0 - angle.cos * nu_z) - h * x_nu)
-        scale = integrate_surface(mesh, n * (1.0 + abs(angle.cos) * np.abs(nu_z)) + np.abs(h * x_nu))
+        h_x_nu = h * np.einsum("ij,ij->i", x, mesh.normals)
+        raw = integrate_surface(mesh, n * (1.0 - angle.cos * nu_z) - h_x_nu)
+        scale = integrate_surface(mesh, n * (1.0 + abs(angle.cos) * np.abs(nu_z)) + np.abs(h_x_nu))
         return Residual(ident.value, raw, scale)
 
-    if ident is IdentityId.CONSERVATION_BALL:
-        lhs = integrate_surface(mesh, "nu_z")
-        rhs = -wetted_height_integral_from_loop(mesh)
-        return Residual(ident.value, lhs - rhs, abs(lhs) + abs(rhs))
-
-    if ident is IdentityId.BALANCING_BALL:
-        lhs = integrate_surface(mesh, "H*nu_z")
-        rhs = -integrate_boundary(mesh, "mu_z")
-        return Residual(ident.value, lhs - rhs, abs(lhs) + abs(rhs))
-
     if ident is IdentityId.MINKOWSKI_BALL:
-        nu_z = vertex_values(mesh, "nu_z")
-        x_nu = vertex_values(mesh, "X.nu")
-        z = vertex_values(mesh, "z")
-        h = mesh.mean_curvature
-        raw = integrate_surface(mesh, n * (z + angle.cos * nu_z) - h * x_nu)
+        h_x_nu = h * np.einsum("ij,ij->i", conformal_field(x), mesh.normals)
+        z = x[:, -1]
+        raw = integrate_surface(mesh, n * (z + angle.cos * nu_z) - h_x_nu)
         scale = integrate_surface(
-            mesh, n * (np.abs(z) + abs(angle.cos) * np.abs(nu_z)) + np.abs(h * x_nu)
+            mesh, n * (np.abs(z) + abs(angle.cos) * np.abs(nu_z)) + np.abs(h_x_nu)
         )
         return Residual(ident.value, raw, scale)
 
@@ -352,29 +290,27 @@ def domain_volume_integrals(domain: DomainMesh) -> tuple[float, float]:
 def hk_report(
     surface: SurfaceMesh,
     domain: DomainMesh,
-    container: Container | str | None = None,
-    theta: float | ContactAngle | None = None,
     refined: tuple[SurfaceMesh, DomainMesh] | None = None,
 ) -> HkReport:
     """Evaluate both sides of the Heintze-Karcher inequality.
 
-    The gap is lhs - rhs_form2.  equality_flag follows the two-sided rule:
-    relative gap below 5e-3 and, when a refined (surface, domain) pair is
-    supplied, a gap that does not grow under refinement.
+    The container and the contact angle are the surface's.  The gap is
+    lhs - rhs_form2.  equality_flag follows the two-sided rule: relative gap
+    below 5e-3 and, when a refined (surface, domain) pair is supplied, a gap
+    that does not grow under refinement.
     """
-    from hklab.containers import parse_container
-
-    container = surface.container if container is None else parse_container(container)
-    if container is not surface.container or container is not domain.container:
-        raise ContainerMismatchError("surface/domain/report containers disagree")
-    angle = as_angle(theta) if theta is not None else surface.theta
+    container, angle = surface.container, surface.theta
+    if domain.container is not container:
+        raise ContainerMismatchError("surface and domain containers disagree")
     _require_mean_convex(surface)
     n = surface.dim
+    h, z = surface.mean_curvature, surface.vertices[:, -1]
+    nu_z = surface.normals[:, -1]
 
     volume, volume_z = domain_volume_integrals(domain)
     area_t, int_t_z = t_facet_integrals(domain)
-    int_nu_z = integrate_surface(surface, "nu_z")
-    int_h_nu_z = integrate_surface(surface, "H*nu_z")
+    int_nu_z = integrate_surface(surface, nu_z)
+    int_h_nu_z = integrate_surface(surface, h * nu_z)
     components = {
         "volume": volume,
         "int_volume_z": volume_z,
@@ -384,20 +320,21 @@ def hk_report(
         "int_nu_z": int_nu_z,
         "int_H_nu_z": int_h_nu_z,
         "int_gamma_mu_z": (
-            integrate_boundary(surface, "mu_z") if container.has_support else 0.0
+            integrate_boundary(surface, surface.boundary_mu[:, -1])
+            if container.has_support else 0.0
         ),
     }
 
     ratio = (n + 1.0) / n
     if container is Container.CLOSED:
-        lhs = integrate_surface(surface, "1/H")
+        lhs = integrate_surface(surface, 1.0 / h)
         rhs1 = rhs2 = ratio * volume
     elif container is Container.HALF_SPACE:
-        lhs = integrate_surface(surface, "1/H")
+        lhs = integrate_surface(surface, 1.0 / h)
         rhs1 = ratio * volume + angle.cos * int_nu_z**2 / int_h_nu_z
         rhs2 = ratio * volume + angle.cot * components["area_T"] ** 2 / components["measure_gamma"]
     else:
-        lhs = integrate_surface(surface, "z/H")
+        lhs = integrate_surface(surface, z / h)
         rhs1 = ratio * volume_z - angle.cos * int_nu_z**2 / int_h_nu_z
         rhs2 = ratio * volume_z + angle.cos * int_t_z**2 / components["int_gamma_mu_z"]
 
@@ -408,7 +345,7 @@ def hk_report(
     refined_gap = None
     flag = rel <= EQUALITY_RTOL
     if refined is not None:
-        fine = hk_report(refined[0], refined[1], container, angle)
+        fine = hk_report(*refined)
         refined_gap = fine.gap
         flag = flag and abs(fine.gap) <= abs(gap) + MACHINE_FLOOR
     return HkReport(
@@ -463,39 +400,28 @@ def fit_sphere(points: np.ndarray) -> tuple[np.ndarray, float, float]:
     return center, radius, float(np.sqrt(np.mean(dist**2)))
 
 
-def alexandrov_certify(
-    surface: SurfaceMesh,
-    domain: DomainMesh,
-    theta: float | ContactAngle | None = None,
-    cmc_tol: float = 1e-2,
-    fit_tol: float = 1e-2,
-) -> CapVerdict:
+def alexandrov_certify(surface: SurfaceMesh, domain: DomainMesh) -> CapVerdict:
     """CMC defect, weighted Minkowski gap and sphere-fit certificate."""
     _require_mean_convex(surface)
-    angle = as_angle(theta) if theta is not None else surface.theta
+    angle = surface.theta
     n = surface.dim
+    h, z = surface.mean_curvature, surface.vertices[:, -1]
+    nu_z = surface.normals[:, -1]
 
     trusted = ~surface.low_trust
-    h = surface.mean_curvature[trusted] if np.any(trusted) else surface.mean_curvature
-    cmc_defect = float((h.max() - h.min()) / h.mean())
+    h_trusted = h[trusted] if np.any(trusted) else h
+    cmc_defect = float((h_trusted.max() - h_trusted.min()) / h_trusted.mean())
 
     volume, volume_z = domain_volume_integrals(domain)
     if surface.container is Container.HALF_SPACE:
-        nu_z = vertex_values(surface, "nu_z")
-        weighted = integrate_surface(
-            surface, n * (1.0 - angle.cos * nu_z) / surface.mean_curvature
-        ) - (n + 1.0) * volume
+        weighted = integrate_surface(surface, n * (1.0 - angle.cos * nu_z) / h) - (n + 1.0) * volume
     elif surface.container is Container.HALF_BALL:
-        nu_z = vertex_values(surface, "nu_z")
-        z = vertex_values(surface, "z")
-        weighted = integrate_surface(
-            surface, n * (z + angle.cos * nu_z) / surface.mean_curvature
-        ) - (n + 1.0) * volume_z
+        weighted = integrate_surface(surface, n * (z + angle.cos * nu_z) / h) - (n + 1.0) * volume_z
     else:
-        weighted = integrate_surface(surface, np.full(surface.num_vertices, float(n)) / surface.mean_curvature) - (n + 1.0) * volume
+        weighted = integrate_surface(surface, np.full(surface.num_vertices, float(n)) / h) - (n + 1.0) * volume
 
     center, radius, rms = fit_sphere(surface.vertices)
-    verdict = "cap" if (cmc_defect <= cmc_tol and rms <= fit_tol * radius) else "not cap"
+    verdict = "cap" if (cmc_defect <= CMC_TOL and rms <= FIT_TOL * radius) else "not cap"
     return CapVerdict(
         verdict=verdict,
         cmc_defect=cmc_defect,

@@ -7,6 +7,11 @@ tangential gradient of the flux is then known analytically) and the exact
 second fundamental form of the support (zero on the hyperplane, the metric on
 the unit sphere); the patch Laplacian of f is reduced to a flux through Gamma
 by the divergence theorem, which avoids second tangential derivatives.
+
+Both functions take the container, the contact angle and the domain from the
+solution's domain mesh.  The chain replay takes the Reilly sides its caller
+has already evaluated in the weighting of that container, so each weighting
+is evaluated once per solution.
 """
 
 from __future__ import annotations
@@ -22,14 +27,18 @@ from hklab.bvp import (
     gamma_loop_measure,
     t_facet_integrals,
 )
-from hklab.containers import Container, ContactAngle, as_angle
+from hklab.containers import Container
 from hklab.domain import DomainMesh
 from hklab.errors import ConstantMismatchError, HkLabError, MeanConvexityError
-from hklab.identities import domain_volume_integrals, integrate_boundary
+from hklab.identities import (
+    MACHINE_FLOOR,
+    conformal_field,
+    domain_volume_integrals,
+    integrate_boundary,
+)
 from hklab.meshutil import ordered_sum, row_dot
 from hklab.surface import SurfaceMesh
 
-MACHINE_FLOOR = 1e-300
 ALGEBRAIC_RTOL = 1e-9
 IDENTITY_RTOL = 2e-2
 
@@ -173,11 +182,9 @@ def _sigma_data(domain: DomainMesh, solution: BvpSolution):
 # ---------------------------------------------------------------------------
 
 
-def reilly_sides(domain: DomainMesh, solution: BvpSolution, weighted: bool = False) -> ReillySides:
-    """Evaluate both sides of the (weighted) Reilly formula on a solution."""
-    problem = solution.problem
-    if problem.domain is not domain:
-        raise HkLabError("solution was computed on a different domain")
+def reilly_sides(solution: BvpSolution, *, weighted: bool = False) -> ReillySides:
+    """Evaluate both sides of the (weighted) Reilly formula on a solution's domain."""
+    problem, domain = solution.problem, solution.domain
     tr = solution.laplacian()
     h2 = np.einsum("cab,cab->c", solution.cell_hessians, solution.cell_hessians)
     cell_z = domain.vertices[:, -1][domain.cells].mean(axis=1)
@@ -238,34 +245,33 @@ def reilly_sides(domain: DomainMesh, solution: BvpSolution, weighted: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-def hk_pipeline(
-    container: Container | str,
-    domain: DomainMesh,
-    surface: SurfaceMesh,
-    solution: BvpSolution,
-    theta: float | ContactAngle | None = None,
-) -> PipelineTrace:
-    """Replay the inequality chain on a discrete solution, step by step."""
-    from hklab.containers import parse_container
+def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides) -> PipelineTrace:
+    """Replay the inequality chain on a discrete solution, step by step.
 
-    container = parse_container(container)
+    sides are the Reilly sides of the solution in the weighting of its
+    container: unweighted on the half-space, weighted on the half-ball.
+    """
+    domain = solution.domain
+    container, angle = domain.container, domain.theta
     if container not in (Container.HALF_SPACE, Container.HALF_BALL):
         raise HkLabError("the proof chain is defined for the half-space and half-ball")
-    if domain.container is not container or surface.container is not container:
+    if surface.container is not container:
         raise HkLabError("pipeline container mismatch")
-    angle = as_angle(theta) if theta is not None else domain.theta
+    ball = container is Container.HALF_BALL
+    if sides.weighted != ball:
+        raise HkLabError(f"the {container.value} chain takes the "
+                         f"{'weighted' if ball else 'unweighted'} Reilly sides")
     n = domain.dim - 1
 
-    c_ref = capillary_constant_from_domain(domain, angle)
+    c_ref = capillary_constant_from_domain(domain)
     c = solution.problem.flux_constant
     if abs(c - c_ref) > 1e-10 * max(abs(c_ref), 1e-12):
         raise ConstantMismatchError(
             f"solution flux constant {c} is not the capillary constant {c_ref}"
         )
-    if container is Container.HALF_BALL and solution.problem.robin_gamma != 1:
+    if ball and solution.problem.robin_gamma != 1:
         raise ConstantMismatchError("half-ball chain needs the Robin coefficient 1")
 
-    ball = container is Container.HALF_BALL
     tr = solution.laplacian()
     cell_z = domain.vertices[:, -1][domain.cells].mean(axis=1)
     wcell = domain.cell_volumes * cell_z if ball else domain.cell_volumes
@@ -278,8 +284,6 @@ def hk_pipeline(
     volume, volume_z = domain_volume_integrals(domain)
     vol_w = volume_z if ball else volume
     area_t, int_t_z = t_facet_integrals(domain)
-
-    sides = reilly_sides(domain, solution, weighted=ball)
 
     steps: list[PipelineStep] = []
     int_tr2 = float(np.sum(wcell * tr**2))
@@ -298,8 +302,11 @@ def hk_pipeline(
 
     if ball:
         flux = gamma_t_flux(domain, solution, "z")
-        b_mu = integrate_boundary(surface, "mu_z")
-        xe_mu = integrate_boundary(surface, "(X+E).mu")
+        mu = surface.boundary_mu
+        b_mu = integrate_boundary(surface, mu[:, -1])
+        xe = conformal_field(surface.vertices[surface.boundary_vertices])
+        xe[:, -1] += 1.0
+        xe_mu = integrate_boundary(surface, np.einsum("ij,ij->i", xe, mu))
         corner_rhs = (n / (n + 1.0)) * (int_t_z / b_mu) * xe_mu
     else:
         flux = gamma_t_flux(domain, solution, "1")

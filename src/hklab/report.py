@@ -25,7 +25,7 @@ from hklab.caps import AnalyticCap, make_cap
 from hklab.containers import Container, ContactAngle, as_angle, parse_container
 from hklab.domain import mesh_domain
 from hklab.errors import ConfigError, WindowError
-from hklab.identities import applicable_identities, check_identity, hk_report
+from hklab.identities import MACHINE_FLOOR, applicable_identities, check_identity, hk_report
 from hklab.profiles import ProfileCurve, make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.reilly import hk_pipeline, reilly_sides
 from hklab.surface import SurfaceMesh, mesh_surface
@@ -226,7 +226,7 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
     if "identities" in scenario.checks:
         entries = []
         for ident in applicable_identities(container):
-            res = check_identity(ident, surface, scenario.theta)
+            res = check_identity(ident, surface)
             entries.append(
                 {
                     "identity": res.identity,
@@ -236,11 +236,11 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
         result["identities"] = entries
 
     if "hk" in scenario.checks:
-        result["hk"] = hk_report(surface, domain, container, scenario.theta).to_dict()
+        result["hk"] = hk_report(surface, domain).to_dict()
 
     solution = None
     if needs_solve:
-        problem = capillary_problem(domain, scenario.theta)
+        problem = capillary_problem(domain)
         solution = solve_mixed_bvp(problem, tol=scenario.tol, max_iter=scenario.max_iter)
 
     if "bvp" in scenario.checks and solution is not None:
@@ -256,23 +256,24 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
         result["bvp"] = entry
 
     if "reilly" in scenario.checks and solution is not None:
-        sides = reilly_sides(domain, solution, weighted=False)
+        # the chain replays the unweighted sides on the half-space and the
+        # weighted ones on the half-ball
+        sides = reilly_sides(solution, weighted=False)
         entry = {"unweighted": sides.to_dict()}
         if container is Container.HALF_BALL:
-            entry["weighted"] = reilly_sides(domain, solution, weighted=True).to_dict()
-        entry["pipeline"] = hk_pipeline(
-            container, domain, surface, solution, scenario.theta
-        ).to_dict()
+            sides = reilly_sides(solution, weighted=True)
+            entry["weighted"] = sides.to_dict()
+        entry["pipeline"] = hk_pipeline(surface, solution, sides).to_dict()
         result["reilly"] = entry
 
     if "corner" in scenario.checks and scenario.dim == 1 and container.has_support:
         graded = mesh_domain(surface, container, resolution, grading=scenario.grading)
-        corner_problem = capillary_problem(graded, scenario.theta)
+        corner_problem = capillary_problem(graded)
         corner_solution = solve_mixed_bvp(
             corner_problem, tol=scenario.tol, max_iter=scenario.max_iter
         )
         try:
-            result["corner"] = corner_exponent(corner_solution, scenario.theta).to_dict()
+            result["corner"] = corner_exponent(corner_solution).to_dict()
         except WindowError as exc:
             result["corner"] = {"error": str(exc)}
 
@@ -326,7 +327,7 @@ def _verdicts(scenario: Scenario, results: list, rates: dict) -> dict:
         verdicts["identities"] = ok
     if "hk" in scenario.checks:
         hk = top["hk"]
-        scale = max(abs(hk["lhs"]), abs(hk["rhs_form2"]), 1e-300)
+        scale = max(abs(hk["lhs"]), abs(hk["rhs_form2"]), MACHINE_FLOOR)
         forms_agree = abs(hk["rhs_form1"] - hk["rhs_form2"]) <= 1e-2 * scale
         inequality_holds = hk["gap"] >= -2e-2 * scale
         verdicts["hk"] = bool(forms_agree and inequality_holds)

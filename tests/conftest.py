@@ -63,12 +63,12 @@ def hs_domain1_graded(hs_surface1):
 
 @pytest.fixture(scope="session")
 def hs_solution1(hs_domain1):
-    return solve_mixed_bvp(capillary_problem(hs_domain1, THETA3))
+    return solve_mixed_bvp(capillary_problem(hs_domain1))
 
 
 @pytest.fixture(scope="session")
 def hs_exact_solution1(hs_cap1, hs_domain1):
-    problem = capillary_problem(hs_domain1, THETA3)
+    problem = capillary_problem(hs_domain1)
     from hklab import solution_from_field
 
     return solution_from_field(problem, exact_cap_solution(hs_cap1))

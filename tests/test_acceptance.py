@@ -47,14 +47,12 @@ def test_criterion_1_cap_equality():
     t0 = time.perf_counter()
     surf = mesh_surface(cap, 64)
     dom = mesh_domain(surf, None, 32, grading=0.0)
-    rep = hk_report(surf, dom, "half-space", THETA)
+    rep = hk_report(surf, dom)
     elapsed = time.perf_counter() - t0
     # refinement trend relative to the half-resolution configuration
     coarse = hk_report(
         mesh_surface(cap, 32),
         mesh_domain(mesh_surface(cap, 32), None, 16, grading=0.0),
-        "half-space",
-        THETA,
         refined=(surf, dom),
     )
     closed = math.pi * (1.0 - math.cos(THETA))
@@ -87,7 +85,7 @@ def test_criterion_2_identity_suite():
         for ident in applicable_identities(cap.container):
             rel = []
             for res in (16, 32, 64):
-                rel.append(check_identity(ident, mesh_surface(cap, res), THETA).relative)
+                rel.append(check_identity(ident, mesh_surface(cap, res)).relative)
             worst_rel = max(worst_rel, rel[-1])
             if rel[-1] >= RATE_FLOOR:
                 orders = [math.log2(a / b) for a, b in zip(rel, rel[1:])]
@@ -108,7 +106,7 @@ def test_criterion_3_bvp_exactness():
     for res in (40, 80, 160):
         surf = mesh_surface(cap, res)
         dom = mesh_domain(surf, None, res, grading=0.0)
-        problem = capillary_problem(dom, THETA)
+        problem = capillary_problem(dom)
         c_used = problem.flux_constant
         sol = solve_mixed_bvp(problem)
         e = sol.f - exact(dom.vertices)
@@ -137,16 +135,16 @@ def test_criterion_4_reilly_formula():
     cap = make_cap("half-space", THETA, 1.0, 1)
     surf = mesh_surface(cap, 64)
     dom = mesh_domain(surf, None, 64, grading=0.0)
-    problem = capillary_problem(dom, THETA)
+    problem = capillary_problem(dom)
     fem = solve_mixed_bvp(problem)
-    sides_fem = reilly_sides(dom, fem)
+    sides_fem = reilly_sides(fem)
     exact = solution_from_field(problem, exact_cap_solution(cap))
-    sides_ex = reilly_sides(dom, exact)
+    sides_ex = reilly_sides(exact)
 
     ball = make_cap("half-ball", THETA, 0.5, 1)
     domb = mesh_domain(mesh_surface(ball, 96), None, 96, grading=0.0)
-    problem_b = capillary_problem(domb, THETA)
-    weighted = reilly_sides(domb, solve_mixed_bvp(problem_b), weighted=True)
+    problem_b = capillary_problem(domb)
+    weighted = reilly_sides(solve_mixed_bvp(problem_b), weighted=True)
 
     ok = (
         sides_fem.relative_defect <= 3e-2
@@ -167,10 +165,9 @@ def test_criterion_5_proof_chain():
     cap = make_cap("half-space", THETA, 1.0, 1)
     surf = mesh_surface(cap, 64)
     dom = mesh_domain(surf, None, 64, grading=0.0)
-    problem = capillary_problem(dom, THETA)
-    cap_trace = hk_pipeline(
-        "half-space", dom, surf, solve_mixed_bvp(problem), THETA
-    )
+    problem = capillary_problem(dom)
+    cap_solution = solve_mixed_bvp(problem)
+    cap_trace = hk_pipeline(surf, cap_solution, reilly_sides(cap_solution))
     cap_ok = cap_trace.all_passed and cap_trace.equality_case
     eq_ok = all(
         abs(s.margin) <= 2e-2 * max(abs(s.lhs), abs(s.rhs))
@@ -185,9 +182,8 @@ def test_criterion_5_proof_chain():
     for res in (128, 192):
         surf_p = mesh_surface(prof, res)
         dom_p = mesh_domain(surf_p, None, res, grading=0.0)
-        trace = hk_pipeline(
-            "half-space", dom_p, surf_p, solve_mixed_bvp(capillary_problem(dom_p, THETA)), THETA
-        )
+        sol_p = solve_mixed_bvp(capillary_problem(dom_p))
+        trace = hk_pipeline(surf_p, sol_p, reilly_sides(sol_p))
         pert_ok = pert_ok and trace.all_passed and not trace.equality_case
         margins.append(trace.step("cauchy_schwarz").margin)
     strict_ok = all(m > 0 for m in margins) and margins[1] >= 0.5 * margins[0]
@@ -207,9 +203,9 @@ def test_criterion_6_corner_regularity():
         cap = make_cap("half-space", theta, 1.0, 1)
         surf = mesh_surface(cap, 128)
         dom = mesh_domain(surf, None, 128, grading=0.5)
-        problem = capillary_problem(dom, theta)
-        sol = solution_from_field(problem, wedge_model_values(dom, theta))
-        fit = corner_exponent(sol, theta)
+        problem = capillary_problem(dom)
+        sol = solution_from_field(problem, wedge_model_values(dom))
+        fit = corner_exponent(sol)
         fits[theta] = fit.lambda_hat
     wedge_ok = all(
         abs(fits[t] - math.pi / (2 * t)) <= 0.1 for t in fits
@@ -218,9 +214,7 @@ def test_criterion_6_corner_regularity():
     cap = make_cap("half-space", math.pi / 2, 1.0, 1)
     surf = mesh_surface(cap, 96)
     dom = mesh_domain(surf, None, 96, grading=0.5)
-    smooth = corner_exponent(
-        solve_mixed_bvp(capillary_problem(dom, math.pi / 2)), math.pi / 2
-    )
+    smooth = corner_exponent(solve_mixed_bvp(capillary_problem(dom)))
     smooth_ok = abs(smooth.beta_hat) <= 0.1
 
     ok = wedge_ok and smooth_ok
@@ -238,7 +232,7 @@ def test_criterion_7_alexandrov_certification():
         cap = make_cap(container, THETA, radius, n)
         surf = mesh_surface(cap, 48)
         dom = mesh_domain(surf, None, 24, grading=0.0)
-        v = alexandrov_certify(surf, dom, THETA)
+        v = alexandrov_certify(surf, dom)
         results.append(
             v.verdict == "cap" and v.fit_rms <= 1e-2 * v.fit_radius
             and abs(v.fit_radius - radius) <= 1e-3 * radius
@@ -249,7 +243,7 @@ def test_criterion_7_alexandrov_certification():
     )
     surf_p = mesh_surface(prof, 64)
     dom_p = mesh_domain(surf_p, None, 64, grading=0.0)
-    vp = alexandrov_certify(surf_p, dom_p, THETA)
+    vp = alexandrov_certify(surf_p, dom_p)
     perturbed_ok = vp.verdict == "not cap" and vp.weighted_minkowski_gap > 0
 
     ok = all(results) and perturbed_ok

@@ -86,10 +86,10 @@ def test_capillary_constant_closed_forms():
 
 
 def test_mesh_measured_constant(hs_domain1, hb_cap1):
-    assert abs(capillary_constant_from_domain(hs_domain1, THETA3) + 0.25) < 1e-12
+    assert abs(capillary_constant_from_domain(hs_domain1) + 0.25) < 1e-12
     domb = mesh_domain(mesh_surface(hb_cap1, 64), None, 64, grading=0.0)
     exact = -0.5 * math.cos(THETA3) / 2.0
-    assert abs(capillary_constant_from_domain(domb, THETA3) - exact) < 2e-3
+    assert abs(capillary_constant_from_domain(domb) - exact) < 2e-3
 
 
 def test_fem_matches_exact_solution(hs_cap1, hs_domain1, hs_solution1):
@@ -106,7 +106,7 @@ def test_l2_convergence_order(hs_cap1):
     for res in (40, 80, 160):
         surf = mesh_surface(hs_cap1, res)
         dom = mesh_domain(surf, None, res, grading=0.0)
-        sol = solve_mixed_bvp(capillary_problem(dom, THETA3))
+        sol = solve_mixed_bvp(capillary_problem(dom))
         errs.append(l2_relative_error(dom, sol.f, ex(dom.vertices)))
         nvs.append(dom.num_vertices)
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -125,7 +125,7 @@ def test_homogeneous_problem_is_trivial(hs_domain1):
 def test_robin_trace_residual(hb_cap1):
     surf = mesh_surface(hb_cap1, 64)
     dom = mesh_domain(surf, None, 64, grading=0.0)
-    problem = capillary_problem(dom, THETA3)
+    problem = capillary_problem(dom)
     assert problem.robin_gamma == 1
     sol = solve_mixed_bvp(problem)
     mids = dom.vertices[dom.t_facets].mean(axis=1)
@@ -140,7 +140,7 @@ def test_robin_trace_residual(hb_cap1):
 def test_max_principle_surrogate(hs_solution1, hb_cap1):
     assert float(hs_solution1.f.max()) <= 1e-12
     domb = mesh_domain(mesh_surface(hb_cap1, 48), None, 48, grading=0.0)
-    solb = solve_mixed_bvp(capillary_problem(domb, THETA3))
+    solb = solve_mixed_bvp(capillary_problem(domb))
     assert float(solb.f.max()) <= 1e-12
 
 
@@ -158,7 +158,7 @@ def test_assembly_symmetry(hs_domain1):
 def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
     # gamma = 0 must reproduce the pure-Neumann assembly bit for bit
     dom = mesh_domain(mesh_surface(hb_cap1, 32), None, 32, grading=0.0)
-    c = capillary_constant_from_domain(dom, THETA3)
+    c = capillary_constant_from_domain(dom)
     problem = make_problem(dom, rhs=1.0, flux=c, gamma=0)
     sol = solve_mixed_bvp(problem, tol=1e-11)
 
@@ -178,12 +178,12 @@ def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
 
 
 def test_solver_failure_modes(hs_domain1):
-    problem = capillary_problem(hs_domain1, THETA3)
+    problem = capillary_problem(hs_domain1)
     with pytest.raises(SolverError):
         solve_mixed_bvp(problem, max_iter=2)
     stripped = replace(hs_domain1, sigma_facets=np.empty((0, 2), dtype=np.int64))
     with pytest.raises(HkLabError):
-        capillary_problem(stripped, THETA3)
+        capillary_problem(stripped)
 
 
 def test_recovery_exact_for_quadratics(hs_domain1):
@@ -522,9 +522,9 @@ def test_wedge_model_lambda_fits():
         cap = make_cap("half-space", theta, 1.0, 1)
         surf = mesh_surface(cap, 96)
         dom = mesh_domain(surf, None, 96, grading=0.5)
-        problem = capillary_problem(dom, theta)
-        sol = solution_from_field(problem, wedge_model_values(dom, theta))
-        fit = corner_exponent(sol, theta)
+        problem = capillary_problem(dom)
+        sol = solution_from_field(problem, wedge_model_values(dom))
+        fit = corner_exponent(sol)
         assert abs(fit.lambda_hat - target) <= 0.1
         assert fit.r2_growth >= 0.9
         assert abs(fit.wedge_reference - target) < 1e-12
@@ -534,8 +534,8 @@ def test_smooth_solution_has_bounded_hessian():
     cap = make_cap("half-space", math.pi / 2, 1.0, 1)
     surf = mesh_surface(cap, 96)
     dom = mesh_domain(surf, None, 96, grading=0.5)
-    sol = solve_mixed_bvp(capillary_problem(dom, math.pi / 2))
-    fit = corner_exponent(sol, math.pi / 2)
+    sol = solve_mixed_bvp(capillary_problem(dom))
+    fit = corner_exponent(sol)
     assert abs(fit.beta_hat) <= 0.1
 
 
@@ -548,8 +548,8 @@ def test_generic_corner_fit_window(hs_cap1):
     )
     surf = mesh_surface(prof, 160)
     dom = mesh_domain(surf, None, 160, grading=0.5)
-    sol = solve_mixed_bvp(capillary_problem(dom, THETA3))
-    fit = corner_exponent(sol, THETA3)
+    sol = solve_mixed_bvp(capillary_problem(dom))
+    fit = corner_exponent(sol)
     assert -0.1 < fit.beta_hat < 1.0  # within fit uncertainty of the (0, 1) window
     assert fit.lambda_hat >= 0.95  # bounded-gradient solutions grow at least linearly
     assert fit.window[1] <= 0.2 * 2.1  # window cap at a fifth of the diameter
@@ -594,7 +594,7 @@ def test_pcg_rejects_zero_iterations(hs_domain1):
     with pytest.raises(SolverError, match="in 0 iterations"):
         pcg(sp.identity(3, format="csr"), np.ones(3), 1e-10, 0)
     with pytest.raises(SolverError):
-        solve_mixed_bvp(capillary_problem(hs_domain1, THETA3), max_iter=0)
+        solve_mixed_bvp(capillary_problem(hs_domain1), max_iter=0)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,66 @@ def test_geometry_checks_mesh_no_solve_domain(tmp_path, monkeypatch):
     ]
 
 
+def _count_reilly_sides(monkeypatch) -> list:
+    """Count reilly_sides calls, both where report and cli call it and inside reilly."""
+    import hklab.cli
+    import hklab.reilly
+
+    calls = []
+    original = hklab.reilly.reilly_sides
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("weighted", False))
+        return original(*args, **kwargs)
+
+    for module in (hklab.reilly, hklab.report, hklab.cli):
+        monkeypatch.setattr(module, "reilly_sides", counting)
+    return calls
+
+
+@pytest.mark.parametrize("container, radius, per_rung", [
+    ("half-space", "1", [False]),
+    ("half-ball", "0.5", [False, True]),
+])
+def test_reilly_check_evaluates_each_weighting_once_per_rung(container, radius, per_rung,
+                                                             tmp_path, monkeypatch):
+    # the proof chain takes the sides of its weighting from the caller
+    calls = _count_reilly_sides(monkeypatch)
+    code = run_cli(
+        "run", "--container", container, "--theta", THETA_STR, "--dim", "1",
+        "--cap-radius", radius, "--checks", "reilly", "--ladder", "16,32",
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert code in (0, 1)
+    assert calls == per_rung * 2
+
+
+def test_weighted_reilly_subcommand_evaluates_the_sides_once(tmp_path, monkeypatch):
+    calls = _count_reilly_sides(monkeypatch)
+    out = tmp_path / "reilly.json"
+    code = run_cli(
+        "reilly", "--container", "half-ball", "--theta", THETA_STR, "--dim", "1",
+        "--cap-radius", "0.5", "--resolution", "32", "--weighted", "--out", str(out),
+    )
+    assert code in (0, 1)
+    assert calls == [True]
+    data = json.loads(out.read_text())
+    assert data["reilly"]["weighted"] and "pipeline" in data
+
+
+def test_closed_hk_report_has_no_angle(tmp_path):
+    # the closed container carries no contact angle, whatever --theta says
+    out = tmp_path / "closed.json"
+    code = run_cli(
+        "run", "--container", "closed", "--theta", "1.0", "--dim", "1",
+        "--checks", "hk", "--ladder", "16", "--out", str(out),
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["scenario"]["theta"] == 1.0
+    assert report["results"][0]["hk"]["theta"] is None
+
+
 @pytest.mark.parametrize("dim, ladder", [("1", [16, 32, 64]), ("2", [8, 16, 24])])
 def test_default_ladder_follows_the_dimension(dim, ladder):
     from hklab.cli import _scenario_from_args, build_parser

@@ -17,7 +17,7 @@ from hklab import (
     perturb_profile,
     profile_from_cap,
 )
-from hklab.errors import MeanConvexityError
+from hklab.errors import ContainerMismatchError, MeanConvexityError
 
 
 def test_symbolic_equality_both_forms():
@@ -45,7 +45,7 @@ def test_cap_equality_n2(hs_cap2):
     )
     surf = mesh_surface(hs_cap2, 32)
     dom = mesh_domain(surf, "half-space", 16, grading=0.0)
-    rep = hk_report(surf, dom, "half-space", THETA3, refined=fine_pair)
+    rep = hk_report(surf, dom, refined=fine_pair)
     assert abs(rep.lhs - math.pi / 2) / (math.pi / 2) < 2e-3
     assert rep.relative_gap <= 5e-3
     assert rep.equality_flag
@@ -134,10 +134,18 @@ def test_mean_convexity_rejection(hs_cap2):
         hk_report(bad, dom)
 
 
+def test_surface_and_domain_share_one_container(hs_cap2, hb_cap2):
+    # container and angle come from the meshes; the pair must agree on the container
+    surf = mesh_surface(hs_cap2, 8)
+    dom = mesh_domain(mesh_surface(hb_cap2, 8), None, 8, grading=0.0)
+    with pytest.raises(ContainerMismatchError):
+        hk_report(surf, dom)
+
+
 def test_alexandrov_cap_verdicts(hs_cap2):
     surf = mesh_surface(hs_cap2, 48)
     dom = mesh_domain(surf, None, 32, grading=0.0)
-    v = alexandrov_certify(surf, dom, THETA3)
+    v = alexandrov_certify(surf, dom)
     assert v.verdict == "cap"
     assert abs(v.fit_radius - 1.0) < 1e-3
     assert v.fit_rms <= 1e-2 * v.fit_radius
@@ -158,7 +166,7 @@ def test_alexandrov_perturbed_not_cap(hs_cap1):
     )
     surf = mesh_surface(prof, 64)
     dom = mesh_domain(surf, None, 64, grading=0.0)
-    v = alexandrov_certify(surf, dom, THETA3)
+    v = alexandrov_certify(surf, dom)
     assert v.verdict == "not cap"
     assert v.cmc_defect > 1e-2
     assert v.weighted_minkowski_gap > 0

@@ -8,18 +8,20 @@ import pytest
 
 from conftest import THETA3
 from hklab import (
+    alexandrov_certify,
     check_identity,
     integrate_boundary,
     integrate_surface,
     make_axisymmetric,
     make_cap,
+    mesh_domain,
     mesh_surface,
     perturb_profile,
     profile_from_cap,
 )
 from hklab.containers import Container
 from hklab.errors import ContainerMismatchError, MeanConvexityError
-from hklab.identities import IdentityId, Residual, applicable_identities, boundary_values
+from hklab.identities import IdentityId, Residual, applicable_identities
 from hklab.surface import build_surface_mesh, discrete_geometry
 
 
@@ -39,16 +41,20 @@ def test_symbolic_cap_quantities():
 
 
 def test_integrate_surface_examples(hs_surface2):
-    assert abs(integrate_surface(hs_surface2, "1") - math.pi) / math.pi < 2e-3
+    ones = np.ones(hs_surface2.num_vertices)
+    nu_z = hs_surface2.normals[:, -1]
+    assert abs(integrate_surface(hs_surface2, ones) - math.pi) / math.pi < 2e-3
     t_ref = 3 * math.pi / 4
-    assert abs(integrate_surface(hs_surface2, "nu_z") - t_ref) / t_ref < 5e-3
+    assert abs(integrate_surface(hs_surface2, nu_z) - t_ref) / t_ref < 5e-3
     h_ref = 3 * math.pi / 2
-    assert abs(integrate_surface(hs_surface2, "H*nu_z") - h_ref) / h_ref < 5e-3
+    h_nu_z = hs_surface2.mean_curvature * nu_z
+    assert abs(integrate_surface(hs_surface2, h_nu_z) - h_ref) / h_ref < 5e-3
 
 
 def test_boundary_integrals(hs_surface2):
     ref = math.pi * math.sqrt(3.0)
-    assert abs(integrate_boundary(hs_surface2, "1") - ref) / ref < 2e-3
+    ones = np.ones(len(hs_surface2.boundary_vertices))
+    assert abs(integrate_boundary(hs_surface2, ones) - ref) / ref < 2e-3
 
 
 def _lookup_boundary_integral(mesh, vals) -> float:
@@ -73,29 +79,29 @@ def test_two_loop_boundary_integral_matches_lookup(hs_cap2):
     mesh = discrete_geometry(build_surface_mesh(
         2, Container.HALF_SPACE, hs_cap2.theta, vertices, perm[cap.cells[keep] - 1]))
     assert len(mesh.boundary_loops) == 2
-    values = np.random.default_rng(6).normal(size=len(mesh.boundary_vertices))
-    for integrand in ("1", "mu_z", "x.mu", values):
-        vals = boundary_values(mesh, integrand)
-        assert integrate_boundary(mesh, integrand) == _lookup_boundary_integral(mesh, vals)
+    pts, mu = mesh.vertices[mesh.boundary_vertices], mesh.boundary_mu
+    values = np.random.default_rng(6).normal(size=len(pts))
+    for vals in (np.ones(len(pts)), mu[:, -1], np.einsum("ij,ij->i", pts, mu), values):
+        assert integrate_boundary(mesh, vals) == _lookup_boundary_integral(mesh, vals)
 
 
 def test_halfspace_identities_at_resolution(hs_surface2):
     for ident in applicable_identities(hs_surface2.container):
-        res = check_identity(ident, hs_surface2, THETA3)
+        res = check_identity(ident, hs_surface2)
         assert res.relative <= 1e-2, ident
 
 
 def test_ball_identities(hb_cap2):
     surf = mesh_surface(hb_cap2, 48)
     for ident in applicable_identities(surf.container):
-        res = check_identity(ident, surf, THETA3)
+        res = check_identity(ident, surf)
         assert res.relative <= 1e-2, ident
 
 
 def test_conservation_ball_form(hb_cap2):
     # residual of int_Sigma nu_z + int_T V, with the T integral reduced to Gamma
     surf = mesh_surface(hb_cap2, 64)
-    res = check_identity(IdentityId.CONSERVATION_BALL, surf, THETA3)
+    res = check_identity(IdentityId.CONSERVATION_BALL, surf)
     assert res.relative <= 1e-2
 
 
@@ -105,7 +111,7 @@ def test_identity_convergence_order(hs_cap1, hb_cap1):
             rel = []
             for res in (16, 32, 64):
                 surf = mesh_surface(cap, res)
-                rel.append(check_identity(ident, surf, THETA3).relative)
+                rel.append(check_identity(ident, surf).relative)
             if rel[-1] < 1e-13:  # identically satisfied; no measurable rate
                 continue
             orders = [math.log2(a / b) for a, b in zip(rel, rel[1:])]
@@ -125,20 +131,22 @@ def test_minkowski_perturbed_decreases(hs_cap1):
         prof = perturb_profile(profile_from_cap(hs_cap1, 8 * res + 1), 0.05)
         prof = make_axisymmetric(prof, THETA3, "half-space")
         surf = mesh_surface(prof, res)
-        rel.append(check_identity(IdentityId.MINKOWSKI_HALF_SPACE, surf, THETA3).relative)
+        rel.append(check_identity(IdentityId.MINKOWSKI_HALF_SPACE, surf).relative)
     assert rel[-1] <= 2e-2
     assert rel[0] > rel[-1]
 
 
 def test_container_mismatch(hs_surface2):
     with pytest.raises(ContainerMismatchError):
-        check_identity(IdentityId.CONSERVATION_BALL, hs_surface2, THETA3)
+        check_identity(IdentityId.CONSERVATION_BALL, hs_surface2)
 
 
-def test_mean_convexity_abort(hs_surface2):
-    flipped = replace(hs_surface2, mean_curvature=-hs_surface2.mean_curvature)
+def test_mean_convexity_abort(hs_cap2):
+    surf = mesh_surface(hs_cap2, 16)
+    dom = mesh_domain(surf, None, 8, grading=0.0)
+    flipped = replace(surf, mean_curvature=-surf.mean_curvature)
     with pytest.raises(MeanConvexityError):
-        integrate_surface(flipped, "1/H")
+        alexandrov_certify(flipped, dom)
 
 
 def test_residual_floor():

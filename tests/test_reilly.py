@@ -22,19 +22,20 @@ from hklab import (
     solve_mixed_bvp,
 )
 from hklab.bvp import MixedBvpProblem, make_problem
+from hklab.reilly import ReillySides
 from hklab.errors import ConstantMismatchError, HkLabError
 
 AREA_N1 = math.pi / 3 - math.sqrt(3) / 4
 
 
 def test_volume_side_closed_form_exact_path(hs_exact_solution1, hs_domain1):
-    sides = reilly_sides(hs_domain1, hs_exact_solution1)
+    sides = reilly_sides(hs_exact_solution1)
     assert abs(sides.volume_side - AREA_N1 / 2) / (AREA_N1 / 2) <= 3e-2
     assert sides.relative_defect <= 3e-2
 
 
 def test_volume_side_fem_path(hs_domain1, hs_solution1):
-    sides = reilly_sides(hs_domain1, hs_solution1)
+    sides = reilly_sides(hs_solution1)
     assert abs(sides.volume_side - AREA_N1 / 2) / (AREA_N1 / 2) <= 3e-2
     assert sides.relative_defect <= 3e-2
 
@@ -42,9 +43,9 @@ def test_volume_side_fem_path(hs_domain1, hs_solution1):
 def test_volume_side_n2(hs_cap2):
     surf = mesh_surface(hs_cap2, 16)
     dom = mesh_domain(surf, None, 16, grading=0.0)
-    problem = capillary_problem(dom, THETA3)
+    problem = capillary_problem(dom)
     sol = solution_from_field(problem, exact_cap_solution(hs_cap2))
-    sides = reilly_sides(dom, sol)
+    sides = reilly_sides(sol)
     target = (2.0 / 3.0) * 5 * math.pi / 24
     assert abs(sides.volume_side - target) / target <= 3e-2
     assert sides.relative_defect <= 3e-2
@@ -55,8 +56,8 @@ def test_defect_refinement_order(hs_cap1):
     for res in (32, 64, 128):
         surf = mesh_surface(hs_cap1, res)
         dom = mesh_domain(surf, None, res, grading=0.0)
-        sol = solve_mixed_bvp(capillary_problem(dom, THETA3))
-        defects.append(abs(reilly_sides(dom, sol).defect))
+        sol = solve_mixed_bvp(capillary_problem(dom))
+        defects.append(abs(reilly_sides(sol).defect))
     orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]
     assert min(orders) >= 0.9  # recovery near Gamma limits the rate to ~1
 
@@ -64,7 +65,7 @@ def test_defect_refinement_order(hs_cap1):
 def test_zero_field_gives_zero_sides(hs_domain1):
     problem = make_problem(hs_domain1, rhs=0.0, flux=0.0, gamma=0)
     sol = solution_from_field(problem, np.zeros(hs_domain1.num_vertices))
-    sides = reilly_sides(hs_domain1, sol)
+    sides = reilly_sides(sol)
     assert sides.volume_side == 0.0
     assert sides.boundary_side == 0.0
 
@@ -72,20 +73,20 @@ def test_zero_field_gives_zero_sides(hs_domain1):
 def test_weighted_ball_defect(hb_cap1):
     surf = mesh_surface(hb_cap1, 96)
     dom = mesh_domain(surf, None, 96, grading=0.0)
-    problem = capillary_problem(dom, THETA3)
+    problem = capillary_problem(dom)
     exact = solution_from_field(problem, exact_cap_solution(hb_cap1))
-    sw = reilly_sides(dom, exact, weighted=True)
+    sw = reilly_sides(exact, weighted=True)
     assert sw.relative_defect <= 5e-2
     target = 0.5 * hb_cap1.quantities["int_volume_height"]
     assert abs(sw.volume_side - target) / target <= 5e-2
     fem = solve_mixed_bvp(problem)
-    swf = reilly_sides(dom, fem, weighted=True)
+    swf = reilly_sides(fem, weighted=True)
     assert swf.relative_defect <= 5e-2
 
 
 def test_weighted_preconditions(hs_domain1, hs_solution1):
     with pytest.raises(HkLabError):
-        reilly_sides(hs_domain1, hs_solution1, weighted=True)
+        reilly_sides(hs_solution1, weighted=True)
 
 
 def test_weighted_needs_nonnegative_height():
@@ -94,7 +95,7 @@ def test_weighted_needs_nonnegative_height():
     problem = MixedBvpProblem(dom, np.ones(dom.num_vertices), 0.0, 0)
     sol = solve_mixed_bvp(problem)
     with pytest.raises(HkLabError):
-        reilly_sides(dom, sol, weighted=True)
+        reilly_sides(sol, weighted=True)
 
 
 def test_translated_weighted_consistency():
@@ -105,15 +106,15 @@ def test_translated_weighted_consistency():
         dom = mesh_domain(mesh_surface(cap, 64), None, 64)
         problem = MixedBvpProblem(dom, np.ones(dom.num_vertices), 0.0, 0)
         sol = solve_mixed_bvp(problem)
-        uw = reilly_sides(dom, sol, weighted=False)
-        w = reilly_sides(dom, sol, weighted=True)
+        uw = reilly_sides(sol, weighted=False)
+        w = reilly_sides(sol, weighted=True)
         defects.append(abs(w.volume_side / (height * uw.volume_side) - 1.0))
     assert defects[1] <= 1e-2
     assert defects[1] < defects[0]
 
 
 def test_pipeline_cap_equality_case(hs_domain1, hs_exact_solution1, hs_surface1):
-    trace = hk_pipeline("half-space", hs_domain1, hs_surface1, hs_exact_solution1, THETA3)
+    trace = hk_pipeline(hs_surface1, hs_exact_solution1, reilly_sides(hs_exact_solution1))
     assert trace.all_passed
     assert trace.equality_case
     for step in trace.steps:
@@ -125,7 +126,7 @@ def test_pipeline_cap_equality_case(hs_domain1, hs_exact_solution1, hs_surface1)
 
 
 def test_pipeline_fem_cap(hs_domain1, hs_solution1, hs_surface1):
-    trace = hk_pipeline("half-space", hs_domain1, hs_surface1, hs_solution1, THETA3)
+    trace = hk_pipeline(hs_surface1, hs_solution1, reilly_sides(hs_solution1))
     assert trace.all_passed
 
 
@@ -133,9 +134,9 @@ def test_pipeline_exact_chain_values(hs_cap2):
     # closed-form chain of the n = 2 cap: int f_nu = pi/3 and the Hoelder equality
     surf = mesh_surface(hs_cap2, 20)
     dom = mesh_domain(surf, None, 16, grading=0.0)
-    problem = capillary_problem(dom, THETA3)
+    problem = capillary_problem(dom)
     sol = solution_from_field(problem, exact_cap_solution(hs_cap2))
-    trace = hk_pipeline("half-space", dom, surf, sol, THETA3)
+    trace = hk_pipeline(surf, sol, reilly_sides(sol))
     div = trace.step("divergence")
     assert abs(div.lhs - 5 * math.pi / 24) / (5 * math.pi / 24) < 1e-2
     bal = trace.step("capillary_balance")
@@ -150,8 +151,8 @@ def test_pipeline_exact_chain_values(hs_cap2):
 def test_pipeline_ball_equality(hb_cap1):
     surf = mesh_surface(hb_cap1, 96)
     dom = mesh_domain(surf, None, 96, grading=0.0)
-    sol = solve_mixed_bvp(capillary_problem(dom, THETA3))
-    trace = hk_pipeline("half-ball", dom, surf, sol, THETA3)
+    sol = solve_mixed_bvp(capillary_problem(dom))
+    trace = hk_pipeline(surf, sol, reilly_sides(sol, weighted=True))
     assert trace.all_passed
     assert trace.equality_case
 
@@ -166,8 +167,8 @@ def test_pipeline_perturbed_strict(hs_cap1):
     for res in (128, 192):
         surf = mesh_surface(prof, res)
         dom = mesh_domain(surf, None, res, grading=0.0)
-        sol = solve_mixed_bvp(capillary_problem(dom, THETA3))
-        trace = hk_pipeline("half-space", dom, surf, sol, THETA3)
+        sol = solve_mixed_bvp(capillary_problem(dom))
+        trace = hk_pipeline(surf, sol, reilly_sides(sol))
         assert trace.all_passed
         cs = trace.step("cauchy_schwarz")
         margins.append(cs.margin)
@@ -180,11 +181,18 @@ def test_pipeline_refuses_wrong_constant(hs_domain1, hs_surface1):
     wrong = make_problem(hs_domain1, rhs=1.0, flux=-0.3, gamma=0)
     sol = solve_mixed_bvp(wrong)
     with pytest.raises(ConstantMismatchError):
-        hk_pipeline("half-space", hs_domain1, hs_surface1, sol, THETA3)
+        hk_pipeline(hs_surface1, sol, reilly_sides(sol))
+
+
+def test_pipeline_refuses_sides_of_the_other_weighting(hs_surface1, hs_solution1):
+    sides = reilly_sides(hs_solution1)
+    weighted = ReillySides(sides.volume_side, sides.boundary_side, weighted=True)
+    with pytest.raises(HkLabError, match="unweighted"):
+        hk_pipeline(hs_surface1, hs_solution1, weighted)
 
 
 def test_pipeline_agrees_with_hk_report(hs_surface1, hs_domain1, hs_solution1):
-    trace = hk_pipeline("half-space", hs_domain1, hs_surface1, hs_solution1, THETA3)
+    trace = hk_pipeline(hs_surface1, hs_solution1, reilly_sides(hs_solution1))
     report = hk_report(hs_surface1, hs_domain1)
     # same gap up to twice the dominant single-integral quadrature error
     scale = max(abs(report.lhs), abs(report.rhs_form2))

@@ -1,20 +1,34 @@
 """The benchmark tracer wraps hklab functions at named import sites.
 
 A refactor that moves or renames one of them must fail here, in the test
-suite, and not only in a benchmark run.  perfbench/spans.py is read and
-executed in memory, so no bytecode is written next to it.
+suite, and not only in a benchmark run.  The perfbench modules are read and
+executed in memory, so no bytecode is written next to them.
 """
 
 import importlib
+import sys
+import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+
+
+def _load(path: Path, name: str) -> types.ModuleType:
+    """Execute a perfbench file as a module (dataclasses look theirs up while it runs)."""
+    module = types.ModuleType(name)
+    sys.modules[name] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def test_every_trace_site_resolves():
-    namespace = {"__name__": "perfbench_spans"}
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), namespace)
-    sites = namespace["SITES"]
+    sites = _load(SPANS, "perfbench_spans").SITES
     assert sites
     missing = [
         (module, attr) for module, attr, *_ in sites
@@ -41,3 +55,14 @@ def test_mesh_domain_grades_each_mesh_once(monkeypatch, hs_surface1, hb_cap2):
         dom = mesh_domain(surface, None, resolution)
         assert len(grades) == 1
         assert grades[0].shape == (len(dom.cells),)
+
+
+@pytest.mark.parametrize("workload", ["n2-solve", "n1-corner", "n2-geometry"])
+def test_workload_sources_build(workload, tmp_path):
+    # the benchmark set-up calls the entry points with string containers and
+    # float angles; it writes the OFF file that an OFF scenario reads
+    workloads = _load(PERFBENCH / "workloads.py", "perfbench_workloads")
+    scenarios = workloads.draw(workload, 1)
+    workloads.build_sources(scenarios, tmp_path, workloads.direct_call)
+    offs = [sc.off_path(tmp_path) for sc in scenarios if sc.spec.off]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in offs)
