@@ -253,6 +253,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reilly(args) -> int:
+    container = check_inputs(args.container, None, theta_required=False)
+    if args.weighted and container is not Container.HALF_BALL:
+        raise ConfigError("the weighted Reilly formula (--weighted) is for the half-ball")
     _, surface, domain = _cap_and_meshes(args)
     solution = solve_mixed_bvp(capillary_problem(domain), tol=args.tol)
     sides = reilly_sides(solution, weighted=args.weighted)

@@ -4,13 +4,19 @@ Assembly is vectorized with a fixed accumulation order, so stiffness and
 boundary-mass matrices come out symmetric to the bit and repeated runs are
 reproducible.
 
+Cell kernels run coordinate-major on fixed chunks of cells: P1 gradients are
+the cofactors of each cell's edge matrix (cross products for tets) over its
+determinant, and local stiffness entries are sums of contiguous row products.
+
 Derivative recovery fits a full quadratic to the vertex values over each
 vertex's 2-hop patch (grown to 3 and 4 hops where needed), with offsets
-whitened by the patch covariance, in the manner of Zienkiewicz-Zhu patch
-recovery.  It is exact for quadratic fields, including one-sided boundary
-patches.  Patches are rows of products of one sparse vertex adjacency
-(`vertex_adjacency`); vertices are taken in fixed blocks, and within a block
-the patches of equal size are fitted together as stacked batches.
+divided by the patch's RMS radius, in the manner of Zienkiewicz-Zhu patch
+recovery.  The fit is invariant under a linear change of coordinates, so the
+scale only conditions it.  It is exact for quadratic fields, including
+one-sided boundary patches.  Patches are rows of products of one sparse
+vertex adjacency (`vertex_adjacency`); vertices are taken in fixed blocks, and
+within a block the patches of equal size are fitted together as stacked
+batches.
 
 Each batch of fits takes one Cholesky factorization G = L L^T of its Gram
 matrices.  The Frobenius bound kappa_2(G) <= ||G||_F ||L^-1||_F^2 certifies
@@ -25,38 +31,110 @@ from __future__ import annotations
 
 import logging
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from hklab.errors import SolverError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger("hklab.fem")
 
 _DEGENERATE_REL = 1e-12
+_CELL_BLOCK = 1 << 14  # cells whose coordinates or gradients are gathered together
 _RECOVERY_BLOCK = 2048  # vertices whose patches are built and fitted together
 _RANK_RCOND = 1e-8  # a fit is full rank when s_min > _RANK_RCOND * s_max
 _GRAM_SAFE = 1e-4  # s_min / s_max that the Cholesky bound certifies as full rank
 
 
+def _block_gradients(p: np.ndarray):
+    """Cofactor rows and determinants of cells given coordinate-major.
+
+    p has shape (d, d + 1, k): p[c, a] is coordinate c of vertex a of each
+    cell.  Returns rows[b][c], coordinate c of the cofactor row of edge b + 1
+    (e2 x e3, e3 x e1, e1 x e2 for tets), and the edge determinant, whose tet
+    triple product is rounded as domain._block_geometry rounds it.
+    """
+    edges = p[:, 1:] - p[:, :1]
+    if len(edges) == 3:
+        (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = edges
+        rows = (
+            (y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3),
+            (y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1),
+            (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2),
+        )
+        det = x1 * rows[0][0] + y1 * rows[0][1] + z1 * rows[0][2]
+    else:
+        (x1, x2), (y1, y2) = edges
+        rows = ((y2, -x2), (-y1, x1))
+        det = x1 * y2 - y1 * x2
+    return rows, det
+
+
 def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
-    """Per-cell P1 basis gradients (nc, d+1, d) and signed volumes (nc,)."""
-    d = vertices.shape[1]
-    edges = vertices[cells[:, 1:]] - vertices[cells[:, :1]]  # (nc, d, d), rows are edges
-    vols = np.linalg.det(edges) / math.factorial(d)
-    scale = np.abs(vols).max() if len(vols) else 1.0
+    """Per-cell P1 basis gradients (nc, d+1, d), signed volumes (nc,) and the
+    mask of nondegenerate cells.
+
+    The gradient of basis function b >= 1 is column b of the inverse edge
+    matrix, that is cofactor row b over the determinant; basis function 0
+    takes minus their sum.  Degenerate cells (|volume| at most _DEGENERATE_REL
+    times the largest) get zero rows.
+    """
+    nc, d = len(cells), vertices.shape[1]
+    coords = np.ascontiguousarray(vertices.T)
+    grads = np.empty((nc, d + 1, d))
+    dets = np.empty(nc)
+    # a degenerate cell may divide by (nearly) zero here; it is zeroed below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, nc, _CELL_BLOCK):
+            block = slice(start, start + _CELL_BLOCK)
+            rows, det = _block_gradients(coords.take(cells[block].T, axis=1))
+            dets[block] = det
+            out = grads[block]
+            for c in range(d):
+                g = [rows[b][c] / det for b in range(d)]
+                for b in range(d):
+                    out[:, b + 1, c] = g[b]
+                out[:, 0, c] = -sum(g[1:], g[0])
+    vols = dets / math.factorial(d)
+    scale = np.abs(vols).max() if nc else 1.0
     good = np.abs(vols) > _DEGENERATE_REL * scale
-    inv = np.zeros_like(edges)
-    inv[good] = np.linalg.inv(edges[good])
-    grads = np.empty((len(cells), d + 1, d))
-    grads[:, 1:, :] = inv.transpose(0, 2, 1)
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    grads[~good] = 0.0
     return grads, vols, good
 
 
+def _local_stiffness(grads: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    """Local stiffness matrices vols * grads grads^T (nc, m, m), chunk by chunk.
+
+    Each chunk's gradients are made coordinate-major, so every entry is a sum
+    of products of contiguous rows; the lower triangle copies the upper one,
+    so every local matrix is symmetric to the bit.
+    """
+    nc, m, d = grads.shape
+    local = np.empty((nc, m, m))
+    for start in range(0, nc, _CELL_BLOCK):
+        block = slice(start, start + _CELL_BLOCK)
+        g = np.ascontiguousarray(grads[block].transpose(1, 2, 0))  # (m, d, k)
+        sym = np.empty((m, m, g.shape[2]))
+        for i in range(m):
+            for j in range(i, m):
+                entry = sym[i, j]
+                np.multiply(g[i, 0], g[j, 0], out=entry)
+                for c in range(1, d):
+                    entry += g[i, c] * g[j, c]
+                entry *= vols[block]
+                sym[j, i] = entry
+        local[block] = sym.transpose(2, 0, 1)
+    return local
+
+
 def assemble_stiffness(grads, vols, cells, nv) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     nc, m, _ = grads.shape
-    local = np.einsum("cik,cjk->cij", grads, grads) * vols[:, None, None]
+    local = _local_stiffness(grads, vols)
     ii = np.repeat(cells, m, axis=1).reshape(nc, m, m)
     jj = np.tile(cells[:, None, :], (1, m, 1))
     mat = sp.coo_matrix((local.ravel(), (ii.ravel(), jj.ravel())), shape=(nv, nv))
@@ -65,6 +143,8 @@ def assemble_stiffness(grads, vols, cells, nv) -> sp.csr_matrix:
 
 def assemble_boundary_mass(facets, areas, nv) -> sp.csr_matrix:
     """Consistent mass matrix of the trace space on the given facets."""
+    import scipy.sparse as sp
+
     if len(facets) == 0:
         return sp.csr_matrix((nv, nv))
     m = facets.shape[1]
@@ -146,6 +226,8 @@ def vertex_adjacency(cells: np.ndarray, nv: int) -> sp.csr_matrix:
     count the cells two vertices share; only the pattern is meaningful.
     Column indices are sorted.
     """
+    import scipy.sparse as sp
+
     nc, m = cells.shape
     incidence = sp.csr_matrix(
         (np.ones(nc * m, dtype=np.float32), cells.ravel(), np.arange(0, nc * m + 1, m)),
@@ -156,36 +238,38 @@ def vertex_adjacency(cells: np.ndarray, nv: int) -> sp.csr_matrix:
     return adj
 
 
-def _quadratic_monomials(offsets: np.ndarray) -> np.ndarray:
+def _quadratic_monomials(xi: np.ndarray) -> np.ndarray:
     """Transposed quadratic design: monomials [1, x_i, x_i x_j (i <= j)] by point.
 
-    offsets is (k, m, d); the result is (k, 1 + d + d(d+1)/2, m), so that
-    row r of patch k holds monomial r at each of its m points.
+    xi is coordinate-major (d, k, m); the result is (k, 1 + d + d(d+1)/2, m),
+    so that row r of patch k holds monomial r at each of its m points.
     """
-    d = offsets.shape[-1]
-    rows = [np.ones(offsets.shape[:-1])]
-    rows.extend(offsets[..., i] for i in range(d))
+    d, k, m = xi.shape
+    design = np.empty((k, 1 + d + d * (d + 1) // 2, m))
+    design[:, 0] = 1.0
+    for i in range(d):
+        design[:, 1 + i] = xi[i]
+    r = 1 + d
     for i in range(d):
         for j in range(i, d):
-            rows.append(offsets[..., i] * offsets[..., j])
-    return np.stack(rows, axis=1)
+            np.multiply(xi[i], xi[j], out=design[:, r])
+            r += 1
+    return design
 
 
-def _whitened_offsets(vertices: np.ndarray, centers: np.ndarray, ids: np.ndarray):
-    """Patch offsets whitened by their covariance, for k patches of m vertices.
+def _scaled_offsets(coords: np.ndarray, centers: np.ndarray, ids: np.ndarray):
+    """Patch offsets divided by their RMS radius, for k patches of m vertices.
 
-    Returns the whitened offsets (k, m, d), the whiteners (k, d, d) and a mask
-    of the patches whose covariance is nonzero; the other rows are zero.
+    coords is coordinate-major (d, nv).  Returns the scaled offsets (d, k, m)
+    and the inverse scales (k,); a patch whose offsets all vanish has inverse
+    scale 0 and zero offsets.
     """
-    offsets = vertices[ids] - vertices[centers][:, None, :]
-    cov = np.matmul(offsets.transpose(0, 2, 1), offsets) / ids.shape[1]
-    evals, evecs = np.linalg.eigh(cov)
-    ok = evals[:, -1] > 0
-    evals = np.maximum(evals[ok], 1e-12 * evals[ok, -1:])
-    whitener = np.zeros_like(cov)
-    scaled = evecs[ok] / np.sqrt(evals)[:, None, :]
-    whitener[ok] = np.matmul(scaled, evecs[ok].transpose(0, 2, 1))
-    return np.matmul(offsets, whitener), whitener, ok
+    offsets = coords.take(ids, axis=1)
+    offsets -= coords.take(centers, axis=1)[:, :, None]
+    radius = np.sqrt(np.einsum("dkm,dkm->k", offsets, offsets) / ids.shape[1])
+    inv_scale = np.divide(1.0, radius, out=np.zeros_like(radius), where=radius > 0)
+    offsets *= inv_scale[:, None]
+    return offsets, inv_scale
 
 
 def _full_rank_lstsq(design_t: np.ndarray, values: np.ndarray):
@@ -234,32 +318,33 @@ def _full_rank_lstsq(design_t: np.ndarray, values: np.ndarray):
     return coef, full
 
 
-def _fit_quadratic_patches(vertices, f, centers, ids):
-    """Whitened quadratic fits on k patches of m vertices each.
+def _fit_quadratic_patches(coords, f, centers, ids):
+    """Scaled quadratic fits on k patches of m vertices each.
 
     Returns the gradients at the centers (k, d) and a mask of the patches
     whose fit is full rank; the other rows are zero.
     """
-    d = vertices.shape[1]
-    xi, whitener, ok = _whitened_offsets(vertices, centers, ids)
-    rows = np.flatnonzero(ok)
-    coef, full = _full_rank_lstsq(_quadratic_monomials(xi[rows]), f[ids[rows]])
+    d = len(coords)
+    xi, inv_scale = _scaled_offsets(coords, centers, ids)
+    rows = np.flatnonzero(inv_scale)
+    coef, full = _full_rank_lstsq(_quadratic_monomials(xi.take(rows, axis=1)), f[ids[rows]])
     rows = rows[full]
     grads = np.zeros((len(centers), d))
-    grads[rows] = np.einsum("kab,kb->ka", whitener[rows], coef[full, 1 : 1 + d])
+    grads[rows] = coef[full, 1 : 1 + d] * inv_scale[rows, None]
     fitted = np.zeros(len(centers), dtype=bool)
     fitted[rows] = True
     return grads, fitted
 
 
-def _linear_fallback(vertices, f, v, ids):
-    """Whitened linear fit on one patch; None when its covariance vanishes."""
-    xi, whitener, ok = _whitened_offsets(vertices, np.array([v]), ids[None, :])
-    if not ok[0]:
+def _linear_fallback(coords, f, v, ids):
+    """Linear fit on one patch, offsets scaled as for the quadratic fits;
+    None when the patch's offsets all vanish."""
+    xi, inv_scale = _scaled_offsets(coords, np.array([v]), ids[None, :])
+    if not inv_scale[0]:
         return None
-    design = np.column_stack([np.ones(len(ids)), xi[0]])
+    design = np.column_stack([np.ones(len(ids)), xi[:, 0].T])
     coef, *_ = np.linalg.lstsq(design, f[ids], rcond=None)
-    return whitener[0] @ coef[1:]
+    return coef[1:] * inv_scale[0]
 
 
 def recover_nodal_gradients(
@@ -272,17 +357,19 @@ def recover_nodal_gradients(
 
     Each vertex fits a full quadratic over its sorted 2-hop patch, grown to 3
     and then 4 hops when the patch is too small or the fit rank-deficient.
-    Offsets are whitened by the patch covariance before fitting, so graded
-    anisotropic patches stay well conditioned; the recovered gradient is exact
-    for quadratic fields on any mesh, one-sided boundary patches included.  A
-    vertex whose 4-hop patch still supports no full quadratic takes a whitened
-    linear fit on that patch.
+    Offsets are divided by the patch's RMS radius before fitting, so patches
+    of any mesh size are equally well conditioned; the fit does not depend on
+    the scale, and the recovered gradient is exact for quadratic fields on any
+    mesh, one-sided boundary patches included.  A vertex whose 4-hop patch
+    still supports no full quadratic takes a linear fit on that patch, scaled
+    the same way.
 
     Vertices are processed in blocks of _RECOVERY_BLOCK: the block's patches
     are rows of sparse adjacency products, and patches of equal size are
     fitted together as stacked batches.
     """
     nv, d = vertices.shape
+    coords = np.ascontiguousarray(vertices.T)
     adj = vertex_adjacency(cells[good] if not np.all(good) else cells, nv)
     n_param = 1 + d + d * (d + 1) // 2
     nodal = np.zeros((nv, d))
@@ -302,7 +389,7 @@ def recover_nodal_gradients(
             for m in np.unique(sizes[tried]):
                 sel = np.flatnonzero(tried & (sizes == m))
                 ids = patches.indices[patches.indptr[sel][:, None] + np.arange(m)]
-                grads, ok = _fit_quadratic_patches(vertices, f, rows[sel], ids)
+                grads, ok = _fit_quadratic_patches(coords, f, rows[sel], ids)
                 nodal[rows[sel[ok]]] = grads[ok]
                 done[sel[ok]] = True
             rows = rows[~done]
@@ -314,7 +401,7 @@ def recover_nodal_gradients(
             for v, lo, hi in zip(rows, patches.indptr[:-1], patches.indptr[1:]):
                 if lo == hi:
                     continue  # a vertex in no nondegenerate cell keeps a zero gradient
-                grad = _linear_fallback(vertices, f, v, patches.indices[lo:hi])
+                grad = _linear_fallback(coords, f, v, patches.indices[lo:hi])
                 if grad is not None:
                     nodal[v] = grad
                     fallback += 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hklab.fem
 from conftest import THETA3, l2_relative_error
 from hklab import (
     capillary_constant,
@@ -445,8 +446,54 @@ def test_recovery_logs_linear_fallbacks(mesh, expected, request, caplog):
     assert _oracle_recovery(dom.vertices, dom.cells, f, good)[1] == expected
 
 
-def _oracle_p1_gradients(vertices, cells):
-    """p1_gradients as it was with a zeroed array, a masked inverse and a column loop."""
+def _whitened_fit(coords, f, centers, ids):
+    """The quadratic patch fit with offsets whitened by the patch covariance
+    (an eigh whitener), which the RMS-radius scale replaced."""
+    d = len(coords)
+    offsets = coords.take(ids, axis=1) - coords.take(centers, axis=1)[:, :, None]
+    offsets = offsets.transpose(1, 2, 0)  # (k, m, d)
+    cov = np.matmul(offsets.transpose(0, 2, 1), offsets) / ids.shape[1]
+    evals, evecs = np.linalg.eigh(cov)
+    ok = evals[:, -1] > 0
+    evals = np.maximum(evals[ok], 1e-12 * evals[ok, -1:])
+    whitener = np.zeros_like(cov)
+    whitener[ok] = np.matmul(evecs[ok] / np.sqrt(evals)[:, None, :],
+                             evecs[ok].transpose(0, 2, 1))
+    rows = np.flatnonzero(ok)
+    xi = np.matmul(offsets, whitener)[rows]
+    monomials = [np.ones(xi.shape[:-1])]
+    monomials.extend(xi[..., i] for i in range(d))
+    monomials.extend(xi[..., i] * xi[..., j] for i in range(d) for j in range(i, d))
+    coef, full = _full_rank_lstsq(np.stack(monomials, axis=1), f[ids[rows]])
+    rows = rows[full]
+    grads = np.zeros((len(centers), d))
+    grads[rows] = np.einsum("kab,kb->ka", whitener[rows], coef[full, 1 : 1 + d])
+    fitted = np.zeros(len(centers), dtype=bool)
+    fitted[rows] = True
+    return grads, fitted
+
+
+@pytest.mark.parametrize("mesh", ["hb_domain1_graded", "hs_domain2", "hb_domain2_res8"])
+def test_scaled_recovery_matches_whitened_oracle(mesh, request, monkeypatch):
+    # the fit does not depend on linear changes of coordinates, so scaling the
+    # offsets instead of whitening them changes only rounding, and leaves the
+    # fits that the Cholesky certificate hands on to the SVD as they were
+    dom = request.getfixturevalue(mesh)
+    _, _, good = p1_gradients(dom.vertices, dom.cells)
+    rng = np.random.default_rng(5)
+    f = np.sin(dom.vertices @ rng.standard_normal(dom.dim)) + np.sum(dom.vertices**2, axis=1)
+    calls = _counting_svd(monkeypatch)
+    got = recover_nodal_gradients(dom.vertices, dom.cells, f, good)
+    scaled_svd_fits = sum(calls)
+    calls.clear()
+    monkeypatch.setattr(hklab.fem, "_fit_quadratic_patches", _whitened_fit)
+    want = recover_nodal_gradients(dom.vertices, dom.cells, f, good)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert scaled_svd_fits == sum(calls)
+
+
+def _lu_p1_gradients(vertices, cells):
+    """p1_gradients as a masked LU inverse of the edge matrices computes them."""
     d = vertices.shape[1]
     edges = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
     vols = np.linalg.det(edges) / math.factorial(d)
@@ -461,16 +508,64 @@ def _oracle_p1_gradients(vertices, cells):
     return grads, vols, good
 
 
+def _cofactor_rows(e):
+    """Cofactor rows and determinant of one cell's edge rows, in Python floats."""
+    if len(e) == 3:
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = e
+        rows = [
+            (y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3),
+            (y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1),
+            (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2),
+        ]
+        return rows, x1 * rows[0][0] + y1 * rows[0][1] + z1 * rows[0][2]
+    (x1, y1), (x2, y2) = e
+    return [(y2, -x2), (-y1, x1)], x1 * y2 - y1 * x2
+
+
+def _cofactor_p1_gradients(vertices, cells):
+    """p1_gradients one cell at a time: cofactor row b over the determinant is
+    the gradient of basis function b >= 1, and basis function 0 takes minus
+    their sum; degenerate cells keep zero rows."""
+    d = vertices.shape[1]
+    cofactors = []
+    for cell in cells:
+        origin = vertices[cell[0]]
+        cofactors.append(_cofactor_rows([[float(x) for x in vertices[a] - origin]
+                                         for a in cell[1:]]))
+    vols = np.array([det for _, det in cofactors]) / math.factorial(d)
+    scale = np.abs(vols).max() if len(vols) else 1.0
+    good = np.abs(vols) > 1e-12 * scale
+    grads = np.zeros((len(cells), d + 1, d))
+    for n in np.flatnonzero(good):
+        rows, det = cofactors[n]
+        for c in range(d):
+            column = [rows[b][c] / det for b in range(d)]
+            grads[n, 1:, c] = column
+            grads[n, 0, c] = -sum(column[1:], column[0])
+    return grads, vols, good
+
+
 @pytest.mark.parametrize("degenerate", [False, True], ids=["solid", "one-degenerate-cell"])
-def test_p1_gradients_match_masked_oracle_bit_for_bit(degenerate, hs_domain2):
-    cells = hs_domain2.cells
-    if degenerate:  # a cell with a repeated vertex has zero volume
-        cells = np.vstack([cells, cells[:1, [0, 0, 1, 2]]])
-    got = p1_gradients(hs_domain2.vertices, cells)
-    want = _oracle_p1_gradients(hs_domain2.vertices, cells)
-    assert got[2].all() != degenerate
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def test_p1_gradients_match_masked_oracle_bit_for_bit(degenerate, hs_domain2,
+                                                      hb_domain1_graded):
+    # bit for bit against the cofactor oracle, to rounding against the LU inverse
+    for dom in (hs_domain2, hb_domain1_graded):
+        cells = dom.cells
+        if degenerate:  # a cell with a repeated vertex has zero volume
+            cells = np.vstack([cells, cells[:1, [0] + list(range(cells.shape[1] - 1))]])
+        got = p1_gradients(dom.vertices, cells)
+        want = _cofactor_p1_gradients(dom.vertices, cells)
+        assert got[2].all() != degenerate
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        grads, vols, good = _lu_p1_gradients(dom.vertices, cells)
+        assert np.array_equal(got[2], good)
+        assert np.max(np.abs(got[0] - grads)) <= 1e-13 * np.max(np.abs(grads))
+        assert np.max(np.abs(got[1] - vols)) <= 1e-13 * np.max(np.abs(vols))
+        if degenerate:
+            assert not got[0][-1].any()
+        if dom.dim == 3:  # tet volumes are the mesh's own, rounded alike
+            assert got[1][: dom.cells.shape[0]].tobytes() == dom.cell_volumes.tobytes()
 
 
 def test_cell_hessians_match_einsum_oracle(hs_domain2):

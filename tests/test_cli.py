@@ -4,11 +4,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hklab.cli
 import hklab.report
 from hklab.cli import main
 
@@ -135,6 +140,30 @@ def test_weighted_reilly_subcommand_evaluates_the_sides_once(tmp_path, monkeypat
     assert calls == [True]
     data = json.loads(out.read_text())
     assert data["reilly"]["weighted"] and "pipeline" in data
+
+
+@pytest.mark.parametrize("container", ["half-space", "closed"])
+def test_weighted_reilly_off_the_half_ball_exits_2_before_meshing(container, capsys,
+                                                                  monkeypatch):
+    meshed = []
+    monkeypatch.setattr(hklab.cli, "mesh_domain", lambda *a, **k: meshed.append(a))
+    code = run_cli(
+        "reilly", "--container", container, "--theta", THETA_STR, "--dim", "1",
+        "--resolution", "48", "--weighted",
+    )
+    assert code == 2 and meshed == []
+    err = capsys.readouterr().err
+    assert err.startswith("hk: invalid configuration")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # only the fem kernels that build sparse matrices import scipy.sparse
+    probe = "import sys, hklab.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(hklab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_closed_hk_report_has_no_angle(tmp_path):
