@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import hklab.fem
-from conftest import THETA3, l2_relative_error
+from conftest import THETA3, l2_relative_error, run_python
 from hklab import (
     capillary_constant,
     capillary_constant_from_domain,
@@ -26,16 +26,17 @@ from hklab import (
     wedge_model_values,
 )
 from hklab.bvp import (
+    MixedBvpProblem,
     _hop_distance,
     gamma_edges,
     gamma_loop_measure,
     gamma_mu_vertical_integral,
-    make_problem,
 )
 from hklab.errors import HkLabError, SolverError
 from hklab.fem import (
     _GRAM_SAFE,
     _full_rank_lstsq,
+    aggregates,
     assemble_boundary_mass,
     assemble_stiffness,
     cell_hessians_of,
@@ -44,6 +45,7 @@ from hklab.fem import (
     p1_gradients,
     pcg,
     recover_nodal_gradients,
+    two_level,
 )
 from hklab.reilly import gamma_t_flux
 
@@ -118,7 +120,7 @@ def test_l2_convergence_order(hs_cap1):
 
 
 def test_homogeneous_problem_is_trivial(hs_domain1):
-    problem = make_problem(hs_domain1, rhs=0.0, flux=0.0, gamma=0)
+    problem = MixedBvpProblem(hs_domain1, np.zeros(hs_domain1.num_vertices), 0.0)
     sol = solve_mixed_bvp(problem)
     assert np.max(np.abs(sol.f)) < 1e-12
 
@@ -160,7 +162,7 @@ def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
     # gamma = 0 must reproduce the pure-Neumann assembly bit for bit
     dom = mesh_domain(mesh_surface(hb_cap1, 32), None, 32, grading=0.0)
     c = capillary_constant_from_domain(dom)
-    problem = make_problem(dom, rhs=1.0, flux=c, gamma=0)
+    problem = MixedBvpProblem(dom, np.ones(dom.num_vertices), c, 0)
     sol = solve_mixed_bvp(problem, tol=1e-11)
 
     grads, vols, good = p1_gradients(dom.vertices, dom.cells)
@@ -172,7 +174,8 @@ def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
     fixed = np.zeros(nv, dtype=bool)
     fixed[np.unique(dom.sigma_facets)] = True
     free = ~fixed
-    x, _, _ = pcg(stiff[free][:, free].tocsr(), b[free], 1e-11, 20000)
+    a_ff = stiff[free][:, free].tocsr()
+    x, _, _ = pcg(a_ff, b[free], 1e-11, 20000, two_level(a_ff))
     manual = np.zeros(nv)
     manual[free] = x
     assert np.array_equal(sol.f, manual)
@@ -197,7 +200,7 @@ def test_recovery_exact_for_quadratics(hs_domain1):
     def field(pts):
         return a + pts @ b + 0.5 * np.einsum("ij,jk,ik->i", pts, m, pts)
 
-    problem = make_problem(hs_domain1, rhs=float(np.trace(m)), flux=0.0, gamma=0)
+    problem = MixedBvpProblem(hs_domain1, np.full(hs_domain1.num_vertices, np.trace(m)), 0.0)
     sol = solution_from_field(problem, field)
     grad_exact = hs_domain1.vertices @ m + b
     assert np.max(np.linalg.norm(sol.nodal_gradients - grad_exact, axis=1)) < 1e-9
@@ -214,7 +217,7 @@ def test_recovery_exact_for_quadratics_3d(hs_cap2):
     def field(pts):
         return 0.3 + pts @ b + 0.5 * np.einsum("ij,jk,ik->i", pts, m, pts)
 
-    problem = make_problem(dom, rhs=float(np.trace(m)), flux=0.0, gamma=0)
+    problem = MixedBvpProblem(dom, np.full(dom.num_vertices, np.trace(m)), 0.0)
     sol = solution_from_field(problem, field)
     grad_exact = dom.vertices @ m + b
     assert np.max(np.linalg.norm(sol.nodal_gradients - grad_exact, axis=1)) < 1e-9
@@ -693,6 +696,164 @@ def test_pcg_rejects_zero_iterations(hs_domain1):
 
 
 # ---------------------------------------------------------------------------
+# the preconditioners
+# ---------------------------------------------------------------------------
+
+
+def _reduced_system(problem):
+    """The free-vertex system that solve_mixed_bvp hands to pcg, and its mask."""
+    dom = problem.domain
+    grads, vols, _ = p1_gradients(dom.vertices, dom.cells)
+    nv = dom.num_vertices
+    a = assemble_stiffness(grads, vols, dom.cells, nv)
+    t_areas = dom.facet_measures(dom.t_facets)
+    b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), problem.flux_constant), nv)
+    b -= load_volume(dom.cells, vols, problem.rhs, nv)
+    if problem.robin_gamma:
+        a = a - problem.robin_gamma * assemble_boundary_mass(dom.t_facets, t_areas, nv)
+    free = np.ones(nv, dtype=bool)
+    free[np.unique(dom.sigma_facets)] = False
+    return a[free][:, free].tocsr(), b[free], free
+
+
+def _jacobi_pcg_oracle(a, b, tol, max_iter):
+    # the Jacobi loop as it was before the vector updates went in place
+    diag = a.diagonal()
+    minv = 1.0 / diag
+    x = np.zeros_like(b)
+    r = b.copy()
+    b_norm = float(np.linalg.norm(b))
+    z = minv * r
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, max_iter + 1):
+        ap = a @ p
+        pap = float(p @ ap)
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        res = float(np.linalg.norm(r))
+        if res <= tol * b_norm:
+            return x, it, res / b_norm
+        z = minv * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.fixture(scope="module")
+def hs_domain2_res8(hs_cap2):
+    return mesh_domain(mesh_surface(hs_cap2, 8), None, 8, grading=0.0)
+
+
+def test_jacobi_pcg_matches_previous_loop_bit_for_bit(hs_domain2_res8):
+    problem = capillary_problem(hs_domain2_res8)
+    a, b, free = _reduced_system(problem)
+    want = _jacobi_pcg_oracle(a, b, 1e-10, 10000)
+    got = pcg(a, b, 1e-10, 10000)
+    assert want[1] > 50
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    # a solid solve keeps the Jacobi path
+    assert np.array_equal(solve_mixed_bvp(problem).f[free], want[0])
+
+
+def test_pcg_rejects_indefinite_preconditioner(hs_domain1):
+    a, b, _ = _reduced_system(capillary_problem(hs_domain1))
+    minv = 1.0 / a.diagonal()
+    with pytest.raises(SolverError, match="not positive definite"):
+        pcg(a, b, 1e-10, 100, lambda r: -minv * r)
+    with pytest.raises(SolverError, match="not positive definite"):
+        pcg(a, b, 1e-10, 100, lambda r: np.full_like(r, np.nan))
+
+
+def _hops(a, sources):
+    """Graph distance (edges of a's pattern) from the sources to every vertex."""
+    n = a.shape[0]
+    dist = np.full(n, -1)
+    dist[sources] = 0
+    queue = deque(int(v) for v in sources)
+    while queue:
+        v = queue.popleft()
+        for w in a.indices[a.indptr[v]:a.indptr[v + 1]]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+@pytest.mark.parametrize("mesh", ["hb_domain1_graded", "hs_domain1", "hs_domain2"])
+def test_aggregates_are_connected_disjoint_covers(mesh, request):
+    from scipy.sparse.csgraph import connected_components
+
+    a, _, _ = _reduced_system(capillary_problem(request.getfixturevalue(mesh)))
+    labels, roots = aggregates(a)
+    again = aggregates(a.copy())
+    assert np.array_equal(labels, again[0]) and np.array_equal(roots, again[1])
+    n = a.shape[0]
+    assert labels.shape == (n,) and labels.min() == 0 and labels.max() == len(roots) - 1
+    assert 5 <= n / len(roots) <= 30
+    for k, root in enumerate(roots):
+        members = np.flatnonzero(labels == k)
+        # the root's closed neighbourhood lies in its aggregate
+        assert np.all(labels[a.indices[a.indptr[root]:a.indptr[root + 1]]] == k)
+        assert connected_components(a[members][:, members], directed=False)[0] == 1
+    # the roots are a maximal distance-2 independent set
+    for root in roots[:50]:
+        dist = _hops(a, [root])
+        near = np.flatnonzero((dist >= 0) & (dist <= 2))
+        assert np.intersect1d(near, roots).tolist() == [root]
+    assert _hops(a, roots).max() <= 2
+
+
+def test_two_level_is_symmetric_positive_definite(hb_domain1_graded):
+    a, _, _ = _reduced_system(capillary_problem(hb_domain1_graded))
+    m = np.column_stack([two_level(a)(e) for e in np.eye(a.shape[0])])
+    assert np.abs(m - m.T).max() <= 1e-10 * np.abs(m).max()
+    assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 0.0
+
+
+def test_planar_solve_iterations_do_not_grow_with_resolution(hb_cap1):
+    from scipy.sparse.linalg import spsolve
+
+    dom = mesh_domain(mesh_surface(hb_cap1, 256), None, 256, grading=0.5)
+    problem = capillary_problem(dom)
+    sol = solve_mixed_bvp(problem)
+    assert sol.iterations <= 100  # Jacobi takes over 500
+    a, b, free = _reduced_system(problem)
+    direct = spsolve(a.tocsc(), b)
+    assert np.linalg.norm(sol.f[free] - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+def test_solve_logs_its_preconditioner(hs_domain1, hs_domain2_res8, caplog):
+    with caplog.at_level(logging.INFO, logger="hklab.bvp"):
+        planar = solve_mixed_bvp(capillary_problem(hs_domain1))
+        solid = solve_mixed_bvp(capillary_problem(hs_domain2_res8))
+    lines = [r.getMessage() for r in caplog.records if r.name == "hklab.bvp"]
+    assert len(lines) == 2
+    assert lines[0].startswith("solve: two-level preconditioner, coarse size ")
+    assert f", {planar.iterations} iterations, residual " in lines[0]
+    assert lines[1].startswith("solve: jacobi preconditioner, coarse size 0, ")
+    assert f", {solid.iterations} iterations, residual " in lines[1]
+
+
+def test_solid_solve_leaves_sparse_linalg_unloaded():
+    # the coarse LU of the planar preconditioner is the only user of scipy.sparse.linalg
+    probe = (
+        "import sys\n"
+        "from hklab import make_cap, mesh_surface, mesh_domain, capillary_problem, "
+        "solve_mixed_bvp\n"
+        "cap = make_cap('half-space', 1.0, 1.0, 2)\n"
+        "solve_mixed_bvp(capillary_problem(mesh_domain(mesh_surface(cap, 8), None, 8)))\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    done = run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
 # the Gamma-edge table against the per-facet loops it replaced
 # ---------------------------------------------------------------------------
 
@@ -777,7 +938,7 @@ def test_gamma_integrals_match_per_facet_oracle(mesh, request):
     dom = request.getfixturevalue(mesh)
     rng = np.random.default_rng(7)
     f = np.sin(dom.vertices @ rng.standard_normal(dom.dim)) + np.sum(dom.vertices**2, axis=1)
-    solution = solution_from_field(make_problem(dom), f)
+    solution = solution_from_field(MixedBvpProblem(dom, np.ones(dom.num_vertices), 0.0), f)
     pairs = [(gamma_mu_vertical_integral(dom), _oracle_gamma_mu_vertical_integral(dom))]
     for weight in ("1", "z"):
         pairs.append((gamma_t_flux(dom, solution, weight),

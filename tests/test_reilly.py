@@ -21,7 +21,7 @@ from hklab import (
     solution_from_field,
     solve_mixed_bvp,
 )
-from hklab.bvp import MixedBvpProblem, make_problem
+from hklab.bvp import MixedBvpProblem
 from hklab.reilly import ReillySides
 from hklab.errors import ConstantMismatchError, HkLabError
 
@@ -63,7 +63,7 @@ def test_defect_refinement_order(hs_cap1):
 
 
 def test_zero_field_gives_zero_sides(hs_domain1):
-    problem = make_problem(hs_domain1, rhs=0.0, flux=0.0, gamma=0)
+    problem = MixedBvpProblem(hs_domain1, np.zeros(hs_domain1.num_vertices), 0.0)
     sol = solution_from_field(problem, np.zeros(hs_domain1.num_vertices))
     sides = reilly_sides(sol)
     assert sides.volume_side == 0.0
@@ -178,7 +178,7 @@ def test_pipeline_perturbed_strict(hs_cap1):
 
 
 def test_pipeline_refuses_wrong_constant(hs_domain1, hs_surface1):
-    wrong = make_problem(hs_domain1, rhs=1.0, flux=-0.3, gamma=0)
+    wrong = MixedBvpProblem(hs_domain1, np.ones(hs_domain1.num_vertices), -0.3)
     sol = solve_mixed_bvp(wrong)
     with pytest.raises(ConstantMismatchError):
         hk_pipeline(hs_surface1, sol, reilly_sides(sol))
