@@ -13,6 +13,10 @@ always computed from mesh-measured patch integrals so that the discrete
 divergence identities close at finite resolution; closed forms serve as
 cross-checks only.  The problem, the constant, the corner fits and the wedge
 model read the container and the contact angle from the domain mesh.
+
+A solution recovers its derivatives lazily, on first read (BvpSolution), and
+the corner fit evaluates Hessians on its window cells only, so the graded
+corner solve of an n = 1 rung fits the vertices of that window and no more.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,12 +76,19 @@ class MixedBvpProblem:
 
 @dataclass
 class BvpSolution:
+    """Vertex values f of a solve or of a given field, and their derivatives.
+
+    Recovery is lazy: nodal_gradients (patch recovery), cell_hessians,
+    f_nu_sigma (normal derivative per Sigma facet) and cell_gradients (P1)
+    are computed on first read and cached, so a solution whose derivatives
+    nobody reads recovers nothing.  `hessians_of` gives the Hessians of some
+    cells and recovers only at their vertices.  The P1 basis gradients are
+    recomputed where a derivative needs them, not kept.
+    """
+
     problem: MixedBvpProblem
     f: np.ndarray
-    cell_gradients: np.ndarray
-    nodal_gradients: np.ndarray
-    cell_hessians: np.ndarray
-    f_nu_sigma: np.ndarray  # normal derivative per Sigma facet
+    good: np.ndarray  # nondegenerate cells, as p1_gradients masks them
     iterations: int
     residual_norm: float
     energy: float
@@ -85,8 +97,48 @@ class BvpSolution:
     def domain(self) -> DomainMesh:
         return self.problem.domain
 
-    def hessian_frobenius(self) -> np.ndarray:
-        return np.sqrt(np.einsum("cab,cab->c", self.cell_hessians, self.cell_hessians))
+    @cached_property
+    def nodal_gradients(self) -> np.ndarray:
+        dom = self.domain
+        return recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good)
+
+    @cached_property
+    def cell_hessians(self) -> np.ndarray:
+        dom = self.domain
+        grads = p1_gradients(dom.vertices, dom.cells)[0]
+        return cell_hessians_of(self.nodal_gradients, grads, dom.cells, self.good)
+
+    @cached_property
+    def f_nu_sigma(self) -> np.ndarray:
+        """Normal derivative on Sigma from the recovered gradient (facet vertex mean)."""
+        facets = self.domain.sigma_facets
+        normals = self.domain.facet_normals(facets)
+        return np.einsum("fd,fd->f", self.nodal_gradients[facets].mean(axis=1), normals)
+
+    @cached_property
+    def cell_gradients(self) -> np.ndarray:
+        dom = self.domain
+        return cell_gradients_of(self.f, p1_gradients(dom.vertices, dom.cells)[0], dom.cells)
+
+    def hessians_of(self, which: np.ndarray) -> np.ndarray:
+        """Hessians of the cells `which`, bit for bit those rows of cell_hessians.
+
+        Cached Hessians are reused; otherwise recovery fits only the vertices
+        of these cells.
+        """
+        if "cell_hessians" in self.__dict__:
+            return self.cell_hessians[which]
+        dom = self.domain
+        cells = dom.cells[which]
+        at = np.unique(cells)
+        nodal = recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good, at=at)
+        grads = p1_gradients(dom.vertices, cells)[0]
+        return cell_hessians_of(nodal, grads, np.searchsorted(at, cells), self.good[which])
+
+    def hessian_frobenius(self, which: np.ndarray | None = None) -> np.ndarray:
+        """Frobenius norms of the cell Hessians, of the cells `which` when given."""
+        hess = self.cell_hessians if which is None else self.hessians_of(which)
+        return np.sqrt(np.einsum("cab,cab->c", hess, hess))
 
     def laplacian(self) -> np.ndarray:
         """Trace of the recovered Hessian (the consistent discrete laplacian)."""
@@ -268,32 +320,11 @@ def solve_mixed_bvp(
                 name, coarse, iters, relres)
     f[free] = x
     energy = float(0.5 * x @ (a_ff @ x) - b_f @ x)
-    return _package_solution(problem, f, grads, good, iters, relres, energy)
-
-
-def _package_solution(problem, f, grads, good, iters, relres, energy) -> BvpSolution:
-    domain = problem.domain
-    cg = cell_gradients_of(f, grads, domain.cells)
-    nodal = recover_nodal_gradients(domain.vertices, domain.cells, f, good)
-    hess = cell_hessians_of(nodal, grads, domain.cells, good)
-    # normal derivative on Sigma from the recovered gradient (facet vertex mean)
-    normals = domain.facet_normals(domain.sigma_facets)
-    f_nu = np.einsum("fd,fd->f", nodal[domain.sigma_facets].mean(axis=1), normals)
-    return BvpSolution(
-        problem=problem,
-        f=f,
-        cell_gradients=cg,
-        nodal_gradients=nodal,
-        cell_hessians=hess,
-        f_nu_sigma=f_nu,
-        iterations=iters,
-        residual_norm=relres,
-        energy=energy,
-    )
+    return BvpSolution(problem, f, good, iters, relres, energy)
 
 
 def solution_from_field(problem: MixedBvpProblem, values) -> BvpSolution:
-    """Wrap analytic vertex data in the same recovery pipeline as a solve."""
+    """Wrap analytic vertex data as a solution, with the derivatives of a solve."""
     domain = problem.domain
     if callable(values):
         f = np.asarray(values(domain.vertices), dtype=float).reshape(-1)
@@ -301,8 +332,8 @@ def solution_from_field(problem: MixedBvpProblem, values) -> BvpSolution:
         f = np.asarray(values, dtype=float)
     if f.shape != (domain.num_vertices,):
         raise HkLabError("field values must be per-vertex")
-    grads, _, good = p1_gradients(domain.vertices, domain.cells)
-    return _package_solution(problem, f, grads, good, 0, 0.0, math.nan)
+    good = p1_gradients(domain.vertices, domain.cells)[2]
+    return BvpSolution(problem, f, good, 0, 0.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +469,9 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
 
     The window excludes COLLAR_LAYERS layers of cells at Gamma (recovery
     pollution) and caps distances at window_fraction, in (0, 1), of the
-    domain diameter.  lambda_hat comes from the |f| growth; the Hessian fit
-    reports beta_hat and the implied 3 - 2 beta_hat.
+    domain diameter; Hessians are read on the window cells only.  lambda_hat
+    comes from the |f| growth; the Hessian fit reports beta_hat and the
+    implied 3 - 2 beta_hat.
     """
     if not 0.0 < window_fraction < 1.0:
         raise ConfigError(f"corner window fraction must lie in (0, 1), got {window_fraction}")
@@ -461,9 +493,9 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
     d_cell = np.min(
         np.linalg.norm(centroids[:, None, :] - gamma_pts[None, :, :], axis=2), axis=1
     )
-    cell_ok = (cell_hop > COLLAR_LAYERS) & (d_cell <= d_hi)
-    hess_mag = solution.hessian_frobenius()
-    beta_slope, r2_h = _binned_log_fit(d_cell[cell_ok], hess_mag[cell_ok], "mean")
+    window = np.flatnonzero((cell_hop > COLLAR_LAYERS) & (d_cell <= d_hi))
+    d_used = d_cell[window]
+    beta_slope, r2_h = _binned_log_fit(d_used, solution.hessian_frobenius(window), "mean")
     beta_hat = -beta_slope
 
     vert_ok = (hop > COLLAR_LAYERS) & (domain.d_gamma <= d_hi)
@@ -471,11 +503,9 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
         domain.d_gamma[vert_ok], np.abs(solution.f[vert_ok]), "max"
     )
 
-    d_used = d_cell[cell_ok]
-    window = (float(d_used.min()), float(d_used.max()))
     wedge_ref = math.pi / (2.0 * angle.radians) if angle is not None else math.nan
     return CornerFit(
-        window=window,
+        window=(float(d_used.min()), float(d_used.max())),
         beta_hat=beta_hat,
         lambda_from_hessian=3.0 - 2.0 * beta_hat,
         lambda_hat=growth_slope,

@@ -19,11 +19,11 @@ stacks of all off-axis triangles are split in one call.
 
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
-(tets by the triple product, triangles by determinants) and the longest
-squared edges.  The same pass fixes the orientation of every mesher: a
-negative cell swaps its last two vertices in place and its volume is
-negated.  Solid meshes keep both arrays, planar meshes recompute their
-determinant volumes on the oriented cells, and mesh_quality grades a mesh
+(closed-form determinants: the triple product for tets, x1 y2 - y1 x2 for
+triangles) and the longest squared edges.  The same pass fixes the
+orientation of every mesher: a negative cell swaps its last two vertices in
+place and its volume is negated, which is exact for both determinants.
+Every mesher keeps both arrays of that pass, and mesh_quality grades a mesh
 from them without another gather.
 """
 
@@ -100,7 +100,8 @@ def _block_geometry(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     p has shape (d, d + 1, k): p[c, a] is coordinate c of vertex a of each
     cell, so every product below runs on contiguous rows.  Tets use the triple
-    product e1 . (e2 x e3) / 6, triangles the determinant of their edges.
+    product e1 . (e2 x e3) / 6, triangles (x1 y2 - y1 x2) / 2, both rounded as
+    fem.p1_gradients rounds its determinants.
     """
     d, m, k = p.shape
     edges = p[:, 1:] - p[:, :1]
@@ -110,7 +111,8 @@ def _block_geometry(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vols = (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3)
                 + z1 * (x2 * y3 - y2 * x3)) / 6.0
     else:
-        vols = np.linalg.det(edges.transpose(2, 1, 0)) / math.factorial(d)
+        (x1, x2), (y1, y2) = edges
+        vols = (x1 * y2 - y1 * x2) / 2.0
     h2max = np.zeros(k)
     for a in range(m):
         for b in range(a + 1, m):
@@ -129,10 +131,9 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
     Each chunk of _CELL_BLOCK cells gathers its vertex coordinates once.  With
     orient=True, a chunk's negatively oriented cells get their last two
     vertices swapped in place in `cells` and their volumes negated.  The set
-    of squared edges stays as it was.  For tets the swap negates every term
-    of the triple product exactly; a triangle's determinant may pivot
-    differently, so a caller that keeps triangle volumes recomputes them on
-    the oriented cells.
+    of squared edges stays as it was, and the swap negates the triple product
+    and the triangle determinant exactly, so the returned volumes are those
+    of the oriented cells.
     """
     coords = np.ascontiguousarray(vertices.T)
     vols = np.empty(len(cells))
@@ -208,29 +209,31 @@ def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, targe
 
     Rung k joins the points at arclength fraction fracs[k] of both rails.  The
     end rungs and rungs shorter than 1e-14 collapse to their midpoint; the
-    others are subdivided to size ~ target * scale.  Consecutive rungs are
-    zipper-triangulated.  Returns the vertices, the positively oriented cells
-    and the rows of vertex ids per rung, each running from rail_a to rail_b.
+    others are subdivided to size ~ target * scale, all rungs in one pass:
+    a rung of n segments samples s = i * (1/n) with its last sample 1.0, as
+    linspace rounds them.  Consecutive rungs are zipper-triangulated.
+    Returns the vertices, the positively oriented cells, their signed
+    volumes and longest squared edges, and the rows of vertex ids per rung,
+    each running from rail_a to rail_b.
     """
     pts_a = polyline_interp(rail_a, fracs)
     pts_b = polyline_interp(rail_b, fracs)
-    verts, rows, row_fracs = [], [], []
-    count = 0
-    for k in range(len(fracs)):
-        a, b = pts_a[k], pts_b[k]
-        length = float(np.linalg.norm(b - a))
-        if k == 0 or k == len(fracs) - 1 or length < 1e-14:
-            s = np.array([0.5])
-        else:
-            s = np.linspace(0.0, 1.0, max(1, int(math.ceil(length / (target * scale)))) + 1)
-        verts.append((1.0 - s)[:, None] * a + s[:, None] * b)
-        rows.append(np.arange(count, count + len(s)))
-        row_fracs.append(s)
-        count += len(s)
-    vertices = np.vstack(verts)
-    cells = zipper_rows(rows, row_fracs)
-    cell_geometry(vertices, cells, orient=True)
-    return vertices, cells, rows
+    lengths = np.linalg.norm(pts_b - pts_a, axis=1)
+    segments = np.maximum(1, np.ceil(lengths / (target * scale))).astype(np.int64)
+    segments[[0, -1]] = 0
+    segments[lengths < 1e-14] = 0  # a collapsed rung is one sample, s = 0.5
+    sizes = segments + 1
+    rung = np.repeat(np.arange(len(fracs)), sizes)
+    first = np.cumsum(sizes) - sizes
+    i = np.arange(len(rung)) - first[rung]
+    n = segments[rung]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(n == 0, 0.5, np.where(i == n, 1.0, i * (1.0 / n)))
+    vertices = (1.0 - s)[:, None] * pts_a[rung] + s[:, None] * pts_b[rung]
+    rows = np.split(np.arange(len(rung)), first[1:])
+    cells = zipper_rows(rows, np.split(s, first[1:]))
+    vols, h2max = cell_geometry(vertices, cells, orient=True)
+    return vertices, cells, vols, h2max, rows
 
 
 def _rail_edges(rows: list) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +253,8 @@ def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
     t_rail = _support_rail(container, sigma_rail[0], sigma_rail[-1], max(resolution, 8))
     fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides="both")
     scale = max(np.linalg.norm(sigma_rail[0] - sigma_rail[-1]), 1.0)
-    vertices, cells, rows = _strip_mesh(t_rail, sigma_rail, fracs, 1.0 / resolution, scale)
+    vertices, cells, vols, h2max, rows = _strip_mesh(t_rail, sigma_rail, fracs,
+                                                     1.0 / resolution, scale)
     t_f, sig_f = _rail_edges(rows)
     corners = np.array([rows[0][0], rows[-1][0]], dtype=np.int64)
     h_along = surface.mean_curvature[order]
@@ -272,6 +276,8 @@ def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
         gamma_vertices=corners,
         d_gamma=d_gamma,
         sigma_H=sigma_H,
+        cell_volumes=vols,
+        cell_h2max=h2max,
     )
     _validate(dom)
     return dom
@@ -365,7 +371,7 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
     fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides=sides)
     scale = max(float(np.linalg.norm(apex - corner)), 1e-12)
     target = 1.0 / resolution
-    vertices2, cross_cells, rows = _strip_mesh(rail_other, gen, fracs, target, scale)
+    vertices2, cross_cells, _, _, rows = _strip_mesh(rail_other, gen, fracs, target, scale)
     if np.any(vertices2[:, 0] < -1e-12):
         raise MeshQualityError("cross-section left the rho >= 0 half plane")
     vertices2[:, 0] = np.maximum(vertices2[:, 0], 0.0)
@@ -509,7 +515,7 @@ def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> Doma
     rows = [np.append(np.arange(a, a + m), a) for a, m in zip(starts, sizes)]
     keys = [np.append(np.arange(m) * 2.0 * math.pi / m, 2.0 * math.pi) for m in sizes]
     cells = zipper_rows(rows + [starts[-1:]], keys + [np.zeros(1)])
-    cell_geometry(vertices, cells, orient=True)
+    vols, h2max = cell_geometry(vertices, cells, orient=True)
 
     sigma_facets = np.column_stack([order, np.roll(order, -1)]).astype(np.int64)
     sigma_facets = _orient_facets_outward(vertices, sigma_facets, seed[None, :])
@@ -525,6 +531,8 @@ def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> Doma
         gamma_vertices=np.empty(0, dtype=np.int64),
         d_gamma=np.full(len(vertices), np.inf),
         sigma_H=h_mid,
+        cell_volumes=vols,
+        cell_h2max=h2max,
     )
     _validate(dom)
     return dom

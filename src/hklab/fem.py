@@ -27,17 +27,21 @@ divided by the patch's RMS radius, in the manner of Zienkiewicz-Zhu patch
 recovery.  The fit is invariant under a linear change of coordinates, so the
 scale only conditions it.  It is exact for quadratic fields, including
 one-sided boundary patches.  Patches are rows of products of one sparse
-vertex adjacency (`vertex_adjacency`); vertices are taken in fixed blocks, and
-within a block the patches of equal size are fitted together as stacked
-batches.
+vertex adjacency (`vertex_adjacency`), and vertices are taken in fixed
+blocks.  Recovery may fit only some vertices (`at`); a fit reads only its
+own patch, so their gradients equal a full recovery's bit for bit.
 
-Each batch of fits takes one Cholesky factorization G = L L^T of its Gram
-matrices.  The Frobenius bound kappa_2(G) <= ||G||_F ||L^-1||_F^2 certifies
-almost every patch as full rank beyond rounding doubt, and those fits solve
-the normal equations with L.  What the bound does not certify, and every fit
-of a batch whose Cholesky fails, takes a batched SVD with the rank rule of
-lstsq(rcond=1e-8).  Cell Hessians are gradients of the recovered nodal
-gradient, symmetrized.
+At each hop, the Gram matrices of a block's patches of every size are
+stacked and take one Cholesky factorization G = L L^T, written out in
+coordinate-major layout (p, p, K) so that each step is one elementwise
+operation over the whole stack (a block holds about 2,000 fits; on batches
+of about 100 patches, LAPACK's batched Cholesky is the faster one).  The
+Frobenius bound kappa_2(G) <= ||G||_F ||L^-1||_F^2 certifies almost every
+patch as full rank beyond rounding doubt, and those fits solve the normal
+equations with L.  A fit with a pivot that is not positive, or that the bound
+does not certify, takes a batched SVD with the rank rule of
+lstsq(rcond=1e-8); the rest of its stack does not.  Cell Hessians are
+gradients of the recovered nodal gradient, symmetrized.
 """
 
 from __future__ import annotations
@@ -404,74 +408,106 @@ def _scaled_offsets(coords: np.ndarray, centers: np.ndarray, ids: np.ndarray):
     """
     offsets = coords.take(ids, axis=1)
     offsets -= coords.take(centers, axis=1)[:, :, None]
-    radius = np.sqrt(np.einsum("dkm,dkm->k", offsets, offsets) / ids.shape[1])
+    radius = np.sqrt(sum(x * x for x in offsets).sum(axis=1) / ids.shape[1])
     inv_scale = np.divide(1.0, radius, out=np.zeros_like(radius), where=radius > 0)
     offsets *= inv_scale[:, None]
     return offsets, inv_scale
 
 
-def _full_rank_lstsq(design_t: np.ndarray, values: np.ndarray):
-    """Batched least squares that keeps only full-rank fits.
+def _certified_cholesky(gram: np.ndarray, rhs: np.ndarray):
+    """Normal-equation solves of the fits that the Cholesky bound certifies.
 
-    design_t is the transposed design (k, p, m) with m >= p, and values is
-    (k, m).  A fit is full rank when its smallest singular value exceeds
-    _RANK_RCOND times its largest, the rule of lstsq(rcond=_RANK_RCOND).
-
-    One batched Cholesky G = L L^T of the Gram matrices G = A^T A, and L^-1
-    by forward substitution, bound the condition number from above:
-    kappa_2(G) <= ||G||_F ||G^-1||_F <= ||G||_F ||L^-1||_F^2.  A fit whose
-    bound stays below _GRAM_SAFE**-2 has s_min / s_max > _GRAM_SAFE, so it is
-    full rank beyond rounding doubt and takes coef = L^-T (L^-1 A^T values).
-    The fits the bound does not certify, and the whole batch when Cholesky
-    fails, take a batched SVD with the lstsq rule.  Returns coefficients
-    (k, p) and the full-rank mask.
+    gram (K, p, p) and rhs (K, p) are stacked Gram matrices G = A^T A and
+    right-hand sides A^T values.  G = L L^T and L^-1 are formed for all K at
+    once in coordinate-major layout (p, p, K), column by column with
+    elementwise updates, and every sum runs in a fixed order, so a fit's
+    result does not depend on the other fits of the stack.  A pivot that is
+    not positive and finite marks its own fit as uncertified.  The bound
+    kappa_2(G) <= ||G||_F ||G^-1||_F <= ||G||_F ||L^-1||_F^2 certifies a fit
+    when it stays below _GRAM_SAFE**-2: then s_min / s_max > _GRAM_SAFE, the
+    fit is full rank beyond rounding doubt, and it takes coef = L^-T (L^-1
+    rhs).  Returns coefficients (K, p), zero where uncertified, and the
+    certified mask.
     """
-    k, p, _ = design_t.shape
-    gram = np.matmul(design_t, design_t.transpose(0, 2, 1))
-    rhs = np.matmul(design_t, values[:, :, None])
-    coef = np.zeros((k, p))
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        full = np.zeros(k, dtype=bool)
-    else:
-        # forward substitution L X = I, one row of X = L^-1 at a time (on these
-        # small batches it is faster than np.linalg.inv, which pivots an LU)
-        linv = np.zeros_like(gram)
-        for i in range(p):
-            row = -np.matmul(chol[:, i : i + 1, :i], linv[:, :i, : i + 1])[:, 0]
-            row[:, i] += 1.0
-            linv[:, i, : i + 1] = row / chol[:, i, i : i + 1]
-        bound = np.sqrt(np.sum(gram**2, axis=(1, 2))) * np.sum(linv**2, axis=(1, 2))
-        full = bound < _GRAM_SAFE**-2
-        lf = linv[full]
-        coef[full] = np.matmul(lf.transpose(0, 2, 1), np.matmul(lf, rhs[full]))[:, :, 0]
-    rest = np.flatnonzero(~full)
-    if len(rest):
-        u, s, vt = np.linalg.svd(design_t[rest].transpose(0, 2, 1), full_matrices=False)
-        keep = s[:, -1] > _RANK_RCOND * s[:, 0]
-        ut_f = np.einsum("kmp,km->kp", u[keep], values[rest[keep]]) / s[keep]
-        coef[rest[keep]] = np.einsum("kqp,kq->kp", vt[keep], ut_f)
-        full[rest[keep]] = True
+    k, p, _ = gram.shape
+    g = np.ascontiguousarray(gram.transpose(1, 2, 0))
+    chol = g.copy()  # its lower triangle becomes L
+    linv = np.zeros_like(g)
+    ok = np.ones(k, dtype=bool)
+    # an uncertified fit continues with pivot 1; its values are discarded
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for j in range(p):
+            pivot = chol[j, j]
+            ok &= (pivot > 0.0) & (pivot < math.inf)
+            chol[j:, j] /= np.sqrt(np.where(ok, pivot, 1.0))
+            col = chol[j + 1 :, j]
+            chol[j + 1 :, j + 1 :] -= col[:, None] * col[None]
+        for j in range(p):  # forward substitution L X = I, one column of L at a time
+            linv[j, j] += 1.0
+            linv[j, : j + 1] /= chol[j, j]
+            linv[j + 1 :, : j + 1] -= chol[j + 1 :, j, None] * linv[j, : j + 1]
+        g_frob2 = sum(x * x for x in g.reshape(p * p, k))
+        linv_frob2 = sum(linv[i, j] ** 2 for i in range(p) for j in range(i + 1))
+        full = ok & (np.sqrt(g_frob2) * linv_frob2 < _GRAM_SAFE**-2)
+        y = sum(linv[:, j] * rhs[:, j] for j in range(p))
+        coef = sum(linv[i] * y[i] for i in range(p)).T
+    coef[~full] = 0.0
     return coef, full
 
 
-def _fit_quadratic_patches(coords, f, centers, ids):
-    """Scaled quadratic fits on k patches of m vertices each.
+def _svd_lstsq(design_t: np.ndarray, values: np.ndarray):
+    """Batched SVD least squares with the rank rule of lstsq(rcond=_RANK_RCOND).
 
-    Returns the gradients at the centers (k, d) and a mask of the patches
-    whose fit is full rank; the other rows are zero.
+    Returns coefficients (k, p), zero for rank-deficient fits, and the
+    full-rank mask.
+    """
+    k, p, _ = design_t.shape
+    u, s, vt = np.linalg.svd(design_t.transpose(0, 2, 1), full_matrices=False)
+    full = s[:, -1] > _RANK_RCOND * s[:, 0]
+    coef = np.zeros((k, p))
+    ut_f = np.einsum("kmp,km->kp", u[full], values[full]) / s[full]
+    coef[full] = np.einsum("kqp,kq->kp", vt[full], ut_f)
+    return coef, full
+
+
+def _quadratic_system(coords, f, centers, ids):
+    """Scaled quadratic design (k, p, m), values (k, m) and inverse scales (k,)
+    of k patches of m vertices; a patch whose offsets all vanish has a design
+    of rank 1."""
+    xi, inv_scale = _scaled_offsets(coords, centers, ids)
+    return _quadratic_monomials(xi), f[ids], inv_scale
+
+
+def _fit_quadratic_patches(coords, f, groups):
+    """Scaled quadratic fits of groups of patches, one group per patch size.
+
+    groups holds (centers (k_i,), ids (k_i, m_i)).  The Gram matrices and
+    right-hand sides of all groups take one stacked `_certified_cholesky`.
+    A fit it does not certify has its design built again and takes
+    `_svd_lstsq`, so no design outlives its group's Gram matrices.  A fit is
+    full rank when its smallest singular value exceeds _RANK_RCOND times its
+    largest, the rule of lstsq(rcond=_RANK_RCOND).  Returns the gradients at
+    the centers (sum k_i, d) in group order, zero where rank-deficient, the
+    full-rank mask and the number of fits that the SVD solved.
     """
     d = len(coords)
-    xi, inv_scale = _scaled_offsets(coords, centers, ids)
-    rows = np.flatnonzero(inv_scale)
-    coef, full = _full_rank_lstsq(_quadratic_monomials(xi.take(rows, axis=1)), f[ids[rows]])
-    rows = rows[full]
-    grads = np.zeros((len(centers), d))
-    grads[rows] = coef[full, 1 : 1 + d] * inv_scale[rows, None]
-    fitted = np.zeros(len(centers), dtype=bool)
-    fitted[rows] = True
-    return grads, fitted
+    grams, rhs, scales = [], [], []
+    for centers, ids in groups:
+        design, values, inv_scale = _quadratic_system(coords, f, centers, ids)
+        grams.append(np.matmul(design, design.transpose(0, 2, 1)))
+        rhs.append(np.matmul(design, values[:, :, None])[:, :, 0])
+        scales.append(inv_scale)
+    coef, full = _certified_cholesky(np.concatenate(grams), np.concatenate(rhs))
+    by_svd = 0
+    start = 0
+    for centers, ids in groups:
+        rest = np.flatnonzero(~full[start : start + len(ids)])
+        if len(rest):
+            design, values, _ = _quadratic_system(coords, f, centers[rest], ids[rest])
+            coef[start + rest], full[start + rest] = _svd_lstsq(design, values)
+            by_svd += int(full[start + rest].sum())
+        start += len(ids)
+    return coef[:, 1 : 1 + d] * np.concatenate(scales)[:, None], full, by_svd
 
 
 def _linear_fallback(coords, f, v, ids):
@@ -490,6 +526,7 @@ def recover_nodal_gradients(
     cells: np.ndarray,
     f: np.ndarray,
     good: np.ndarray,
+    at: np.ndarray | None = None,
 ) -> np.ndarray:
     """Nodal gradients from a quadratic least-squares fit of the vertex values.
 
@@ -502,19 +539,24 @@ def recover_nodal_gradients(
     still supports no full quadratic takes a linear fit on that patch, scaled
     the same way.
 
+    at, when given, lists the vertices to fit, and the result holds their
+    rows (len(at), d) in that order; None fits every vertex.  A fit reads only
+    its own patch, so these rows equal those of a full recovery bit for bit.
+
     Vertices are processed in blocks of _RECOVERY_BLOCK: the block's patches
-    are rows of sparse adjacency products, and patches of equal size are
-    fitted together as stacked batches.
+    are rows of sparse adjacency products, and at each hop the patches of
+    every size are fitted by one `_fit_quadratic_patches`.
     """
     nv, d = vertices.shape
+    at = np.arange(nv) if at is None else np.asarray(at, dtype=np.int64)
     coords = np.ascontiguousarray(vertices.T)
     adj = vertex_adjacency(cells[good] if not np.all(good) else cells, nv)
     n_param = 1 + d + d * (d + 1) // 2
-    nodal = np.zeros((nv, d))
-    fallback = 0
-    for start in range(0, nv, _RECOVERY_BLOCK):
-        rows = np.arange(start, min(start + _RECOVERY_BLOCK, nv))
-        patches = adj[rows] @ adj
+    nodal = np.zeros((len(at), d))
+    by_svd = fallback = 0
+    for start in range(0, len(at), _RECOVERY_BLOCK):
+        rows = np.arange(start, min(start + _RECOVERY_BLOCK, len(at)))  # rows of the result
+        patches = adj[at[rows]] @ adj
         for hop in range(2, 5):
             if hop > 2:
                 patches = patches @ adj
@@ -523,27 +565,34 @@ def recover_nodal_gradients(
             # a patch of n_param points or fewer is grown without a fit; the
             # last hop fits every patch that can hold a full quadratic
             tried = sizes > n_param if hop < 4 else sizes >= n_param
-            done = np.zeros(len(rows), dtype=bool)
+            sels, groups = [], []
             for m in np.unique(sizes[tried]):
                 sel = np.flatnonzero(tried & (sizes == m))
                 ids = patches.indices[patches.indptr[sel][:, None] + np.arange(m)]
-                grads, ok = _fit_quadratic_patches(coords, f, rows[sel], ids)
-                nodal[rows[sel[ok]]] = grads[ok]
-                done[sel[ok]] = True
+                sels.append(sel)
+                groups.append((at[rows[sel]], ids))
+            done = np.zeros(len(rows), dtype=bool)
+            if groups:
+                sel = np.concatenate(sels)
+                grads, full, svd_fits = _fit_quadratic_patches(coords, f, groups)
+                nodal[rows[sel[full]]] = grads[full]
+                done[sel[full]] = True
+                by_svd += svd_fits
             rows = rows[~done]
             if len(rows) == 0:
                 break
             patches = patches[~done]
         else:
             # no patch up to 4 hops held a full-rank quadratic
-            for v, lo, hi in zip(rows, patches.indptr[:-1], patches.indptr[1:]):
+            for r, lo, hi in zip(rows, patches.indptr[:-1], patches.indptr[1:]):
                 if lo == hi:
                     continue  # a vertex in no nondegenerate cell keeps a zero gradient
-                grad = _linear_fallback(coords, f, v, patches.indices[lo:hi])
+                grad = _linear_fallback(coords, f, at[r], patches.indices[lo:hi])
                 if grad is not None:
-                    nodal[v] = grad
+                    nodal[r] = grad
                     fallback += 1
-    logger.info("recovery: %d of %d vertices fell back to a linear fit", fallback, nv)
+    logger.info("recovery: %s of %s vertices, %s by SVD, %s linear",
+                *(f"{n:,}" for n in (len(at), nv, by_svd, fallback)))
     return nodal
 
 
@@ -552,6 +601,7 @@ def cell_hessians_of(
 ) -> np.ndarray:
     """Symmetrized per-cell gradient of the recovered nodal gradient field."""
     hess = np.matmul(nodal_grads[cells].transpose(0, 2, 1), grads)
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+    hess += hess.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    hess *= 0.5
     hess[~good] = 0.0
     return hess

@@ -66,3 +66,23 @@ def test_workload_sources_build(workload, tmp_path):
     workloads.build_sources(scenarios, tmp_path, workloads.direct_call)
     offs = [sc.off_path(tmp_path) for sc in scenarios if sc.spec.off]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in offs)
+
+
+def test_tracer_sees_recovery_when_derivatives_are_read(hs_domain1):
+    # a solve recovers nothing; recovery runs on the first derivative read,
+    # through the hklab.bvp name that the tracer wraps
+    from hklab.bvp import capillary_problem, solve_mixed_bvp
+    from hklab.reilly import reilly_sides
+
+    tracer = _load(SPANS, "perfbench_spans").Tracer()
+    assert tracer.install() == []
+    try:
+        solution = solve_mixed_bvp(capillary_problem(hs_domain1))
+        solved = len(tracer.spans)
+        reilly_sides(solution)
+    finally:
+        assert tracer.uninstall()
+    names = [span["name"] for span in tracer.spans]
+    assert "fem.recover_nodal_gradients" not in names[:solved]
+    recoveries = [span for span in tracer.spans if span["name"] == "fem.recover_nodal_gradients"]
+    assert [span["counts"] for span in recoveries] == [{"vertices": hs_domain1.num_vertices}]
