@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from hklab.fem import (
     cell_hessians_of,
     load_facets,
     load_volume,
+    nondegenerate,
     p1_gradients,
     pcg,
     recover_nodal_gradients,
@@ -74,6 +74,26 @@ class MixedBvpProblem:
             raise HkLabError("problem needs at least one Sigma facet (else singular)")
 
 
+class _lazy:
+    """A property computed on first read and stored on the instance.
+
+    functools.cached_property takes one lock per property before Python 3.12,
+    shared by every instance, so solutions read by concurrent threads would
+    recover one at a time; this one takes none.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass
 class BvpSolution:
     """Vertex values f of a solve or of a given field, and their derivatives.
@@ -97,25 +117,25 @@ class BvpSolution:
     def domain(self) -> DomainMesh:
         return self.problem.domain
 
-    @cached_property
+    @_lazy
     def nodal_gradients(self) -> np.ndarray:
         dom = self.domain
         return recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good)
 
-    @cached_property
+    @_lazy
     def cell_hessians(self) -> np.ndarray:
         dom = self.domain
         grads = p1_gradients(dom.vertices, dom.cells)[0]
         return cell_hessians_of(self.nodal_gradients, grads, dom.cells, self.good)
 
-    @cached_property
+    @_lazy
     def f_nu_sigma(self) -> np.ndarray:
         """Normal derivative on Sigma from the recovered gradient (facet vertex mean)."""
         facets = self.domain.sigma_facets
         normals = self.domain.facet_normals(facets)
         return np.einsum("fd,fd->f", self.nodal_gradients[facets].mean(axis=1), normals)
 
-    @cached_property
+    @_lazy
     def cell_gradients(self) -> np.ndarray:
         dom = self.domain
         return cell_gradients_of(self.f, p1_gradients(dom.vertices, dom.cells)[0], dom.cells)
@@ -123,11 +143,8 @@ class BvpSolution:
     def hessians_of(self, which: np.ndarray) -> np.ndarray:
         """Hessians of the cells `which`, bit for bit those rows of cell_hessians.
 
-        Cached Hessians are reused; otherwise recovery fits only the vertices
-        of these cells.
+        Recovery fits only the vertices of these cells.
         """
-        if "cell_hessians" in self.__dict__:
-            return self.cell_hessians[which]
         dom = self.domain
         cells = dom.cells[which]
         at = np.unique(cells)
@@ -332,8 +349,7 @@ def solution_from_field(problem: MixedBvpProblem, values) -> BvpSolution:
         f = np.asarray(values, dtype=float)
     if f.shape != (domain.num_vertices,):
         raise HkLabError("field values must be per-vertex")
-    good = p1_gradients(domain.vertices, domain.cells)[2]
-    return BvpSolution(problem, f, good, 0, 0.0, math.nan)
+    return BvpSolution(problem, f, nondegenerate(domain.cell_volumes), 0, 0.0, math.nan)
 
 
 # ---------------------------------------------------------------------------

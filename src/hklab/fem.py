@@ -119,10 +119,15 @@ def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
                     out[:, b + 1, c] = g[b]
                 out[:, 0, c] = -sum(g[1:], g[0])
     vols = dets / math.factorial(d)
-    scale = np.abs(vols).max() if nc else 1.0
-    good = np.abs(vols) > _DEGENERATE_REL * scale
+    good = nondegenerate(vols)
     grads[~good] = 0.0
     return grads, vols, good
+
+
+def nondegenerate(vols: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose |volume| exceeds _DEGENERATE_REL times the largest."""
+    scale = np.abs(vols).max() if len(vols) else 1.0
+    return np.abs(vols) > _DEGENERATE_REL * scale
 
 
 def _local_stiffness(grads: np.ndarray, vols: np.ndarray) -> np.ndarray:

@@ -623,14 +623,12 @@ def test_scaled_recovery_matches_whitened_oracle(mesh, request, monkeypatch):
     dom = request.getfixturevalue(mesh)
     _, _, good = p1_gradients(dom.vertices, dom.cells)
     f = _smooth_field(dom.vertices, 5)
-    got = recover_nodal_gradients(dom.vertices, dom.cells, f, good)
     calls = _counting_svd(monkeypatch)
-    _batched_recovery(dom.vertices, dom.cells, f, good)
+    got = _batched_recovery(dom.vertices, dom.cells, f, good)
     scaled_svd_fits = sum(calls)
     calls.clear()
     want = _batched_recovery(dom.vertices, dom.cells, f, good, fit=_whitened_fit)
-    keep = _sensitive_mask(mesh, dom.num_vertices)
-    assert np.max(np.abs(got - want)[keep]) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     assert scaled_svd_fits == sum(calls)
 
 
@@ -699,11 +697,11 @@ def test_corner_fit_recovers_only_its_window(hb_domain1_graded, monkeypatch, cap
     assert len(at) < dom.num_vertices
     assert any(m.startswith(f"recovery: {len(at):,} of {dom.num_vertices:,} vertices, ")
                for m in caplog.messages)
-    eager = replace(lazy)
-    assert eager.cell_hessians.shape == (len(dom.cells), 2, 2)
-    fits.clear()
-    assert corner_exponent(eager) == fit  # float fields compared exactly
-    assert fits == []
+    # the fit of a solution that slices its full Hessians
+    full = replace(lazy)
+    full.hessians_of = lambda which: full.cell_hessians[which]
+    assert corner_exponent(full) == fit  # float fields compared exactly
+    assert fits[1:] == [None]
 
 
 def _lu_p1_gradients(vertices, cells):
@@ -780,6 +778,25 @@ def test_p1_gradients_match_masked_oracle_bit_for_bit(degenerate, hs_domain2,
             assert not got[0][-1].any()
         if dom.dim == 3:  # tet volumes are the mesh's own, rounded alike
             assert got[1][: dom.cells.shape[0]].tobytes() == dom.cell_volumes.tobytes()
+
+
+def test_field_solution_masks_cells_as_p1_gradients(hs_domain2, hb_domain1_graded,
+                                                    monkeypatch):
+    # the mask is taken from the mesh's own volumes, with no P1 gradient pass
+    calls = []
+    original = hklab.bvp.p1_gradients
+    monkeypatch.setattr(hklab.bvp, "p1_gradients",
+                        lambda *args: calls.append(1) or original(*args))
+    for dom in (hs_domain2, hb_domain1_graded):
+        collapsed = dom.vertices.copy()
+        collapsed[dom.cells[0, 1]] = collapsed[dom.cells[0, 0]]  # zero volume on that edge
+        crushed = replace(dom, vertices=collapsed, cell_volumes=None)
+        for mesh in (dom, crushed):
+            problem = MixedBvpProblem(mesh, np.zeros(mesh.num_vertices), 0.0)
+            good = solution_from_field(problem, np.zeros(mesh.num_vertices)).good
+            assert np.array_equal(good, original(mesh.vertices, mesh.cells)[2])
+            assert good.all() == (mesh is dom)
+    assert calls == []
 
 
 def test_cell_hessians_match_einsum_oracle(hs_domain2):
