@@ -26,7 +26,6 @@ from hklab.bvp import (
     CornerFit,
     MixedBvpProblem,
     capillary_constant,
-    capillary_constant_from_domain,
     capillary_problem,
     corner_exponent,
     exact_cap_solution,
@@ -58,7 +57,6 @@ __all__ = [
     "alexandrov_certify",
     "as_angle",
     "capillary_constant",
-    "capillary_constant_from_domain",
     "capillary_problem",
     "check_identity",
     "corner_exponent",

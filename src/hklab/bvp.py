@@ -108,7 +108,6 @@ class BvpSolution:
 
     problem: MixedBvpProblem
     f: np.ndarray
-    good: np.ndarray  # nondegenerate cells, as p1_gradients masks them
     iterations: int
     residual_norm: float
     energy: float
@@ -118,6 +117,11 @@ class BvpSolution:
         return self.problem.domain
 
     @_lazy
+    def good(self) -> np.ndarray:
+        """The mesh's nondegenerate cells, those p1_gradients does not zero."""
+        return nondegenerate(self.domain.cell_volumes)
+
+    @_lazy
     def nodal_gradients(self) -> np.ndarray:
         dom = self.domain
         return recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good)
@@ -125,7 +129,7 @@ class BvpSolution:
     @_lazy
     def cell_hessians(self) -> np.ndarray:
         dom = self.domain
-        grads = p1_gradients(dom.vertices, dom.cells)[0]
+        grads = p1_gradients(dom.vertices, dom.cells)
         return cell_hessians_of(self.nodal_gradients, grads, dom.cells, self.good)
 
     @_lazy
@@ -138,7 +142,7 @@ class BvpSolution:
     @_lazy
     def cell_gradients(self) -> np.ndarray:
         dom = self.domain
-        return cell_gradients_of(self.f, p1_gradients(dom.vertices, dom.cells)[0], dom.cells)
+        return cell_gradients_of(self.f, p1_gradients(dom.vertices, dom.cells), dom.cells)
 
     def hessians_of(self, which: np.ndarray) -> np.ndarray:
         """Hessians of the cells `which`, bit for bit those rows of cell_hessians.
@@ -149,7 +153,7 @@ class BvpSolution:
         cells = dom.cells[which]
         at = np.unique(cells)
         nodal = recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good, at=at)
-        grads = p1_gradients(dom.vertices, cells)[0]
+        grads = p1_gradients(dom.vertices, cells)
         return cell_hessians_of(nodal, grads, np.searchsorted(at, cells), self.good[which])
 
     def hessian_frobenius(self, which: np.ndarray | None = None) -> np.ndarray:
@@ -217,58 +221,27 @@ def t_facet_integrals(domain: DomainMesh) -> tuple[float, float]:
     return float(areas.sum()), float((areas * z).sum())
 
 
-def capillary_constant(
-    container: Container | str,
-    theta: float | ContactAngle,
-    n: int,
-    area_T: float | None = None,
-    measure_gamma: float | None = None,
-    int_T_height: float | None = None,
-    int_gamma_mu_vertical: float | None = None,
-) -> float:
-    """The flux constant of the capillary mixed problem.
+def capillary_constant(domain: DomainMesh) -> float:
+    """The flux constant of the capillary mixed problem, from the domain's own
+    patch integrals and contact angle.
 
     Half-space: -n/(n+1) cot(theta) |T| / |Gamma|.
     Half-ball:  -n/(n+1) cos(theta) (int_T x_d) / (int_Gamma <mu, E_d>).
     """
-    from hklab.containers import parse_container
-
-    container = parse_container(container)
-    angle = as_angle(theta)
-    ratio = n / (n + 1.0)
-    if container is Container.HALF_SPACE:
-        if area_T is None or measure_gamma is None:
-            raise HkLabError("half-space constant needs area_T and measure_gamma")
-        if measure_gamma <= 0:
-            raise DegenerateConfigurationError("|Gamma| vanished")
-        return -ratio * angle.cot * area_T / measure_gamma
-    if container is Container.HALF_BALL:
-        if int_T_height is None or int_gamma_mu_vertical is None:
-            raise HkLabError("half-ball constant needs the T and Gamma height integrals")
-        if abs(int_gamma_mu_vertical) < 1e-300:
-            raise DegenerateConfigurationError("Gamma integral of <mu, E> vanished")
-        return -ratio * angle.cos * int_T_height / int_gamma_mu_vertical
-    raise HkLabError("closed container has no capillary constant")
-
-
-def capillary_constant_from_domain(domain: DomainMesh) -> float:
-    """The capillary constant from the domain's own patch integrals and angle."""
-    angle = domain.theta
     n = domain.dim - 1
+    ratio = n / (n + 1.0)
     if domain.container is Container.HALF_SPACE:
         area_t, _ = t_facet_integrals(domain)
-        return capillary_constant(
-            domain.container, angle, n, area_T=area_t, measure_gamma=gamma_loop_measure(domain)
-        )
+        measure_gamma = gamma_loop_measure(domain)
+        if measure_gamma <= 0:
+            raise DegenerateConfigurationError("|Gamma| vanished")
+        return -ratio * domain.theta.cot * area_t / measure_gamma
     if domain.container is Container.HALF_BALL:
         _, int_t_z = t_facet_integrals(domain)
-        return capillary_constant(
-            domain.container,
-            angle,
-            n,
-            int_T_height=int_t_z,
-            int_gamma_mu_vertical=gamma_mu_vertical_integral(domain),
-        )
+        int_mu_z = gamma_mu_vertical_integral(domain)
+        if abs(int_mu_z) < 1e-300:
+            raise DegenerateConfigurationError("Gamma integral of <mu, E> vanished")
+        return -ratio * domain.theta.cos * int_t_z / int_mu_z
     raise HkLabError("closed container has no capillary constant")
 
 
@@ -278,7 +251,7 @@ def capillary_problem(domain: DomainMesh) -> MixedBvpProblem:
     if domain.container is Container.CLOSED:
         return MixedBvpProblem(domain, rhs, 0.0, 0)
     gamma = 1 if domain.container is Container.HALF_BALL else 0
-    return MixedBvpProblem(domain, rhs, capillary_constant_from_domain(domain), gamma)
+    return MixedBvpProblem(domain, rhs, capillary_constant(domain), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +277,12 @@ def solve_mixed_bvp(
     Planar domains are preconditioned by `two_level`, solid ones by Jacobi.
     """
     domain = problem.domain
-    grads, vols, good = p1_gradients(domain.vertices, domain.cells)
+    vols = domain.cell_volumes
+    good = nondegenerate(vols)
     if not np.all(good):
         raise SolverError(f"{int(np.sum(~good))} degenerate cells; cannot assemble")
     nv = domain.num_vertices
-    stiff = assemble_stiffness(grads, vols, domain.cells, nv)
+    stiff = assemble_stiffness(p1_gradients(domain.vertices, domain.cells), vols, domain.cells, nv)
 
     t_areas = domain.facet_measures(domain.t_facets)
     flux = np.full(len(domain.t_facets), problem.flux_constant)
@@ -337,7 +311,7 @@ def solve_mixed_bvp(
                 name, coarse, iters, relres)
     f[free] = x
     energy = float(0.5 * x @ (a_ff @ x) - b_f @ x)
-    return BvpSolution(problem, f, good, iters, relres, energy)
+    return BvpSolution(problem, f, iters, relres, energy)
 
 
 def solution_from_field(problem: MixedBvpProblem, values) -> BvpSolution:
@@ -349,7 +323,7 @@ def solution_from_field(problem: MixedBvpProblem, values) -> BvpSolution:
         f = np.asarray(values, dtype=float)
     if f.shape != (domain.num_vertices,):
         raise HkLabError("field values must be per-vertex")
-    return BvpSolution(problem, f, nondegenerate(domain.cell_volumes), 0, 0.0, math.nan)
+    return BvpSolution(problem, f, 0, 0.0, math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import hklab
 from hklab.bvp import (
     capillary_problem,

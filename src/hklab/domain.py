@@ -19,12 +19,11 @@ stacks of all off-axis triangles are split in one call.
 
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
-(closed-form determinants: the triple product for tets, x1 y2 - y1 x2 for
-triangles) and the longest squared edges.  The same pass fixes the
-orientation of every mesher: a negative cell swaps its last two vertices in
-place and its volume is negated, which is exact for both determinants.
-Every mesher keeps both arrays of that pass, and mesh_quality grades a mesh
-from them without another gather.
+(meshutil.edge_determinant over d!) and the longest squared edges.  The same
+pass fixes the orientation of every mesher: a negative cell swaps its last
+two vertices in place and its volume is negated, which is exact for both
+determinants.  Every mesher keeps both arrays of that pass, and mesh_quality
+grades a mesh from them without another gather.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ import numpy as np
 from hklab.containers import Container, ContactAngle
 from hklab.errors import HkLabError, MeshQualityError
 from hklab.meshutil import (
+    CELL_BLOCK,
+    edge_determinant,
     graded_nodes,
     polyline_interp,
     polyline_order,
@@ -92,27 +93,14 @@ class DomainMesh:
 # ---------------------------------------------------------------------------
 
 
-_CELL_BLOCK = 1 << 14  # cells whose vertex coordinates are gathered together
-
-
 def _block_geometry(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed volumes and longest squared edges of cells given coordinate-major.
 
     p has shape (d, d + 1, k): p[c, a] is coordinate c of vertex a of each
-    cell, so every product below runs on contiguous rows.  Tets use the triple
-    product e1 . (e2 x e3) / 6, triangles (x1 y2 - y1 x2) / 2, both rounded as
-    fem.p1_gradients rounds its determinants.
+    cell, so every product below runs on contiguous rows.
     """
     d, m, k = p.shape
-    edges = p[:, 1:] - p[:, :1]
-    if m == 4:
-        (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = edges
-        # e2 x e3 componentwise, as np.cross rounds it, without its copies
-        vols = (x1 * (y2 * z3 - z2 * y3) + y1 * (z2 * x3 - x2 * z3)
-                + z1 * (x2 * y3 - y2 * x3)) / 6.0
-    else:
-        (x1, x2), (y1, y2) = edges
-        vols = (x1 * y2 - y1 * x2) / 2.0
+    vols = edge_determinant(p[:, 1:] - p[:, :1])[1] / math.factorial(d)
     h2max = np.zeros(k)
     for a in range(m):
         for b in range(a + 1, m):
@@ -128,7 +116,7 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
                   orient: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Signed volumes and longest squared edges of all cells, chunk by chunk.
 
-    Each chunk of _CELL_BLOCK cells gathers its vertex coordinates once.  With
+    Each chunk of CELL_BLOCK cells gathers its vertex coordinates once.  With
     orient=True, a chunk's negatively oriented cells get their last two
     vertices swapped in place in `cells` and their volumes negated.  The set
     of squared edges stays as it was, and the swap negates the triple product
@@ -138,8 +126,8 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
     coords = np.ascontiguousarray(vertices.T)
     vols = np.empty(len(cells))
     h2max = np.empty(len(cells))
-    for start in range(0, len(cells), _CELL_BLOCK):
-        block = cells[start:start + _CELL_BLOCK]
+    for start in range(0, len(cells), CELL_BLOCK):
+        block = cells[start:start + CELL_BLOCK]
         block_vols, block_h2max = _block_geometry(coords.take(block.T, axis=1))
         if orient:
             flip = block_vols < 0
@@ -148,11 +136,6 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
         vols[start:start + len(block)] = block_vols
         h2max[start:start + len(block)] = block_h2max
     return vols, h2max
-
-
-def simplex_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Signed cell volumes, as cell_geometry computes them."""
-    return cell_geometry(vertices, cells)[0]
 
 
 def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
@@ -168,21 +151,11 @@ def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
     return out
 
 
-def mesh_quality(vertices: np.ndarray, cells: np.ndarray,
-                 volumes: np.ndarray | None = None,
-                 h2max: np.ndarray | None = None) -> np.ndarray:
-    """Shape measure in (0, 1]: normalized volume / longest-edge^d.
-
-    `volumes` and `h2max`, when given, are the signed cell volumes and the
-    longest squared edges already computed; cell_geometry supplies the others.
-    """
-    if volumes is None or h2max is None:
-        fresh_vols, fresh_h2max = cell_geometry(vertices, cells)
-        volumes = fresh_vols if volumes is None else volumes
-        h2max = fresh_h2max if h2max is None else h2max
-    d = vertices.shape[1]
-    ref = {2: math.sqrt(3.0) / 4.0, 3: math.sqrt(2.0) / 12.0}[d]
-    return np.abs(volumes) / (ref * np.sqrt(h2max) ** d)
+def mesh_quality(dom: DomainMesh) -> np.ndarray:
+    """Shape measure in (0, 1]: normalized volume / longest-edge^d, per cell,
+    from the mesh's own volumes and longest squared edges."""
+    ref = {2: math.sqrt(3.0) / 4.0, 3: math.sqrt(2.0) / 12.0}[dom.dim]
+    return np.abs(dom.cell_volumes) / (ref * np.sqrt(dom.cell_h2max) ** dom.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +294,11 @@ def _split_prisms(prisms: np.ndarray) -> np.ndarray:
 
     Every quad face receives the diagonal through its smallest global vertex
     id, which makes splits of face-sharing elements agree.  Prisms are split
-    _CELL_BLOCK at a time, so the index arrays of the lookups stay small.
+    CELL_BLOCK at a time, so the index arrays of the lookups stay small.
     """
     tets = np.empty((len(prisms), 3, 4), dtype=np.int64)
-    for start in range(0, len(prisms), _CELL_BLOCK):
-        block = prisms[start:start + _CELL_BLOCK]
+    for start in range(0, len(prisms), CELL_BLOCK):
+        block = prisms[start:start + CELL_BLOCK]
         w = np.take_along_axis(block, _PRISM_PERMS[np.argmin(block, axis=1)], axis=1)
         case_a = np.minimum(w[:, 1], w[:, 5]) < np.minimum(w[:, 2], w[:, 4])
         tets[start:start + len(block)] = np.take_along_axis(
@@ -482,7 +455,7 @@ def mesh_domain(
             dom = _mesh_domain_2d(surface, container, resolution, grading)
     else:
         dom = _mesh_domain_3d(surface, container, resolution, grading)
-    q = mesh_quality(dom.vertices, dom.cells, dom.cell_volumes, dom.cell_h2max)
+    q = mesh_quality(dom)
     q_min = float(np.min(q))
     logger.info("domain mesh: nv=%d nc=%d min_quality=%.3e", dom.num_vertices,
                 len(dom.cells), q_min)

@@ -4,9 +4,11 @@ Assembly is vectorized with a fixed accumulation order, so stiffness and
 boundary-mass matrices come out symmetric to the bit and repeated runs are
 reproducible.
 
-Cell kernels run coordinate-major on fixed chunks of cells: P1 gradients are
-the cofactors of each cell's edge matrix (cross products for tets) over its
-determinant, and local stiffness entries are sums of contiguous row products.
+Cell kernels run coordinate-major on fixed chunks of meshutil.CELL_BLOCK
+cells: P1 gradients are the cofactors of each cell's edge matrix (cross
+products for tets) over its determinant, meshutil.edge_determinant, which
+also gives the mesh's cell volumes; local stiffness entries are sums of
+contiguous row products.
 
 Linear systems are solved by preconditioned conjugate gradients (`pcg`).
 Planar systems take `two_level`: a damped Jacobi smoother on either side of a
@@ -53,6 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from hklab.errors import SolverError
+from hklab.meshutil import CELL_BLOCK, edge_determinant
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -62,45 +65,33 @@ if TYPE_CHECKING:
 logger = logging.getLogger("hklab.fem")
 
 _DEGENERATE_REL = 1e-12
-_CELL_BLOCK = 1 << 14  # cells whose coordinates or gradients are gathered together
 _RECOVERY_BLOCK = 2048  # vertices whose patches are built and fitted together
 _RANK_RCOND = 1e-8  # a fit is full rank when s_min > _RANK_RCOND * s_max
 _GRAM_SAFE = 1e-4  # s_min / s_max that the Cholesky bound certifies as full rank
 _HASH = 2654435761  # odd, so i -> i * _HASH mod 2^32 is one-to-one (root order)
 
 
-def _block_gradients(p: np.ndarray):
-    """Cofactor rows and determinants of cells given coordinate-major.
-
-    p has shape (d, d + 1, k): p[c, a] is coordinate c of vertex a of each
-    cell.  Returns rows[b][c], coordinate c of the cofactor row of edge b + 1
-    (e2 x e3, e3 x e1, e1 x e2 for tets), and the edge determinant, whose tet
-    triple product is rounded as domain._block_geometry rounds it.
-    """
-    edges = p[:, 1:] - p[:, :1]
+def _cofactor_rows(edges: np.ndarray):
+    """All cofactor rows and the determinants of edges given as
+    meshutil.edge_determinant takes them: rows[b][c] is coordinate c of the
+    cofactor row of edge b + 1 (e2 x e3, e3 x e1, e1 x e2 for tets)."""
+    first, det = edge_determinant(edges)
     if len(edges) == 3:
         (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = edges
-        rows = (
-            (y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3),
-            (y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1),
-            (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2),
-        )
-        det = x1 * rows[0][0] + y1 * rows[0][1] + z1 * rows[0][2]
-    else:
-        (x1, x2), (y1, y2) = edges
-        rows = ((y2, -x2), (-y1, x1))
-        det = x1 * y2 - y1 * x2
-    return rows, det
+        return (first,
+                (y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1),
+                (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)), det
+    (x1, _), (y1, _) = edges
+    return (first, (-y1, x1)), det
 
 
-def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
-    """Per-cell P1 basis gradients (nc, d+1, d), signed volumes (nc,) and the
-    mask of nondegenerate cells.
+def p1_gradients(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per-cell P1 basis gradients (nc, d+1, d).
 
     The gradient of basis function b >= 1 is column b of the inverse edge
     matrix, that is cofactor row b over the determinant; basis function 0
-    takes minus their sum.  Degenerate cells (|volume| at most _DEGENERATE_REL
-    times the largest) get zero rows.
+    takes minus their sum.  Degenerate cells (`nondegenerate` of the
+    determinants over d!, the mesh's cell volumes) get zero rows.
     """
     nc, d = len(cells), vertices.shape[1]
     coords = np.ascontiguousarray(vertices.T)
@@ -108,9 +99,10 @@ def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
     dets = np.empty(nc)
     # a degenerate cell may divide by (nearly) zero here; it is zeroed below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, nc, _CELL_BLOCK):
-            block = slice(start, start + _CELL_BLOCK)
-            rows, det = _block_gradients(coords.take(cells[block].T, axis=1))
+        for start in range(0, nc, CELL_BLOCK):
+            block = slice(start, start + CELL_BLOCK)
+            p = coords.take(cells[block].T, axis=1)
+            rows, det = _cofactor_rows(p[:, 1:] - p[:, :1])
             dets[block] = det
             out = grads[block]
             for c in range(d):
@@ -118,10 +110,8 @@ def p1_gradients(vertices: np.ndarray, cells: np.ndarray):
                 for b in range(d):
                     out[:, b + 1, c] = g[b]
                 out[:, 0, c] = -sum(g[1:], g[0])
-    vols = dets / math.factorial(d)
-    good = nondegenerate(vols)
-    grads[~good] = 0.0
-    return grads, vols, good
+    grads[~nondegenerate(dets / math.factorial(d))] = 0.0
+    return grads
 
 
 def nondegenerate(vols: np.ndarray) -> np.ndarray:
@@ -139,8 +129,8 @@ def _local_stiffness(grads: np.ndarray, vols: np.ndarray) -> np.ndarray:
     """
     nc, m, d = grads.shape
     local = np.empty((nc, m, m))
-    for start in range(0, nc, _CELL_BLOCK):
-        block = slice(start, start + _CELL_BLOCK)
+    for start in range(0, nc, CELL_BLOCK):
+        block = slice(start, start + CELL_BLOCK)
         g = np.ascontiguousarray(grads[block].transpose(1, 2, 0))  # (m, d, k)
         sym = np.empty((m, m, g.shape[2]))
         for i in range(m):

@@ -262,7 +262,6 @@ class HkReport:
     gap: float
     relative_gap: float
     equality_flag: bool
-    refined_gap: float | None
     components: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -276,7 +275,6 @@ class HkReport:
             "gap": self.gap,
             "relative_gap": self.relative_gap,
             "equality_flag": self.equality_flag,
-            "refined_gap": self.refined_gap,
             "components": dict(self.components),
         }
 
@@ -287,17 +285,12 @@ def domain_volume_integrals(domain: DomainMesh) -> tuple[float, float]:
     return float(np.sum(domain.cell_volumes)), float(np.sum(domain.cell_volumes * z))
 
 
-def hk_report(
-    surface: SurfaceMesh,
-    domain: DomainMesh,
-    refined: tuple[SurfaceMesh, DomainMesh] | None = None,
-) -> HkReport:
+def hk_report(surface: SurfaceMesh, domain: DomainMesh) -> HkReport:
     """Evaluate both sides of the Heintze-Karcher inequality.
 
     The container and the contact angle are the surface's.  The gap is
-    lhs - rhs_form2.  equality_flag follows the two-sided rule: relative gap
-    below 5e-3 and, when a refined (surface, domain) pair is supplied, a gap
-    that does not grow under refinement.
+    lhs - rhs_form2, and equality_flag marks a relative gap below
+    EQUALITY_RTOL.
     """
     container, angle = surface.container, surface.theta
     if domain.container is not container:
@@ -342,12 +335,6 @@ def hk_report(
     scale = max(abs(lhs), abs(rhs2), MACHINE_FLOOR)
     rel = abs(gap) / scale
 
-    refined_gap = None
-    flag = rel <= EQUALITY_RTOL
-    if refined is not None:
-        fine = hk_report(*refined)
-        refined_gap = fine.gap
-        flag = flag and abs(fine.gap) <= abs(gap) + MACHINE_FLOOR
     return HkReport(
         container=container.value,
         dim=n,
@@ -357,8 +344,7 @@ def hk_report(
         rhs_form2=rhs2,
         gap=gap,
         relative_gap=rel,
-        equality_flag=flag,
-        refined_gap=refined_gap,
+        equality_flag=rel <= EQUALITY_RTOL,
         components=components,
     )
 

@@ -1,8 +1,10 @@
 """OFF and JSON mesh import/export.
 
 Surface meshes travel as ASCII OFF (counts header, vertex lines, facet
-lines; polylines use 2-gon facets with a zero z padding) or as JSON.  Domain
-meshes and field data use the JSON schema
+lines; polylines use 2-gon facets with a zero z padding) or as JSON, and
+generator profiles as JSON.  Every reader turns malformed data into a
+MeshFileError that names the file.  Domain meshes and field data use the
+JSON schema
 
     {"vertices": [[x, ...]], "cells": [[i, ...]],
      "facet_tags": [{"facet": [i, ...], "tag": "Sigma" | "T"}],
@@ -25,6 +27,7 @@ from hklab.containers import Container, as_angle, parse_container
 from hklab.domain import DomainMesh
 from hklab.errors import HkLabError, MeshFileError
 from hklab.meshutil import check_indices
+from hklab.profiles import ProfileCurve, make_axisymmetric
 from hklab.surface import SurfaceMesh, build_surface_mesh, discrete_geometry
 
 # what numpy, int() and the container/angle parsers raise on malformed input
@@ -141,8 +144,32 @@ def read_off(
 
 
 # ---------------------------------------------------------------------------
-# JSON meshes
+# JSON meshes and profiles
 # ---------------------------------------------------------------------------
+
+
+def read_profile_json(
+    path: str | Path,
+    container: Container | str,
+    theta: float | None,
+    dim: int,
+) -> ProfileCurve:
+    """Read a profile file {"samples": [[rho, z], ...], "theta", "dim"} and
+    correct it into the capillary profile of the given container and angle.
+
+    "theta" and "dim" are optional; dim defaults to the given one.  A file
+    whose samples make no profile, or one that the correction rejects, is
+    malformed like any other mesh file.
+    """
+    data = _read_json(path, "profile JSON")
+    with _file_data(path, "profile JSON"):
+        prof = ProfileCurve(
+            np.asarray(data["samples"], dtype=float),
+            parse_container(container),
+            as_angle(data.get("theta", theta)),
+            dim=int(data.get("dim", dim)),
+        )
+        return make_axisymmetric(prof, theta, container)
 
 
 def surface_to_dict(mesh: SurfaceMesh) -> dict:

@@ -4,6 +4,8 @@ zipper_rows and revolve are the only copies of the two jobs every mesher
 shares: zipper_rows triangulates the strips between consecutive vertex rows
 (open rungs, closed rings, fan apices) in one vectorised merge, and revolve
 turns (rho, z) points into rings of one azimuthal count about the x_d-axis.
+edge_determinant is the only cell determinant: domain volumes and fem's P1
+gradients divide by the same bits, in chunks of CELL_BLOCK cells.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import numpy as np
 
 from hklab.errors import HkLabError
+
+CELL_BLOCK = 1 << 14  # cells whose vertex coordinates are gathered together
 
 
 def graded_nodes(
@@ -131,6 +135,22 @@ def polyline_interp(points: np.ndarray, fractions: np.ndarray) -> np.ndarray:
     out[np.isclose(fractions, 0.0)] = points[0]
     out[np.isclose(fractions, 1.0)] = points[-1]
     return out
+
+
+def edge_determinant(edges: np.ndarray):
+    """First cofactor row and determinant of cell edge matrices, coordinate-major.
+
+    edges has shape (d, d, k): edges[c, b] is coordinate c of edge b + 1 of
+    each cell, so every product runs on contiguous rows.  The row is that of
+    edge 1 (e2 x e3 for tets, (y2, -x2) for triangles), and the determinant
+    is the triple product e1 . (e2 x e3), or x1 y2 - y1 x2.
+    """
+    if len(edges) == 3:
+        (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = edges
+        row = (y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3)
+        return row, x1 * row[0] + y1 * row[1] + z1 * row[2]
+    (x1, x2), (y1, y2) = edges
+    return (y2, -x2), x1 * y2 - y1 * x2
 
 
 def simplex_measures(vertices: np.ndarray, simplices: np.ndarray):

@@ -22,7 +22,7 @@ import numpy as np
 
 from hklab.bvp import (
     BvpSolution,
-    capillary_constant_from_domain,
+    capillary_constant,
     gamma_edges,
     gamma_loop_measure,
     t_facet_integrals,
@@ -263,7 +263,7 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
                          f"{'weighted' if ball else 'unweighted'} Reilly sides")
     n = domain.dim - 1
 
-    c_ref = capillary_constant_from_domain(domain)
+    c_ref = capillary_constant(domain)
     c = solution.problem.flux_constant
     if abs(c - c_ref) > 1e-10 * max(abs(c_ref), 1e-12):
         raise ConstantMismatchError(

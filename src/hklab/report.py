@@ -14,7 +14,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,11 @@ import numpy as np
 import hklab
 from hklab.bvp import capillary_problem, corner_exponent, exact_cap_solution, solve_mixed_bvp
 from hklab.caps import AnalyticCap, make_cap
-from hklab.containers import Container, ContactAngle, as_angle, parse_container
+from hklab.containers import Container, ContactAngle, parse_container
 from hklab.domain import mesh_domain
 from hklab.errors import ConfigError, WindowError
 from hklab.identities import MACHINE_FLOOR, applicable_identities, check_identity, hk_report
-from hklab.profiles import ProfileCurve, make_axisymmetric, perturb_profile, profile_from_cap
+from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.reilly import hk_pipeline, reilly_sides
 from hklab.surface import SurfaceMesh, mesh_surface
 
@@ -144,15 +144,39 @@ class Scenario:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        keys = {
-            "name", "container", "theta", "dim", "surface", "ladder", "checks",
-            "grading", "perturb", "tol", "max_iter", "jobs", "out", "csv", "timings",
-        }
-        unknown = set(data) - keys
+    def from_dict(cls, data) -> "Scenario":
+        """The scenario of a parsed scenario file: a JSON object that gives
+        every field without a default, each key with its _SCENARIO_KEYS type."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a scenario file holds a JSON object, got {data!r}")
+        unknown = set(data) - set(_SCENARIO_KEYS)
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ConfigError(f"missing scenario keys: {missing}")
+        for key, value in data.items():
+            if not any(_is_json(value, kind) for kind in _SCENARIO_KEYS[key].split(" or ")):
+                raise ConfigError(f"scenario key {key!r} must be {_SCENARIO_KEYS[key]}, "
+                                  f"got {value!r}")
         return cls(**data)
+
+
+# the JSON type of every scenario-file key; a boolean is no number here
+_SCENARIO_KEYS = {
+    "name": "a string", "container": "a string", "theta": "a number or null",
+    "dim": "an integer", "surface": "an object", "ladder": "an array", "checks": "an array",
+    "grading": "a number", "perturb": "a number", "tol": "a number",
+    "max_iter": "an integer or null", "jobs": "an integer", "out": "a string or null",
+    "csv": "a string or null", "timings": "a boolean",
+}
+_JSON_TYPES = {"a string": str, "a number": (int, float), "an integer": int, "null": type(None),
+               "an object": dict, "an array": list, "a boolean": bool}
+
+
+def _is_json(value, kind: str) -> bool:
+    return isinstance(value, _JSON_TYPES[kind]) and (kind == "a boolean"
+                                                     or not isinstance(value, bool))
 
 
 def _build_source(scenario: Scenario):
@@ -171,28 +195,24 @@ def _build_source(scenario: Scenario):
             prof = perturb_profile(profile_from_cap(cap), scenario.perturb)
             return make_axisymmetric(prof, scenario.theta, container)
         return cap
+    path = scenario.surface.get("path")
+    if kind in ("off", "profile") and not isinstance(path, str):
+        raise ConfigError(f"a surface of kind {kind!r} needs a file path, got {path!r}")
     if kind == "off":
         from hklab.meshio import read_off
 
         if len(scenario.ladder) > 1:
             raise ConfigError(f"an OFF surface is one mesh and takes one rung, "
                               f"got the ladder {scenario.ladder}")
-        source = read_off(scenario.surface["path"], container, scenario.theta)
+        source = read_off(path, container, scenario.theta)
         domain_checks = sorted({"hk", "bvp", "reilly"} & set(scenario.checks))
         if source.dim == 2 and domain_checks:
             raise ConfigError(f"{', '.join(domain_checks)} need a domain mesh, which an n = 2 "
                               f"OFF surface cannot give: use a cap or a profile source")
     elif kind == "profile":
-        import json
+        from hklab.meshio import read_profile_json
 
-        data = json.loads(Path(scenario.surface["path"]).read_text(encoding="utf-8"))
-        prof = ProfileCurve(
-            np.asarray(data["samples"], dtype=float),
-            container,
-            as_angle(data.get("theta", scenario.theta)),
-            dim=int(data.get("dim", scenario.dim)),
-        )
-        source = make_axisymmetric(prof, scenario.theta, container)
+        source = read_profile_json(path, container, scenario.theta, scenario.dim)
     else:
         raise ConfigError(f"unknown surface kind {kind!r}")
     if source.dim != scenario.dim:

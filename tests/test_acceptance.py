@@ -53,7 +53,6 @@ def test_criterion_1_cap_equality():
     coarse = hk_report(
         mesh_surface(cap, 32),
         mesh_domain(mesh_surface(cap, 32), None, 16, grading=0.0),
-        refined=(surf, dom),
     )
     closed = math.pi * (1.0 - math.cos(THETA))
     ok = (

@@ -13,7 +13,6 @@ import hklab.bvp
 from conftest import THETA3, l2_relative_error, run_python
 from hklab import (
     capillary_constant,
-    capillary_constant_from_domain,
     capillary_problem,
     corner_exponent,
     exact_cap_solution,
@@ -33,7 +32,8 @@ from hklab.bvp import (
     gamma_loop_measure,
     gamma_mu_vertical_integral,
 )
-from hklab.errors import HkLabError, SolverError
+from hklab.errors import DegenerateConfigurationError, HkLabError, SolverError
+from hklab.domain import cell_geometry
 from hklab.fem import (
     _GRAM_SAFE,
     _certified_cholesky,
@@ -48,6 +48,7 @@ from hklab.fem import (
     cell_hessians_of,
     load_facets,
     load_volume,
+    nondegenerate,
     p1_gradients,
     pcg,
     recover_nodal_gradients,
@@ -85,21 +86,27 @@ def test_exact_solution_values(hs_cap2):
     assert abs(ex(p)[0]) < 1e-14  # Dirichlet condition on Sigma
 
 
-def test_capillary_constant_closed_forms():
-    c2 = capillary_constant("half-space", THETA3, 2, area_T=3 * math.pi / 4,
-                            measure_gamma=math.pi * math.sqrt(3))
-    assert abs(c2 - (-1.0 / 6.0)) < 1e-14
-    c1 = capillary_constant("half-space", THETA3, 1, area_T=math.sqrt(3), measure_gamma=2.0)
-    assert abs(c1 - (-1.0 / 4.0)) < 1e-14
-    c_orth = capillary_constant("half-space", math.pi / 2, 2, area_T=1.0, measure_gamma=1.0)
-    assert c_orth == 0.0
+def test_capillary_constant_closed_forms(hs_domain1, hs_domain2):
+    # the half-space closed form -n/(n+1) cot(theta) |T|/|Gamma| is -1/4 at
+    # n = 1, where T and Gamma are exact, and -1/6 at n = 2
+    assert abs(capillary_constant(hs_domain1) + 0.25) < 1e-12
+    assert abs(capillary_constant(hs_domain2) + 1.0 / 6.0) < 1e-4
+    for n in (1, 2):
+        orth = make_cap("half-space", math.pi / 2, 1.0, n)
+        assert capillary_constant(mesh_domain(mesh_surface(orth, 8), None, 8)) == 0.0
 
 
 def test_mesh_measured_constant(hs_domain1, hb_cap1):
-    assert abs(capillary_constant_from_domain(hs_domain1) + 0.25) < 1e-12
     domb = mesh_domain(mesh_surface(hb_cap1, 64), None, 64, grading=0.0)
     exact = -0.5 * math.cos(THETA3) / 2.0
-    assert abs(capillary_constant_from_domain(domb) - exact) < 2e-3
+    assert abs(capillary_constant(domb) - exact) < 2e-3
+    closed = mesh_domain(mesh_surface(make_cap("closed", None, 1.0, 1), 16), None, 16)
+    with pytest.raises(HkLabError, match="closed container"):
+        capillary_constant(closed)
+    # without Gamma, |Gamma| and the Gamma integral of <mu, E_d> vanish
+    for dom in (hs_domain1, domb):
+        with pytest.raises(DegenerateConfigurationError):
+            capillary_constant(replace(dom, gamma_vertices=dom.gamma_vertices[:0]))
 
 
 def test_fem_matches_exact_solution(hs_cap1, hs_domain1, hs_solution1):
@@ -155,8 +162,9 @@ def test_max_principle_surrogate(hs_solution1, hb_cap1):
 
 
 def test_assembly_symmetry(hs_domain1):
-    grads, vols, good = p1_gradients(hs_domain1.vertices, hs_domain1.cells)
-    stiff = assemble_stiffness(grads, vols, hs_domain1.cells, hs_domain1.num_vertices)
+    grads = p1_gradients(hs_domain1.vertices, hs_domain1.cells)
+    stiff = assemble_stiffness(grads, hs_domain1.cell_volumes, hs_domain1.cells,
+                               hs_domain1.num_vertices)
     asym = np.abs(stiff - stiff.T)
     assert asym.max() <= 1e-13 * np.abs(stiff).max()
     t_areas = hs_domain1.facet_measures(hs_domain1.t_facets)
@@ -168,11 +176,11 @@ def test_assembly_symmetry(hs_domain1):
 def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
     # gamma = 0 must reproduce the pure-Neumann assembly bit for bit
     dom = mesh_domain(mesh_surface(hb_cap1, 32), None, 32, grading=0.0)
-    c = capillary_constant_from_domain(dom)
+    c = capillary_constant(dom)
     problem = MixedBvpProblem(dom, np.ones(dom.num_vertices), c, 0)
     sol = solve_mixed_bvp(problem, tol=1e-11)
 
-    grads, vols, good = p1_gradients(dom.vertices, dom.cells)
+    grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
     nv = dom.num_vertices
     stiff = assemble_stiffness(grads, vols, dom.cells, nv)
     t_areas = dom.facet_measures(dom.t_facets)
@@ -338,7 +346,7 @@ def test_batched_recovery_matches_per_vertex_oracle(mesh, request):
     else:
         dom = request.getfixturevalue(mesh)
         vertices, cells = dom.vertices, dom.cells
-    _, _, good = p1_gradients(vertices, cells)
+    good = nondegenerate(cell_geometry(vertices, cells)[0])
     rng = np.random.default_rng(3)
     f = np.sin(vertices @ rng.standard_normal(vertices.shape[1])) + np.sum(vertices**2, axis=1)
     batched = recover_nodal_gradients(vertices, cells, f, good)
@@ -458,7 +466,7 @@ def test_certified_fits_are_beyond_the_safe_ratio(monkeypatch):
 @pytest.mark.parametrize("mesh, expected", [("hs_domain1", 0), ("hb_domain1_graded", 6)])
 def test_recovery_logs_linear_fallbacks(mesh, expected, request, caplog):
     dom = request.getfixturevalue(mesh)
-    _, _, good = p1_gradients(dom.vertices, dom.cells)
+    good = nondegenerate(dom.cell_volumes)
     f = dom.vertices[:, 0] ** 3
     with caplog.at_level(logging.INFO, logger="hklab.fem"):
         recover_nodal_gradients(dom.vertices, dom.cells, f, good)
@@ -573,7 +581,7 @@ def _smooth_field(vertices, seed):
 @pytest.mark.parametrize("mesh", ["hs_domain2", "hb_domain2_res8", "hb_domain1_graded"])
 def test_stacked_recovery_matches_batched_oracle(mesh, request):
     dom = request.getfixturevalue(mesh)
-    _, _, good = p1_gradients(dom.vertices, dom.cells)
+    good = nondegenerate(dom.cell_volumes)
     f = _smooth_field(dom.vertices, 5)
     got = recover_nodal_gradients(dom.vertices, dom.cells, f, good)
     want = _batched_recovery(dom.vertices, dom.cells, f, good)
@@ -621,7 +629,7 @@ def test_scaled_recovery_matches_whitened_oracle(mesh, request, monkeypatch):
     # batches it leaves the fits that the Cholesky certificate hands on to
     # the SVD as they were
     dom = request.getfixturevalue(mesh)
-    _, _, good = p1_gradients(dom.vertices, dom.cells)
+    good = nondegenerate(dom.cell_volumes)
     f = _smooth_field(dom.vertices, 5)
     calls = _counting_svd(monkeypatch)
     got = _batched_recovery(dom.vertices, dom.cells, f, good)
@@ -766,23 +774,27 @@ def test_p1_gradients_match_masked_oracle_bit_for_bit(degenerate, hs_domain2,
         if degenerate:  # a cell with a repeated vertex has zero volume
             cells = np.vstack([cells, cells[:1, [0] + list(range(cells.shape[1] - 1))]])
         got = p1_gradients(dom.vertices, cells)
-        want = _cofactor_p1_gradients(dom.vertices, cells)
-        assert got[2].all() != degenerate
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        grads, vols, good = _lu_p1_gradients(dom.vertices, cells)
-        assert np.array_equal(got[2], good)
-        assert np.max(np.abs(got[0] - grads)) <= 1e-13 * np.max(np.abs(grads))
-        assert np.max(np.abs(got[1] - vols)) <= 1e-13 * np.max(np.abs(vols))
+        want, want_vols, want_good = _cofactor_p1_gradients(dom.vertices, cells)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the oracle's determinants are the mesh volumes, bit for bit
+        vols = cell_geometry(dom.vertices, cells)[0]
+        assert vols.tobytes() == want_vols.tobytes()
+        assert vols[: len(dom.cells)].tobytes() == dom.cell_volumes.tobytes()
+        assert np.array_equal(nondegenerate(vols), want_good)
+        assert want_good.all() != degenerate
+        grads, lu_vols, good = _lu_p1_gradients(dom.vertices, cells)
+        assert np.array_equal(want_good, good)
+        assert np.max(np.abs(got - grads)) <= 1e-13 * np.max(np.abs(grads))
+        assert np.max(np.abs(vols - lu_vols)) <= 1e-13 * np.max(np.abs(lu_vols))
         if degenerate:
-            assert not got[0][-1].any()
-        if dom.dim == 3:  # tet volumes are the mesh's own, rounded alike
-            assert got[1][: dom.cells.shape[0]].tobytes() == dom.cell_volumes.tobytes()
+            assert not got[-1].any()
 
 
 def test_field_solution_masks_cells_as_p1_gradients(hs_domain2, hb_domain1_graded,
                                                     monkeypatch):
-    # the mask is taken from the mesh's own volumes, with no P1 gradient pass
+    # the mask is taken from the mesh's own volumes, with no P1 gradient pass,
+    # and it keeps exactly the cells whose P1 gradients are not zeroed
     calls = []
     original = hklab.bvp.p1_gradients
     monkeypatch.setattr(hklab.bvp, "p1_gradients",
@@ -794,14 +806,14 @@ def test_field_solution_masks_cells_as_p1_gradients(hs_domain2, hb_domain1_grade
         for mesh in (dom, crushed):
             problem = MixedBvpProblem(mesh, np.zeros(mesh.num_vertices), 0.0)
             good = solution_from_field(problem, np.zeros(mesh.num_vertices)).good
-            assert np.array_equal(good, original(mesh.vertices, mesh.cells)[2])
+            assert np.array_equal(good, original(mesh.vertices, mesh.cells).any(axis=(1, 2)))
             assert good.all() == (mesh is dom)
     assert calls == []
 
 
 def test_cell_hessians_match_einsum_oracle(hs_domain2):
     dom = hs_domain2
-    grads, _, good = p1_gradients(dom.vertices, dom.cells)
+    grads, good = p1_gradients(dom.vertices, dom.cells), nondegenerate(dom.cell_volumes)
     rng = np.random.default_rng(4)
     nodal = rng.standard_normal(dom.vertices.shape)
     got = cell_hessians_of(nodal, grads, dom.cells, good)
@@ -931,7 +943,7 @@ def test_pcg_rejects_zero_iterations(hs_domain1):
 def _reduced_system(problem):
     """The free-vertex system that solve_mixed_bvp hands to pcg, and its mask."""
     dom = problem.domain
-    grads, vols, _ = p1_gradients(dom.vertices, dom.cells)
+    grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
     nv = dom.num_vertices
     a = assemble_stiffness(grads, vols, dom.cells, nv)
     t_areas = dom.facet_measures(dom.t_facets)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hklab.cli
 import hklab.report
 from hklab.cli import main
+from hklab.errors import ConfigError
 
 THETA_STR = "1.0471975511965976"
 
@@ -348,19 +349,45 @@ def test_config_file(tmp_path):
      "--checks", "bvp"],
     ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8",
      "--checks", "reilly"],
+    "5",
+    '{"name": "x"}',
+    {"surface": "cap"},
+    {"checks": "hk"},
+    {"jobs": True},
+    {"surface": {"kind": "profile"}},
+    {"surface": {"kind": "off", "path": 5}},
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
-    if isinstance(argv, dict):  # a scenario file that differs from a valid one in these keys
-        cfg = {"name": "bad", "container": "half-space", "theta": math.pi / 3, "dim": 1,
-               "surface": {"kind": "cap", "radius": 1.0}, "ladder": [16],
-               "checks": ["identities"], **argv}
-        (tmp_path / "scenario.json").write_text(json.dumps(cfg))
+    # a dict is a scenario file that differs from a valid one in these keys,
+    # a string the whole text of a scenario file
+    if isinstance(argv, (dict, str)):
+        text = argv if isinstance(argv, str) else json.dumps({**_VALID_SCENARIO, **argv})
+        (tmp_path / "scenario.json").write_text(text)
         argv = ["run", "--config", str(tmp_path / "scenario.json")]
     argv = [_write_cap_off(tmp_path, arg) if arg.startswith("@") else arg for arg in argv]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("hk: invalid configuration")
     assert "Traceback" not in err
+
+
+_VALID_SCENARIO = {"name": "bad", "container": "half-space", "theta": math.pi / 3, "dim": 1,
+                   "surface": {"kind": "cap", "radius": 1.0}, "ladder": [16],
+                   "checks": ["identities"]}
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"surface": "cap"}, "'surface' must be an object"),
+    ({"checks": "hk"}, "'checks' must be an array"),
+    ({"jobs": True}, "'jobs' must be an integer"),
+    ({"theta": "1.0"}, "'theta' must be a number or null"),
+    ({"dim": None}, "missing scenario keys: ['dim']"),
+], ids=["surface", "checks", "jobs", "theta", "dim"])
+def test_scenario_file_errors_name_the_key(change, key):
+    data = {k: v for k, v in {**_VALID_SCENARIO, **change}.items() if v is not None}
+    with pytest.raises(ConfigError) as err:
+        hklab.report.Scenario.from_dict(data)
+    assert key in str(err.value)
 
 
 def _write_cap_off(tmp_path, placeholder: str) -> str:
@@ -421,6 +448,49 @@ def test_json_mesh_file_decode_exit_codes(content, code, prefix, capsys, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+def _profile_data(container: str, dim: int) -> dict:
+    from hklab import make_cap, perturb_profile, profile_from_cap
+
+    cap = make_cap(container, math.pi / 3, 1.0, dim)
+    prof = perturb_profile(profile_from_cap(cap), 0.02)
+    return {"samples": prof.samples.tolist(), "theta": math.pi / 3, "dim": dim}
+
+
+_SAMPLES = _profile_data("half-space", 1)["samples"]
+_MALFORMED_PROFILES = {
+    "empty-object": b"{}",
+    "array": b"[1, 2]",
+    "dim-x": json.dumps({"samples": _SAMPLES, "dim": "x"}).encode(),
+    "non-numeric": json.dumps({"samples": [["a", "b"]] * 8}).encode(),
+    "not-utf8": b'{"samples": \xff}',
+    "two-samples": json.dumps({"samples": [[0.0, 1.0], [1.0, 0.0]]}).encode(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_PROFILES))
+def test_malformed_profile_file_exits_2_without_traceback(name, capsys, tmp_path):
+    src = tmp_path / "prof.json"
+    src.write_bytes(_MALFORMED_PROFILES[name])
+    assert run_cli("run", "--surface", str(src), "--theta", THETA_STR, "--dim", "1",
+                   "--ladder", "8", "--checks", "identities") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hk: invalid mesh file: {src}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim, ladder, checks", [(1, "16,32", "all"),
+                                                 (2, "8,12", "identities,hk,bvp")])
+def test_profile_file_runs_end_to_end(dim, ladder, checks, tmp_path):
+    src = tmp_path / "prof.json"
+    src.write_text(json.dumps(_profile_data("half-space", dim)))
+    out = tmp_path / "report.json"
+    assert run_cli("run", "--surface", str(src), "--theta", THETA_STR, "--dim", str(dim),
+                   "--ladder", ladder, "--checks", checks, "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["scenario"]["surface"] == {"kind": "profile", "path": str(src)}
+    assert report["passed"] and len(report["results"]) == len(ladder.split(","))
 
 
 def test_readme_reilly_example_passes(tmp_path):

@@ -3,6 +3,7 @@
 import logging
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ import pytest
 from conftest import THETA3, array_digest
 from hklab import make_axisymmetric, make_cap, mesh_domain, mesh_surface, perturb_profile
 from hklab import domain
-from hklab.domain import cell_geometry, mesh_quality, simplex_volumes
+from hklab.domain import cell_geometry, mesh_quality
 from hklab.meshutil import polyline_order
 from hklab.profiles import profile_from_cap
 from hklab.errors import HkLabError
-from hklab.fem import p1_gradients
 
 
 def test_planar_cap_area(hs_surface1):
@@ -115,7 +115,7 @@ def test_grading_refines_toward_corner(hs_surface1):
 
 def test_positive_volumes_and_quality(hs_domain1, hb_cap2):
     assert np.all(hs_domain1.cell_volumes > 0)
-    q = mesh_quality(hs_domain1.vertices, hs_domain1.cells)
+    q = mesh_quality(hs_domain1)
     assert np.min(q) > 1e-4
     dom3 = mesh_domain(mesh_surface(hb_cap2, 16), "half-ball", 16)
     assert np.all(dom3.cell_volumes > 0)
@@ -211,22 +211,21 @@ def solid_domain(request):
 def test_tet_volumes_match_determinant_oracle(solid_domain):
     _, dom = solid_domain
     want = _det_volumes(dom.vertices, dom.cells)
-    rel = np.abs(simplex_volumes(dom.vertices, dom.cells) - want) / np.abs(want)
+    rel = np.abs(cell_geometry(dom.vertices, dom.cells)[0] - want) / np.abs(want)
     assert np.max(rel) <= 1e-12
 
 
 def test_stored_volumes_are_the_fresh_volumes(solid_domain):
     _, dom = solid_domain
-    assert np.array_equal(dom.cell_volumes, simplex_volumes(dom.vertices, dom.cells))
+    vols, h2max = cell_geometry(dom.vertices, dom.cells)
+    assert np.array_equal(dom.cell_volumes, vols)
+    assert np.array_equal(dom.cell_h2max, h2max)
     assert np.all(dom.cell_volumes > 0)
-    q_given = mesh_quality(dom.vertices, dom.cells, dom.cell_volumes)
-    assert np.array_equal(q_given, mesh_quality(dom.vertices, dom.cells))
 
 
 def test_quality_longest_edge_matches_norm_oracle(solid_domain, hs_domain1):
     for dom in (solid_domain[1], hs_domain1):
-        det = _det_volumes(dom.vertices, dom.cells)
-        got = mesh_quality(dom.vertices, dom.cells, det)
+        got = mesh_quality(replace(dom, cell_volumes=_det_volumes(dom.vertices, dom.cells)))
         assert np.array_equal(got, _norm_quality(dom.vertices, dom.cells))
 
 
@@ -276,32 +275,31 @@ def test_domain_meshes_are_unchanged(key):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("block", [7, domain._CELL_BLOCK])
+@pytest.mark.parametrize("block", [7, domain.CELL_BLOCK])
 def test_chunk_boundaries_leave_meshes_bit_identical(block, monkeypatch, hs_surface1):
     # a prime chunk length puts chunk ends at every offset within a prism stack
-    monkeypatch.setattr(domain, "_CELL_BLOCK", block)
+    monkeypatch.setattr(domain, "CELL_BLOCK", block)
     for key in sorted(SOLID_TOPOLOGY_SHA256):
         container, radius = key
         cap = make_cap(container, THETA3, radius, 2)
         dom = mesh_domain(mesh_surface(cap, 16), None, 16, grading=0.5)
         assert _topology_digest(dom) == SOLID_TOPOLOGY_SHA256[key]
-        assert np.array_equal(dom.cell_volumes, simplex_volumes(dom.vertices, dom.cells))
+        assert np.array_equal(dom.cell_volumes, cell_geometry(dom.vertices, dom.cells)[0])
         assert np.array_equal(dom.cell_volumes, _closed_form_volumes(dom.vertices, dom.cells))
         assert np.all(dom.cell_volumes > 0)
         det = _det_volumes(dom.vertices, dom.cells)
-        assert np.array_equal(mesh_quality(dom.vertices, dom.cells, det, dom.cell_h2max),
+        assert np.array_equal(mesh_quality(replace(dom, cell_volumes=det)),
                               _norm_quality(dom.vertices, dom.cells))
     # triangles of a strip and of the disk: bit for bit the closed-form
-    # determinant, which p1_gradients rounds alike, and to rounding the LU one
+    # determinant, and to rounding the LU one
     strip = mesh_domain(hs_surface1, "half-space", 32)
     disk = mesh_domain(mesh_surface(make_cap("closed", THETA3, 1.0, 1), 16), None, 16)
     for dom in (strip, disk):
         assert np.array_equal(dom.cell_volumes, _closed_form_volumes(dom.vertices, dom.cells))
-        assert dom.cell_volumes.tobytes() == p1_gradients(dom.vertices, dom.cells)[1].tobytes()
         det = _det_volumes(dom.vertices, dom.cells)
         assert np.max(np.abs(dom.cell_volumes - det) / np.abs(det)) <= 1e-12
         assert np.all(dom.cell_volumes > 0)
-        assert np.array_equal(mesh_quality(dom.vertices, dom.cells, det, dom.cell_h2max),
+        assert np.array_equal(mesh_quality(replace(dom, cell_volumes=det)),
                               _norm_quality(dom.vertices, dom.cells))
 
 
@@ -311,12 +309,11 @@ def test_cell_geometry_of_no_cells():
         cells = np.empty((0, d + 1), dtype=np.int64)
         vols, h2max = cell_geometry(vertices, cells, orient=orient)
         assert vols.shape == h2max.shape == (0,)
-        assert mesh_quality(vertices, cells).shape == (0,)
 
 
 def test_mesh_domain_logs_size_and_quality(hs_surface1, caplog):
     with caplog.at_level(logging.INFO, logger="hklab.domain"):
         dom = mesh_domain(hs_surface1, "half-space", 32, grading=0.0)
-    q_min = float(np.min(mesh_quality(dom.vertices, dom.cells)))
+    q_min = float(np.min(mesh_quality(dom)))
     want = f"domain mesh: nv={dom.num_vertices} nc={len(dom.cells)} min_quality={q_min:.3e}"
     assert want in caplog.messages
