@@ -17,7 +17,7 @@ import numpy as np
 
 from hklab.errors import ContainerMismatchError
 
-THETA_MIN_DEFAULT = 0.05
+THETA_MIN = 0.05
 HALF_PI = math.pi / 2.0
 
 
@@ -56,17 +56,14 @@ def parse_container(name: str | Container) -> Container:
 
 @dataclass(frozen=True)
 class ContactAngle:
-    """Contact angle in radians, restricted to [theta_min, pi/2]."""
+    """Contact angle in radians, restricted to [THETA_MIN, pi/2]."""
 
     radians: float
-    theta_min: float = THETA_MIN_DEFAULT
 
     def __post_init__(self) -> None:
         # slack admits pi/2 given to ten decimals, the common CLI spelling
-        if not (self.theta_min - 1e-15 <= self.radians <= HALF_PI + 1e-9):
-            raise ValueError(
-                f"contact angle {self.radians} outside [{self.theta_min}, pi/2]"
-            )
+        if not (THETA_MIN - 1e-15 <= self.radians <= HALF_PI + 1e-9):
+            raise ValueError(f"contact angle {self.radians} outside [{THETA_MIN}, pi/2]")
 
     @property
     def effective(self) -> float:

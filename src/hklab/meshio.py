@@ -81,13 +81,12 @@ def _canonical(obj):
     return obj
 
 
-def dump_json(obj, path: str | Path) -> None:
-    text = json.dumps(_canonical(obj), sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
 def dumps_json(obj) -> str:
     return json.dumps(_canonical(obj), sort_keys=True, indent=1)
+
+
+def dump_json(obj, path: str | Path) -> None:
+    Path(path).write_text(dumps_json(obj) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +156,22 @@ def read_profile_json(
     """Read a profile file {"samples": [[rho, z], ...], "theta", "dim"} and
     correct it into the capillary profile of the given container and angle.
 
-    "theta" and "dim" are optional; dim defaults to the given one.  A file
-    whose samples make no profile, or one that the correction rejects, is
-    malformed like any other mesh file.
+    "theta" and "dim" are optional; dim defaults to the given one, and a
+    "theta" must be the given angle to 1e-9 rad.  A file whose samples make
+    no profile, or one that the correction rejects, is malformed like any
+    other mesh file.
     """
     data = _read_json(path, "profile JSON")
     with _file_data(path, "profile JSON"):
+        if "theta" in data:
+            given = data["theta"]
+            if theta is None or not (isinstance(given, (int, float))
+                                     and abs(given - theta) <= 1e-9):
+                raise HkLabError(f'"theta" {given!r} is not the contact angle {theta!r}')
         prof = ProfileCurve(
             np.asarray(data["samples"], dtype=float),
             parse_container(container),
-            as_angle(data.get("theta", theta)),
+            as_angle(theta),
             dim=int(data.get("dim", dim)),
         )
         return make_axisymmetric(prof, theta, container)

@@ -11,7 +11,9 @@ by the divergence theorem, which avoids second tangential derivatives.
 Both functions take the container, the contact angle and the domain from the
 solution's domain mesh.  The chain replay takes the Reilly sides its caller
 has already evaluated in the weighting of that container, so each weighting
-is evaluated once per solution.
+is evaluated once per solution, and reads its Gamma flux from their parts.
+The height weight x_d of the weighted formula and the bounds that judge the
+Reilly defect are defined here only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from hklab.errors import ConstantMismatchError, HkLabError, MeanConvexityError
 from hklab.identities import (
     MACHINE_FLOOR,
     conformal_field,
-    domain_volume_integrals,
     integrate_boundary,
 )
 from hklab.meshutil import ordered_sum, row_dot
@@ -41,6 +42,10 @@ from hklab.surface import SurfaceMesh
 
 ALGEBRAIC_RTOL = 1e-9
 IDENTITY_RTOL = 2e-2
+# verdict bounds on the relative defect of the unweighted and the weighted
+# Reilly sides, for the reilly check of `hk run` and for `hk reilly`
+REILLY_DEFECT_TOL = 3e-2
+WEIGHTED_REILLY_DEFECT_TOL = 5e-2
 
 
 @dataclass
@@ -157,24 +162,31 @@ def _t_trace_gradients(domain: DomainMesh, f: np.ndarray) -> np.ndarray:
     return a[:, None] * e1 + b[:, None] * e2
 
 
-def gamma_t_flux(domain: DomainMesh, solution: BvpSolution, weight: str = "1") -> float:
+def gamma_t_flux(domain: DomainMesh, solution: BvpSolution, weighted: bool) -> float:
     """integral over Gamma of w * <grad_T f, nu_bar> with facet-planar conormals.
 
-    weight "1" or "z" (evaluated at the Gamma edge midpoint).  nu_bar is the
+    w is x_d at the Gamma edge midpoint when weighted, 1 otherwise.  nu_bar is the
     in-facet direction perpendicular to the Gamma edge pointing out of T; the
     gradient is the recovered nodal gradient (nu_bar is facet-tangential, so
     no projection is needed and the one-sided trace differences are avoided).
     """
     ends, nubar, measure = gamma_edges(domain, domain.t_facets)
     grad = solution.nodal_gradients[ends].mean(axis=1)
-    w = domain.vertices[:, -1][ends].mean(axis=1) if weight == "z" else 1.0
+    w = domain.vertices[:, -1][ends].mean(axis=1) if weighted else 1.0
     return ordered_sum(w * row_dot(grad, nubar) * measure)
 
 
+def _height_weights(domain: DomainMesh, weighted: bool):
+    """Weights of the cells and the Sigma facets: x_d at their midpoints when
+    weighted, 1.0 (an exact factor) otherwise."""
+    if not weighted:
+        return 1.0, 1.0
+    z = domain.vertices[:, -1]
+    return z[domain.cells].mean(axis=1), z[domain.sigma_facets].mean(axis=1)
+
+
 def _sigma_data(domain: DomainMesh, solution: BvpSolution):
-    areas = domain.facet_measures(domain.sigma_facets)
-    z = domain.vertices[:, -1][domain.sigma_facets].mean(axis=1)
-    return areas, domain.sigma_H, solution.f_nu_sigma, z
+    return domain.facet_measures(domain.sigma_facets), domain.sigma_H, solution.f_nu_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -185,56 +197,44 @@ def _sigma_data(domain: DomainMesh, solution: BvpSolution):
 def reilly_sides(solution: BvpSolution, *, weighted: bool = False) -> ReillySides:
     """Evaluate both sides of the (weighted) Reilly formula on a solution's domain."""
     problem, domain = solution.problem, solution.domain
-    tr = solution.laplacian()
-    h2 = np.einsum("cab,cab->c", solution.cell_hessians, solution.cell_hessians)
-    cell_z = domain.vertices[:, -1][domain.cells].mean(axis=1)
-
+    container = domain.container
     if weighted:
-        if domain.container is Container.HALF_SPACE:
+        if container is Container.HALF_SPACE:
             raise HkLabError("the weighted formula is for the half-ball (V = 0 on T here)")
         if float(domain.vertices[:, -1].min()) < -1e-12:
             raise HkLabError("weighted Reilly requires x_d >= 0 on the domain")
-        if domain.container is Container.HALF_BALL and problem.robin_gamma != 1:
+        if container is Container.HALF_BALL and problem.robin_gamma != 1:
             raise HkLabError("weighted Reilly is set up for the Robin coefficient 1")
-        volume_side = float(np.sum(domain.cell_volumes * cell_z * (tr**2 - h2)))
-    else:
-        volume_side = float(np.sum(domain.cell_volumes * (tr**2 - h2)))
+    cell_w, sigma_w = _height_weights(domain, weighted)
 
-    areas, h_sigma, f_nu, z_sigma = _sigma_data(domain, solution)
-    parts: dict[str, float] = {}
-    if weighted:
-        sigma_part = float(np.sum(areas * z_sigma * h_sigma * f_nu**2))
-    else:
-        sigma_part = float(np.sum(areas * h_sigma * f_nu**2))
-    parts["sigma"] = sigma_part
+    tr = solution.laplacian()
+    h2 = np.einsum("cab,cab->c", solution.cell_hessians, solution.cell_hessians)
+    volume_side = float(np.sum(domain.cell_volumes * cell_w * (tr**2 - h2)))
+
+    areas, h_sigma, f_nu = _sigma_data(domain, solution)
+    sigma_part = float(np.sum(areas * sigma_w * h_sigma * f_nu**2))
+    parts: dict[str, float] = {"sigma": sigma_part}
 
     c = problem.flux_constant
     gamma = problem.robin_gamma
     n = domain.dim - 1
     t_part = 0.0
-    t_areas = domain.facet_measures(domain.t_facets)
-    tg = _t_trace_gradients(domain, solution.f)
-    t_grad2 = float(np.sum(t_areas * np.einsum("ij,ij->i", tg, tg)))  # int_T |grad_T f|^2
-    if domain.container is Container.HALF_SPACE:
-        flux_gamma = gamma_t_flux(domain, solution, "1")
-        parts["gamma_flux"] = flux_gamma
+    if container.has_support:
+        flux_gamma = gamma_t_flux(domain, solution, weighted)
+        parts["gamma_flux_weighted" if weighted else "gamma_flux"] = flux_gamma
         t_part = c * flux_gamma
-        if gamma > 0:
+    if container is Container.HALF_BALL and weighted:
+        t_part += n * c**2 * t_facet_integrals(domain)[1]
+    elif container is Container.HALF_BALL or (container is Container.HALF_SPACE and gamma > 0):
+        t_areas = domain.facet_measures(domain.t_facets)
+        tg = _t_trace_gradients(domain, solution.f)
+        t_grad2 = float(np.sum(t_areas * np.einsum("ij,ij->i", tg, tg)))  # int_T |grad_T f|^2
+        if container is Container.HALF_SPACE:
             t_part -= 2.0 * gamma * t_grad2
-    elif domain.container is Container.HALF_BALL:
-        if weighted:
-            flux_gamma = gamma_t_flux(domain, solution, "z")
-            parts["gamma_flux_weighted"] = flux_gamma
-            t_part = c * flux_gamma + n * c**2 * t_facet_integrals(domain)[1]
         else:
-            flux_gamma = gamma_t_flux(domain, solution, "1")
-            parts["gamma_flux"] = flux_gamma
             f_t = solution.f[domain.t_facets].mean(axis=1)
-            t_part = (
-                c * flux_gamma
-                + (1.0 - 2.0 * gamma) * t_grad2
-                + n * float(np.sum(t_areas * (c + gamma * f_t) ** 2))
-            )
+            t_part += (1.0 - 2.0 * gamma) * t_grad2
+            t_part += n * float(np.sum(t_areas * (c + gamma * f_t) ** 2))
     parts["t"] = t_part
     boundary_side = sigma_part + t_part
     return ReillySides(volume_side, boundary_side, weighted, parts)
@@ -249,7 +249,8 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
     """Replay the inequality chain on a discrete solution, step by step.
 
     sides are the Reilly sides of the solution in the weighting of its
-    container: unweighted on the half-space, weighted on the half-ball.
+    container: unweighted on the half-space, weighted on the half-ball.  The
+    corner_flux step takes its Gamma flux from their parts.
     """
     domain = solution.domain
     container, angle = domain.container, domain.theta
@@ -273,16 +274,15 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
         raise ConstantMismatchError("half-ball chain needs the Robin coefficient 1")
 
     tr = solution.laplacian()
-    cell_z = domain.vertices[:, -1][domain.cells].mean(axis=1)
-    wcell = domain.cell_volumes * cell_z if ball else domain.cell_volumes
+    cell_w, sigma_w = _height_weights(domain, ball)
+    wcell = domain.cell_volumes * cell_w
 
-    areas, h_sigma, f_nu, z_sigma = _sigma_data(domain, solution)
+    areas, h_sigma, f_nu = _sigma_data(domain, solution)
     if float(np.min(h_sigma)) <= 0.0:
         raise MeanConvexityError("pipeline requires H > 0 on Sigma")
-    wface = areas * z_sigma if ball else areas
+    wface = areas * sigma_w
 
-    volume, volume_z = domain_volume_integrals(domain)
-    vol_w = volume_z if ball else volume
+    vol_w = float(np.sum(wcell))
     area_t, int_t_z = t_facet_integrals(domain)
 
     steps: list[PipelineStep] = []
@@ -300,8 +300,8 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
         PipelineStep("reilly_identity", sides.volume_side, sides.boundary_side, "=", IDENTITY_RTOL)
     )
 
+    flux = sides.parts["gamma_flux_weighted" if ball else "gamma_flux"]
     if ball:
-        flux = gamma_t_flux(domain, solution, "z")
         mu = surface.boundary_mu
         b_mu = integrate_boundary(surface, mu[:, -1])
         xe = conformal_field(surface.vertices[surface.boundary_vertices])
@@ -309,7 +309,6 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
         xe_mu = integrate_boundary(surface, np.einsum("ij,ij->i", xe, mu))
         corner_rhs = (n / (n + 1.0)) * (int_t_z / b_mu) * xe_mu
     else:
-        flux = gamma_t_flux(domain, solution, "1")
         corner_rhs = (n / (n + 1.0)) * area_t
     steps.append(PipelineStep("corner_flux", flux, corner_rhs, "=", IDENTITY_RTOL))
 

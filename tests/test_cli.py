@@ -356,6 +356,12 @@ def test_config_file(tmp_path):
     {"jobs": True},
     {"surface": {"kind": "profile"}},
     {"surface": {"kind": "off", "path": 5}},
+    {"surface": {"kind": "cap", "radius": True}},
+    {"surface": {"kind": "cap", "radius": 1.0, "bogus": 1}},
+    {"surface": {"kind": "cap", "path": "cap.off"}},
+    {"surface": {"kind": "profile", "path": "prof.json", "radius": 1.0}},
+    {"surface": {"kind": "moon"}},
+    {"surface": {"kind": ["cap"]}},
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     # a dict is a scenario file that differs from a valid one in these keys,
@@ -382,7 +388,10 @@ _VALID_SCENARIO = {"name": "bad", "container": "half-space", "theta": math.pi / 
     ({"jobs": True}, "'jobs' must be an integer"),
     ({"theta": "1.0"}, "'theta' must be a number or null"),
     ({"dim": None}, "missing scenario keys: ['dim']"),
-], ids=["surface", "checks", "jobs", "theta", "dim"])
+    ({"surface": {"kind": "cap", "radius": True}}, "surface key 'radius' must be a number"),
+    ({"surface": {"kind": "cap", "bogus": 1}}, "unknown surface keys: ['bogus']"),
+    ({"surface": {"kind": "off"}}, "missing surface keys: ['path']"),
+], ids=["surface", "checks", "jobs", "theta", "dim", "radius", "surface-key", "path"])
 def test_scenario_file_errors_name_the_key(change, key):
     data = {k: v for k, v in {**_VALID_SCENARIO, **change}.items() if v is not None}
     with pytest.raises(ConfigError) as err:
@@ -491,6 +500,30 @@ def test_profile_file_runs_end_to_end(dim, ladder, checks, tmp_path):
     report = json.loads(out.read_text())
     assert report["scenario"]["surface"] == {"kind": "profile", "path": str(src)}
     assert report["passed"] and len(report["results"]) == len(ladder.split(","))
+
+
+@pytest.mark.parametrize("theta, code", [
+    (math.pi / 3, 0),
+    (1.0471975512, 0),  # pi/3 to ten decimals
+    (None, 0),
+    (0.5, 2),
+    (math.pi / 3 + 1e-8, 2),
+    ("1.0471975511965976", 2),
+], ids=["agrees", "ten-decimals", "absent", "disagrees", "off-by-1e-8", "string"])
+def test_profile_file_theta_is_the_contact_angle(theta, code, capsys, tmp_path):
+    data = _profile_data("half-space", 1)
+    if theta is None:
+        del data["theta"]
+    else:
+        data["theta"] = theta
+    src = tmp_path / "prof.json"
+    src.write_text(json.dumps(data))
+    assert run_cli("run", "--surface", str(src), "--theta", THETA_STR, "--dim", "1",
+                   "--ladder", "16", "--checks", "hk", "--out", str(tmp_path / "r.json")) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith(f'hk: invalid mesh file: {src}: "theta" ')
+        assert "Traceback" not in err
 
 
 def test_readme_reilly_example_passes(tmp_path):

@@ -44,6 +44,9 @@ CASES = {
                       "--ladder", "16,32"],
     "corner-wedge": ["corner", "--container", "half-space", "--theta", THETA_STR,
                      "--dim", "1", "--resolution", "96", "--model", "wedge"],
+    "reilly-weighted-n1": ["reilly", "--container", "half-ball", "--theta", THETA_STR,
+                           "--dim", "1", "--cap-radius", "0.5", "--resolution", "32",
+                           "--weighted"],
 }
 
 

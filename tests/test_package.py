@@ -1,10 +1,12 @@
-"""Package hygiene: every exported name resolves, and no module imports a name
-it never uses.
+"""Package hygiene: every exported name resolves, no module imports a name it
+never uses, and every top-level function or class is used.
 
 No linter ships with the toolchain, so an ast walk stands in for one.  An
 import counts as used when its name appears anywhere in the scope that
 imports it (the module, or the function for a function-level import) or, at
-module level, in __all__.
+module level, in __all__.  A top-level function or class counts as used when
+its name appears, as a name or an attribute, in src/hklab or scripts outside
+its own definition, or in __all__.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 import hklab
 
 SRC = Path(hklab.__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -63,3 +66,34 @@ def test_module_uses_every_name_it_imports(path):
         unused += [(node.lineno, name) for node in _imports(scope) for name in _bound(node)
                    if name not in used]
     assert sorted(unused) == []
+
+
+# top-level definitions that only the tests use, with the reason they stay
+_TESTED_ONLY = {
+    ("surface.py", "frame_residual"):
+        "checks the frame relation of analytic and imported surfaces in the tests",
+}
+
+
+def _top_level_references(path: Path):
+    """(module, own definition or None, names used) for every top-level statement."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        own = node.name if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) else None
+        names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+        names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        yield path.name, own, names
+    yield path.name, None, _exported(tree)
+
+
+def test_every_top_level_definition_is_used():
+    package = [ref for path in sorted(SRC.glob("*.py")) for ref in _top_level_references(path)]
+    statements = package + [ref for path in sorted(SCRIPTS.glob("*.py"))
+                            for ref in _top_level_references(path)]
+    definitions = [(module, own) for module, own, _ in package if own is not None]
+    unused = [
+        definition for definition in definitions
+        if not any(definition[1] in names and (module, own) != definition
+                   for module, own, names in statements)
+    ]
+    assert sorted(unused) == sorted(_TESTED_ONLY)

@@ -197,3 +197,55 @@ def test_pipeline_agrees_with_hk_report(hs_surface1, hs_domain1, hs_solution1):
     # same gap up to twice the dominant single-integral quadrature error
     scale = max(abs(report.lhs), abs(report.rhs_form2))
     assert abs(trace.final_gap - report.gap) <= 2e-2 * scale
+
+
+@pytest.fixture(scope="module")
+def hb_solution1(hb_cap1):
+    dom = mesh_domain(mesh_surface(hb_cap1, 32), None, 32, grading=0.0)
+    return solve_mixed_bvp(capillary_problem(dom))
+
+
+def _count_calls(monkeypatch, name):
+    import hklab.reilly
+
+    calls = []
+    original = getattr(hklab.reilly, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hklab.reilly, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("container", ["half-space", "half-ball"])
+def test_pipeline_reads_the_gamma_flux_of_its_sides(container, hs_solution1, hs_surface1,
+                                                    hb_cap1, hb_solution1, monkeypatch):
+    ball = container == "half-ball"
+    solution = hb_solution1 if ball else hs_solution1
+    surface = mesh_surface(hb_cap1, 32) if ball else hs_surface1
+    sides = reilly_sides(solution, weighted=ball)
+    calls = _count_calls(monkeypatch, "gamma_t_flux")
+    trace = hk_pipeline(surface, solution, sides)
+    assert calls == []
+    flux = sides.parts["gamma_flux_weighted" if ball else "gamma_flux"]
+    assert trace.step("corner_flux").lhs == flux
+
+
+@pytest.mark.parametrize("container, robin, weighted, calls", [
+    ("half-space", 0, False, 0),
+    ("half-space", 1, False, 1),
+    ("half-ball", 1, False, 1),
+    ("half-ball", 1, True, 0),
+])
+def test_t_trace_gradients_only_where_read(container, robin, weighted, calls, hs_solution1,
+                                           hb_solution1, monkeypatch):
+    solution = hb_solution1 if container == "half-ball" else hs_solution1
+    problem = solution.problem
+    if problem.robin_gamma != robin:
+        solution = solve_mixed_bvp(MixedBvpProblem(problem.domain, problem.rhs,
+                                                   problem.flux_constant, robin))
+    counted = _count_calls(monkeypatch, "_t_trace_gradients")
+    reilly_sides(solution, weighted=weighted)
+    assert len(counted) == calls

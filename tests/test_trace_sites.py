@@ -86,3 +86,19 @@ def test_tracer_sees_recovery_when_derivatives_are_read(hs_domain1):
     assert "fem.recover_nodal_gradients" not in names[:solved]
     recoveries = [span for span in tracer.spans if span["name"] == "fem.recover_nodal_gradients"]
     assert [span["counts"] for span in recoveries] == [{"vertices": hs_domain1.num_vertices}]
+
+
+def test_tracer_sees_the_report_written(tmp_path):
+    # `hk run --out` writes through the hklab.meshio name that the tracer wraps
+    from hklab.cli import main
+
+    tracer = _load(SPANS, "perfbench_spans").Tracer()
+    assert tracer.install() == []
+    try:
+        code = main(["run", "--container", "half-space", "--theta", "1.0471975511965976",
+                     "--dim", "1", "--checks", "identities", "--ladder", "8",
+                     "--out", str(tmp_path / "report.json")])
+    finally:
+        assert tracer.uninstall()
+    assert code == 0
+    assert [span["name"] for span in tracer.spans].count("meshio.dump_json") == 1
