@@ -14,6 +14,8 @@ divergence identities close at finite resolution; closed forms serve as
 cross-checks only.  The problem, the constant, the corner fits and the wedge
 model read the container and the contact angle from the domain mesh.
 
+Assembly, derivative recovery and the corner collar all read one vertex
+graph, the domain's own (DomainMesh.graph), which the first of them builds.
 A solution recovers its derivatives lazily, on first read (BvpSolution), and
 the corner fit evaluates Hessians on its window cells only, so the graded
 corner solve of an n = 1 rung fits the vertices of that window and no more.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,9 +50,8 @@ from hklab.fem import (
     pcg,
     recover_nodal_gradients,
     two_level,
-    vertex_adjacency,
 )
-from hklab.meshutil import ordered_sum, row_dot
+from hklab.meshutil import lazy, nearest_distance, ordered_sum, row_dot
 
 logger = logging.getLogger("hklab.bvp")
 
@@ -72,26 +73,6 @@ class MixedBvpProblem:
             raise HkLabError("rhs must be a per-vertex array")
         if len(self.domain.sigma_facets) == 0:
             raise HkLabError("problem needs at least one Sigma facet (else singular)")
-
-
-class _lazy:
-    """A property computed on first read and stored on the instance.
-
-    functools.cached_property takes one lock per property before Python 3.12,
-    shared by every instance, so solutions read by concurrent threads would
-    recover one at a time; this one takes none.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 @dataclass
@@ -116,30 +97,29 @@ class BvpSolution:
     def domain(self) -> DomainMesh:
         return self.problem.domain
 
-    @_lazy
+    @lazy
     def good(self) -> np.ndarray:
         """The mesh's nondegenerate cells, those p1_gradients does not zero."""
         return nondegenerate(self.domain.cell_volumes)
 
-    @_lazy
+    @lazy
     def nodal_gradients(self) -> np.ndarray:
-        dom = self.domain
-        return recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good)
+        return recover_nodal_gradients(self.domain.vertices, self.domain.graph, self.f)
 
-    @_lazy
+    @lazy
     def cell_hessians(self) -> np.ndarray:
         dom = self.domain
         grads = p1_gradients(dom.vertices, dom.cells)
         return cell_hessians_of(self.nodal_gradients, grads, dom.cells, self.good)
 
-    @_lazy
+    @lazy
     def f_nu_sigma(self) -> np.ndarray:
         """Normal derivative on Sigma from the recovered gradient (facet vertex mean)."""
         facets = self.domain.sigma_facets
         normals = self.domain.facet_normals(facets)
         return np.einsum("fd,fd->f", self.nodal_gradients[facets].mean(axis=1), normals)
 
-    @_lazy
+    @lazy
     def cell_gradients(self) -> np.ndarray:
         dom = self.domain
         return cell_gradients_of(self.f, p1_gradients(dom.vertices, dom.cells), dom.cells)
@@ -152,7 +132,7 @@ class BvpSolution:
         dom = self.domain
         cells = dom.cells[which]
         at = np.unique(cells)
-        nodal = recover_nodal_gradients(dom.vertices, dom.cells, self.f, self.good, at=at)
+        nodal = recover_nodal_gradients(dom.vertices, dom.graph, self.f, at=at)
         grads = p1_gradients(dom.vertices, cells)
         return cell_hessians_of(nodal, grads, np.searchsorted(at, cells), self.good[which])
 
@@ -215,8 +195,6 @@ def gamma_mu_vertical_integral(domain: DomainMesh) -> float:
 def t_facet_integrals(domain: DomainMesh) -> tuple[float, float]:
     """(|T|, integral of x_d over T) by facet midpoint quadrature."""
     areas = domain.facet_measures(domain.t_facets)
-    if len(areas) == 0:
-        return 0.0, 0.0
     z = domain.vertices[:, -1][domain.t_facets].mean(axis=1)
     return float(areas.sum()), float((areas * z).sum())
 
@@ -262,8 +240,7 @@ def capillary_problem(domain: DomainMesh) -> MixedBvpProblem:
 def dirichlet_mask(domain: DomainMesh) -> np.ndarray:
     """Vertices in the Sigma closure (corner vertices are Dirichlet)."""
     mask = np.zeros(domain.num_vertices, dtype=bool)
-    if len(domain.sigma_facets):
-        mask[np.unique(domain.sigma_facets)] = True
+    mask[domain.sigma_facets] = True
     return mask
 
 
@@ -282,16 +259,16 @@ def solve_mixed_bvp(
     if not np.all(good):
         raise SolverError(f"{int(np.sum(~good))} degenerate cells; cannot assemble")
     nv = domain.num_vertices
-    stiff = assemble_stiffness(p1_gradients(domain.vertices, domain.cells), vols, domain.cells, nv)
+    graph = domain.graph
+    a = assemble_stiffness(p1_gradients(domain.vertices, domain.cells), vols, domain.cells, graph)
 
     t_areas = domain.facet_measures(domain.t_facets)
     flux = np.full(len(domain.t_facets), problem.flux_constant)
     b = load_facets(domain.t_facets, t_areas, flux, nv) - load_volume(
         domain.cells, vols, problem.rhs, nv
     )
-    a = stiff
     if problem.robin_gamma > 0:
-        a = stiff - problem.robin_gamma * assemble_boundary_mass(domain.t_facets, t_areas, nv)
+        a = a - problem.robin_gamma * assemble_boundary_mass(domain.t_facets, t_areas, graph)
 
     fixed = dirichlet_mask(domain)
     free = ~fixed
@@ -397,30 +374,17 @@ class CornerFit:
     low_trust: bool
 
     def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "beta_hat": self.beta_hat,
-            "lambda_from_hessian": self.lambda_from_hessian,
-            "lambda_hat": self.lambda_hat,
-            "r2_hessian": self.r2_hessian,
-            "r2_growth": self.r2_growth,
-            "wedge_reference": self.wedge_reference,
-            "low_trust": self.low_trust,
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def _hop_distance(domain: DomainMesh, seeds: np.ndarray, max_hops: int) -> np.ndarray:
-    """Graph distance from the seed vertices, capped at max_hops + 1."""
-    nv = domain.num_vertices
-    adj = vertex_adjacency(domain.cells, nv)
-    hop = np.full(nv, max_hops + 1, dtype=np.int64)
+    """Distance along the mesh's vertex graph from the seed vertices, capped at
+    max_hops + 1."""
+    hop = np.full(domain.num_vertices, max_hops + 1, dtype=np.int64)
     hop[seeds] = 0
-    frontier = np.zeros(nv, dtype=np.float32)
-    frontier[seeds] = 1.0
     for level in range(1, max_hops + 1):
-        reached = ((adj @ frontier) > 0) & (hop > level)
-        hop[reached] = level
-        frontier = reached.astype(np.float32)
+        frontier = (hop == level - 1).astype(np.float32)
+        hop[((domain.graph @ frontier) > 0) & (hop > level)] = level
     return hop
 
 
@@ -478,11 +442,9 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
 
     hop = _hop_distance(domain, domain.gamma_vertices, COLLAR_LAYERS)
     cell_hop = hop[domain.cells].min(axis=1)
-    centroids = domain.vertices[domain.cells].mean(axis=1)
-    gamma_pts = domain.vertices[domain.gamma_vertices]
-    d_cell = np.min(
-        np.linalg.norm(centroids[:, None, :] - gamma_pts[None, :, :], axis=2), axis=1
-    )
+    # the mean of the three gathered vertex columns, with the bits of .mean(axis=1)
+    centroids = sum(domain.vertices[col] for col in domain.cells.T) / 3
+    d_cell = nearest_distance(centroids, domain.vertices[domain.gamma_vertices])
     window = np.flatnonzero((cell_hop > COLLAR_LAYERS) & (d_cell <= d_hi))
     d_used = d_cell[window]
     beta_slope, r2_h = _binned_log_fit(d_used, solution.hessian_frobenius(window), "mean")
@@ -521,14 +483,8 @@ class WedgeBarrier:
     positivity_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "theta": self.theta,
-            "harmonic_residual": self.harmonic_residual,
-            "neumann_value": self.neumann_value,
-            "min_profile": self.min_profile,
-            "positivity_ok": self.positivity_ok,
-        }
+        fields = asdict(self)
+        return {"lambda": fields.pop("lam"), **fields}
 
 
 def wedge_barrier_check(lam: float, theta: float | ContactAngle, grid: int = 128) -> WedgeBarrier:

@@ -24,6 +24,10 @@ pass fixes the orientation of every mesher: a negative cell swaps its last
 two vertices in place and its volume is negated, which is exact for both
 determinants.  Every mesher keeps both arrays of that pass, and mesh_quality
 grades a mesh from them without another gather.
+
+A mesh owns its vertex graph (DomainMesh.graph): the one sparsity pattern
+that fem assembles into, whose row products are the recovery patches and
+along which the corner collar counts hops.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ import numpy as np
 
 from hklab.containers import Container, ContactAngle
 from hklab.errors import HkLabError, MeshQualityError
+from hklab.fem import nondegenerate, vertex_adjacency
 from hklab.meshutil import (
     CELL_BLOCK,
     edge_determinant,
     graded_nodes,
+    lazy,
+    nearest_distance,
     polyline_interp,
     polyline_order,
     revolve,
@@ -71,6 +78,12 @@ class DomainMesh:
     def __post_init__(self) -> None:
         if self.cell_volumes is None:
             self.cell_volumes, self.cell_h2max = cell_geometry(self.vertices, self.cells)
+
+    @lazy
+    def graph(self):
+        """The vertex graph, fem.vertex_adjacency of the nondegenerate cells (CSR),
+        built on first read: a mesh that is never solved never imports scipy.sparse."""
+        return vertex_adjacency(self.cells[nondegenerate(self.cell_volumes)], self.num_vertices)
 
     @property
     def num_vertices(self) -> int:
@@ -235,9 +248,7 @@ def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
     inner = vertices.mean(axis=0)
     sig_f = _orient_facets_outward(vertices, sig_f, inner)
     t_f = _orient_facets_outward(vertices, t_f, inner)
-    d_gamma = np.min(
-        np.linalg.norm(vertices[:, None, :] - vertices[corners][None, :, :], axis=2), axis=1
-    )
+    d_gamma = nearest_distance(vertices, vertices[corners])
     dom = DomainMesh(
         dim=2,
         container=container,

@@ -1,8 +1,10 @@
 """P1 simplicial finite element kernels.
 
-Assembly is vectorized with a fixed accumulation order, so stiffness and
-boundary-mass matrices come out symmetric to the bit and repeated runs are
-reproducible.
+Assembly scatters local matrices into the mesh's vertex graph
+(DomainMesh.graph, the pattern `vertex_adjacency` builds): a search within
+each row places every local entry, and one bincount sums the entries in
+simplex order, so stiffness and boundary-mass matrices come out symmetric to
+the bit and repeated runs are reproducible.
 
 Cell kernels run coordinate-major on fixed chunks of meshutil.CELL_BLOCK
 cells: P1 gradients are the cofactors of each cell's edge matrix (cross
@@ -28,10 +30,10 @@ vertex's 2-hop patch (grown to 3 and 4 hops where needed), with offsets
 divided by the patch's RMS radius, in the manner of Zienkiewicz-Zhu patch
 recovery.  The fit is invariant under a linear change of coordinates, so the
 scale only conditions it.  It is exact for quadratic fields, including
-one-sided boundary patches.  Patches are rows of products of one sparse
-vertex adjacency (`vertex_adjacency`), and vertices are taken in fixed
-blocks.  Recovery may fit only some vertices (`at`); a fit reads only its
-own patch, so their gradients equal a full recovery's bit for bit.
+one-sided boundary patches.  Patches are rows of products of the mesh's
+vertex graph, and vertices are taken in fixed blocks.  Recovery may fit only
+some vertices (`at`); a fit reads only its own patch, so their gradients
+equal a full recovery's bit for bit.
 
 At each hop, the Gram matrices of a block's patches of every size are
 stacked and take one Cholesky factorization G = L L^T, written out in
@@ -54,7 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from hklab.errors import SolverError
+from hklab.errors import HkLabError, SolverError
 from hklab.meshutil import CELL_BLOCK, edge_determinant
 
 if TYPE_CHECKING:
@@ -145,30 +147,40 @@ def _local_stiffness(grads: np.ndarray, vols: np.ndarray) -> np.ndarray:
     return local
 
 
-def assemble_stiffness(grads, vols, cells, nv) -> sp.csr_matrix:
+def _scatter(pattern: sp.csr_matrix, simplices: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
+    """The sum of the local matrices (k, m, m) of the simplices (k, m) on pattern's
+    CSR pattern.  A copy of the pattern storing 1..nnz gives each local entry
+    its position by scipy's in-row binary search, and 0 to a pair off the
+    pattern (HkLabError).  np.bincount sums in simplex order, so an entry and
+    its transpose sum the same terms in the same order."""
     import scipy.sparse as sp
 
-    nc, m, _ = grads.shape
-    local = _local_stiffness(grads, vols)
-    ii = np.repeat(cells, m, axis=1).reshape(nc, m, m)
-    jj = np.tile(cells[:, None, :], (1, m, 1))
-    mat = sp.coo_matrix((local.ravel(), (ii.ravel(), jj.ravel())), shape=(nv, nv))
-    return mat.tocsr()
+    m = simplices.shape[1]
+    slots = sp.csr_array((np.arange(1, pattern.nnz + 1), pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
+    pos = np.empty(local.shape, dtype=np.int64)
+    for start in range(0, len(simplices), CELL_BLOCK):
+        block = simplices[start:start + CELL_BLOCK]
+        pos[start:start + CELL_BLOCK] = slots[np.repeat(block, m, axis=1).ravel(),
+                                              np.tile(block, m).ravel()].reshape(-1, m, m)
+    if not pos.all():
+        raise HkLabError("a simplex joins vertices that share no cell of the mesh")
+    data = np.bincount(pos.ravel(), weights=local.ravel(), minlength=pattern.nnz + 1)[1:]
+    # the matrix owns its index arrays, so no in-place edit of it reaches the graph
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape, copy=True)
 
 
-def assemble_boundary_mass(facets, areas, nv) -> sp.csr_matrix:
-    """Consistent mass matrix of the trace space on the given facets."""
-    import scipy.sparse as sp
+def assemble_stiffness(grads, vols, cells, pattern) -> sp.csr_matrix:
+    """Stiffness matrix of the cells on the vertex graph `pattern` (DomainMesh.graph)."""
+    return _scatter(pattern, cells, _local_stiffness(grads, vols))
 
-    if len(facets) == 0:
-        return sp.csr_matrix((nv, nv))
+
+def assemble_boundary_mass(facets, areas, pattern) -> sp.csr_matrix:
+    """Consistent mass matrix of the trace space on the given facets, on the
+    vertex graph `pattern`."""
     m = facets.shape[1]
     base = (np.ones((m, m)) + np.eye(m)) / (m * (m + 1))
-    local = areas[:, None, None] * base[None, :, :]
-    ii = np.repeat(facets, m, axis=1).reshape(len(facets), m, m)
-    jj = np.tile(facets[:, None, :], (1, m, 1))
-    mat = sp.coo_matrix((local.ravel(), (ii.ravel(), jj.ravel())), shape=(nv, nv))
-    return mat.tocsr()
+    return _scatter(pattern, facets, areas[:, None, None] * base[None, :, :])
 
 
 def load_volume(cells, vols, rhs_vertex, nv) -> np.ndarray:
@@ -185,8 +197,6 @@ def load_volume(cells, vols, rhs_vertex, nv) -> np.ndarray:
 def load_facets(facets, areas, values, nv) -> np.ndarray:
     """Load vector of per-facet constant flux data."""
     b = np.zeros(nv)
-    if len(facets) == 0:
-        return b
     m = facets.shape[1]
     for k in range(m):
         np.add.at(b, facets[:, k], areas * values / m)
@@ -518,9 +528,8 @@ def _linear_fallback(coords, f, v, ids):
 
 def recover_nodal_gradients(
     vertices: np.ndarray,
-    cells: np.ndarray,
+    graph: sp.csr_matrix,
     f: np.ndarray,
-    good: np.ndarray,
     at: np.ndarray | None = None,
 ) -> np.ndarray:
     """Nodal gradients from a quadratic least-squares fit of the vertex values.
@@ -539,22 +548,22 @@ def recover_nodal_gradients(
     its own patch, so these rows equal those of a full recovery bit for bit.
 
     Vertices are processed in blocks of _RECOVERY_BLOCK: the block's patches
-    are rows of sparse adjacency products, and at each hop the patches of
-    every size are fitted by one `_fit_quadratic_patches`.
+    are rows of products of the mesh's vertex graph (DomainMesh.graph), and at
+    each hop the patches of every size are fitted by one
+    `_fit_quadratic_patches`.
     """
     nv, d = vertices.shape
     at = np.arange(nv) if at is None else np.asarray(at, dtype=np.int64)
     coords = np.ascontiguousarray(vertices.T)
-    adj = vertex_adjacency(cells[good] if not np.all(good) else cells, nv)
     n_param = 1 + d + d * (d + 1) // 2
     nodal = np.zeros((len(at), d))
     by_svd = fallback = 0
     for start in range(0, len(at), _RECOVERY_BLOCK):
         rows = np.arange(start, min(start + _RECOVERY_BLOCK, len(at)))  # rows of the result
-        patches = adj[at[rows]] @ adj
+        patches = graph[at[rows]] @ graph
         for hop in range(2, 5):
             if hop > 2:
-                patches = patches @ adj
+                patches = patches @ graph
             patches.sort_indices()
             sizes = np.diff(patches.indptr)
             # a patch of n_param points or fewer is grown without a fit; the

@@ -26,7 +26,7 @@ import numpy as np
 from hklab.containers import Container, as_angle, parse_container
 from hklab.domain import DomainMesh
 from hklab.errors import HkLabError, MeshFileError
-from hklab.meshutil import check_indices
+from hklab.meshutil import check_indices, nearest_distance
 from hklab.profiles import ProfileCurve, make_axisymmetric
 from hklab.surface import SurfaceMesh, build_surface_mesh, discrete_geometry
 
@@ -267,9 +267,7 @@ def read_domain_json(path: str | Path) -> DomainMesh:
                             ("T facet", t_facets), ("Gamma vertex", gamma)):
             check_indices(index, nv, what)
     if d_gamma is None:
-        d_gamma = np.full(nv, np.inf) if len(gamma) == 0 else np.min(
-            np.linalg.norm(vertices[:, None, :] - vertices[gamma][None, :, :], axis=2), axis=1
-        )
+        d_gamma = nearest_distance(vertices, vertices[gamma]) if len(gamma) else np.full(nv, np.inf)
     return DomainMesh(
         dim=d,
         container=container,

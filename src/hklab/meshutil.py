@@ -1,4 +1,5 @@
-"""Node ladders, the row zipper, the revolve, polyline order, simplex measures.
+"""Node ladders, the row zipper, the revolve, polyline order, simplex measures,
+nearest-point distances and the lazy attribute that meshes and solutions share.
 
 zipper_rows and revolve are the only copies of the two jobs every mesher
 shares: zipper_rows triangulates the strips between consecutive vertex rows
@@ -199,6 +200,11 @@ def check_indices(indices: np.ndarray, nv: int, what: str) -> None:
         raise HkLabError(f"{what} index outside [0, {nv})")
 
 
+def nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to the nearest of the targets."""
+    return np.min(np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2), axis=1)
+
+
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row dot products; matmul rounds each like the 1-D `a @ b`, where einsum may not."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -207,6 +213,23 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ordered_sum(values: np.ndarray) -> float:
     """Left-to-right sum like a running total; np.sum adds pairwise, in another order."""
     return float(sum(values.tolist()))
+
+
+class lazy:
+    """A property computed on first read and stored on the instance, with no
+    lock: functools.cached_property takes one before Python 3.12, shared by
+    every instance, so meshes or solutions read by threads would wait."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 def polyline_order(cells: np.ndarray, nv: int) -> np.ndarray:

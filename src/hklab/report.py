@@ -111,8 +111,8 @@ class Scenario:
         if kind not in tuple(_SURFACE_KEYS):  # a list or object kind is compared, not hashed
             raise ConfigError(f"unknown surface kind {kind!r}")
         _check_keys(self.surface, _SURFACE_KEYS[kind], "surface", [] if kind == "cap" else ["path"])
-        kind = check_inputs(self.container, self.theta, self.surface.get("radius", 1.0),
-                            self.ladder, self.grading, self.tol, self.max_iter)
+        container = check_inputs(self.container, self.theta, self.surface.get("radius", 1.0),
+                                 self.ladder, self.grading, self.tol, self.max_iter)
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
         if not isinstance(self.jobs, int) or self.jobs < 1:
@@ -123,8 +123,11 @@ class Scenario:
             finite = False
         if not finite:
             raise ConfigError(f"perturb must be a finite number, got {self.perturb!r}")
-        if self.perturb and not kind.has_support:
+        if self.perturb and not container.has_support:
             raise ConfigError("a perturbed cap needs a container with a support")
+        if kind == "profile" and not container.has_support:
+            raise ConfigError(f"a profile surface needs a container with a support, "
+                              f"and the {container.value} container has none")
 
     def to_dict(self) -> dict:
         return {

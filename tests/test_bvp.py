@@ -39,6 +39,7 @@ from hklab.fem import (
     _certified_cholesky,
     _fit_quadratic_patches,
     _linear_fallback,
+    _local_stiffness,
     _quadratic_monomials,
     _scaled_offsets,
     _svd_lstsq,
@@ -164,13 +165,75 @@ def test_max_principle_surrogate(hs_solution1, hb_cap1):
 def test_assembly_symmetry(hs_domain1):
     grads = p1_gradients(hs_domain1.vertices, hs_domain1.cells)
     stiff = assemble_stiffness(grads, hs_domain1.cell_volumes, hs_domain1.cells,
-                               hs_domain1.num_vertices)
+                               hs_domain1.graph)
     asym = np.abs(stiff - stiff.T)
     assert asym.max() <= 1e-13 * np.abs(stiff).max()
     t_areas = hs_domain1.facet_measures(hs_domain1.t_facets)
-    mass = assemble_boundary_mass(hs_domain1.t_facets, t_areas, hs_domain1.num_vertices)
+    mass = assemble_boundary_mass(hs_domain1.t_facets, t_areas, hs_domain1.graph)
     masym = np.abs(mass - mass.T)
     assert masym.max() <= 1e-13 * max(np.abs(mass).max(), 1e-300)
+
+
+# The COO assembly that scattering into the mesh's vertex graph replaced: the
+# local entries become (row, col, value) triplets, and tocsr sums duplicates.
+def _coo_stiffness(grads, vols, cells, nv):
+    nc, m, _ = grads.shape
+    local = _local_stiffness(grads, vols)
+    ii = np.repeat(cells, m, axis=1).reshape(nc, m, m)
+    jj = np.tile(cells[:, None, :], (1, m, 1))
+    return sp.coo_matrix((local.ravel(), (ii.ravel(), jj.ravel())), shape=(nv, nv)).tocsr()
+
+
+def _coo_boundary_mass(facets, areas, nv):
+    if len(facets) == 0:
+        return sp.csr_matrix((nv, nv))
+    m = facets.shape[1]
+    base = (np.ones((m, m)) + np.eye(m)) / (m * (m + 1))
+    local = areas[:, None, None] * base[None, :, :]
+    ii = np.repeat(facets, m, axis=1).reshape(len(facets), m, m)
+    jj = np.tile(facets[:, None, :], (1, m, 1))
+    return sp.coo_matrix((local.ravel(), (ii.ravel(), jj.ravel())), shape=(nv, nv)).tocsr()
+
+
+@pytest.mark.parametrize("mesh", ["hb_domain1_graded", "hb_domain2_res8"])
+def test_scatter_matches_coo_assembly(mesh, request):
+    dom = request.getfixturevalue(mesh)
+    nv, graph = dom.num_vertices, dom.graph
+    grads = p1_gradients(dom.vertices, dom.cells)
+    got = assemble_stiffness(grads, dom.cell_volumes, dom.cells, graph)
+    want = _coo_stiffness(grads, dom.cell_volumes, dom.cells, nv)
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(np.abs(want.data))
+    # the mass matrix stores the whole graph; off the T facets it holds zeros
+    areas = dom.facet_measures(dom.t_facets)
+    mass = assemble_boundary_mass(dom.t_facets, areas, graph)
+    assert np.array_equal(mass.indptr, graph.indptr) and np.array_equal(mass.indices, graph.indices)
+    oracle = _coo_boundary_mass(dom.t_facets, areas, nv)
+    assert abs(mass - oracle).max() <= 1e-15 * abs(oracle).max()
+
+
+def test_scatter_of_no_facets_is_zero_on_the_graph(hb_domain1_graded):
+    graph = hb_domain1_graded.graph
+    mass = assemble_boundary_mass(np.empty((0, 2), dtype=np.int64), np.empty(0), graph)
+    assert np.array_equal(mass.indptr, graph.indptr) and np.array_equal(mass.indices, graph.indices)
+    assert mass.data.shape == (graph.nnz,) and not mass.data.any()
+
+
+def test_scatter_rejects_a_facet_off_the_graph(hb_domain1_graded):
+    # a T facet whose two vertices share no cell: read_domain_json does not
+    # check that facets are faces of cells, so a solve can be handed one
+    dom = hb_domain1_graded
+    a = int(dom.t_facets[0, 0])
+    far = int(np.argmax(np.linalg.norm(dom.vertices - dom.vertices[a], axis=1)))
+    assert dom.graph[a, far] == 0
+    t_facets = dom.t_facets.copy()
+    t_facets[0, 1] = far
+    areas = dom.facet_measures(t_facets)
+    with pytest.raises(HkLabError, match="share no cell"):
+        assemble_boundary_mass(t_facets, areas, dom.graph)
+    with pytest.raises(HkLabError, match="share no cell"):
+        solve_mixed_bvp(capillary_problem(replace(dom, t_facets=t_facets)))
 
 
 def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
@@ -182,7 +245,7 @@ def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
 
     grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
     nv = dom.num_vertices
-    stiff = assemble_stiffness(grads, vols, dom.cells, nv)
+    stiff = assemble_stiffness(grads, vols, dom.cells, dom.graph)
     t_areas = dom.facet_measures(dom.t_facets)
     b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), c), nv)
     b -= load_volume(dom.cells, vols, np.ones(nv), nv)
@@ -349,7 +412,7 @@ def test_batched_recovery_matches_per_vertex_oracle(mesh, request):
     good = nondegenerate(cell_geometry(vertices, cells)[0])
     rng = np.random.default_rng(3)
     f = np.sin(vertices @ rng.standard_normal(vertices.shape[1])) + np.sum(vertices**2, axis=1)
-    batched = recover_nodal_gradients(vertices, cells, f, good)
+    batched = recover_nodal_gradients(vertices, vertex_adjacency(cells[good], len(vertices)), f)
     reference, _ = _oracle_recovery(vertices, cells, f, good)
     assert batched.shape == vertices.shape
     assert np.max(np.abs(batched - reference)) <= 1e-8 * np.max(np.abs(reference))
@@ -469,7 +532,7 @@ def test_recovery_logs_linear_fallbacks(mesh, expected, request, caplog):
     good = nondegenerate(dom.cell_volumes)
     f = dom.vertices[:, 0] ** 3
     with caplog.at_level(logging.INFO, logger="hklab.fem"):
-        recover_nodal_gradients(dom.vertices, dom.cells, f, good)
+        recover_nodal_gradients(dom.vertices, dom.graph, f)
     nv = f"{dom.num_vertices:,}"
     assert f"recovery: {nv} of {nv} vertices, 0 by SVD, {expected} linear" in caplog.messages
     assert _oracle_recovery(dom.vertices, dom.cells, f, good)[1] == expected
@@ -583,7 +646,7 @@ def test_stacked_recovery_matches_batched_oracle(mesh, request):
     dom = request.getfixturevalue(mesh)
     good = nondegenerate(dom.cell_volumes)
     f = _smooth_field(dom.vertices, 5)
-    got = recover_nodal_gradients(dom.vertices, dom.cells, f, good)
+    got = recover_nodal_gradients(dom.vertices, dom.graph, f)
     want = _batched_recovery(dom.vertices, dom.cells, f, good)
     keep = _sensitive_mask(mesh, dom.num_vertices)
     scale = np.max(np.abs(want))
@@ -591,7 +654,7 @@ def test_stacked_recovery_matches_batched_oracle(mesh, request):
     assert np.max(np.abs(got - want)) <= 1e-8 * scale
     # fitting scattered vertices only stacks other fits, with the same bits
     at = np.unique(dom.cells[::7])
-    part = recover_nodal_gradients(dom.vertices, dom.cells, f, good, at=at)
+    part = recover_nodal_gradients(dom.vertices, dom.graph, f, at=at)
     assert part.tobytes() == got[at].tobytes()
 
 
@@ -945,12 +1008,12 @@ def _reduced_system(problem):
     dom = problem.domain
     grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
     nv = dom.num_vertices
-    a = assemble_stiffness(grads, vols, dom.cells, nv)
+    a = assemble_stiffness(grads, vols, dom.cells, dom.graph)
     t_areas = dom.facet_measures(dom.t_facets)
     b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), problem.flux_constant), nv)
     b -= load_volume(dom.cells, vols, problem.rhs, nv)
     if problem.robin_gamma:
-        a = a - problem.robin_gamma * assemble_boundary_mass(dom.t_facets, t_areas, nv)
+        a = a - problem.robin_gamma * assemble_boundary_mass(dom.t_facets, t_areas, dom.graph)
     free = np.ones(nv, dtype=bool)
     free[np.unique(dom.sigma_facets)] = False
     return a[free][:, free].tocsr(), b[free], free

@@ -158,13 +158,42 @@ def test_weighted_reilly_off_the_half_ball_exits_2_before_meshing(container, cap
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # only the fem kernels that build sparse matrices import scipy.sparse
-    probe = "import sys, hklab.cli; print('scipy.sparse' in sys.modules)"
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # only the fem kernels that build sparse matrices import scipy.sparse, and
+    # a run that solves nothing never builds a mesh's vertex graph
+    probe = ("import sys, hklab.cli; print('scipy.sparse' in sys.modules); "
+             "hklab.cli.main(sys.argv[1:]); print('scipy.sparse' in sys.modules)")
+    argv = ["run", "--theta", THETA_STR, "--dim", "2", "--checks", "identities,hk",
+            "--ladder", "8", "--out", str(tmp_path / "report.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(hklab.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
+    assert json.loads((tmp_path / "report.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["--dim", "1", "--checks", "all", "--ladder", "16"], 2),
+    (["--dim", "2", "--checks", "bvp,reilly", "--ladder", "8"], 1),
+], ids=["n1-all", "n2-solve"])
+def test_one_vertex_graph_per_solved_mesh(argv, builds, monkeypatch, tmp_path):
+    # assembly, recovery and the corner collar share the mesh's graph: an
+    # n = 1 rung builds one for its mesh and one for the graded corner mesh
+    import hklab.fem
+
+    original = hklab.fem.vertex_adjacency
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("hklab")]:
+        if getattr(module, "vertex_adjacency", None) is original:
+            monkeypatch.setattr(module, "vertex_adjacency", counting)
+    run_cli("run", "--theta", THETA_STR, *argv, "--out", str(tmp_path / "report.json"))
+    assert (tmp_path / "report.json").exists()
+    assert len(calls) == builds == len(set(calls))  # one per mesh, each of its own size
 
 
 def test_closed_hk_report_has_no_angle(tmp_path):
@@ -362,6 +391,8 @@ def test_config_file(tmp_path):
     {"surface": {"kind": "profile", "path": "prof.json", "radius": 1.0}},
     {"surface": {"kind": "moon"}},
     {"surface": {"kind": ["cap"]}},
+    ["run", "--container", "closed", "--surface", "prof.json", "--dim", "1", "--ladder", "16",
+     "--checks", "identities"],
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     # a dict is a scenario file that differs from a valid one in these keys,
