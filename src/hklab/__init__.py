@@ -10,7 +10,7 @@ from hklab.containers import Container, ContactAngle, as_angle, parse_container
 from hklab.caps import AnalyticCap, make_cap
 from hklab.profiles import ProfileCurve, make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.surface import SurfaceMesh, discrete_geometry, mesh_surface
-from hklab.domain import DomainMesh, mesh_domain
+from hklab.domain import DomainBoundary, DomainMesh, domain_boundary, mesh_domain
 from hklab.identities import (
     HkReport,
     IdentityId,
@@ -44,6 +44,7 @@ __all__ = [
     "Container",
     "ContactAngle",
     "CornerFit",
+    "DomainBoundary",
     "DomainMesh",
     "HkReport",
     "IdentityId",
@@ -61,6 +62,7 @@ __all__ = [
     "check_identity",
     "corner_exponent",
     "discrete_geometry",
+    "domain_boundary",
     "exact_cap_solution",
     "hk_pipeline",
     "hk_report",

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from hklab.containers import Container, ContactAngle, as_angle
-from hklab.domain import DomainMesh
+from hklab.domain import DomainBoundary, DomainMesh
 from hklab.errors import (
     ConfigError,
     DegenerateConfigurationError,
@@ -192,7 +192,7 @@ def gamma_mu_vertical_integral(domain: DomainMesh) -> float:
     return ordered_sum(mu[:, -1] * measure)
 
 
-def t_facet_integrals(domain: DomainMesh) -> tuple[float, float]:
+def t_facet_integrals(domain: DomainBoundary) -> tuple[float, float]:
     """(|T|, integral of x_d over T) by facet midpoint quadrature."""
     areas = domain.facet_measures(domain.t_facets)
     z = domain.vertices[:, -1][domain.t_facets].mean(axis=1)

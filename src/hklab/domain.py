@@ -1,21 +1,34 @@
 """Simplicial meshes of the enclosed region with tagged boundary patches.
 
+Meshing is two steps.  The boundary step (domain_boundary) builds the
+vertices and the tagged, outward-oriented Sigma and T facets; the tet step
+fills in the cells from what the boundary step built, and mesh_domain is
+the boundary step followed by the tet step.  The boundary alone fixes every
+volume integral hk reads: by the divergence theorem |Omega| and the
+integral of x_d over Omega are sums over the boundary facets
+(identities.domain_volume_integrals), exact on the polyhedral domain, so a
+rung that solves nothing builds no cells.
+
 Both dimensions share one deterministic strip mesher: two rails, resampled
 at shared graded parameters, are joined by straight rungs that are
 subdivided by target size, and all rungs are zippered into triangles by one
 meshutil.zipper_rows call.  The rails stay boundary chains, so Sigma and T
 tags are never ambiguous.  The closed disk zips scaled copies of its loop,
-closed rings, the same way.
+closed rings, the same way.  For n = 1 the boundary step is the whole strip
+mesh, which is cheap, and the tet step only hands over its triangles.
 
 Planar domains (n = 1) strip-mesh between the surface polyline and the
 support path, graded into both corners with local size ~ d_Gamma^exponent.
 Solid domains (n = 2) are axisymmetric (cap, lens or ball): the (rho, z)
 cross-section between the generator curve (surface.generator_polyline,
 the samples the surface revolves) and the axis+support path is
-strip-meshed, then revolved by meshutil.revolve with the azimuthal count the
-surfaces use; prisms are split into tetrahedra with the min-vertex
-face-diagonal rule, so the mesh is conforming and deterministic.  The prism
-stacks of all off-axis triangles are split in one call.
+strip-meshed and revolved by meshutil.revolve with the azimuthal count the
+surfaces use.  The boundary step sweeps the cross-section's Sigma and T
+edges into facets (_revolve_edge); the tet step sweeps its triangles: prisms
+are split into tetrahedra with the min-vertex face-diagonal rule, so the
+mesh is conforming and deterministic, and the triangles at the axis sweep
+into cones over _revolve_edge's fans and split quads.  The prism stacks of
+all off-axis triangles are split in one call.
 
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
@@ -61,17 +74,38 @@ QUALITY_WARNING = 1e-4  # mesh_domain warns about cells whose shape measure is b
 
 
 @dataclass
-class DomainMesh:
+class DomainBoundary:
+    """The boundary of a meshed domain: its vertices (interior ones included,
+    numbered as in the cells) and its tagged Sigma and T facets, which together
+    are the faces that belong to exactly one cell."""
+
     dim: int  # ambient dimension d = n + 1
     container: Container
     theta: ContactAngle | None
     vertices: np.ndarray  # (nv, d)
-    cells: np.ndarray  # (nc, d + 1), positively oriented
     sigma_facets: np.ndarray  # (ns, d) outward-oriented boundary facets on Sigma
     t_facets: np.ndarray  # (nt, d) outward-oriented boundary facets on T
     gamma_vertices: np.ndarray  # corner vertex indices
     d_gamma: np.ndarray  # per-vertex distance to the corner set
     sigma_H: np.ndarray  # mean curvature of the source surface per Sigma facet
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    def facet_measures(self, facets: np.ndarray) -> np.ndarray:
+        return simplex_measures(self.vertices, facets)[0]
+
+    def facet_normals(self, facets: np.ndarray) -> np.ndarray:
+        """Unit normals implied by the stored facet orientation."""
+        return simplex_measures(self.vertices, facets)[1]
+
+
+@dataclass
+class DomainMesh(DomainBoundary):
+    """A boundary with the cells it encloses."""
+
+    cells: np.ndarray  # (nc, d + 1), positively oriented
     cell_volumes: np.ndarray = field(default=None)
     cell_h2max: np.ndarray = field(default=None)  # longest squared edge per cell
 
@@ -86,19 +120,8 @@ class DomainMesh:
         return vertex_adjacency(self.cells[nondegenerate(self.cell_volumes)], self.num_vertices)
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def volume(self) -> float:
         return float(self.cell_volumes.sum())
-
-    def facet_measures(self, facets: np.ndarray) -> np.ndarray:
-        return simplex_measures(self.vertices, facets)[0]
-
-    def facet_normals(self, facets: np.ndarray) -> np.ndarray:
-        """Unit normals implied by the stored facet orientation."""
-        return simplex_measures(self.vertices, facets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +252,10 @@ def _rail_edges(rows: list) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([first[:-1], first[1:]]), np.column_stack([last[:-1], last[1:]])
 
 
-def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
-                    grading: float) -> DomainMesh:
+def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
+                 grading: float):
+    """The strip mesh between the surface polyline and the support path: its
+    boundary, and its triangles as the tet step."""
     order = polyline_order(surface.cells, surface.num_vertices)
     if order[0] == order[-1]:
         raise HkLabError("surface polyline is not an open chain")
@@ -246,25 +271,18 @@ def _mesh_domain_2d(surface: SurfaceMesh, container: Container, resolution: int,
     h_along = surface.mean_curvature[order]
     sigma_H = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0, 1, len(h_along)), h_along)
     inner = vertices.mean(axis=0)
-    sig_f = _orient_facets_outward(vertices, sig_f, inner)
-    t_f = _orient_facets_outward(vertices, t_f, inner)
-    d_gamma = nearest_distance(vertices, vertices[corners])
-    dom = DomainMesh(
+    boundary = DomainBoundary(
         dim=2,
         container=container,
         theta=surface.theta,
         vertices=vertices,
-        cells=cells,
-        sigma_facets=sig_f,
-        t_facets=t_f,
+        sigma_facets=_orient_facets_outward(vertices, sig_f, inner),
+        t_facets=_orient_facets_outward(vertices, t_f, inner),
         gamma_vertices=corners,
-        d_gamma=d_gamma,
+        d_gamma=nearest_distance(vertices, vertices[corners]),
         sigma_H=sigma_H,
-        cell_volumes=vols,
-        cell_h2max=h2max,
     )
-    _validate(dom)
-    return dom
+    return boundary, lambda: (cells, vols, h2max)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +363,21 @@ def _other_rail(container: Container, apex: np.ndarray, corner: np.ndarray,
     return np.vstack([axis_pts, support[1:]])
 
 
-def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
-                    grading: float) -> DomainMesh:
+def _revolve_edge(vid: np.ndarray, on_axis: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Triangles swept by the cross-section edge (i0, i1): a fan at the axis,
+    else the quads between its two rings split by the min-vertex diagonal."""
+    if on_axis[i0] or on_axis[i1]:
+        ax, off = (i0, i1) if on_axis[i0] else (i1, i0)
+        return np.stack([np.full(vid.shape[1], vid[ax, 0]), vid[off], np.roll(vid[off], -1)],
+                        axis=1)
+    return _split_quads(np.stack([vid[i0], vid[i1], np.roll(vid[i1], -1), np.roll(vid[i0], -1)],
+                                 axis=1))
+
+
+def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
+                 grading: float):
+    """The revolved cross-section's vertices and its Sigma and T edges swept
+    into facets; the tet step sweeps its triangles (_revolve_cells)."""
     gen, h_gen, _ = generator_polyline(surface.source, resolution)
     apex, corner = gen[0], gen[-1]
     rail_other = _other_rail(container, apex, corner, max(resolution, 8))
@@ -369,42 +400,16 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
         t_edges = t_edges[:0]
 
     on_axis = vertices2[:, 0] <= 1e-12
-    vertices, vid, psi = revolve(vertices2, on_axis, target * scale)
-    k_azim = len(psi)
-    jj = np.arange(k_azim)
-    jn = (jj + 1) % k_azim
-
-    def revolve_edge(i0, i1) -> np.ndarray:
-        """Triangles swept by a cross-section edge: a fan at the axis, else split quads."""
-        if on_axis[i0] or on_axis[i1]:
-            ax, off = (i0, i1) if on_axis[i0] else (i1, i0)
-            return np.stack([np.full(k_azim, vid[ax, 0]), vid[off, jj], vid[off, jn]], axis=1)
-        return _split_quads(np.stack([vid[i0, jj], vid[i1, jj], vid[i1, jn], vid[i0, jn]], axis=1))
-
-    n_ax = on_axis[cross_cells].sum(axis=1)
-    # triangles fully off-axis become prism stacks, one stack per triangle in order
-    rings = vid[cross_cells[n_ax == 0]]  # (m, 3, k_azim)
-    prisms = np.concatenate([rings, rings[:, :, jn]], axis=1)
-    tet_blocks = [_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6))]
-    # triangles touching the axis: cones from the first axis vertex over the other edge
-    for tri in np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]]):
-        ax = tri[on_axis[tri]][0]
-        side = revolve_edge(*tri[tri != ax])
-        tet_blocks.append(np.hstack([np.full((len(side), 1), vid[ax, 0]), side]))
-    cells = np.vstack(tet_blocks)
-    vols, h2max = cell_geometry(vertices, cells, orient=True)
+    vertices, vid, _ = revolve(vertices2, on_axis, target * scale)
 
     # per-facet H: the generator value of each revolved Sigma edge
-    sigma_blocks = [revolve_edge(i0, i1) for i0, i1 in sigma_edges]
+    sigma_blocks = [_revolve_edge(vid, on_axis, i0, i1) for i0, i1 in sigma_edges]
     sigma_facets = np.vstack(sigma_blocks)
     sigma_H = np.repeat(sigma_h_mid, [len(b) for b in sigma_blocks])
     t_facets = np.vstack([np.empty((0, 3), dtype=np.int64)]
-                         + [revolve_edge(i0, i1) for i0, i1 in t_edges])
+                         + [_revolve_edge(vid, on_axis, i0, i1) for i0, i1 in t_edges])
 
     inner = vertices.mean(axis=0)
-    sigma_facets = _orient_facets_outward(vertices, sigma_facets, inner)
-    t_facets = _orient_facets_outward(vertices, t_facets, inner)
-
     if container.has_support:
         corner_row = rows[-1][0]
         gamma_vertices = vid[corner_row, :].astype(np.int64)
@@ -415,27 +420,83 @@ def _mesh_domain_3d(surface: SurfaceMesh, container: Container, resolution: int,
         gamma_vertices = np.empty(0, dtype=np.int64)
         d_gamma = np.full(len(vertices), np.inf)
 
-    dom = DomainMesh(
+    boundary = DomainBoundary(
         dim=3,
         container=container,
         theta=surface.theta,
         vertices=vertices,
-        cells=cells,
-        sigma_facets=sigma_facets,
-        t_facets=t_facets,
+        sigma_facets=_orient_facets_outward(vertices, sigma_facets, inner),
+        t_facets=_orient_facets_outward(vertices, t_facets, inner),
         gamma_vertices=gamma_vertices,
         d_gamma=d_gamma,
         sigma_H=sigma_H,
-        cell_volumes=vols,
-        cell_h2max=h2max,
     )
-    _validate(dom)
-    return dom
+    return boundary, lambda: _revolve_cells(vertices, vid, on_axis, cross_cells)
+
+
+def _revolve_cells(vertices: np.ndarray, vid: np.ndarray, on_axis: np.ndarray,
+                   cross_cells: np.ndarray):
+    """The tets swept by the cross-section's triangles, oriented, with their
+    volumes and longest squared edges.
+
+    A triangle off the axis sweeps a stack of prisms, and the stacks of all of
+    them are split in one call; a triangle at the axis sweeps a cone from its
+    first axis vertex over the facets its other edge sweeps.
+    """
+    jn = np.roll(np.arange(vid.shape[1]), -1)
+    n_ax = on_axis[cross_cells].sum(axis=1)
+    rings = vid[cross_cells[n_ax == 0]]  # (m, 3, k_azim)
+    prisms = np.concatenate([rings, rings[:, :, jn]], axis=1)
+    tet_blocks = [_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6))]
+    for tri in np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]]):
+        ax = tri[on_axis[tri]][0]
+        side = _revolve_edge(vid, on_axis, *tri[tri != ax])
+        tet_blocks.append(np.hstack([np.full((len(side), 1), vid[ax, 0]), side]))
+    cells = np.vstack(tet_blocks)
+    return (cells, *cell_geometry(vertices, cells, orient=True))
 
 
 # ---------------------------------------------------------------------------
-# entry point and checks
+# entry points and checks
 # ---------------------------------------------------------------------------
+
+
+def _mesh_steps(surface: SurfaceMesh, container: Container | str | None, resolution: int,
+                grading: float):
+    """The boundary step, and the tet step as a function that returns the
+    cells, their volumes and their longest squared edges."""
+    from hklab.containers import parse_container, support_deviation
+
+    container = surface.container if container is None else parse_container(container)
+    if container is not surface.container:
+        raise HkLabError("surface and requested container disagree")
+    if container.has_support:
+        loop_pts = surface.vertices[surface.boundary_vertices]
+        dev = np.abs(support_deviation(container, loop_pts))
+        if np.any(dev > 1e-8):
+            raise HkLabError("surface boundary does not lie on the support")
+    if surface.dim == 2:
+        boundary, tets = _boundary_3d(surface, container, resolution, grading)
+    elif container is Container.CLOSED:
+        boundary, tets = _boundary_disk(surface, resolution)
+    else:
+        boundary, tets = _boundary_2d(surface, container, resolution, grading)
+    if len(boundary.sigma_facets) + len(boundary.t_facets) == 0:
+        raise HkLabError("domain mesh has no boundary facets")
+    logger.info("domain boundary: nv=%d sigma=%d T=%d", boundary.num_vertices,
+                len(boundary.sigma_facets), len(boundary.t_facets))
+    return boundary, tets
+
+
+def domain_boundary(
+    surface: SurfaceMesh,
+    container: Container | str | None,
+    resolution: int,
+    grading: float = 0.5,
+) -> DomainBoundary:
+    """The boundary of the region mesh_domain meshes, with the same vertices
+    and facets, and no cells: all that the volume integrals of hk read."""
+    return _mesh_steps(surface, container, resolution, grading)[0]
 
 
 def mesh_domain(
@@ -449,23 +510,14 @@ def mesh_domain(
     container None takes the surface's; a mesh with cells below
     QUALITY_WARNING is kept, with a warning.
     """
-    from hklab.containers import parse_container, support_deviation
-
-    container = surface.container if container is None else parse_container(container)
-    if container is not surface.container:
-        raise HkLabError("surface and requested container disagree")
-    if container.has_support:
-        loop_pts = surface.vertices[surface.boundary_vertices]
-        dev = np.abs(support_deviation(container, loop_pts))
-        if np.any(dev > 1e-8):
-            raise HkLabError("surface boundary does not lie on the support")
-    if surface.dim == 1:
-        if container is Container.CLOSED:
-            dom = _mesh_disk_2d(surface, resolution, grading)
-        else:
-            dom = _mesh_domain_2d(surface, container, resolution, grading)
-    else:
-        dom = _mesh_domain_3d(surface, container, resolution, grading)
+    boundary, tets = _mesh_steps(surface, container, resolution, grading)
+    cells, vols, h2max = tets()
+    dom = DomainMesh(**vars(boundary), cells=cells, cell_volumes=vols, cell_h2max=h2max)
+    if np.any(vols <= 0):
+        nonpos = int(np.sum(vols <= 0))
+        if np.any(vols < -1e-14):
+            raise MeshQualityError(f"{nonpos} negatively oriented cells after fixing")
+        logger.warning("%d zero-volume cells retained (degenerate Delaunay faces)", nonpos)
     q = mesh_quality(dom)
     q_min = float(np.min(q))
     logger.info("domain mesh: nv=%d nc=%d min_quality=%.3e", dom.num_vertices,
@@ -476,8 +528,9 @@ def mesh_domain(
     return dom
 
 
-def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> DomainMesh:
-    """Triangulate the region inside a closed curve (fan of scaled loops)."""
+def _boundary_disk(surface: SurfaceMesh, resolution: int):
+    """The region inside a closed curve, a fan of scaled loops: its boundary,
+    the loop, and its triangles as the tet step."""
     order = polyline_order(surface.cells, surface.num_vertices)
     if order[0] != order[-1]:
         raise HkLabError("closed surface polyline is not a loop")
@@ -502,32 +555,16 @@ def _mesh_disk_2d(surface: SurfaceMesh, resolution: int, grading: float) -> Doma
     vols, h2max = cell_geometry(vertices, cells, orient=True)
 
     sigma_facets = np.column_stack([order, np.roll(order, -1)]).astype(np.int64)
-    sigma_facets = _orient_facets_outward(vertices, sigma_facets, seed[None, :])
     h_mid = 0.5 * (surface.mean_curvature[order] + surface.mean_curvature[np.roll(order, -1)])
-    dom = DomainMesh(
+    boundary = DomainBoundary(
         dim=2,
         container=Container.CLOSED,
         theta=None,
         vertices=vertices,
-        cells=cells,
-        sigma_facets=sigma_facets,
+        sigma_facets=_orient_facets_outward(vertices, sigma_facets, seed[None, :]),
         t_facets=np.empty((0, 2), dtype=np.int64),
         gamma_vertices=np.empty(0, dtype=np.int64),
         d_gamma=np.full(len(vertices), np.inf),
         sigma_H=h_mid,
-        cell_volumes=vols,
-        cell_h2max=h2max,
     )
-    _validate(dom)
-    return dom
-
-
-def _validate(dom: DomainMesh) -> None:
-    if np.any(dom.cell_volumes <= 0):
-        nonpos = int(np.sum(dom.cell_volumes <= 0))
-        if np.any(dom.cell_volumes < -1e-14):
-            raise MeshQualityError(f"{nonpos} negatively oriented cells after fixing")
-        logger.warning("%d zero-volume cells retained (degenerate Delaunay faces)", nonpos)
-    total_boundary = len(dom.sigma_facets) + len(dom.t_facets)
-    if total_boundary == 0:
-        raise HkLabError("domain mesh has no boundary facets")
+    return boundary, lambda: (cells, vols, h2max)

@@ -7,7 +7,11 @@ rule on the loop for n = 2 and the counting measure for n = 1.  Every check
 reads the container and the contact angle from the meshes it is given.
 Identity checks return scaled residuals; the two equivalent right-hand sides
 of the main inequality are evaluated independently so their agreement is
-itself a check of the balancing identities.
+itself a check of the balancing identities.  The domain enters the main
+inequality through |Omega|, int_Omega x_d, |T| and int_T x_d only, and all
+four are sums over its boundary facets (the first two by the divergence
+theorem, with rules exact for affine and quadratic integrands), so hk_report
+and alexandrov_certify take a DomainBoundary and never read cells.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import numpy as np
 
 from hklab.bvp import t_facet_integrals
 from hklab.containers import Container
-from hklab.domain import DomainMesh
+from hklab.domain import DomainBoundary
 from hklab.errors import ContainerMismatchError, MeanConvexityError
+from hklab.meshutil import area_vectors, row_dot
 from hklab.surface import SurfaceMesh
 
 MACHINE_FLOOR = 1e-300
@@ -279,13 +284,29 @@ class HkReport:
         }
 
 
-def domain_volume_integrals(domain: DomainMesh) -> tuple[float, float]:
-    """(|Omega|, integral of x_d over Omega) by midpoint quadrature."""
-    z = domain.vertices[:, -1][domain.cells].mean(axis=1)
-    return float(np.sum(domain.cell_volumes)), float(np.sum(domain.cell_volumes * z))
+def domain_volume_integrals(boundary: DomainBoundary) -> tuple[float, float]:
+    """(|Omega|, integral of x_d over Omega) as sums over the boundary facets.
+
+    By the divergence theorem |Omega| = (1/d) int_dOmega x . nu and
+    int_Omega x_d = int_dOmega (x_d^2 / 2) nu_d.  On a facet F with outward
+    area vector A_F the first integrand is affine, so the centroid c_F gives
+    c_F . A_F exactly, and the second is quadratic, for which
+    int_F x_d^2 = |F| (sum z_i^2 + (sum z_i)^2) / ((k + 1)(k + 2)) on a
+    k-simplex with vertex heights z_i is exact.  So both sums equal the
+    cell sums of the mesh that the boundary encloses, without its cells.
+    """
+    facets = np.vstack([boundary.sigma_facets, boundary.t_facets])
+    area = area_vectors(boundary.vertices, facets)
+    p = boundary.vertices[facets]
+    d = boundary.dim
+    z = p[:, :, -1]
+    z2 = (z * z).sum(axis=1) + z.sum(axis=1) ** 2
+    volume = row_dot(p.mean(axis=1), area).sum() / d
+    volume_z = 0.5 * (area[:, -1] * z2).sum() / (d * (d + 1))
+    return float(volume), float(volume_z)
 
 
-def hk_report(surface: SurfaceMesh, domain: DomainMesh) -> HkReport:
+def hk_report(surface: SurfaceMesh, domain: DomainBoundary) -> HkReport:
     """Evaluate both sides of the Heintze-Karcher inequality.
 
     The container and the contact angle are the surface's.  The gap is
@@ -386,7 +407,7 @@ def fit_sphere(points: np.ndarray) -> tuple[np.ndarray, float, float]:
     return center, radius, float(np.sqrt(np.mean(dist**2)))
 
 
-def alexandrov_certify(surface: SurfaceMesh, domain: DomainMesh) -> CapVerdict:
+def alexandrov_certify(surface: SurfaceMesh, domain: DomainBoundary) -> CapVerdict:
     """CMC defect, weighted Minkowski gap and sphere-fit certificate."""
     _require_mean_convex(surface)
     angle = surface.theta

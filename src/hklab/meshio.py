@@ -240,6 +240,21 @@ def write_domain_json(domain: DomainMesh, path: str | Path) -> None:
     dump_json(domain_to_dict(domain), path)
 
 
+def _check_boundary_faces(cells: np.ndarray, facets: np.ndarray) -> None:
+    """HkLabError unless every facet is a face of exactly one cell: the volume
+    integrals of hk are sums over the tagged facets, so these must be the
+    boundary of the cells."""
+    m = cells.shape[1]
+    faces = cells[:, [[a for a in range(m) if a != k] for k in range(m)]].reshape(-1, m - 1)
+    rows = np.sort(np.vstack([faces, facets]), axis=1)
+    ids = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    cells_per_face = np.bincount(ids[:len(faces)], minlength=len(rows))
+    bad = np.flatnonzero(cells_per_face[ids[len(faces):]] != 1)
+    if len(bad):
+        raise HkLabError(f"{len(bad)} Sigma or T facets are not a face of exactly one cell "
+                         f"(first: {facets[bad[0]].tolist()})")
+
+
 def read_domain_json(path: str | Path) -> DomainMesh:
     data = _read_json(path, "domain JSON")
     with _file_data(path, "domain JSON"):
@@ -266,6 +281,7 @@ def read_domain_json(path: str | Path) -> DomainMesh:
         for what, index in (("cell", cells), ("Sigma facet", sigma_facets),
                             ("T facet", t_facets), ("Gamma vertex", gamma)):
             check_indices(index, nv, what)
+        _check_boundary_faces(cells, np.vstack([sigma_facets, t_facets]))
     if d_gamma is None:
         d_gamma = nearest_distance(vertices, vertices[gamma]) if len(gamma) else np.full(nv, np.inf)
     return DomainMesh(

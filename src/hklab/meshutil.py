@@ -1,5 +1,6 @@
-"""Node ladders, the row zipper, the revolve, polyline order, simplex measures,
-nearest-point distances and the lazy attribute that meshes and solutions share.
+"""Node ladders, the row zipper, the revolve, polyline order, area vectors and
+simplex measures, nearest-point distances and the lazy attribute that meshes
+and solutions share.
 
 zipper_rows and revolve are the only copies of the two jobs every mesher
 shares: zipper_rows triangulates the strips between consecutive vertex rows
@@ -154,21 +155,25 @@ def edge_determinant(edges: np.ndarray):
     return (y2, -x2), x1 * y2 - y1 * x2
 
 
-def simplex_measures(vertices: np.ndarray, simplices: np.ndarray):
-    """(measures, unit normals) of edges in the plane or triangles in space.
+def area_vectors(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Measure times unit normal of edges in the plane or triangles in space.
 
-    Normals follow the vertex order: an edge (a, b) gets its tangent turned
-    by -90 degrees, a triangle the normalised (b - a) x (c - a).
+    Normals follow the vertex order: an edge (a, b) gets b - a turned by -90
+    degrees, a triangle (b - a) x (c - a) / 2.
     """
     p = vertices[simplices]
     if simplices.shape[1] == 2:
         edge = p[:, 1] - p[:, 0]
-        lengths = np.linalg.norm(edge, axis=1)
-        tangents = edge / lengths[:, None]
-        return lengths, np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    doubled = np.linalg.norm(cross, axis=1)
-    return 0.5 * doubled, cross / doubled[:, None]
+        return np.column_stack([edge[:, 1], -edge[:, 0]])
+    return 0.5 * np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+
+
+def simplex_measures(vertices: np.ndarray, simplices: np.ndarray):
+    """(measures, unit normals) of edges in the plane or triangles in space,
+    the norms and directions of their area_vectors."""
+    area = area_vectors(vertices, simplices)
+    measures = np.linalg.norm(area, axis=1)
+    return measures, area / measures[:, None]
 
 
 def circumcircle_curvature(points: np.ndarray, closed: bool) -> np.ndarray:

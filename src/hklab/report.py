@@ -23,7 +23,7 @@ import hklab
 from hklab.bvp import capillary_problem, corner_exponent, exact_cap_solution, solve_mixed_bvp
 from hklab.caps import AnalyticCap, make_cap
 from hklab.containers import Container, ContactAngle, parse_container
-from hklab.domain import mesh_domain
+from hklab.domain import domain_boundary, mesh_domain
 from hklab.errors import ConfigError, WindowError
 from hklab.identities import MACHINE_FLOOR, applicable_identities, check_identity, hk_report
 from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
@@ -222,7 +222,7 @@ def _build_source(scenario: Scenario):
         source = read_off(path, container, scenario.theta)
         domain_checks = sorted({"hk", "bvp", "reilly"} & set(scenario.checks))
         if source.dim == 2 and domain_checks:
-            raise ConfigError(f"{', '.join(domain_checks)} need a domain mesh, which an n = 2 "
+            raise ConfigError(f"{', '.join(domain_checks)} need the domain, which an n = 2 "
                               f"OFF surface cannot give: use a cap or a profile source")
     else:
         from hklab.meshio import read_profile_json
@@ -250,11 +250,14 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
 
     # derivative recovery is cleanest on ungraded meshes; only the corner fit
     # needs the grading toward Gamma.  Every domain of the rung is meshed at
-    # the rung's own resolution.
+    # the rung's own resolution.  hk reads boundary sums only, so a rung that
+    # solves nothing takes the domain's boundary and builds no cells.
     needs_solve = bool({"bvp", "reilly"} & set(scenario.checks)) and container.has_support
-    domain = None
-    if "hk" in scenario.checks or needs_solve:
-        domain = mesh_domain(surface, container, resolution, grading=0.0)
+    domain = boundary = None
+    if needs_solve:
+        domain = boundary = mesh_domain(surface, container, resolution, grading=0.0)
+    elif "hk" in scenario.checks:
+        boundary = domain_boundary(surface, container, resolution, grading=0.0)
 
     if "identities" in scenario.checks:
         entries = []
@@ -269,7 +272,7 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
         result["identities"] = entries
 
     if "hk" in scenario.checks:
-        result["hk"] = hk_report(surface, domain).to_dict()
+        result["hk"] = hk_report(surface, boundary).to_dict()
 
     solution = None
     if needs_solve:

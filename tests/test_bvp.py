@@ -221,8 +221,8 @@ def test_scatter_of_no_facets_is_zero_on_the_graph(hb_domain1_graded):
 
 
 def test_scatter_rejects_a_facet_off_the_graph(hb_domain1_graded):
-    # a T facet whose two vertices share no cell: read_domain_json does not
-    # check that facets are faces of cells, so a solve can be handed one
+    # a T facet whose two vertices share no cell: read_domain_json refuses
+    # one, but a mesh edited in memory can still hand one to a solve
     dom = hb_domain1_graded
     a = int(dom.t_facets[0, 0])
     far = int(np.argmax(np.linalg.norm(dom.vertices - dom.vertices[a], axis=1)))

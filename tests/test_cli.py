@@ -72,23 +72,37 @@ def test_concurrent_ladder_is_deterministic(tmp_path):
 
 
 def test_geometry_checks_mesh_no_solve_domain(tmp_path, monkeypatch):
-    calls = []
-    mesh_domain = hklab.report.mesh_domain
+    # identities and hk read the surface and the domain's boundary: no rung
+    # builds a tet, and each takes its boundary at its own resolution
+    import hklab.domain
 
-    def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("resolution"))
-        return mesh_domain(*args, **kwargs)
+    calls = {"boundary": [], "mesh_domain": 0, "split_prisms": 0}
+    domain_boundary = hklab.report.domain_boundary
+    split_prisms = hklab.domain._split_prisms
 
-    monkeypatch.setattr(hklab.report, "mesh_domain", counting)
+    def boundary(*args, **kwargs):
+        calls["boundary"].append(args[2] if len(args) > 2 else kwargs.get("resolution"))
+        return domain_boundary(*args, **kwargs)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hklab.report, "domain_boundary", boundary)
+    monkeypatch.setattr(hklab.report, "mesh_domain",
+                        counting("mesh_domain", hklab.report.mesh_domain))
+    monkeypatch.setattr(hklab.domain, "_split_prisms", counting("split_prisms", split_prisms))
     out = tmp_path / "r.json"
     code = run_cli(
         "run", "--container", "half-space", "--theta", THETA_STR, "--dim", "2",
-        "--checks", "hk", "--ladder", "16,52", "--out", str(out),
+        "--checks", "identities,hk", "--ladder", "16,52", "--out", str(out),
     )
     assert code == 0
     # each rung is meshed at its own resolution (n = 2 rungs were once capped
     # at 48), and the rate divides by the resolutions used
-    assert calls == [16, 52]
+    assert calls == {"boundary": [16, 52], "mesh_domain": 0, "split_prisms": 0}
     report = json.loads(out.read_text())
     coarse, fine = (r["hk"]["gap"] for r in report["results"])
     assert report["rates"]["hk_gap"] == [

@@ -9,9 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import THETA3, array_digest
-from hklab import make_axisymmetric, make_cap, mesh_domain, mesh_surface, perturb_profile
+from hklab import (
+    domain_boundary,
+    make_axisymmetric,
+    make_cap,
+    mesh_domain,
+    mesh_surface,
+    perturb_profile,
+)
 from hklab import domain
-from hklab.domain import cell_geometry, mesh_quality
+from hklab.domain import DomainBoundary, cell_geometry, mesh_quality
+from hklab.identities import domain_volume_integrals
 from hklab.meshutil import polyline_order
 from hklab.profiles import profile_from_cap
 from hklab.errors import HkLabError
@@ -50,8 +58,6 @@ def test_solid_volume_refinement_ratio(hs_cap2):
 
 
 def test_lens_volume_and_height(hb_cap2):
-    from hklab.identities import domain_volume_integrals
-
     dom = mesh_domain(mesh_surface(hb_cap2, 24), "half-ball", 24)
     q = hb_cap2.quantities
     vol, volz = domain_volume_integrals(dom)
@@ -317,3 +323,86 @@ def test_mesh_domain_logs_size_and_quality(hs_surface1, caplog):
     q_min = float(np.min(mesh_quality(dom)))
     want = f"domain mesh: nv={dom.num_vertices} nc={len(dom.cells)} min_quality={q_min:.3e}"
     assert want in caplog.messages
+
+
+def test_domain_boundary_logs_its_size(hs_cap2, caplog):
+    # an hk-only rung builds no cells, and this line still names the layer
+    with caplog.at_level(logging.INFO, logger="hklab.domain"):
+        b = domain_boundary(mesh_surface(hs_cap2, 12), None, 12, grading=0.0)
+    want = (f"domain boundary: nv={b.num_vertices} sigma={len(b.sigma_facets)} "
+            f"T={len(b.t_facets)}")
+    assert caplog.messages == [want]
+
+
+# ---------------------------------------------------------------------------
+# the boundary step: Sigma and T are the faces of exactly one cell
+# ---------------------------------------------------------------------------
+
+
+# (source, container, n, resolution, grading): every cap mesher at an odd and
+# an even resolution, n = 1 graded and ungraded, and one perturbed profile
+BOUNDARY_CASES = [
+    ("cap", container, n, resolution, grading)
+    for container in ("half-space", "half-ball", "closed")
+    for n in (1, 2)
+    for resolution in (9, 16)
+    for grading in ((0.0, 0.5) if n == 1 else (0.0,))
+] + [("profile", "half-ball", 2, 16, 0.0)]
+
+
+@pytest.fixture(scope="module", params=BOUNDARY_CASES, ids=lambda k: "-".join(map(str, k)))
+def boundary_and_mesh(request):
+    kind, container, n, resolution, grading = request.param
+    source = make_cap(container, THETA3 if container != "closed" else None,
+                      0.5 if container == "half-ball" else 1.0, n)
+    if kind == "profile":
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
+                                   container)
+    surface = mesh_surface(source, resolution)
+    return (domain_boundary(surface, None, resolution, grading=grading),
+            mesh_domain(surface, None, resolution, grading=grading))
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    return np.unique(np.sort(rows, axis=1), axis=0)
+
+
+def test_sigma_and_t_are_the_faces_of_one_cell(boundary_and_mesh):
+    boundary, dom = boundary_and_mesh
+    m = dom.cells.shape[1]
+    faces = np.sort(dom.cells[:, [[a for a in range(m) if a != k] for k in range(m)]]
+                    .reshape(-1, m - 1), axis=1)
+    unique, counts = np.unique(faces, axis=0, return_counts=True)
+    assert counts.max() <= 2
+    tagged = np.vstack([boundary.sigma_facets, boundary.t_facets])
+    assert len(_sorted_rows(tagged)) == len(tagged)  # no facet is tagged twice
+    assert np.array_equal(_sorted_rows(tagged), unique[counts == 1])
+
+
+def test_boundary_step_is_the_mesh_boundary(boundary_and_mesh):
+    # mesh_domain is the boundary step and then the tet step: the same
+    # vertices, facets, corner data and sigma_H, bit for bit
+    boundary, dom = boundary_and_mesh
+    for name in DomainBoundary.__dataclass_fields__:
+        got, want = getattr(boundary, name), getattr(dom, name)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, name
+
+
+def _cell_volume_integrals(dom):
+    """Oracle: (|Omega|, integral of x_d) by the cell midpoint sums the
+    boundary sums replaced."""
+    z = dom.vertices[:, -1][dom.cells].mean(axis=1)
+    return float(np.sum(dom.cell_volumes)), float(np.sum(dom.cell_volumes * z))
+
+
+def test_boundary_volume_integrals_match_cell_sums(boundary_and_mesh):
+    boundary, dom = boundary_and_mesh
+    volume, volume_z = domain_volume_integrals(boundary)
+    want_volume, want_z = _cell_volume_integrals(dom)
+    assert abs(volume - want_volume) <= 1e-12 * want_volume
+    if boundary.container.value == "closed":
+        # the ball and disk are centred at height 0: both sums are rounding
+        # noise about the exact 0
+        assert abs(volume_z) <= 1e-14 * volume and abs(want_z) <= 1e-14 * want_volume
+    else:
+        assert abs(volume_z - want_z) <= 1e-12 * abs(want_z)

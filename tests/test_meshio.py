@@ -250,3 +250,38 @@ def test_domain_json_errors(edit, message, hs_domain1, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(MeshFileError, match=message):
         read_domain_json(path)
+
+
+def _interior_face(dom) -> list:
+    """A face of two cells of a planar mesh: an edge of a cell that no tag names."""
+    tagged = {tuple(sorted(f)) for f in np.vstack([dom.sigma_facets, dom.t_facets]).tolist()}
+    for cell in dom.cells.tolist():
+        for k in range(3):
+            edge = sorted(cell[:k] + cell[k + 1:])
+            if tuple(edge) not in tagged:
+                return edge
+    raise AssertionError("no interior edge")
+
+
+@pytest.mark.parametrize("case", ["distant-vertex", "interior-face"])
+def test_domain_json_refuses_a_facet_that_is_not_a_boundary_face(case, hs_domain1, tmp_path,
+                                                                capsys):
+    # hk's volume integrals are sums over the tagged facets, so a facet that
+    # is not the face of exactly one cell would move |Omega| silently
+    from hklab.cli import main
+
+    data = json.loads(dumps_json(domain_to_dict(hs_domain1)))
+    tag = next(tag for tag in data["facet_tags"] if tag["tag"] == "T")
+    if case == "distant-vertex":
+        a = tag["facet"][0]
+        dist = np.linalg.norm(hs_domain1.vertices - hs_domain1.vertices[a], axis=1)
+        tag["facet"][1] = int(np.argmax(dist))
+    else:
+        tag["facet"] = _interior_face(hs_domain1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MeshFileError, match="not a face of exactly one cell"):
+        read_domain_json(path)
+    assert main(["convert", str(path), str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hk: invalid mesh file: ") and "Traceback" not in err
