@@ -151,14 +151,6 @@ class BvpSolution:
 # ---------------------------------------------------------------------------
 
 
-def gamma_loop_measure(domain: DomainMesh) -> float:
-    """|Gamma| on the domain mesh: counting for d=2, ring length for d=3."""
-    if domain.dim == 2:
-        return float(len(domain.gamma_vertices))
-    ring = domain.vertices[domain.gamma_vertices]
-    return float(np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum())
-
-
 def gamma_edges(domain: DomainMesh, facets: np.ndarray):
     """The Gamma-edge table of a boundary patch: (ends, conormal, measure).
 
@@ -203,14 +195,15 @@ def capillary_constant(domain: DomainMesh) -> float:
     """The flux constant of the capillary mixed problem, from the domain's own
     patch integrals and contact angle.
 
-    Half-space: -n/(n+1) cot(theta) |T| / |Gamma|.
+    Half-space: -n/(n+1) cot(theta) |T| / |Gamma|, with |Gamma| the sum of
+                the Gamma-edge measures of T, whatever the order of Gamma.
     Half-ball:  -n/(n+1) cos(theta) (int_T x_d) / (int_Gamma <mu, E_d>).
     """
     n = domain.dim - 1
     ratio = n / (n + 1.0)
     if domain.container is Container.HALF_SPACE:
         area_t, _ = t_facet_integrals(domain)
-        measure_gamma = gamma_loop_measure(domain)
+        measure_gamma = ordered_sum(gamma_edges(domain, domain.t_facets)[2])
         if measure_gamma <= 0:
             raise DegenerateConfigurationError("|Gamma| vanished")
         return -ratio * domain.theta.cot * area_t / measure_gamma
@@ -321,9 +314,6 @@ class QuadraticField:
         pts = np.atleast_2d(points)
         d2 = np.einsum("ij,ij->i", pts - self.center, pts - self.center)
         return (d2 - self.radius**2) / (2.0 * (self.dim + 1))
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points) - self.center) / (self.dim + 1)
 
     @property
     def neumann_constant(self) -> float | None:

@@ -34,10 +34,6 @@ class AnalyticCap:
     quantities: dict = field(default_factory=dict)
 
     @property
-    def ambient_dim(self) -> int:
-        return self.dim + 1
-
-    @property
     def mean_curvature(self) -> float:
         return self.dim / self.radius
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import hklab
 from hklab import meshio
 from hklab.bvp import (
+    DEFAULT_TOL,
     capillary_problem,
     corner_exponent,
     solution_from_field,
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of resolutions (default 16,32,64 at --dim 1, "
                             "8,16,24 at --dim 2)")
     run_p.add_argument("--grading", type=float, default=0.5, help="corner grading exponent")
-    run_p.add_argument("--tol", type=float, default=1e-10, help="linear solver tolerance")
+    run_p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="linear solver tolerance")
     run_p.add_argument("--max-iter", type=int, default=None, help="CG iteration cap")
     run_p.add_argument("--jobs", type=int, default=1, help="concurrent ladder entries")
     run_p.add_argument("--name", default=None, help="scenario name in the report")
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_args(solve_p)
     solve_p.add_argument("--resolution", type=int, default=64)
     solve_p.add_argument("--grading", type=float, default=0.5)
-    solve_p.add_argument("--tol", type=float, default=1e-10)
+    solve_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     solve_p.add_argument("--max-iter", type=int, default=None)
     solve_p.add_argument("--out", default=None, help="solution JSON path")
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the recovered Hessian breaks the Reilly identity on graded meshes, so
     # reilly meshes ungraded by default, as the reilly check of `run` does
     reilly_p.add_argument("--grading", type=float, default=0.0)
-    reilly_p.add_argument("--tol", type=float, default=1e-10)
+    reilly_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     reilly_p.add_argument("--weighted", action="store_true")
     reilly_p.add_argument("--out", default=None)
 

@@ -17,7 +17,7 @@ and alexandrov_certify take a DomainBoundary and never read cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -72,12 +72,7 @@ class Residual:
         return abs(self.raw) / self.scale
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "raw": self.raw,
-            "scale": self.scale,
-            "relative": self.relative,
-        }
+        return {**asdict(self), "relative": self.relative}
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +264,6 @@ class HkReport:
     equality_flag: bool
     components: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "container": self.container,
-            "dim": self.dim,
-            "theta": self.theta,
-            "lhs": self.lhs,
-            "rhs_form1": self.rhs_form1,
-            "rhs_form2": self.rhs_form2,
-            "gap": self.gap,
-            "relative_gap": self.relative_gap,
-            "equality_flag": self.equality_flag,
-            "components": dict(self.components),
-        }
-
 
 def domain_volume_integrals(boundary: DomainBoundary) -> tuple[float, float]:
     """(|Omega|, integral of x_d over Omega) as sums over the boundary facets.
@@ -383,16 +364,6 @@ class CapVerdict:
     fit_center: np.ndarray
     fit_radius: float
     fit_rms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "cmc_defect": self.cmc_defect,
-            "weighted_minkowski_gap": self.weighted_minkowski_gap,
-            "fit_center": [float(c) for c in self.fit_center],
-            "fit_radius": self.fit_radius,
-            "fit_rms": self.fit_rms,
-        }
 
 
 def fit_sphere(points: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -18,7 +18,7 @@ Reilly defect are defined here only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from hklab.bvp import (
     BvpSolution,
     capillary_constant,
     gamma_edges,
-    gamma_loop_measure,
     t_facet_integrals,
 )
 from hklab.containers import Container
@@ -65,14 +64,7 @@ class ReillySides:
         return abs(self.defect) / scale
 
     def to_dict(self) -> dict:
-        return {
-            "volume_side": self.volume_side,
-            "boundary_side": self.boundary_side,
-            "defect": self.defect,
-            "relative_defect": self.relative_defect,
-            "weighted": self.weighted,
-            "parts": dict(self.parts),
-        }
+        return {**asdict(self), "defect": self.defect, "relative_defect": self.relative_defect}
 
 
 @dataclass
@@ -94,15 +86,9 @@ class PipelineStep:
             self.passed = self.margin >= -self.tolerance * scale
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "sense": self.sense,
-            "margin": self.margin,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-        }
+        fields = asdict(self)
+        fields["pass"] = fields.pop("passed")
+        return fields
 
 
 @dataclass
@@ -124,13 +110,7 @@ class PipelineTrace:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "container": self.container,
-            "steps": [s.to_dict() for s in self.steps],
-            "final_gap": self.final_gap,
-            "equality_case": self.equality_case,
-            "rigidity": self.rigidity,
-        }
+        return {**asdict(self), "steps": [s.to_dict() for s in self.steps]}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +301,8 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
     if ball:
         correction = (n / (n + 1.0)) * angle.cos * int_t_z**2 / b_mu
     else:
-        correction = (n / (n + 1.0)) * angle.cot * area_t**2 / gamma_loop_measure(domain)
+        measure_gamma = ordered_sum(gamma_edges(domain, domain.t_facets)[2])
+        correction = (n / (n + 1.0)) * angle.cot * area_t**2 / measure_gamma
     steps.append(
         PipelineStep("capillary_balance", int_f_nu, vol_w + correction, "=", IDENTITY_RTOL)
     )

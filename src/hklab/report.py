@@ -14,13 +14,14 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 import hklab
-from hklab.bvp import capillary_problem, corner_exponent, exact_cap_solution, solve_mixed_bvp
+from hklab.bvp import (DEFAULT_TOL, capillary_problem, corner_exponent, exact_cap_solution,
+                        solve_mixed_bvp)
 from hklab.caps import AnalyticCap, make_cap
 from hklab.containers import Container, ContactAngle, parse_container
 from hklab.domain import domain_boundary, mesh_domain
@@ -84,7 +85,7 @@ class Scenario:
     checks: list
     grading: float = 0.5
     perturb: float = 0.0
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     max_iter: int | None = None
     jobs: int = 1
     out: str | None = None
@@ -130,20 +131,8 @@ class Scenario:
                               f"and the {container.value} container has none")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "container": self.container,
-            "theta": self.theta,
-            "dim": self.dim,
-            "surface": dict(self.surface),
-            "ladder": list(self.ladder),
-            "checks": list(self.checks),
-            "grading": self.grading,
-            "perturb": self.perturb,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "jobs": self.jobs,
-        }
+        """The fields that define the run: all but the output paths and the timings switch."""
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "csv", "timings")}
 
     @classmethod
     def from_dict(cls, data) -> "Scenario":
@@ -262,17 +251,12 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
     if "identities" in scenario.checks:
         entries = []
         for ident in applicable_identities(container):
-            res = check_identity(ident, surface)
-            entries.append(
-                {
-                    "identity": res.identity,
-                    "residual": {"raw": res.raw, "scale": res.scale, "relative": res.relative},
-                }
-            )
+            residual = check_identity(ident, surface).to_dict()
+            entries.append({"identity": residual.pop("identity"), "residual": residual})
         result["identities"] = entries
 
     if "hk" in scenario.checks:
-        result["hk"] = hk_report(surface, boundary).to_dict()
+        result["hk"] = asdict(hk_report(surface, boundary))
 
     solution = None
     if needs_solve:
@@ -389,7 +373,6 @@ def _verdicts(scenario: Scenario, results: list, rates: dict) -> dict:
 def run_scenario(scenario: Scenario) -> dict:
     """Execute every check of the scenario over its ladder; returns the report."""
     source = _build_source(scenario)
-    stage_times: list[float] = []
 
     def stage(res: int) -> tuple[dict, float]:
         t0 = time.perf_counter()

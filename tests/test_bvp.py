@@ -1,5 +1,6 @@
 """Mixed BVP: assembly, solver, exact solutions, recovery, corners, wedge."""
 
+import json
 import logging
 import math
 from collections import deque
@@ -29,7 +30,6 @@ from hklab.bvp import (
     MixedBvpProblem,
     _hop_distance,
     gamma_edges,
-    gamma_loop_measure,
     gamma_mu_vertical_integral,
 )
 from hklab.errors import DegenerateConfigurationError, HkLabError, SolverError
@@ -56,6 +56,7 @@ from hklab.fem import (
     two_level,
     vertex_adjacency,
 )
+from hklab.meshio import read_domain_json, write_domain_json
 from hklab.reilly import gamma_t_flux, reilly_sides
 
 
@@ -108,6 +109,19 @@ def test_mesh_measured_constant(hs_domain1, hb_cap1):
     for dom in (hs_domain1, domb):
         with pytest.raises(DegenerateConfigurationError):
             capillary_constant(replace(dom, gamma_vertices=dom.gamma_vertices[:0]))
+
+
+def test_capillary_constant_ignores_the_gamma_vertex_order(hs_domain2, tmp_path):
+    # a domain file may list Gamma in any order: |Gamma| is the sum over the
+    # Gamma edges of T, not the length of the polygon through the listed vertices
+    path = tmp_path / "dom.json"
+    write_domain_json(hs_domain2, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    gamma = data["metadata"]["gamma_vertices"]
+    data["metadata"]["gamma_vertices"] = np.random.default_rng(3).permutation(gamma).tolist()
+    path.write_text(json.dumps(data), encoding="utf-8")
+    c = capillary_constant(hs_domain2)
+    assert abs(capillary_constant(read_domain_json(path)) - c) <= 1e-12 * abs(c)
 
 
 def test_fem_matches_exact_solution(hs_cap1, hs_domain1, hs_solution1):
@@ -1260,9 +1274,13 @@ def test_gamma_edge_table_geometry(mesh, patch, request):
     assert ends.shape == (len(conormal), dom.dim - 1)
     assert np.all(np.isin(ends, dom.gamma_vertices))
     if dom.dim == 2:
-        assert float(measure.sum()) == gamma_loop_measure(dom)
+        assert float(measure.sum()) == len(dom.gamma_vertices)  # the counting measure
     else:
-        assert abs(measure.sum() - gamma_loop_measure(dom)) <= 1e-12 * gamma_loop_measure(dom)
+        # the length of the ring through the Gamma vertices in azimuth order
+        ring = dom.vertices[dom.gamma_vertices]
+        ring = ring[np.argsort(np.arctan2(ring[:, 1], ring[:, 0]))]
+        length = np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum()
+        assert abs(measure.sum() - length) <= 1e-12 * length
 
     on_gamma = np.isin(facets, dom.gamma_vertices)
     hit = facets[on_gamma.sum(axis=1) == dom.dim - 1]

@@ -47,6 +47,9 @@ CASES = {
     "reilly-weighted-n1": ["reilly", "--container", "half-ball", "--theta", THETA_STR,
                            "--dim", "1", "--cap-radius", "0.5", "--resolution", "32",
                            "--weighted"],
+    # unweighted sides on the half-ball: the chain evaluates the weighted ones itself
+    "reilly-unweighted-hb-n1": ["reilly", "--container", "half-ball", "--theta", THETA_STR,
+                                "--dim", "1", "--cap-radius", "0.5", "--resolution", "32"],
 }
 
 

@@ -1,15 +1,20 @@
 """Package hygiene: every exported name resolves, no module imports a name it
-never uses, and every top-level function or class is used.
+never uses, and every top-level function or class and every method or
+property of a class is used.
 
 No linter ships with the toolchain, so an ast walk stands in for one.  An
 import counts as used when its name appears anywhere in the scope that
 imports it (the module, or the function for a function-level import) or, at
 module level, in __all__.  A top-level function or class counts as used when
 its name appears, as a name or an attribute, in src/hklab or scripts outside
-its own definition, or in __all__.
+its own definition, or in __all__.  A method or property (dunder methods
+aside) counts as used when its name appears, as a name, an attribute or a
+string, in src/hklab or scripts outside its own definition.  A name that
+several classes share counts as used for all of them once one is used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -97,3 +102,40 @@ def test_every_top_level_definition_is_used():
                    for module, own, names in statements)
     ]
     assert sorted(unused) == sorted(_TESTED_ONLY)
+
+
+# methods and properties that only the tests use, with the reason they stay
+_MEMBERS_TESTED_ONLY = {
+    ("bvp.py", "QuadraticField.neumann_constant"):
+        "the flux constant the exact cap solution realizes on T, checked in closed form",
+    ("bvp.py", "QuadraticField.sigma_normal_derivative"):
+        "the exact solution's normal derivative on Sigma, checked in closed form",
+    ("caps.py", "AnalyticCap.contains_enclosed"):
+        "the membership test of the Monte-Carlo cap-volume oracles in the tests",
+    ("reilly.py", "PipelineTrace.all_passed"):
+        "the chain verdict that the Reilly and acceptance tests assert",
+}
+
+
+def _words(node) -> Counter:
+    """Names, attribute names and string constants under node, counted."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute)
+        else sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+        or isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    )
+
+
+def test_every_method_and_property_is_used():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in [*sorted(SRC.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]}
+    words = sum((_words(tree) for tree in trees.values()), Counter())
+    members = [(path.name, cls, node) for path in sorted(SRC.glob("*.py"))
+               for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("__")]
+    unused = [(module, f"{cls.name}.{node.name}") for module, cls, node in members
+              if words[node.name] == _words(node)[node.name]]
+    assert sorted(unused) == sorted(_MEMBERS_TESTED_ONLY)
