@@ -4,7 +4,8 @@ The discrete problem is the P1 Galerkin form of
 
     laplace f = h in Omega,   f = 0 on Sigma,   d_N f - gamma f = c on int(T),
 
-solved by preconditioned conjugate gradients after eliminating the Sigma
+with the container's Robin coefficient gamma (1 on the half-ball, 0 on the
+half-space; MixedBvpProblem.robin_gamma), solved by preconditioned conjugate gradients after eliminating the Sigma
 closure (corner vertices are Dirichlet).  Planar systems (n = 1) take the
 two-level aggregation preconditioner, whose iteration count does not grow
 as h falls; solid systems (n = 2) keep Jacobi, which beats every coarse
@@ -63,16 +64,19 @@ class MixedBvpProblem:
     domain: DomainMesh
     rhs: np.ndarray  # per-vertex source of laplace f = rhs
     flux_constant: float  # c in d_N f - gamma f = c on T
-    robin_gamma: int = 0
 
     def __post_init__(self) -> None:
-        if self.robin_gamma < 0 or int(self.robin_gamma) != self.robin_gamma:
-            raise HkLabError("robin coefficient must be a nonnegative integer")
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rhs.shape != (self.domain.num_vertices,):
             raise HkLabError("rhs must be a per-vertex array")
         if len(self.domain.sigma_facets) == 0:
             raise HkLabError("problem needs at least one Sigma facet (else singular)")
+
+    @property
+    def robin_gamma(self) -> int:
+        """The container's Robin coefficient gamma: 1 on the half-ball, the one the
+        x_d-weighted Reilly formula needs, and 0 (pure Neumann on T) elsewhere."""
+        return 1 if self.domain.container is Container.HALF_BALL else 0
 
 
 @dataclass
@@ -96,6 +100,12 @@ class BvpSolution:
     @property
     def domain(self) -> DomainMesh:
         return self.problem.domain
+
+    @property
+    def diagnostics(self) -> dict:
+        """The solver record: iterations, residual norm, energy and flux constant."""
+        return {"iterations": self.iterations, "residual_norm": self.residual_norm,
+                "energy": self.energy, "flux_constant": self.problem.flux_constant}
 
     @lazy
     def good(self) -> np.ndarray:
@@ -178,6 +188,11 @@ def gamma_edges(domain: DomainMesh, facets: np.ndarray):
     return ends, conormal, lengths.prod(axis=1)
 
 
+def measure_gamma(domain: DomainMesh) -> float:
+    """|Gamma|, the sum of the Gamma-edge measures of T, whatever the order of Gamma."""
+    return ordered_sum(gamma_edges(domain, domain.t_facets)[2])
+
+
 def gamma_mu_vertical_integral(domain: DomainMesh) -> float:
     """integral over Gamma of <mu, E_d> with mu the Sigma-facet conormal at Gamma."""
     _, mu, measure = gamma_edges(domain, domain.sigma_facets)
@@ -195,18 +210,17 @@ def capillary_constant(domain: DomainMesh) -> float:
     """The flux constant of the capillary mixed problem, from the domain's own
     patch integrals and contact angle.
 
-    Half-space: -n/(n+1) cot(theta) |T| / |Gamma|, with |Gamma| the sum of
-                the Gamma-edge measures of T, whatever the order of Gamma.
+    Half-space: -n/(n+1) cot(theta) |T| / |Gamma| (measure_gamma).
     Half-ball:  -n/(n+1) cos(theta) (int_T x_d) / (int_Gamma <mu, E_d>).
     """
     n = domain.dim - 1
     ratio = n / (n + 1.0)
     if domain.container is Container.HALF_SPACE:
         area_t, _ = t_facet_integrals(domain)
-        measure_gamma = ordered_sum(gamma_edges(domain, domain.t_facets)[2])
-        if measure_gamma <= 0:
+        size_gamma = measure_gamma(domain)
+        if size_gamma <= 0:
             raise DegenerateConfigurationError("|Gamma| vanished")
-        return -ratio * domain.theta.cot * area_t / measure_gamma
+        return -ratio * domain.theta.cot * area_t / size_gamma
     if domain.container is Container.HALF_BALL:
         _, int_t_z = t_facet_integrals(domain)
         int_mu_z = gamma_mu_vertical_integral(domain)
@@ -218,11 +232,8 @@ def capillary_constant(domain: DomainMesh) -> float:
 
 def capillary_problem(domain: DomainMesh) -> MixedBvpProblem:
     """The capillary configuration: unit source, mesh-measured flux constant."""
-    rhs = np.ones(domain.num_vertices)
-    if domain.container is Container.CLOSED:
-        return MixedBvpProblem(domain, rhs, 0.0, 0)
-    gamma = 1 if domain.container is Container.HALF_BALL else 0
-    return MixedBvpProblem(domain, rhs, capillary_constant(domain), gamma)
+    c = 0.0 if domain.container is Container.CLOSED else capillary_constant(domain)
+    return MixedBvpProblem(domain, np.ones(domain.num_vertices), c)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +539,8 @@ def wedge_model_values(domain: DomainMesh, *, lam: float | None = None) -> np.nd
         raise HkLabError("wedge model fields are planar")
     if lam is None:
         lam = math.pi / (2.0 * domain.theta.radians)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ConfigError(f"wedge exponent lambda must be finite and > 0, got {lam}")
     corners = domain.gamma_vertices
     if len(corners) != 2:
         raise HkLabError("wedge model expects exactly two corners")

@@ -192,7 +192,7 @@ def _cap_and_meshes(args):
     theta = _angle(args)
     container = check_inputs(args.container, theta, args.cap_radius, [args.resolution],
                              args.grading, getattr(args, "tol", 0.0),
-                             getattr(args, "max_iter", None))
+                             getattr(args, "max_iter", None), dim=args.dim)
     cap = make_cap(container, theta, args.cap_radius, args.dim)
     surface = mesh_surface(cap, args.resolution)
     domain = mesh_domain(surface, container, args.resolution, grading=args.grading)
@@ -219,7 +219,7 @@ def cmd_run(args) -> int:
 
 def cmd_cap(args) -> int:
     theta = _angle(args)
-    container = check_inputs(args.container, theta, args.cap_radius)
+    container = check_inputs(args.container, theta, args.cap_radius, dim=args.dim)
     cap = make_cap(container, theta, args.cap_radius, args.dim)
     payload = {
         "container": container.value,

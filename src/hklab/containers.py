@@ -31,27 +31,13 @@ class Container(Enum):
         return self is not Container.CLOSED
 
 
-_ALIASES = {
-    "half-space": Container.HALF_SPACE,
-    "halfspace": Container.HALF_SPACE,
-    "half_space": Container.HALF_SPACE,
-    "hs": Container.HALF_SPACE,
-    "half-ball": Container.HALF_BALL,
-    "halfball": Container.HALF_BALL,
-    "half_ball": Container.HALF_BALL,
-    "hb": Container.HALF_BALL,
-    "ball": Container.HALF_BALL,
-    "closed": Container.CLOSED,
-}
-
-
 def parse_container(name: str | Container) -> Container:
-    if isinstance(name, Container):
-        return name
-    key = str(name).strip().lower()
-    if key not in _ALIASES:
-        raise ValueError(f"unknown container {name!r}; expected one of {sorted(set(_ALIASES))}")
-    return _ALIASES[key]
+    """The container of one of the spellings half-space, half-ball and closed."""
+    try:
+        return Container(name)
+    except ValueError:
+        raise ValueError(f"unknown container {name!r}; expected one of "
+                         f"{[kind.value for kind in Container]}") from None
 
 
 @dataclass(frozen=True)

@@ -184,23 +184,22 @@ def assemble_boundary_mass(facets, areas, pattern) -> sp.csr_matrix:
 
 
 def load_volume(cells, vols, rhs_vertex, nv) -> np.ndarray:
-    """Consistent load vector of a P1 right-hand side."""
+    """Consistent load vector of a P1 right-hand side, summed into each vertex
+    by local vertex, then by cell."""
     m = cells.shape[1]
-    h = rhs_vertex[cells]  # (nc, m)
-    total = h.sum(axis=1)
-    b = np.zeros(nv)
-    for k in range(m):
-        np.add.at(b, cells[:, k], vols * (total + h[:, k]) / (m * (m + 1)))
-    return b
+    order = cells.T.ravel()
+    h = rhs_vertex[order].reshape(m, -1)  # (m, nc): contiguous rows, one per local vertex
+    local = vols * (sum(h[1:], h[0]) + h) / (m * (m + 1))
+    return np.bincount(order, weights=local.ravel(), minlength=nv)
 
 
 def load_facets(facets, areas, values, nv) -> np.ndarray:
-    """Load vector of per-facet constant flux data."""
-    b = np.zeros(nv)
+    """Load vector of per-facet constant flux data, summed into each vertex by
+    local vertex, then by facet."""
     m = facets.shape[1]
-    for k in range(m):
-        np.add.at(b, facets[:, k], areas * values / m)
-    return b
+    local = np.broadcast_to(areas * values / m, (m, len(facets)))
+    # np.bincount of no facets returns integer zeros
+    return np.bincount(facets.T.ravel(), weights=local.ravel(), minlength=nv).astype(float)
 
 
 def _positive_diagonal(a: sp.csr_matrix) -> np.ndarray:

@@ -305,11 +305,6 @@ def solution_to_dict(solution) -> dict:
     data["fields"]["grad_f"] = solution.cell_gradients
     data["fields"]["hessian_frob"] = solution.hessian_frobenius()
     data["fields"]["f_nu"] = solution.f_nu_sigma
-    data["metadata"]["diagnostics"] = {
-        "iterations": solution.iterations,
-        "residual_norm": solution.residual_norm,
-        "energy": solution.energy,
-        "flux_constant": solution.problem.flux_constant,
-        "robin_gamma": solution.problem.robin_gamma,
-    }
+    data["metadata"]["diagnostics"] = {**solution.diagnostics,
+                                       "robin_gamma": solution.problem.robin_gamma}
     return data

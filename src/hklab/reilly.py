@@ -26,6 +26,7 @@ from hklab.bvp import (
     BvpSolution,
     capillary_constant,
     gamma_edges,
+    measure_gamma,
     t_facet_integrals,
 )
 from hklab.containers import Container
@@ -176,15 +177,13 @@ def _sigma_data(domain: DomainMesh, solution: BvpSolution):
 
 def reilly_sides(solution: BvpSolution, *, weighted: bool = False) -> ReillySides:
     """Evaluate both sides of the (weighted) Reilly formula on a solution's domain."""
-    problem, domain = solution.problem, solution.domain
+    domain = solution.domain
     container = domain.container
     if weighted:
         if container is Container.HALF_SPACE:
             raise HkLabError("the weighted formula is for the half-ball (V = 0 on T here)")
         if float(domain.vertices[:, -1].min()) < -1e-12:
             raise HkLabError("weighted Reilly requires x_d >= 0 on the domain")
-        if container is Container.HALF_BALL and problem.robin_gamma != 1:
-            raise HkLabError("weighted Reilly is set up for the Robin coefficient 1")
     cell_w, sigma_w = _height_weights(domain, weighted)
 
     tr = solution.laplacian()
@@ -195,8 +194,7 @@ def reilly_sides(solution: BvpSolution, *, weighted: bool = False) -> ReillySide
     sigma_part = float(np.sum(areas * sigma_w * h_sigma * f_nu**2))
     parts: dict[str, float] = {"sigma": sigma_part}
 
-    c = problem.flux_constant
-    gamma = problem.robin_gamma
+    c = solution.problem.flux_constant
     n = domain.dim - 1
     t_part = 0.0
     if container.has_support:
@@ -205,16 +203,13 @@ def reilly_sides(solution: BvpSolution, *, weighted: bool = False) -> ReillySide
         t_part = c * flux_gamma
     if container is Container.HALF_BALL and weighted:
         t_part += n * c**2 * t_facet_integrals(domain)[1]
-    elif container is Container.HALF_BALL or (container is Container.HALF_SPACE and gamma > 0):
+    elif container is Container.HALF_BALL:
+        # the Robin condition d_N f - f = c of the half-ball, so f_N = c + f on T
         t_areas = domain.facet_measures(domain.t_facets)
         tg = _t_trace_gradients(domain, solution.f)
-        t_grad2 = float(np.sum(t_areas * np.einsum("ij,ij->i", tg, tg)))  # int_T |grad_T f|^2
-        if container is Container.HALF_SPACE:
-            t_part -= 2.0 * gamma * t_grad2
-        else:
-            f_t = solution.f[domain.t_facets].mean(axis=1)
-            t_part += (1.0 - 2.0 * gamma) * t_grad2
-            t_part += n * float(np.sum(t_areas * (c + gamma * f_t) ** 2))
+        t_part -= float(np.sum(t_areas * np.einsum("ij,ij->i", tg, tg)))  # int_T |grad_T f|^2
+        f_t = solution.f[domain.t_facets].mean(axis=1)
+        t_part += n * float(np.sum(t_areas * (c + f_t) ** 2))
     parts["t"] = t_part
     boundary_side = sigma_part + t_part
     return ReillySides(volume_side, boundary_side, weighted, parts)
@@ -250,8 +245,6 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
         raise ConstantMismatchError(
             f"solution flux constant {c} is not the capillary constant {c_ref}"
         )
-    if ball and solution.problem.robin_gamma != 1:
-        raise ConstantMismatchError("half-ball chain needs the Robin coefficient 1")
 
     tr = solution.laplacian()
     cell_w, sigma_w = _height_weights(domain, ball)
@@ -301,8 +294,7 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
     if ball:
         correction = (n / (n + 1.0)) * angle.cos * int_t_z**2 / b_mu
     else:
-        measure_gamma = ordered_sum(gamma_edges(domain, domain.t_facets)[2])
-        correction = (n / (n + 1.0)) * angle.cot * area_t**2 / measure_gamma
+        correction = (n / (n + 1.0)) * angle.cot * area_t**2 / measure_gamma(domain)
     steps.append(
         PipelineStep("capillary_balance", int_f_nu, vol_w + correction, "=", IDENTITY_RTOL)
     )

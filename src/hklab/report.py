@@ -44,13 +44,13 @@ RADIUS_MIN, RADIUS_MAX = 1e-6, 1e4
 
 def check_inputs(container: str, theta: float | None, radius: float = 1.0, resolutions=(),
                  grading: float = 0.0, tol: float = 0.0, max_iter: int | None = None,
-                 theta_required: bool = True) -> Container:
+                 theta_required: bool = True, dim: int | None = None) -> Container:
     """The parsed container; ConfigError for input outside the documented ranges.
 
     theta is finite in [0.05, pi/2] and given unless the container is closed
     (or theta_required is False); radius in [RADIUS_MIN, RADIUS_MAX]; every
     resolution >= 4; grading in [0, 1); tol finite and >= 0; max_iter None
-    or >= 1.
+    or >= 1; dim, when given, 1 or 2.
     """
     try:
         kind = parse_container(container)
@@ -68,6 +68,7 @@ def check_inputs(container: str, theta: float | None, radius: float = 1.0, resol
         (not 0.0 <= grading < 1.0, f"grading must lie in [0, 1), got {grading}"),
         (not (math.isfinite(tol) and tol >= 0), f"tol must be finite and >= 0, got {tol}"),
         (max_iter is not None and max_iter < 1, f"max_iter must be at least 1, got {max_iter}"),
+        (dim is not None and dim not in (1, 2), "dim must be 1 or 2"),
     ):
         if bad:
             raise ConfigError(message)
@@ -113,9 +114,8 @@ class Scenario:
             raise ConfigError(f"unknown surface kind {kind!r}")
         _check_keys(self.surface, _SURFACE_KEYS[kind], "surface", [] if kind == "cap" else ["path"])
         container = check_inputs(self.container, self.theta, self.surface.get("radius", 1.0),
-                                 self.ladder, self.grading, self.tol, self.max_iter)
-        if self.dim not in (1, 2):
-            raise ConfigError("dim must be 1 or 2")
+                                 self.ladder, self.grading, self.tol, self.max_iter,
+                                 dim=self.dim)
         if not isinstance(self.jobs, int) or self.jobs < 1:
             raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         try:
@@ -264,13 +264,7 @@ def _run_stage(scenario: Scenario, source, resolution: int) -> dict:
         solution = solve_mixed_bvp(problem, tol=scenario.tol, max_iter=scenario.max_iter)
 
     if "bvp" in scenario.checks and solution is not None:
-        entry = {
-            "iterations": solution.iterations,
-            "residual_norm": solution.residual_norm,
-            "energy": solution.energy,
-            "flux_constant": solution.problem.flux_constant,
-            "max_f": float(solution.f.max()),
-        }
+        entry = {**solution.diagnostics, "max_f": float(solution.f.max())}
         if isinstance(source, AnalyticCap):
             entry["l2_error"] = _l2_error(domain, solution.f, exact_cap_solution(source))
         result["bvp"] = entry

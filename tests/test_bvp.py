@@ -4,7 +4,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -250,27 +250,60 @@ def test_scatter_rejects_a_facet_off_the_graph(hb_domain1_graded):
         solve_mixed_bvp(capillary_problem(replace(dom, t_facets=t_facets)))
 
 
-def test_robin_gamma_zero_reduces_to_neumann(hb_cap1):
-    # gamma = 0 must reproduce the pure-Neumann assembly bit for bit
+def test_half_ball_solve_is_the_robin_assembly(hb_cap1):
+    # the half-ball's Robin coefficient 1: stiffness minus the T boundary mass, bit for bit
     dom = mesh_domain(mesh_surface(hb_cap1, 32), None, 32, grading=0.0)
-    c = capillary_constant(dom)
-    problem = MixedBvpProblem(dom, np.ones(dom.num_vertices), c, 0)
+    problem = capillary_problem(dom)
     sol = solve_mixed_bvp(problem, tol=1e-11)
 
     grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
     nv = dom.num_vertices
-    stiff = assemble_stiffness(grads, vols, dom.cells, dom.graph)
     t_areas = dom.facet_measures(dom.t_facets)
-    b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), c), nv)
+    robin = assemble_stiffness(grads, vols, dom.cells, dom.graph)
+    robin = robin - assemble_boundary_mass(dom.t_facets, t_areas, dom.graph)
+    b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), problem.flux_constant), nv)
     b -= load_volume(dom.cells, vols, np.ones(nv), nv)
     fixed = np.zeros(nv, dtype=bool)
     fixed[np.unique(dom.sigma_facets)] = True
     free = ~fixed
-    a_ff = stiff[free][:, free].tocsr()
+    a_ff = robin[free][:, free].tocsr()
     x, _, _ = pcg(a_ff, b[free], 1e-11, 20000, two_level(a_ff))
     manual = np.zeros(nv)
     manual[free] = x
     assert np.array_equal(sol.f, manual)
+
+
+def test_robin_coefficient_is_the_containers(hs_domain1, hb_domain1_graded):
+    closed = mesh_domain(mesh_surface(make_cap("closed", None, 1.0, 1), 16), None, 16)
+    for dom, gamma in ((hs_domain1, 0), (hb_domain1_graded, 1), (closed, 0)):
+        problem = MixedBvpProblem(dom, np.ones(dom.num_vertices), 0.0)
+        assert problem.robin_gamma == gamma and type(problem.robin_gamma) is int
+        assert capillary_problem(dom).robin_gamma == gamma
+    assert [f.name for f in fields(MixedBvpProblem)] == ["domain", "rhs", "flux_constant"]
+
+
+def _add_at_loads(cells, vols, rhs, facets, areas, values, nv):
+    # the np.add.at loops the load vectors ran before they became one bincount
+    volume, flux = np.zeros(nv), np.zeros(nv)
+    m, h = cells.shape[1], rhs[cells]
+    for k in range(m):
+        np.add.at(volume, cells[:, k], vols * (h.sum(axis=1) + h[:, k]) / (m * (m + 1)))
+    for k in range(facets.shape[1]):
+        np.add.at(flux, facets[:, k], areas * values / facets.shape[1])
+    return volume, flux
+
+
+@pytest.mark.parametrize("mesh", ["hs_domain1", "hs_domain2"])
+def test_load_vectors_match_add_at_oracle(mesh, request):
+    dom = request.getfixturevalue(mesh)
+    rng = np.random.default_rng(3)
+    nv, t_areas = dom.num_vertices, dom.facet_measures(dom.t_facets)
+    rhs, values = rng.standard_normal(nv), rng.standard_normal(len(dom.t_facets))
+    want = _add_at_loads(dom.cells, dom.cell_volumes, rhs, dom.t_facets, t_areas, values, nv)
+    assert np.array_equal(load_volume(dom.cells, dom.cell_volumes, rhs, nv), want[0])
+    assert np.array_equal(load_facets(dom.t_facets, t_areas, values, nv), want[1])
+    none = load_facets(dom.t_facets[:0], t_areas[:0], values[:0], nv)
+    assert none.dtype == float and not none.any()
 
 
 def test_solver_failure_modes(hs_domain1):

@@ -407,6 +407,21 @@ def test_config_file(tmp_path):
     {"surface": {"kind": ["cap"]}},
     ["run", "--container", "closed", "--surface", "prof.json", "--dim", "1", "--ladder", "16",
      "--checks", "identities"],
+    ["cap", "--theta", THETA_STR, "--dim", "3"],
+    ["cap", "--theta", THETA_STR, "--dim", "0"],
+    ["solve", "--theta", THETA_STR, "--dim", "3", "--resolution", "4"],
+    ["solve", "--theta", THETA_STR, "--dim", "0", "--resolution", "4"],
+    ["reilly", "--theta", THETA_STR, "--dim", "3", "--resolution", "4"],
+    ["reilly", "--theta", THETA_STR, "--dim", "0", "--resolution", "4"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "wedge",
+     "--lambda", "-1"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "wedge",
+     "--lambda", "0"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "wedge",
+     "--lambda", "nan"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "wedge",
+     "--lambda", "inf"],
+    ["run", "--container", "hs", "--theta", THETA_STR, "--dim", "1", "--ladder", "4"],
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     # a dict is a scenario file that differs from a valid one in these keys,

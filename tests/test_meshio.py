@@ -93,6 +93,7 @@ def test_solution_serialization(hs_solution1):
         assert name in data["fields"]
     assert len(data["fields"]["f"]) == hs_solution1.domain.num_vertices
     assert len(data["fields"]["f_nu"]) == len(hs_solution1.domain.sigma_facets)
+    assert data["metadata"]["diagnostics"] == {**hs_solution1.diagnostics, "robin_gamma": 0}
     jsonschema.validate(json.loads(dumps_json(data)), DOMAIN_SCHEMA)
 
 
