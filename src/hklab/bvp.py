@@ -52,7 +52,7 @@ from hklab.fem import (
     recover_nodal_gradients,
     two_level,
 )
-from hklab.meshutil import lazy, nearest_distance, ordered_sum, row_dot
+from hklab.meshutil import centroids, lazy, nearest_distance, ordered_sum, row_dot
 
 logger = logging.getLogger("hklab.bvp")
 
@@ -443,9 +443,8 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
 
     hop = _hop_distance(domain, domain.gamma_vertices, COLLAR_LAYERS)
     cell_hop = hop[domain.cells].min(axis=1)
-    # the mean of the three gathered vertex columns, with the bits of .mean(axis=1)
-    centroids = sum(domain.vertices[col] for col in domain.cells.T) / 3
-    d_cell = nearest_distance(centroids, domain.vertices[domain.gamma_vertices])
+    d_cell = nearest_distance(centroids(domain.vertices, domain.cells),
+                              domain.vertices[domain.gamma_vertices])
     window = np.flatnonzero((cell_hop > COLLAR_LAYERS) & (d_cell <= d_hi))
     d_used = d_cell[window]
     beta_slope, r2_h = _binned_log_fit(d_used, solution.hessian_frobenius(window), "mean")

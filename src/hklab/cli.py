@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     corner_p.add_argument("--model", choices=["fem", "wedge"], default="fem",
                           help="fit the FEM solution or the analytic wedge field")
     corner_p.add_argument("--lambda", dest="lam", type=float, default=None,
-                          help="wedge exponent (default pi/(2 theta))")
+                          help="wedge exponent of --model wedge (default pi/(2 theta))")
     corner_p.add_argument("--corner-window", type=float, default=0.2,
                           help="window fraction of the domain diameter")
     corner_p.add_argument("--out", default=None)
@@ -264,6 +264,8 @@ def cmd_corner(args) -> int:
         raise ConfigError("corner fits need --dim 1 (planar domain)")
     if not check_inputs(args.container, None, theta_required=False).has_support:
         raise ConfigError("corner fits need a container with a support")
+    if args.model == "fem" and args.lam is not None:
+        raise ConfigError("--lambda applies only to --model wedge")
     _, _, domain = _cap_and_meshes(args)
     problem = capillary_problem(domain)
     if args.model == "wedge":

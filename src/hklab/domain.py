@@ -56,6 +56,7 @@ from hklab.errors import HkLabError, MeshQualityError
 from hklab.fem import nondegenerate, vertex_adjacency
 from hklab.meshutil import (
     CELL_BLOCK,
+    centroids,
     edge_determinant,
     graded_nodes,
     lazy,
@@ -180,8 +181,7 @@ def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
     if len(facets) == 0:
         return facets
     normals = simplex_measures(vertices, facets)[1]
-    centroids = vertices[facets].mean(axis=1)
-    flip = np.einsum("ij,ij->i", normals, centroids - inner_points) < 0
+    flip = np.einsum("ij,ij->i", normals, centroids(vertices, facets) - inner_points) < 0
     out = facets.copy()
     out[flip] = out[flip, ::-1]
     return out

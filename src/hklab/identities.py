@@ -26,7 +26,7 @@ from hklab.bvp import t_facet_integrals
 from hklab.containers import Container
 from hklab.domain import DomainBoundary
 from hklab.errors import ContainerMismatchError, MeanConvexityError
-from hklab.meshutil import area_vectors, row_dot
+from hklab.meshutil import area_vectors, centroids, row_dot
 from hklab.surface import SurfaceMesh
 
 MACHINE_FLOOR = 1e-300
@@ -98,8 +98,7 @@ def integrate_surface(mesh: SurfaceMesh, values: np.ndarray) -> float:
     """Midpoint-rule integral of per-vertex values over the surface cells."""
     if len(values) != mesh.num_vertices:
         raise ValueError("integrand array length does not match vertex count")
-    cell_mean = values[mesh.cells].mean(axis=1)
-    return float(np.sum(mesh.cell_areas * cell_mean))
+    return float(np.sum(mesh.cell_areas * centroids(values, mesh.cells)))
 
 
 def integrate_boundary(mesh: SurfaceMesh, values: np.ndarray) -> float:
@@ -278,11 +277,10 @@ def domain_volume_integrals(boundary: DomainBoundary) -> tuple[float, float]:
     """
     facets = np.vstack([boundary.sigma_facets, boundary.t_facets])
     area = area_vectors(boundary.vertices, facets)
-    p = boundary.vertices[facets]
     d = boundary.dim
-    z = p[:, :, -1]
+    z = boundary.vertices[:, -1][facets]
     z2 = (z * z).sum(axis=1) + z.sum(axis=1) ** 2
-    volume = row_dot(p.mean(axis=1), area).sum() / d
+    volume = row_dot(centroids(boundary.vertices, facets), area).sum() / d
     volume_z = 0.5 * (area[:, -1] * z2).sum() / (d * (d + 1))
     return float(volume), float(volume_z)
 

@@ -95,13 +95,43 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 def write_off(mesh: SurfaceMesh, path: str | Path) -> None:
+    pad = [0.0] * (3 - mesh.vertices.shape[1])
     lines = ["OFF", f"{mesh.num_vertices} {len(mesh.cells)} 0"]
-    for v in mesh.vertices:
-        coords = list(v) + [0.0] * (3 - len(v))
-        lines.append(" ".join(repr(float(c)) for c in coords))
-    for cell in mesh.cells:
-        lines.append(f"{len(cell)} " + " ".join(str(int(i)) for i in cell))
+    lines += [" ".join(map(repr, v + pad)) for v in mesh.vertices.tolist()]
+    lines += [f"{len(cell)} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _off_arrays(text: str):
+    """(vertices, cells) of an OFF text, with the 3 coordinates of every vertex.
+
+    One whitespace split tokenizes the text: str.split breaks at every line
+    boundary of str.splitlines, so only a text with a "#" is cut into lines,
+    to drop each line's comment.
+    """
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    tokens = text.split()
+    if not tokens or tokens[0] != "OFF":
+        raise HkLabError("not an OFF file")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    pos = 4 + 3 * nv
+    verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
+    # facet lines "m i_1 ... i_m", all with the arity m of the first one
+    arity = int(tokens[pos]) if nf else None
+    width = max(arity or 0, 0) + 1
+    facet_tokens = tokens[pos:pos + nf * width]
+    whole = len(facet_tokens) // width
+    rows = np.array(facet_tokens[:whole * width], dtype=np.int64).reshape(whole, width)
+    # a short file either ends early or holds a facet of smaller arity
+    next_arity = int(facet_tokens[whole * width]) if whole < nf else arity
+    if np.any(rows[:, 0] != arity) or next_arity != arity:
+        raise HkLabError("mixed facet arities are not supported")
+    if whole < nf:
+        raise HkLabError(f"OFF file ends within facet {whole}")
+    if arity not in (2, 3):
+        raise HkLabError(f"unsupported facet arity {arity}")
+    return verts, rows[:, 1:].copy()
 
 
 def read_off(
@@ -109,36 +139,16 @@ def read_off(
     container: Container | str = Container.HALF_SPACE,
     theta: float | None = None,
 ) -> SurfaceMesh:
-    """Read an OFF surface and populate fields with the discrete estimators."""
+    """Read an OFF surface and populate fields with the discrete estimators.
+
+    The token strings of the text are freed before the estimators run.
+    """
     with _file_data(path, "OFF file"):
-        tokens: list[str] = []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-        if not tokens or tokens[0] != "OFF":
-            raise HkLabError("not an OFF file")
-        nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4 + 3 * nv
-        verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
-        # facet lines "m i_1 ... i_m", all with the arity m of the first one
-        arity = int(tokens[pos]) if nf else None
-        width = max(arity or 0, 0) + 1
-        facet_tokens = tokens[pos:pos + nf * width]
-        whole = len(facet_tokens) // width
-        rows = np.array(facet_tokens[:whole * width], dtype=np.int64).reshape(whole, width)
-        # a short file either ends early or holds a facet of smaller arity
-        next_arity = int(facet_tokens[whole * width]) if whole < nf else arity
-        if np.any(rows[:, 0] != arity) or next_arity != arity:
-            raise HkLabError("mixed facet arities are not supported")
-        if whole < nf:
-            raise HkLabError(f"OFF file ends within facet {whole}")
-        if arity not in (2, 3):
-            raise HkLabError(f"unsupported facet arity {arity}")
-        dim = arity - 1
+        verts, cells = _off_arrays(Path(path).read_text(encoding="utf-8"))
+        dim = cells.shape[1] - 1
         vertices = verts[:, :2].copy() if dim == 1 else verts
         mesh = build_surface_mesh(dim, parse_container(container), as_angle(theta), vertices,
-                                  rows[:, 1:].copy())
+                                  cells)
         return discrete_geometry(mesh)
 
 

@@ -1,13 +1,15 @@
-"""Node ladders, the row zipper, the revolve, polyline order, area vectors and
-simplex measures, nearest-point distances and the lazy attribute that meshes
-and solutions share.
+"""Node ladders, the row zipper, the revolve, polyline order, area vectors,
+simplex measures and centroids, nearest-point distances and the lazy
+attribute that meshes and solutions share.
 
 zipper_rows and revolve are the only copies of the two jobs every mesher
 shares: zipper_rows triangulates the strips between consecutive vertex rows
 (open rungs, closed rings, fan apices) in one vectorised merge, and revolve
 turns (rho, z) points into rings of one azimuthal count about the x_d-axis.
 edge_determinant is the only cell determinant: domain volumes and fem's P1
-gradients divide by the same bits, in chunks of CELL_BLOCK cells.
+gradients divide by the same bits, in chunks of CELL_BLOCK cells.  The facet
+kernels (area vectors, measures, centroids) gather coordinate-major too, and
+cross_rows is the one cross product, written out the way np.cross rounds.
 """
 
 from __future__ import annotations
@@ -139,6 +141,18 @@ def polyline_interp(points: np.ndarray, fractions: np.ndarray) -> np.ndarray:
     return out
 
 
+def cross_rows(a, b) -> tuple:
+    """Cross product of coordinate rows a = (x, y, z) and b, rounded like np.cross."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
+def norm_rows(rows) -> np.ndarray:
+    """Euclidean norms from coordinate rows; the squares add in coordinate
+    order, which rounds like np.linalg.norm(axis=1)."""
+    return np.sqrt(sum(c * c for c in rows))
+
+
 def edge_determinant(edges: np.ndarray):
     """First cofactor row and determinant of cell edge matrices, coordinate-major.
 
@@ -148,11 +162,26 @@ def edge_determinant(edges: np.ndarray):
     is the triple product e1 . (e2 x e3), or x1 y2 - y1 x2.
     """
     if len(edges) == 3:
-        (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = edges
-        row = (y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3)
+        row = cross_rows(edges[:, 1], edges[:, 2])
+        x1, y1, z1 = edges[:, 0]
         return row, x1 * row[0] + y1 * row[1] + z1 * row[2]
     (x1, x2), (y1, y2) = edges
     return (y2, -x2), x1 * y2 - y1 * x2
+
+
+def _coordinate_rows(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """(d, m, k) gather of points (nv, d): [c, b] is coordinate c of vertex b
+    of every simplex; per-vertex values (nv,) give (m, k)."""
+    return values.T.take(simplices.T, axis=-1)
+
+
+def _area_rows(vertices: np.ndarray, simplices: np.ndarray) -> tuple:
+    """Coordinate rows of the area vectors of edges in the plane or triangles in space."""
+    p = _coordinate_rows(vertices, simplices)
+    if simplices.shape[1] == 2:
+        (x0, x1), (y0, y1) = p
+        return y1 - y0, -(x1 - x0)
+    return tuple(0.5 * c for c in cross_rows(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
 
 def area_vectors(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
@@ -161,19 +190,26 @@ def area_vectors(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     Normals follow the vertex order: an edge (a, b) gets b - a turned by -90
     degrees, a triangle (b - a) x (c - a) / 2.
     """
-    p = vertices[simplices]
-    if simplices.shape[1] == 2:
-        edge = p[:, 1] - p[:, 0]
-        return np.column_stack([edge[:, 1], -edge[:, 0]])
-    return 0.5 * np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    return np.column_stack(_area_rows(vertices, simplices))
 
 
 def simplex_measures(vertices: np.ndarray, simplices: np.ndarray):
     """(measures, unit normals) of edges in the plane or triangles in space,
     the norms and directions of their area_vectors."""
-    area = area_vectors(vertices, simplices)
-    measures = np.linalg.norm(area, axis=1)
-    return measures, area / measures[:, None]
+    area = _area_rows(vertices, simplices)
+    measures = norm_rows(area)
+    return measures, np.column_stack([c / measures for c in area])
+
+
+def centroids(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Centroids (k, d) of simplices of points (nv, d), or the (k,) vertex means
+    of per-vertex values (nv,), with the bits of values[simplices].mean(axis=1).
+
+    The gathered rows are summed in vertex order from 0, as that mean sums
+    them, so a coordinate that is -0.0 at every vertex comes out +0.0 too.
+    """
+    p = _coordinate_rows(values, simplices)
+    return np.ascontiguousarray((sum(np.moveaxis(p, -2, 0)) / simplices.shape[1]).T)
 
 
 def circumcircle_curvature(points: np.ndarray, closed: bool) -> np.ndarray:

@@ -26,8 +26,11 @@ from hklab.caps import AnalyticCap, gamma_frame
 from hklab.containers import Container, ContactAngle, support_conormal, support_normal
 from hklab.errors import HkLabError, MeshQualityError
 from hklab.meshutil import (
+    centroids,
     check_indices,
     circumcircle_curvature,
+    cross_rows,
+    norm_rows,
     polyline_order,
     revolve,
     simplex_measures,
@@ -143,13 +146,13 @@ def enclosed_volume_flux(mesh: SurfaceMesh) -> float:
     which is tangential on the unit sphere.
     """
     areas, normals = simplex_measures(mesh.vertices, mesh.cells)
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    c = centroids(mesh.vertices, mesh.cells)
     d = mesh.ambient_dim
     if mesh.container is Container.HALF_BALL:
-        r = np.linalg.norm(centroids, axis=1)
-        w = centroids * (1.0 - r ** (-float(d)))[:, None] / d
+        r = np.linalg.norm(c, axis=1)
+        w = c * (1.0 - r ** (-float(d)))[:, None] / d
     else:
-        w = centroids / d
+        w = c / d
     return float(np.sum(areas * np.einsum("ij,ij->i", w, normals)))
 
 
@@ -457,52 +460,59 @@ def _mesh_profile_1d(profile: ProfileCurve, resolution: int) -> SurfaceMesh:
 # ---------------------------------------------------------------------------
 
 
-def _mixed_voronoi_areas(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Meyer mixed Voronoi one-ring areas (obtuse triangles fall back to 1/2, 1/4)."""
-    nv = len(vertices)
-    areas = np.zeros(nv)
+def _corner_terms(vertices: np.ndarray, cells: np.ndarray):
+    """Edges of every triangle, and the dot and cross products at its corners.
+
+    With p = vertices[cells] and local indices mod 3, edges[a] = p[a + 2] -
+    p[a + 1] is the edge opposite vertex a.  The sides at vertex a are then
+    edges[a + 2] = p[a + 1] - p[a] and -edges[a + 1] = p[a + 2] - p[a];
+    dots[a] is their dot product and crosses[a] the norm of their cross
+    product, twice the triangle's area.
+    """
     p = vertices[cells]
-    full = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
-    for local in range(3):
-        i = cells[:, local]
-        j = cells[:, (local + 1) % 3]
-        k = cells[:, (local + 2) % 3]
-        e_ij = vertices[j] - vertices[i]
-        e_ik = vertices[k] - vertices[i]
-        e_jk = vertices[k] - vertices[j]
-        cos_i = np.einsum("ab,ab->a", e_ij, e_ik)
-        cos_j = np.einsum("ab,ab->a", -e_ij, e_jk)
-        cos_k = np.einsum("ab,ab->a", -e_ik, -e_jk)
-        sin_area = 2.0 * full
-        cot_j = cos_j / sin_area
-        cot_k = cos_k / sin_area
-        obtuse_any = (cos_i < 0) | (cos_j < 0) | (cos_k < 0)
-        vor = 0.125 * (
-            np.einsum("ab,ab->a", e_ik, e_ik) * cot_j
-            + np.einsum("ab,ab->a", e_ij, e_ij) * cot_k
-        )
-        contrib = np.where(obtuse_any, np.where(cos_i < 0, 0.5 * full, 0.25 * full), vor)
-        np.add.at(areas, i, contrib)
-    return areas
+    edges = [p[:, (a + 2) % 3] - p[:, (a + 1) % 3] for a in range(3)]
+    sides = [(edges[(a + 2) % 3], -edges[(a + 1) % 3]) for a in range(3)]
+    dots = [np.einsum("ab,ab->a", s, t) for s, t in sides]
+    crosses = [norm_rows(cross_rows(s.T, t.T)) for s, t in sides]
+    return edges, dots, crosses
+
+
+def _mixed_voronoi_areas(cells: np.ndarray, nv: int, edges, dots, crosses) -> np.ndarray:
+    """Meyer mixed Voronoi one-ring areas (obtuse triangles fall back to 1/2, 1/4),
+    summed into each vertex by local vertex, then by cell."""
+    full = 0.5 * crosses[0]
+    sin_area = 2.0 * full
+    sq = [np.einsum("ab,ab->a", e, e) for e in edges]
+    obtuse_any = (dots[0] < 0) | (dots[1] < 0) | (dots[2] < 0)
+    contribs = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        # |e_ik|^2 cot_j + |e_ij|^2 cot_k, with e_ik opposite j and e_ij opposite k
+        vor = 0.125 * (sq[j] * (dots[j] / sin_area) + sq[k] * (dots[k] / sin_area))
+        contribs.append(np.where(obtuse_any, np.where(dots[i] < 0, 0.5 * full, 0.25 * full), vor))
+    return np.bincount(cells.T.ravel(), weights=np.concatenate(contribs), minlength=nv)
 
 
 def _cotan_mean_curvature(vertices: np.ndarray, cells: np.ndarray, normals: np.ndarray):
+    """Cotangent mean curvature.  For each local vertex i the accumulator takes
+    the cells' terms at i, then at j = i + 1, each summed by cell."""
     nv = len(vertices)
-    acc = np.zeros((nv, 3))
-    for local in range(3):
-        i = cells[:, local]
-        j = cells[:, (local + 1) % 3]
-        k = cells[:, (local + 2) % 3]
-        # angle at k faces edge (i, j)
-        u = vertices[i] - vertices[k]
-        v = vertices[j] - vertices[k]
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
-        cot = np.einsum("ab,ab->a", u, v) / np.where(cross > 0, cross, np.inf)
-        w = 0.5 * cot
-        diff = vertices[i] - vertices[j]
-        np.add.at(acc, i, w[:, None] * diff)
-        np.add.at(acc, j, -w[:, None] * diff)
-    areas = _mixed_voronoi_areas(vertices, cells)
+    edges, dots, crosses = _corner_terms(vertices, cells)
+    terms = []
+    for i in range(3):
+        # the angle at k = i + 2 faces the edge p_j - p_i, which is edges[k]
+        k = (i + 2) % 3
+        w = 0.5 * (dots[k] / np.where(crosses[k] > 0, crosses[k], np.inf))
+        terms.append((w, edges[k]))
+    index = cells.T[[0, 1, 1, 2, 2, 0]].ravel()
+    # w (p_i - p_j) at i and -w (p_i - p_j) at j, one coordinate at a time
+    acc = np.column_stack([
+        np.bincount(index, weights=np.concatenate([t for w, e in terms
+                                                   for t in (-(w * e[:, c]), w * e[:, c])]),
+                    minlength=nv)
+        for c in range(3)
+    ])
+    areas = _mixed_voronoi_areas(cells, nv, edges, dots, crosses)
     areas = np.where(areas > 1e-300, areas, np.inf)
     hvec = acc / areas[:, None]
     return np.einsum("ab,ab->a", hvec, normals)
@@ -519,14 +529,15 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     """
     areas, cell_normals = simplex_measures(mesh.vertices, mesh.cells)
     nv = len(mesh.vertices)
-    # area-weighted cell normals accumulated onto their vertices
-    normals = np.zeros((nv, mesh.ambient_dim))
-    for local in range(mesh.cells.shape[1]):
-        np.add.at(normals, mesh.cells[:, local], cell_normals * areas[:, None])
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    # area-weighted cell normals summed onto their vertices by local vertex, then by cell
+    by_local = mesh.cells.T.ravel()
+    m = mesh.cells.shape[1]
+    sums = [np.bincount(by_local, weights=np.tile(c * areas, m), minlength=nv)
+            for c in cell_normals.T]
+    norms = norm_rows(sums)
     if np.any(norms <= 0):
         raise HkLabError("vertex with vanishing normal: mesh is not orientable here")
-    normals /= norms
+    normals = np.column_stack(sums) / norms[:, None]
 
     loops = []
     if mesh.dim == 2:

@@ -422,6 +422,10 @@ def test_config_file(tmp_path):
     ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "wedge",
      "--lambda", "inf"],
     ["run", "--container", "hs", "--theta", THETA_STR, "--dim", "1", "--ladder", "4"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--lambda", "nan"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--lambda", "-1"],
+    ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "fem",
+     "--lambda", "1.4"],
 ])
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     # a dict is a scenario file that differs from a valid one in these keys,
@@ -666,5 +670,11 @@ def test_cli_arguments_never_escape_the_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2, 3)
+    # a value from the invalid column is invalid input unless help or version exits first
+    invalid = any(value in _FUZZ_VALUES[key][1] for key, value in zip(argv[1::2], argv[2::2])
+                  if key in _FUZZ_VALUES)
+    if invalid and not {"--help", "--version"} & set(argv):
+        assert code == 2
+    else:
+        assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

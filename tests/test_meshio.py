@@ -1,5 +1,6 @@
 """OFF / JSON serialization: roundtrips, schemas, canonical bytes."""
 
+import itertools
 import json
 import math
 import warnings
@@ -126,17 +127,39 @@ def _token_off_arrays(path):
     return verts, np.asarray(cells, dtype=np.int64)
 
 
+def _edit_line(index, edit):
+    """An edit of a text that applies `edit` to its line `index` (0 is "OFF")."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[index] = edit(lines[index])
+        return "\n".join(lines)
+    return apply
+
+
+# edits of a written OFF text that must not change what it parses to
+_OFF_LAYOUTS = {
+    # comments, blank lines and a header split over lines
+    "comments": lambda text: "# leading comment\n" + text.replace("OFF\n", "OFF # header\n\n", 1),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "form feeds": lambda text: text.replace("\n", "\n\f", 3),
+    "vertex comment": _edit_line(2, lambda line: line + " # the first vertex"),
+    "split vertex": _edit_line(3, lambda line: line.replace(" ", "\n", 1)),
+}
+
+
 def test_off_arrays_match_token_parser(hs_cap2, hs_cap1, tmp_path):
-    for name, mesh in (("tri", mesh_surface(hs_cap2, 16)), ("line", mesh_surface(hs_cap1, 16))):
+    for (name, mesh), layout in itertools.product(
+            (("tri", mesh_surface(hs_cap2, 16)), ("line", mesh_surface(hs_cap1, 16))),
+            sorted(_OFF_LAYOUTS)):
         path = tmp_path / f"{name}.off"
         write_off(mesh, path)
-        # comments, blank lines and a header split over lines parse the same way
-        text = path.read_text().replace("OFF\n", "OFF # header\n\n", 1)
-        path.write_text("# leading comment\n" + text)
+        path.write_bytes(_OFF_LAYOUTS[layout](path.read_text()).encode("utf-8"))
         verts, cells = _token_off_arrays(path)
         back = read_off(path, "half-space", THETA3)
-        assert np.array_equal(back.vertices, verts[:, : back.dim + 1])
-        assert back.cells.dtype == cells.dtype and np.array_equal(back.cells, cells)
+        assert np.array_equal(back.vertices, verts[:, : back.dim + 1]), (name, layout)
+        assert back.cells.dtype == cells.dtype and np.array_equal(back.cells, cells), layout
+        assert np.array_equal(back.vertices, mesh.vertices), (name, layout)
 
 
 @pytest.mark.parametrize("text, message", [

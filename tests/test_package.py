@@ -73,6 +73,20 @@ def test_module_uses_every_name_it_imports(path):
     assert sorted(unused) == []
 
 
+def test_one_scatter_rule():
+    """np.bincount is the one scatter: assembly, the load vectors and the surface
+    estimators sum in a stated order with it, and no ufunc.at (np.add.at and
+    the like, which is slower and easy to reorder) is left in the package."""
+    at_calls = [
+        (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "at"
+        and isinstance(node.value, ast.Attribute) and isinstance(node.value.value, ast.Name)
+        and node.value.value.id in ("np", "numpy")
+    ]
+    assert at_calls == []
+
+
 # top-level definitions that only the tests use, with the reason they stay
 _TESTED_ONLY = {
     ("surface.py", "frame_residual"):

@@ -12,7 +12,7 @@ from hklab.caps import AnalyticCap
 from hklab.containers import Container, support_conormal, support_normal
 from hklab.errors import HkLabError
 from hklab.meshio import read_off, write_off
-from hklab.meshutil import simplex_measures
+from hklab.meshutil import area_vectors, centroids, simplex_measures
 from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.surface import (
     _boundary_loops_2d,
@@ -348,3 +348,99 @@ def test_discrete_geometry_measures_the_cells_once(key, monkeypatch):
                        out.boundary_vertices, out.boundary_mu, out.boundary_conormal_support,
                        out.boundary_support_normal, *out.boundary_loops)
     assert got == DISCRETE_GEOMETRY_SHA256[key]
+
+
+def _old_facet_kernels(vertices, simplices):
+    # the np.cross, np.linalg.norm and .mean(axis=1) forms of the facet kernels
+    p = vertices[simplices]
+    if simplices.shape[1] == 2:
+        edge = p[:, 1] - p[:, 0]
+        area = np.column_stack([edge[:, 1], -edge[:, 0]])
+    else:
+        area = 0.5 * np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    measures = np.linalg.norm(area, axis=1)
+    return area, measures, area / measures[:, None], p.mean(axis=1)
+
+
+def test_facet_kernels_match_cross_norm_and_mean_oracle():
+    rng = np.random.default_rng(11)
+    plane = rng.standard_normal((40, 2))
+    space = rng.standard_normal((40, 3)) * np.exp(3.0 * rng.standard_normal((40, 1)))
+    space[:3, 0] = -0.0  # facet 0 has x = -0.0 at every vertex
+    edges = np.array([rng.choice(40, 2, replace=False) for _ in range(200)])
+    triangles = np.vstack([[0, 1, 2], [rng.choice(40, 3, replace=False) for _ in range(200)]])
+    cases = {"edges": (plane, edges), "triangles": (space, triangles),
+             "no edges": (plane, edges[:0]), "no triangles": (space, triangles[:0])}
+    for name, (vertices, simplices) in cases.items():
+        area, measures, normals, means = _old_facet_kernels(vertices, simplices)
+        got = simplex_measures(vertices, simplices)
+        assert np.array_equal(area_vectors(vertices, simplices), area), name
+        assert np.array_equal(got[0], measures) and np.array_equal(got[1], normals), name
+        cells_mean = centroids(vertices, simplices)
+        assert np.array_equal(cells_mean, means) and cells_mean.flags.c_contiguous, name
+        assert np.array_equal(np.signbit(cells_mean), np.signbit(means)), name
+        values = vertices[:, -1]
+        assert np.array_equal(centroids(values, simplices), values[simplices].mean(axis=1)), name
+
+
+def _add_at_geometry(vertices, cells):
+    # normals, mean curvature and cell areas by the np.add.at loops that
+    # discrete_geometry ran before it scattered with bincount
+    _, areas, cell_normals, _ = _old_facet_kernels(vertices, cells)
+    normals = np.zeros_like(vertices)
+    for local in range(cells.shape[1]):
+        np.add.at(normals, cells[:, local], cell_normals * areas[:, None])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    if cells.shape[1] == 2:
+        return normals, None, areas
+    nv = len(vertices)
+    voronoi = np.zeros(nv)
+    p = vertices[cells]
+    full = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    acc = np.zeros((nv, 3))
+    for local in range(3):
+        i, j, k = (cells[:, (local + s) % 3] for s in range(3))
+        e_ij, e_ik = vertices[j] - vertices[i], vertices[k] - vertices[i]
+        e_jk = vertices[k] - vertices[j]
+        cos_i = np.einsum("ab,ab->a", e_ij, e_ik)
+        cos_j = np.einsum("ab,ab->a", -e_ij, e_jk)
+        cos_k = np.einsum("ab,ab->a", -e_ik, -e_jk)
+        cot_j, cot_k = cos_j / (2.0 * full), cos_k / (2.0 * full)
+        vor = 0.125 * (np.einsum("ab,ab->a", e_ik, e_ik) * cot_j
+                       + np.einsum("ab,ab->a", e_ij, e_ij) * cot_k)
+        obtuse_any = (cos_i < 0) | (cos_j < 0) | (cos_k < 0)
+        np.add.at(voronoi, i, np.where(obtuse_any,
+                                       np.where(cos_i < 0, 0.5 * full, 0.25 * full), vor))
+    for local in range(3):
+        i, j, k = (cells[:, (local + s) % 3] for s in range(3))
+        u, v = vertices[i] - vertices[k], vertices[j] - vertices[k]
+        cross = np.linalg.norm(np.cross(u, v), axis=1)
+        w = 0.5 * (np.einsum("ab,ab->a", u, v) / np.where(cross > 0, cross, np.inf))
+        diff = vertices[i] - vertices[j]
+        np.add.at(acc, i, w[:, None] * diff)
+        np.add.at(acc, j, -w[:, None] * diff)
+    hvec = acc / np.where(voronoi > 1e-300, voronoi, np.inf)[:, None]
+    return normals, np.einsum("ab,ab->a", hvec, normals), areas
+
+
+def test_discrete_geometry_matches_add_at_oracle(tmp_path):
+    hb = make_cap("half-ball", THETA3, 0.5, 2)
+    sources = {"half-space cap": (make_cap("half-space", THETA3, 1.0, 2), "half-space"),
+               "half-ball cap": (hb, "half-ball"),
+               "perturbed half-ball": (make_axisymmetric(
+                   perturb_profile(profile_from_cap(hb), 0.02), THETA3, "half-ball"), "half-ball"),
+               "polyline": (make_cap("half-space", THETA3, 1.0, 1), "half-space")}
+    meshes = {name: (mesh_surface(source, 16), container)
+              for name, (source, container) in sources.items()}
+    # off the revolved lattice no two cells have the same shape, so a term summed
+    # out of order is unlikely to round the same
+    cap = meshes["half-space cap"][0]
+    jitter = 0.02 * np.random.default_rng(5).standard_normal(cap.vertices.shape)
+    meshes["jittered cap"] = (replace(cap, vertices=cap.vertices + jitter), "half-space")
+    for name, (mesh, container) in meshes.items():
+        write_off(mesh, tmp_path / "surface.off")
+        got = read_off(tmp_path / "surface.off", container, THETA3)
+        normals, mean_curvature, areas = _add_at_geometry(got.vertices, got.cells)
+        assert np.array_equal(got.normals, normals), name
+        assert mean_curvature is None or np.array_equal(got.mean_curvature, mean_curvature), name
+        assert np.array_equal(got.cell_areas, areas), name
