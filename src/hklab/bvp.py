@@ -20,6 +20,9 @@ graph, the domain's own (DomainMesh.graph), which the first of them builds.
 A solution recovers its derivatives lazily, on first read (BvpSolution), and
 the corner fit evaluates Hessians on its window cells only, so the graded
 corner solve of an n = 1 rung fits the vertices of that window and no more.
+The stiffness, the cell gradients and the cell Hessians come from fem's
+chunked kernels, which take the vertices and form P1 gradients chunk by
+chunk: no (nc, m, .) array is built beyond the results themselves.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ from hklab.meshutil import centroids, lazy, nearest_distance, ordered_sum, row_d
 
 logger = logging.getLogger("hklab.bvp")
 
+# perfbench/spans.py times fem kernels where this module binds them.  The solve
+# path no longer calls p1_gradients (its kernels take their gradients chunk by
+# chunk), so the fem.p1_gradients span reads 0; the name stays bound here so
+# that the trace site still resolves.
+_TRACED_ONLY = p1_gradients
+
 DEFAULT_TOL = 1e-10
 
 
@@ -88,7 +97,7 @@ class BvpSolution:
     are computed on first read and cached, so a solution whose derivatives
     nobody reads recovers nothing.  `hessians_of` gives the Hessians of some
     cells and recovers only at their vertices.  The P1 basis gradients are
-    recomputed where a derivative needs them, not kept.
+    recomputed chunk by chunk where a derivative needs them, never kept.
     """
 
     problem: MixedBvpProblem
@@ -119,8 +128,7 @@ class BvpSolution:
     @lazy
     def cell_hessians(self) -> np.ndarray:
         dom = self.domain
-        grads = p1_gradients(dom.vertices, dom.cells)
-        return cell_hessians_of(self.nodal_gradients, grads, dom.cells, self.good)
+        return cell_hessians_of(self.nodal_gradients, dom.vertices, dom.cells, self.good)
 
     @lazy
     def f_nu_sigma(self) -> np.ndarray:
@@ -132,7 +140,7 @@ class BvpSolution:
     @lazy
     def cell_gradients(self) -> np.ndarray:
         dom = self.domain
-        return cell_gradients_of(self.f, p1_gradients(dom.vertices, dom.cells), dom.cells)
+        return cell_gradients_of(self.f, dom.vertices, dom.cells, self.good)
 
     def hessians_of(self, which: np.ndarray) -> np.ndarray:
         """Hessians of the cells `which`, bit for bit those rows of cell_hessians.
@@ -143,8 +151,8 @@ class BvpSolution:
         cells = dom.cells[which]
         at = np.unique(cells)
         nodal = recover_nodal_gradients(dom.vertices, dom.graph, self.f, at=at)
-        grads = p1_gradients(dom.vertices, cells)
-        return cell_hessians_of(nodal, grads, np.searchsorted(at, cells), self.good[which])
+        return cell_hessians_of(nodal, dom.vertices[at], np.searchsorted(at, cells),
+                                self.good[which])
 
     def hessian_frobenius(self, which: np.ndarray | None = None) -> np.ndarray:
         """Frobenius norms of the cell Hessians, of the cells `which` when given."""
@@ -264,7 +272,7 @@ def solve_mixed_bvp(
         raise SolverError(f"{int(np.sum(~good))} degenerate cells; cannot assemble")
     nv = domain.num_vertices
     graph = domain.graph
-    a = assemble_stiffness(p1_gradients(domain.vertices, domain.cells), vols, domain.cells, graph)
+    a = assemble_stiffness(domain.vertices, vols, domain.cells, graph)
 
     t_areas = domain.facet_measures(domain.t_facets)
     flux = np.full(len(domain.t_facets), problem.flux_constant)

@@ -1,16 +1,25 @@
 """P1 simplicial finite element kernels.
 
+Cell kernels run on fixed chunks of meshutil.CELL_BLOCK cells from start to
+finish, and the solve path builds no whole-mesh cell intermediate: a
+chunk's P1 gradients, local matrices, slot positions and products live only
+while it is summed or written into the result.  P1 gradients are the
+cofactors of each cell's edge matrix (cross products for tets) over its
+determinant, meshutil.edge_determinant, which also gives the mesh's cell
+volumes; they are formed coordinate-major, and degenerate cells take the
+mesh-wide `nondegenerate` mask of the cell volumes, never a per-chunk scale.
+Local stiffness entries are sums of contiguous row products; cell gradients
+and Hessians are per-cell einsum and matmul products, whose bits do not
+depend on the chunk a cell falls in.  Only `p1_gradients` returns the
+gradients of the whole mesh.
+
 Assembly scatters local matrices into the mesh's vertex graph
 (DomainMesh.graph, the pattern `vertex_adjacency` builds): a search within
-each row places every local entry, and one bincount sums the entries in
-simplex order, so stiffness and boundary-mass matrices come out symmetric to
-the bit and repeated runs are reproducible.
-
-Cell kernels run coordinate-major on fixed chunks of meshutil.CELL_BLOCK
-cells: P1 gradients are the cofactors of each cell's edge matrix (cross
-products for tets) over its determinant, meshutil.edge_determinant, which
-also gives the mesh's cell volumes; local stiffness entries are sums of
-contiguous row products.
+each row places every local entry, and each chunk's bincount leads with the
+running sums of the entries it touches, then adds its entries in simplex
+order.  So every entry sums its terms in simplex order for any chunk length,
+stiffness and boundary-mass matrices come out symmetric to the bit, and
+repeated runs are reproducible.
 
 Linear systems are solved by preconditioned conjugate gradients (`pcg`).
 Planar systems take `two_level`: a damped Jacobi smoother on either side of a
@@ -87,31 +96,61 @@ def _cofactor_rows(edges: np.ndarray):
     return (first, (-y1, x1)), det
 
 
-def p1_gradients(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Per-cell P1 basis gradients (nc, d+1, d).
+def _chunk_gradients(coords: np.ndarray, cells: np.ndarray):
+    """Coordinate-major P1 gradients of one chunk of cells, and their determinants.
 
-    The gradient of basis function b >= 1 is column b of the inverse edge
-    matrix, that is cofactor row b over the determinant; basis function 0
-    takes minus their sum.  Degenerate cells (`nondegenerate` of the
-    determinants over d!, the mesh's cell volumes) get zero rows.
+    coords is (d, nv); the gradients g (d + 1, d, k) hold at [b, c] coordinate
+    c of the gradient of basis function b.  That of b >= 1 is cofactor row b
+    over the determinant, and basis function 0 takes minus their sum.  A
+    degenerate cell may divide by (nearly) zero here; the callers zero it.
+    """
+    m, d = cells.shape[1], len(coords)
+    p = coords.take(cells.T, axis=1)
+    rows, det = _cofactor_rows(p[:, 1:] - p[:, :1])
+    g = np.empty((m, d, len(cells)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for b in range(d):
+            for c in range(d):
+                np.divide(rows[b][c], det, out=g[b + 1, c])
+        np.negative(sum(g[2:], g[1]), out=g[0])
+    return g, det
+
+
+def _blocks(n: int):
+    """Slices of consecutive chunks of CELL_BLOCK rows out of n."""
+    return (slice(start, start + CELL_BLOCK) for start in range(0, n, CELL_BLOCK))
+
+
+def _gradient_blocks(vertices: np.ndarray, cells: np.ndarray, good: np.ndarray):
+    """(chunk, P1 gradients (d + 1, d, k) as _chunk_gradients gives them) for each
+    chunk of cells; the cells outside `good`, the mesh-wide `nondegenerate`
+    mask, get zero gradients."""
+    coords = np.ascontiguousarray(vertices.T)
+    for block in _blocks(len(cells)):
+        g = _chunk_gradients(coords, cells[block])[0]
+        g[..., ~good[block]] = 0.0
+        yield block, g
+
+
+def _cell_major(g: np.ndarray) -> np.ndarray:
+    """Chunk gradients (d + 1, d, k) laid out cell by cell, (k, d + 1, d)."""
+    return np.ascontiguousarray(g.transpose(2, 0, 1))
+
+
+def p1_gradients(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per-cell P1 basis gradients (nc, d+1, d) of the whole mesh.
+
+    Degenerate cells (`nondegenerate` of the determinants over d!, the mesh's
+    cell volumes) get zero rows.  The solve path never builds this array: its
+    kernels take their gradients chunk by chunk (`_gradient_blocks`).
     """
     nc, d = len(cells), vertices.shape[1]
     coords = np.ascontiguousarray(vertices.T)
     grads = np.empty((nc, d + 1, d))
     dets = np.empty(nc)
-    # a degenerate cell may divide by (nearly) zero here; it is zeroed below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, nc, CELL_BLOCK):
-            block = slice(start, start + CELL_BLOCK)
-            p = coords.take(cells[block].T, axis=1)
-            rows, det = _cofactor_rows(p[:, 1:] - p[:, :1])
-            dets[block] = det
-            out = grads[block]
-            for c in range(d):
-                g = [rows[b][c] / det for b in range(d)]
-                for b in range(d):
-                    out[:, b + 1, c] = g[b]
-                out[:, 0, c] = -sum(g[1:], g[0])
+    for block in _blocks(nc):
+        g, dets[block] = _chunk_gradients(coords, cells[block])
+        grads[block] = g.transpose(2, 0, 1)
     grads[~nondegenerate(dets / math.factorial(d))] = 0.0
     return grads
 
@@ -122,18 +161,50 @@ def nondegenerate(vols: np.ndarray) -> np.ndarray:
     return np.abs(vols) > _DEGENERATE_REL * scale
 
 
-def _local_stiffness(grads: np.ndarray, vols: np.ndarray) -> np.ndarray:
-    """Local stiffness matrices vols * grads grads^T (nc, m, m), chunk by chunk.
+def _scatter(pattern: sp.csr_matrix, simplices: np.ndarray, blocks) -> sp.csr_matrix:
+    """The sum of local matrices on pattern's CSR pattern, chunk by chunk.
 
-    Each chunk's gradients are made coordinate-major, so every entry is a sum
-    of products of contiguous rows; the lower triangle copies the upper one,
-    so every local matrix is symmetric to the bit.
+    blocks yields (chunk, local matrices (k, m, m) of simplices[chunk]) for
+    consecutive chunks.  A copy of the pattern storing 1..nnz gives each
+    local entry its position by scipy's in-row binary search, and 0 to a pair
+    off the pattern (HkLabError).  One np.bincount per chunk sums the running
+    sums of the entries the chunk touches, then its terms in simplex order, so
+    every entry adds all its terms in simplex order whatever the chunk length,
+    and an entry and its transpose sum the same terms in the same order.
     """
-    nc, m, d = grads.shape
-    local = np.empty((nc, m, m))
-    for start in range(0, nc, CELL_BLOCK):
-        block = slice(start, start + CELL_BLOCK)
-        g = np.ascontiguousarray(grads[block].transpose(1, 2, 0))  # (m, d, k)
+    import scipy.sparse as sp
+
+    m = simplices.shape[1]
+    slots = sp.csr_array((np.arange(1, pattern.nnz + 1), pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
+    data = np.zeros(pattern.nnz + 1)
+    hit = np.zeros(pattern.nnz + 1, dtype=bool)
+    for block, local in blocks:
+        ends = simplices[block]
+        pos = slots[np.repeat(ends, m, axis=1).ravel(), np.tile(ends, m).ravel()]
+        if not pos.all():
+            raise HkLabError("a simplex joins vertices that share no cell of the mesh")
+        hit[:] = False
+        hit[pos] = True
+        touched = np.flatnonzero(hit)
+        sums = np.bincount(np.concatenate([touched, pos]),
+                           weights=np.concatenate([data[touched], local.ravel()]))
+        data[touched] = sums[touched]
+    # the matrix owns its index arrays, so no in-place edit of it reaches the graph
+    return sp.csr_matrix((data[1:], pattern.indices, pattern.indptr), shape=pattern.shape,
+                         copy=True)
+
+
+def _stiffness_blocks(vertices: np.ndarray, vols: np.ndarray, cells: np.ndarray):
+    """(chunk, local stiffness matrices vols * grads grads^T (k, m, m)) per chunk.
+
+    Every entry is a sum of products of contiguous gradient rows; the lower
+    triangle copies the upper one, so every local matrix is symmetric to the
+    bit.  The matrices are built entry-major and handed over as a transposed
+    view, which the scatter copies out cell by cell.
+    """
+    m, d = cells.shape[1], vertices.shape[1]
+    for block, g in _gradient_blocks(vertices, cells, nondegenerate(vols)):
         sym = np.empty((m, m, g.shape[2]))
         for i in range(m):
             for j in range(i, m):
@@ -143,36 +214,17 @@ def _local_stiffness(grads: np.ndarray, vols: np.ndarray) -> np.ndarray:
                     entry += g[i, c] * g[j, c]
                 entry *= vols[block]
                 sym[j, i] = entry
-        local[block] = sym.transpose(2, 0, 1)
-    return local
+        yield block, sym.transpose(2, 0, 1)
 
 
-def _scatter(pattern: sp.csr_matrix, simplices: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
-    """The sum of the local matrices (k, m, m) of the simplices (k, m) on pattern's
-    CSR pattern.  A copy of the pattern storing 1..nnz gives each local entry
-    its position by scipy's in-row binary search, and 0 to a pair off the
-    pattern (HkLabError).  np.bincount sums in simplex order, so an entry and
-    its transpose sum the same terms in the same order."""
-    import scipy.sparse as sp
+def assemble_stiffness(vertices, vols, cells, pattern) -> sp.csr_matrix:
+    """Stiffness matrix of the cells on the vertex graph `pattern` (DomainMesh.graph).
 
-    m = simplices.shape[1]
-    slots = sp.csr_array((np.arange(1, pattern.nnz + 1), pattern.indices, pattern.indptr),
-                         shape=pattern.shape)
-    pos = np.empty(local.shape, dtype=np.int64)
-    for start in range(0, len(simplices), CELL_BLOCK):
-        block = simplices[start:start + CELL_BLOCK]
-        pos[start:start + CELL_BLOCK] = slots[np.repeat(block, m, axis=1).ravel(),
-                                              np.tile(block, m).ravel()].reshape(-1, m, m)
-    if not pos.all():
-        raise HkLabError("a simplex joins vertices that share no cell of the mesh")
-    data = np.bincount(pos.ravel(), weights=local.ravel(), minlength=pattern.nnz + 1)[1:]
-    # the matrix owns its index arrays, so no in-place edit of it reaches the graph
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape, copy=True)
-
-
-def assemble_stiffness(grads, vols, cells, pattern) -> sp.csr_matrix:
-    """Stiffness matrix of the cells on the vertex graph `pattern` (DomainMesh.graph)."""
-    return _scatter(pattern, cells, _local_stiffness(grads, vols))
+    The P1 gradients, local matrices and slot positions of one chunk of
+    CELL_BLOCK cells live only while that chunk is summed in.  Cells that are
+    degenerate by `nondegenerate(vols)` add nothing.
+    """
+    return _scatter(pattern, cells, _stiffness_blocks(vertices, vols, cells))
 
 
 def assemble_boundary_mass(facets, areas, pattern) -> sp.csr_matrix:
@@ -180,16 +232,19 @@ def assemble_boundary_mass(facets, areas, pattern) -> sp.csr_matrix:
     vertex graph `pattern`."""
     m = facets.shape[1]
     base = (np.ones((m, m)) + np.eye(m)) / (m * (m + 1))
-    return _scatter(pattern, facets, areas[:, None, None] * base[None, :, :])
+    blocks = ((block, areas[block, None, None] * base) for block in _blocks(len(facets)))
+    return _scatter(pattern, facets, blocks)
 
 
 def load_volume(cells, vols, rhs_vertex, nv) -> np.ndarray:
     """Consistent load vector of a P1 right-hand side, summed into each vertex
-    by local vertex, then by cell."""
+    by local vertex, then by cell; the local loads are formed in place."""
     m = cells.shape[1]
     order = cells.T.ravel()
-    h = rhs_vertex[order].reshape(m, -1)  # (m, nc): contiguous rows, one per local vertex
-    local = vols * (sum(h[1:], h[0]) + h) / (m * (m + 1))
+    local = rhs_vertex[order].reshape(m, -1)  # (m, nc): contiguous rows, one per local vertex
+    local += sum(local[1:], local[0])
+    local *= vols
+    local /= m * (m + 1)
     return np.bincount(order, weights=local.ravel(), minlength=nv)
 
 
@@ -360,8 +415,14 @@ def _preconditioned_norm2(r: np.ndarray, z: np.ndarray) -> float:
     return rz
 
 
-def cell_gradients_of(f: np.ndarray, grads: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    return np.einsum("cm,cmd->cd", f[cells], grads)
+def cell_gradients_of(f: np.ndarray, vertices: np.ndarray, cells: np.ndarray,
+                      good: np.ndarray) -> np.ndarray:
+    """Per-cell P1 gradients (nc, d) of the vertex values f, chunk by chunk;
+    zero on the cells outside good."""
+    grads = np.empty((len(cells), vertices.shape[1]))
+    for block, g in _gradient_blocks(vertices, cells, good):
+        grads[block] = np.einsum("cm,cmd->cd", f[cells[block]], _cell_major(g))
+    return grads
 
 
 def vertex_adjacency(cells: np.ndarray, nv: int) -> sp.csr_matrix:
@@ -599,12 +660,17 @@ def recover_nodal_gradients(
     return nodal
 
 
-def cell_hessians_of(
-    nodal_grads: np.ndarray, grads: np.ndarray, cells: np.ndarray, good: np.ndarray
-) -> np.ndarray:
-    """Symmetrized per-cell gradient of the recovered nodal gradient field."""
-    hess = np.matmul(nodal_grads[cells].transpose(0, 2, 1), grads)
-    hess += hess.transpose(0, 2, 1)  # numpy buffers the overlapping operand
-    hess *= 0.5
+def cell_hessians_of(nodal_grads: np.ndarray, vertices: np.ndarray, cells: np.ndarray,
+                     good: np.ndarray) -> np.ndarray:
+    """Symmetrized per-cell gradient of the recovered nodal gradient field
+    (nc, d, d), chunk by chunk; zero on the cells outside good.  Each chunk's
+    products are batched matmuls, one small product per cell, so a cell's
+    Hessian does not depend on the chunk it falls in."""
+    hess = np.empty((len(cells), vertices.shape[1], vertices.shape[1]))
+    for block, g in _gradient_blocks(vertices, cells, good):
+        h = np.matmul(nodal_grads[cells[block]].transpose(0, 2, 1), _cell_major(g))
+        h += h.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        h *= 0.5
+        hess[block] = h
     hess[~good] = 0.0
     return hess

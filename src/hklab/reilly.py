@@ -18,6 +18,7 @@ Reilly defect are defined here only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from hklab.identities import (
     conformal_field,
     integrate_boundary,
 )
-from hklab.meshutil import ordered_sum, row_dot
+from hklab.meshutil import CELL_BLOCK, ordered_sum, row_dot
 from hklab.surface import SurfaceMesh
 
 ALGEBRAIC_RTOL = 1e-9
@@ -323,9 +324,12 @@ def hk_pipeline(surface: SurfaceMesh, solution: BvpSolution, sides: ReillySides)
 
     rigidity = None
     if equality_case:
-        d = domain.dim
-        dev = solution.cell_hessians - np.eye(d)[None, :, :] / (d)
-        hess_dev = float(np.sqrt(np.einsum("cab,cab->c", dev, dev)).max())
+        hess, center = solution.cell_hessians, np.eye(domain.dim) / domain.dim
+        dev2 = 0.0
+        for start in range(0, len(hess), CELL_BLOCK):  # no whole-mesh deviation array
+            dev = hess[start:start + CELL_BLOCK] - center
+            dev2 = max(dev2, float(np.einsum("cab,cab->c", dev, dev).max()))
+        hess_dev = math.sqrt(dev2)
         shape_dev = float(np.max(np.abs(h_sigma * f_nu / n - 1.0 / (n + 1.0))) * n)
         rigidity = {
             "max_hessian_deviation": hess_dev,

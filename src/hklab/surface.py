@@ -164,7 +164,9 @@ def enclosed_volume_flux(mesh: SurfaceMesh) -> float:
 def _boundary_loops_2d(cells: np.ndarray) -> list[np.ndarray]:
     """Loops of boundary half-edges, each started at its smallest vertex id.
 
-    A boundary half-edge occurs once and its reverse never; the loops come in
+    A boundary half-edge occurs once and its reverse never, that is, its
+    undirected edge occurs once (the cells repeat no vertex).  The undirected
+    keys are sorted once and only the singletons are kept.  The loops come in
     the order of their smallest vertex.
     """
     if len(cells) == 0:
@@ -174,11 +176,13 @@ def _boundary_loops_2d(cells: np.ndarray) -> list[np.ndarray]:
     b = cells[:, [1, 2, 0]].ravel()
     lo = int(cells.min())
     span = int(cells.max()) - lo + 1
-    keys, inverse, counts = np.unique((a - lo) * span + (b - lo), return_inverse=True,
-                                      return_counts=True)
-    reverse = (b - lo) * span + (a - lo)
-    slot = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
-    boundary = (counts[inverse] == 1) & (keys[slot] != reverse)
+    keys = (np.minimum(a, b) - lo) * span + (np.maximum(a, b) - lo)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    single = np.ones(len(keys), dtype=bool)
+    single[1:] = ranked[1:] != ranked[:-1]
+    single[:-1] &= ranked[:-1] != ranked[1:]
+    boundary = order[single]
     tails, heads = a[boundary], b[boundary]
     if len(np.unique(tails)) < len(tails):
         raise HkLabError("non-manifold boundary: vertex with two outgoing edges")

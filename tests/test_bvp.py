@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import fields, replace
 
@@ -11,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import hklab.bvp
+import hklab.fem
 from conftest import THETA3, l2_relative_error, run_python
 from hklab import (
     capillary_constant,
@@ -39,7 +41,6 @@ from hklab.fem import (
     _certified_cholesky,
     _fit_quadratic_patches,
     _linear_fallback,
-    _local_stiffness,
     _quadratic_monomials,
     _scaled_offsets,
     _svd_lstsq,
@@ -177,8 +178,7 @@ def test_max_principle_surrogate(hs_solution1, hb_cap1):
 
 
 def test_assembly_symmetry(hs_domain1):
-    grads = p1_gradients(hs_domain1.vertices, hs_domain1.cells)
-    stiff = assemble_stiffness(grads, hs_domain1.cell_volumes, hs_domain1.cells,
+    stiff = assemble_stiffness(hs_domain1.vertices, hs_domain1.cell_volumes, hs_domain1.cells,
                                hs_domain1.graph)
     asym = np.abs(stiff - stiff.T)
     assert asym.max() <= 1e-13 * np.abs(stiff).max()
@@ -192,7 +192,7 @@ def test_assembly_symmetry(hs_domain1):
 # local entries become (row, col, value) triplets, and tocsr sums duplicates.
 def _coo_stiffness(grads, vols, cells, nv):
     nc, m, _ = grads.shape
-    local = _local_stiffness(grads, vols)
+    local = vols[:, None, None] * np.matmul(grads, grads.transpose(0, 2, 1))
     ii = np.repeat(cells, m, axis=1).reshape(nc, m, m)
     jj = np.tile(cells[:, None, :], (1, m, 1))
     return sp.coo_matrix((local.ravel(), (ii.ravel(), jj.ravel())), shape=(nv, nv)).tocsr()
@@ -214,7 +214,7 @@ def test_scatter_matches_coo_assembly(mesh, request):
     dom = request.getfixturevalue(mesh)
     nv, graph = dom.num_vertices, dom.graph
     grads = p1_gradients(dom.vertices, dom.cells)
-    got = assemble_stiffness(grads, dom.cell_volumes, dom.cells, graph)
+    got = assemble_stiffness(dom.vertices, dom.cell_volumes, dom.cells, graph)
     want = _coo_stiffness(grads, dom.cell_volumes, dom.cells, nv)
     want.sort_indices()
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
@@ -256,10 +256,10 @@ def test_half_ball_solve_is_the_robin_assembly(hb_cap1):
     problem = capillary_problem(dom)
     sol = solve_mixed_bvp(problem, tol=1e-11)
 
-    grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
+    vols = dom.cell_volumes
     nv = dom.num_vertices
     t_areas = dom.facet_measures(dom.t_facets)
-    robin = assemble_stiffness(grads, vols, dom.cells, dom.graph)
+    robin = assemble_stiffness(dom.vertices, vols, dom.cells, dom.graph)
     robin = robin - assemble_boundary_mass(dom.t_facets, t_areas, dom.graph)
     b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), problem.flux_constant), nv)
     b -= load_volume(dom.cells, vols, np.ones(nv), nv)
@@ -926,10 +926,63 @@ def test_cell_hessians_match_einsum_oracle(hs_domain2):
     grads, good = p1_gradients(dom.vertices, dom.cells), nondegenerate(dom.cell_volumes)
     rng = np.random.default_rng(4)
     nodal = rng.standard_normal(dom.vertices.shape)
-    got = cell_hessians_of(nodal, grads, dom.cells, good)
+    got = cell_hessians_of(nodal, dom.vertices, dom.cells, good)
     want = np.einsum("cma,cmb->cab", nodal[dom.cells], grads)
     want = 0.5 * (want + want.transpose(0, 2, 1))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [7, hklab.fem.CELL_BLOCK])
+def test_chunk_boundaries_leave_solve_kernels_bit_identical(block, monkeypatch, hs_domain2):
+    # one chunk of every cell is the whole-mesh computation; a prime chunk
+    # length puts chunk ends at every offset, and the default one splits this
+    # mesh of 19,338 tets in two
+    dom = hs_domain2
+    assert len(dom.cells) > hklab.fem.CELL_BLOCK
+    problem = capillary_problem(dom)
+    monkeypatch.setattr(hklab.fem, "CELL_BLOCK", len(dom.cells))
+    whole = solve_mixed_bvp(problem)
+    want = [assemble_stiffness(dom.vertices, dom.cell_volumes, dom.cells, dom.graph),
+            whole.cell_hessians, whole.cell_gradients]
+    monkeypatch.setattr(hklab.fem, "CELL_BLOCK", block)
+    stiff = assemble_stiffness(dom.vertices, dom.cell_volumes, dom.cells, dom.graph)
+    assert np.array_equal(stiff.indptr, want[0].indptr)
+    assert np.array_equal(stiff.indices, want[0].indices)
+    assert np.array_equal(stiff.data, want[0].data)
+    assert abs(stiff - stiff.T).max() == 0.0  # symmetric to the bit
+    sol = solve_mixed_bvp(problem)
+    assert np.array_equal(sol.f, whole.f)
+    assert np.array_equal(sol.cell_hessians, want[1])
+    assert np.array_equal(sol.cell_gradients, want[2])
+    which = np.arange(3, len(dom.cells), 11)
+    assert np.array_equal(sol.hessians_of(which), want[1][which])
+
+
+def test_solve_kernels_hold_chunk_sized_temporaries(hs_cap2):
+    # on the half-space mesh at 24 (145,934 tets) the P1 gradients, local
+    # stiffness and slot positions of the whole mesh took 58 MB at once, and
+    # the cell Hessians 28 MB: each kernel may now hold, besides its result,
+    # twice the stiffness matrix's bytes plus 1 KiB per cell of one chunk
+    dom = mesh_domain(mesh_surface(hs_cap2, 24), None, 24, grading=0.0)
+    graph, good, nv = dom.graph, nondegenerate(dom.cell_volumes), dom.num_vertices
+    nodal = np.random.default_rng(5).standard_normal(dom.vertices.shape)
+
+    def transient(kernel):
+        tracemalloc.start()
+        try:
+            result = kernel()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - current
+
+    stiff, used = transient(
+        lambda: assemble_stiffness(dom.vertices, dom.cell_volumes, dom.cells, graph))
+    limit = 2 * (stiff.data.nbytes + stiff.indices.nbytes + stiff.indptr.nbytes)
+    limit += 1024 * hklab.fem.CELL_BLOCK
+    assert used <= limit
+    assert transient(lambda: load_volume(dom.cells, dom.cell_volumes, np.ones(nv), nv))[1] <= limit
+    assert transient(lambda: cell_hessians_of(nodal, dom.vertices, dom.cells, good))[1] <= limit
 
 
 def test_hop_distance_matches_breadth_first_search(hb_domain1_graded):
@@ -1053,9 +1106,9 @@ def test_pcg_rejects_zero_iterations(hs_domain1):
 def _reduced_system(problem):
     """The free-vertex system that solve_mixed_bvp hands to pcg, and its mask."""
     dom = problem.domain
-    grads, vols = p1_gradients(dom.vertices, dom.cells), dom.cell_volumes
+    vols = dom.cell_volumes
     nv = dom.num_vertices
-    a = assemble_stiffness(grads, vols, dom.cells, dom.graph)
+    a = assemble_stiffness(dom.vertices, vols, dom.cells, dom.graph)
     t_areas = dom.facet_measures(dom.t_facets)
     b = load_facets(dom.t_facets, t_areas, np.full(len(dom.t_facets), problem.flux_constant), nv)
     b -= load_volume(dom.cells, vols, problem.rhs, nv)
