@@ -31,7 +31,6 @@ from hklab.bvp import (
     exact_cap_solution,
     solution_from_field,
     solve_mixed_bvp,
-    wedge_barrier_check,
     wedge_model_values,
 )
 from hklab.reilly import PipelineStep, PipelineTrace, ReillySides, hk_pipeline, reilly_sides
@@ -78,7 +77,6 @@ __all__ = [
     "reilly_sides",
     "solution_from_field",
     "solve_mixed_bvp",
-    "wedge_barrier_check",
     "wedge_model_values",
     "__version__",
 ]

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from hklab.containers import Container, ContactAngle, as_angle
+from hklab.containers import Container
 from hklab.domain import DomainBoundary, DomainMesh
 from hklab.errors import (
     ConfigError,
@@ -473,63 +473,6 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
         r2_growth=r2_g,
         wedge_reference=wedge_ref,
         low_trust=(r2_g < MIN_GROWTH_R2),
-    )
-
-
-# ---------------------------------------------------------------------------
-# wedge barrier model
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WedgeBarrier:
-    lam: float
-    theta: float
-    harmonic_residual: float
-    neumann_value: float
-    min_profile: float
-    positivity_ok: bool
-
-    def to_dict(self) -> dict:
-        fields = asdict(self)
-        return {"lambda": fields.pop("lam"), **fields}
-
-
-def wedge_barrier_check(lam: float, theta: float | ContactAngle, grid: int = 128) -> WedgeBarrier:
-    """Evaluate the cosine barrier candidate r^lambda cos(lambda eta) on a polar grid.
-
-    Reports (a) the harmonicity residual assembled from the three polar
-    Laplacian terms, (b) the Neumann value -phi'(0) at the flat side (zero for
-    the pure cosine, which is why a perturbation is needed for a strict
-    barrier), and (c) the positivity margin min phi = cos(lambda theta).
-    """
-    angle = as_angle(theta)
-    if grid < 64:
-        raise ConfigError(f"wedge grid must be at least 64, got {grid}")
-    upper = math.pi / (2.0 * angle.radians)
-    if not (1.0 - 1e-9 <= lam <= upper + 1e-9):
-        raise ConfigError(
-            f"lambda {lam} outside the admissible window [1, pi/(2 theta)] = [1, {upper}]"
-        )
-    eta = np.linspace(0.0, angle.radians, grid)
-    r = np.linspace(1.0 / grid, 1.0, grid)
-    rr, ee = np.meshgrid(r, eta, indexing="ij")
-    profile = np.cos(lam * ee)
-    radial = rr ** (lam - 2.0)
-    term_rr = lam * (lam - 1.0) * radial * profile
-    term_r = lam * radial * profile
-    term_ee = -(lam**2) * radial * profile
-    total = term_rr + term_r + term_ee
-    scale = float(np.max(np.abs(term_rr) + np.abs(term_r) + np.abs(term_ee)))
-    residual = float(np.max(np.abs(total))) / max(scale, 1e-300)
-    min_profile = float(np.min(np.cos(lam * eta)))
-    return WedgeBarrier(
-        lam=lam,
-        theta=angle.radians,
-        harmonic_residual=residual,
-        neumann_value=float(lam * math.sin(lam * 0.0)),
-        min_profile=min_profile,
-        positivity_ok=bool(min_profile > 1e-12),
     )
 
 

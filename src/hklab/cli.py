@@ -2,7 +2,7 @@
 
 Subcommands: run (scenario ladders), cap (closed-form cap quantities),
 solve (one BVP), reilly (formula sides + proof chain), corner (corner-exponent
-fit), wedge (barrier model record), convert (OFF <-> JSON).  Exit codes:
+fit), convert (OFF <-> JSON).  Exit codes:
 0 all verdicts pass, 1 a check failed, 2 invalid configuration, 3 IO failure.
 Angles are radians unless --degrees is given; HK_LOG sets the log level.
 """
@@ -25,16 +25,15 @@ from hklab.bvp import (
     corner_exponent,
     solution_from_field,
     solve_mixed_bvp,
-    wedge_barrier_check,
     wedge_model_values,
 )
 from hklab.caps import make_cap
 from hklab.containers import Container
-from hklab.domain import mesh_domain
+from hklab.domain import DomainMesh, mesh_domain
 from hklab.errors import ConfigError, HkLabError, MeshFileError
 from hklab.meshio import (
     dumps_json,
-    read_domain_json,
+    read_mesh_json,
     read_off,
     read_surface_json,
     solution_to_dict,
@@ -65,7 +64,7 @@ def _angle(args, required: bool = True) -> float | None:
     theta = args.theta
     if theta is not None and args.degrees:
         theta = math.radians(theta)
-    check_inputs(getattr(args, "container", "half-space"), theta, theta_required=required)
+    check_inputs(args.container, theta, theta_required=required)
     return theta
 
 
@@ -137,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     corner_p.add_argument("--corner-window", type=float, default=0.2,
                           help="window fraction of the domain diameter")
     corner_p.add_argument("--out", default=None)
-
-    wedge_p = sub.add_parser("wedge", help="evaluate the cosine barrier candidate")
-    wedge_p.add_argument("--lambda", dest="lam", type=float, required=True)
-    wedge_p.add_argument("--theta", type=float, required=True)
-    wedge_p.add_argument("--degrees", action="store_true")
-    wedge_p.add_argument("--grid", type=int, default=128)
 
     conv_p = sub.add_parser("convert", help="convert between OFF and JSON mesh files")
     conv_p.add_argument("input")
@@ -277,12 +270,6 @@ def cmd_corner(args) -> int:
     return EXIT_OK if not fit.low_trust else EXIT_CHECK_FAILED
 
 
-def cmd_wedge(args) -> int:
-    record = wedge_barrier_check(args.lam, _angle(args), args.grid)
-    print(dumps_json(record.to_dict()))
-    return EXIT_OK
-
-
 def cmd_convert(args) -> int:
     src, dst = Path(args.input), Path(args.output)
     theta = _angle(args, required=False)
@@ -293,11 +280,8 @@ def cmd_convert(args) -> int:
         mesh = read_surface_json(src)
         write_off(mesh, dst)
     elif src.suffix == ".json" and dst.suffix == ".json":
-        data = json.loads(src.read_text(encoding="utf-8"))
-        if data.get("metadata", {}).get("kind") == "domain":
-            write_domain_json(read_domain_json(src), dst)
-        else:
-            write_surface_json(read_surface_json(src), dst)
+        mesh = read_mesh_json(src)
+        (write_domain_json if isinstance(mesh, DomainMesh) else write_surface_json)(mesh, dst)
     else:
         raise ConfigError(f"cannot convert {src.name} -> {dst.name}")
     return EXIT_OK
@@ -316,7 +300,6 @@ def main(argv=None) -> int:
         "solve": cmd_solve,
         "reilly": cmd_reilly,
         "corner": cmd_corner,
-        "wedge": cmd_wedge,
         "convert": cmd_convert,
     }
     try:

@@ -212,8 +212,18 @@ def write_surface_json(mesh: SurfaceMesh, path: str | Path) -> None:
     dump_json(surface_to_dict(mesh), path)
 
 
-def read_surface_json(path: str | Path) -> SurfaceMesh:
-    data = _read_json(path, "surface JSON")
+def read_mesh_json(path: str | Path) -> SurfaceMesh | DomainMesh:
+    """The surface or the domain of a JSON mesh file, by its metadata "kind";
+    the file is parsed once."""
+    data = _read_json(path, "mesh JSON")
+    with _file_data(path, "mesh JSON"):
+        domain = data.get("metadata", {}).get("kind") == "domain"
+    return (read_domain_json if domain else read_surface_json)(path, data)
+
+
+def read_surface_json(path: str | Path, data=None) -> SurfaceMesh:
+    """The surface of a JSON file; data is its parsed content, if already read."""
+    data = _read_json(path, "surface JSON") if data is None else data
     with _file_data(path, "surface JSON"):
         meta = data.get("metadata", {})
         vertices = np.asarray(data["vertices"], dtype=float)
@@ -265,8 +275,9 @@ def _check_boundary_faces(cells: np.ndarray, facets: np.ndarray) -> None:
                          f"(first: {facets[bad[0]].tolist()})")
 
 
-def read_domain_json(path: str | Path) -> DomainMesh:
-    data = _read_json(path, "domain JSON")
+def read_domain_json(path: str | Path, data=None) -> DomainMesh:
+    """The domain of a JSON file; data is its parsed content, if already read."""
+    data = _read_json(path, "domain JSON") if data is None else data
     with _file_data(path, "domain JSON"):
         meta = data.get("metadata", {})
         vertices = np.asarray(data["vertices"], dtype=float)

@@ -82,8 +82,8 @@ class Scenario:
     theta: float | None
     dim: int
     surface: dict
-    ladder: list
-    checks: list
+    ladder: list[int]
+    checks: list[str]
     grading: float = 0.5
     perturb: float = 0.0
     tol: float = DEFAULT_TOL
@@ -137,43 +137,35 @@ class Scenario:
     @classmethod
     def from_dict(cls, data) -> "Scenario":
         """The scenario of a parsed scenario file: a JSON object that gives
-        every field without a default, each key with its _SCENARIO_KEYS type."""
+        every field without a default, each key of its field's annotated type."""
         if not isinstance(data, dict):
             raise ConfigError(f"a scenario file holds a JSON object, got {data!r}")
-        _check_keys(data, _SCENARIO_KEYS, "scenario",
+        _check_keys(data, {f.name: f.type for f in fields(cls)}, "scenario",
                     [f.name for f in fields(cls) if f.default is MISSING])
         return cls(**data)
 
 
-# the JSON type of every scenario-file key; a boolean is no number here
-_SCENARIO_KEYS = {
-    "name": "a string", "container": "a string", "theta": "a number or null",
-    "dim": "an integer", "surface": "an object", "ladder": "an array", "checks": "an array",
-    "grading": "a number", "perturb": "a number", "tol": "a number",
-    "max_iter": "an integer or null", "jobs": "an integer", "out": "a string or null",
-    "csv": "a string or null", "timings": "a boolean",
-}
-_JSON_TYPES = {"a string": str, "a number": (int, float), "an integer": int, "null": type(None),
-               "an object": dict, "an array": list, "a boolean": bool}
+# the JSON name and the exact Python types of every annotated type of a
+# scenario or surface key: type(True) is bool, so a boolean is no number
+_JSON_TYPES = {"str": ("a string", {str}), "float": ("a number", {int, float}),
+               "int": ("an integer", {int}), "None": ("null", {type(None)}),
+               "dict": ("an object", {dict}), "list": ("an array", {list}),
+               "bool": ("a boolean", {bool})}
 
 
 # the keys of a surface object by its kind; "kind" defaults to "cap" and a
 # cap's "radius" to 1, and a file kind needs its "path"
 _SURFACE_KEYS = {
-    "cap": {"kind": "a string", "radius": "a number"},
-    "off": {"kind": "a string", "path": "a string"},
-    "profile": {"kind": "a string", "path": "a string"},
+    "cap": {"kind": "str", "radius": "float"},
+    "off": {"kind": "str", "path": "str"},
+    "profile": {"kind": "str", "path": "str"},
 }
-
-
-def _is_json(value, kind: str) -> bool:
-    return isinstance(value, _JSON_TYPES[kind]) and (kind == "a boolean"
-                                                     or not isinstance(value, bool))
 
 
 def _check_keys(data: dict, types: dict, what: str, required: list) -> None:
     """ConfigError naming the keys of data that types lacks, the required keys
-    that data lacks, or the first key whose value is not of its JSON type."""
+    that data lacks, or the first key whose value is not of its type (an
+    annotation: "float | None" takes either, "list[int]" integers only)."""
     unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
@@ -181,8 +173,15 @@ def _check_keys(data: dict, types: dict, what: str, required: list) -> None:
     if missing:
         raise ConfigError(f"missing {what} keys: {missing}")
     for key, value in data.items():
-        if not any(_is_json(value, kind) for kind in types[key].split(" or ")):
-            raise ConfigError(f"{what} key {key!r} must be {types[key]}, got {value!r}")
+        kinds, _, item = types[key].removesuffix("]").partition("[")
+        kinds = kinds.split(" | ")
+        if not any(type(value) in _JSON_TYPES[kind][1] for kind in kinds):
+            names = " or ".join(_JSON_TYPES[kind][0] for kind in kinds)
+            raise ConfigError(f"{what} key {key!r} must be {names}, got {value!r}")
+        bad = [entry for entry in value if type(entry) not in _JSON_TYPES[item][1]] if item else []
+        if bad:
+            raise ConfigError(f"every entry of {what} key {key!r} must be "
+                              f"{_JSON_TYPES[item][0]}, got {bad[0]!r}")
 
 
 def _build_source(scenario: Scenario):

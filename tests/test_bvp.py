@@ -24,7 +24,6 @@ from hklab import (
     mesh_surface,
     solution_from_field,
     solve_mixed_bvp,
-    wedge_barrier_check,
     wedge_model_values,
 )
 from hklab.bvp import (
@@ -1014,7 +1013,7 @@ def test_galerkin_energy_recorded(hs_solution1):
 
 
 # ---------------------------------------------------------------------------
-# corner fits and the wedge barrier
+# corner fits and the wedge model field
 # ---------------------------------------------------------------------------
 
 
@@ -1056,26 +1055,9 @@ def test_generic_corner_fit_window(hs_cap1):
     assert fit.window[1] <= 0.2 * 2.1  # window cap at a fifth of the diameter
 
 
-def test_wedge_barrier_examples():
-    rec = wedge_barrier_check(1.4, THETA3)
-    assert rec.harmonic_residual <= 1e-12
-    assert abs(rec.min_profile - math.cos(1.4 * THETA3)) < 1e-12
-    assert rec.min_profile > 0 and rec.positivity_ok
-    assert rec.neumann_value == 0.0
-
-    linear = wedge_barrier_check(1.0, 1.3)
-    assert linear.harmonic_residual <= 1e-12
-
-    boundary = wedge_barrier_check(1.5, THETA3)
-    assert abs(boundary.min_profile) < 1e-12
-    assert not boundary.positivity_ok
-
-    with pytest.raises(HkLabError):
-        wedge_barrier_check(2.0, THETA3)
-
-
-def test_wedge_barrier_finite_difference_oracle():
-    # independent check: the cartesian five-point laplacian of r^lam cos(lam eta)
+def test_wedge_model_field_finite_difference_oracle():
+    # independent check that r^lam cos(lam eta), the corner factor of
+    # wedge_model_values, is harmonic: its cartesian five-point laplacian vanishes
     lam, theta = 1.4, THETA3
     h = 1e-5
 

@@ -248,18 +248,9 @@ def test_cap_subcommand(capsys):
     assert abs(payload["quantities"]["volume"] - 5 * math.pi / 24) < 1e-12
 
 
-def test_wedge_subcommand(capsys):
-    assert run_cli("wedge", "--lambda", "1.4", "--theta", THETA_STR) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["harmonic_residual"] <= 1e-12
-    assert abs(payload["min_profile"] - math.cos(1.4 * math.pi / 3)) < 1e-12
-    assert payload["positivity_ok"] is True
-
-
-def test_wedge_boundary_case(capsys):
-    assert run_cli("wedge", "--lambda", "1.5", "--theta", THETA_STR) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["positivity_ok"] is False
+def test_wedge_is_an_unknown_subcommand(capsys):
+    assert main(["wedge", "--lambda", "1.4", "--theta", "1.0471975512"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_solve_subcommand(tmp_path):
@@ -361,19 +352,17 @@ def test_config_file(tmp_path):
     ["run", "--theta", THETA_STR, "--max-iter", "0"],
     ["run", "--container", "nowhere", "--theta", THETA_STR],
     ["solve", "--theta", THETA_STR, "--resolution", "3"],
-    ["wedge", "--lambda", "1.2", "--theta", "nan"],
     {"surface": {"kind": "cap", "radius": "big"}},
     {"ladder": ["a"]},
+    {"ladder": [16.5]},
+    {"ladder": ["16"]},
+    {"ladder": [True, 16]},
     ["run", "--theta", THETA_STR, "--ladder", "a"],
     ["run", "--container", "closed", "--perturb", "0.02", "--ladder", "4"],
     ["run", "--theta", THETA_STR, "--perturb", "nan", "--ladder", "4"],
     ["reilly", "--theta", THETA_STR, "--cap-radius", "1e308", "--resolution", "4"],
     ["run", "--theta", THETA_STR, "--cap-radius", "1e-12", "--ladder", "4"],
     ["corner", "--container", "closed", "--dim", "1", "--resolution", "6"],
-    ["wedge", "--lambda", "1.2", "--theta", THETA_STR, "--grid", "16"],
-    ["wedge", "--lambda", "0.5", "--theta", THETA_STR],
-    ["wedge", "--lambda", "2", "--theta", THETA_STR],
-    ["wedge", "--lambda", "nan", "--theta", THETA_STR],
     ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--corner-window", "0"],
     ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--corner-window", "1"],
     ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16",
@@ -396,6 +385,8 @@ def test_config_file(tmp_path):
     '{"name": "x"}',
     {"surface": "cap"},
     {"checks": "hk"},
+    {"checks": ["hk", ["x"]]},
+    {"checks": [{"a": 1}]},
     {"jobs": True},
     {"surface": {"kind": "profile"}},
     {"surface": {"kind": "off", "path": 5}},
@@ -455,7 +446,10 @@ _VALID_SCENARIO = {"name": "bad", "container": "half-space", "theta": math.pi / 
     ({"surface": {"kind": "cap", "radius": True}}, "surface key 'radius' must be a number"),
     ({"surface": {"kind": "cap", "bogus": 1}}, "unknown surface keys: ['bogus']"),
     ({"surface": {"kind": "off"}}, "missing surface keys: ['path']"),
-], ids=["surface", "checks", "jobs", "theta", "dim", "radius", "surface-key", "path"])
+    ({"checks": ["hk", ["x"]]}, "entry of scenario key 'checks' must be a string"),
+    ({"ladder": [16.5]}, "entry of scenario key 'ladder' must be an integer"),
+], ids=["surface", "checks", "jobs", "theta", "dim", "radius", "surface-key", "path",
+        "checks-entry", "ladder-entry"])
 def test_scenario_file_errors_name_the_key(change, key):
     data = {k: v for k, v in {**_VALID_SCENARIO, **change}.items() if v is not None}
     with pytest.raises(ConfigError) as err:
@@ -490,6 +484,9 @@ _MALFORMED_FILES = {  # name: (file text, extra convert arguments)
                        ["--container", "half-ball"]),
     "zero-length.json": (json.dumps({**_SURFACE_JSON, "vertices": [[0.0, 0.0]],
                                      "cells": [[0, 0]]}), []),
+    "array.json": ("[1]", []),
+    "number.json": ("5", []),
+    "metadata-5.json": (json.dumps({**_SURFACE_JSON, "metadata": 5}), []),
 }
 
 
@@ -498,8 +495,10 @@ def test_malformed_mesh_file_exits_2_without_traceback(name, capsys, tmp_path):
     text, extra = _MALFORMED_FILES[name]
     src = tmp_path / name
     src.write_text(text)
-    dst = tmp_path / ("out.json" if name.endswith(".off") else "out.off")
-    argvs = [["convert", str(src), str(dst), "--theta", THETA_STR, *extra]]
+    # a JSON file converts to OFF, and to JSON by its metadata kind
+    outs = ["out.json"] if name.endswith(".off") else ["out.off", "out.json"]
+    argvs = [["convert", str(src), str(tmp_path / out), "--theta", THETA_STR, *extra]
+             for out in outs]
     if name.endswith(".off"):
         argvs.append(["run", "--surface", str(src), "--theta", THETA_STR, "--dim", "1",
                       "--ladder", "8", "--checks", "identities", *extra])
@@ -602,8 +601,8 @@ def test_readme_reilly_example_passes(tmp_path):
 # -- argument fuzzing --------------------------------------------------------
 # Each subcommand gets a random subset of its own options.  An option takes a
 # valid value four times as often as an invalid one (out of range or
-# unparsable).  Resolutions stay at 6 or below and the wedge grid at 64, its
-# least valid value, so every example runs in well under a second.
+# unparsable).  Resolutions stay at 6 or below, so every example runs in well
+# under a second.
 
 _FUZZ_VALUES = {  # option: (valid values, invalid values)
     "--container": (["half-space", "half-ball", "closed"], ["nowhere", ""]),
@@ -621,7 +620,6 @@ _FUZZ_VALUES = {  # option: (valid values, invalid values)
                  ["nonsense", ""]),
     "--perturb": (["0", "0.02", "-0.02"], ["nan", "5", "x"]),
     "--lambda": (["0.5", "1.4", "3"], ["-1", "0", "nan", "inf", "x"]),
-    "--grid": (["64"], ["-1", "0", "1", "2", "16", "x"]),
     "--corner-window": (["0.2", "0.5"], ["-1", "0", "1", "nan", "x"]),
     "--model": (["fem", "wedge"], ["other"]),
 }
@@ -634,7 +632,6 @@ _FUZZ_COMMANDS = {  # subcommand: its options
     "reilly": _GEOMETRY + ["--resolution", "--grading", "--tol"],
     "corner": _GEOMETRY + ["--resolution", "--grading", "--model", "--lambda",
                            "--corner-window"],
-    "wedge": ["--theta", "--lambda", "--grid"],
     "nope": [],
 }
 _FUZZ_FLAGS = ["--degrees", "--weighted", "--timings", "--help", "--version"]

@@ -59,19 +59,6 @@ def test_graded_nodes_properties(length, target, exponent):
     assert steps.max() <= 2.0 * target * length + 1e-12
 
 
-@settings(max_examples=40, deadline=None)
-@given(theta=st.floats(min_value=0.3, max_value=math.pi / 2),
-       frac=st.floats(min_value=0.05, max_value=0.99))
-def test_wedge_positivity_window(theta, frac):
-    from hklab.bvp import wedge_barrier_check
-
-    upper = math.pi / (2.0 * theta)
-    lam = 1.0 + frac * (upper - 1.0)
-    rec = wedge_barrier_check(lam, theta)
-    assert rec.harmonic_residual <= 1e-12
-    assert rec.positivity_ok == (lam * theta < math.pi / 2 - 1e-9)
-
-
 @settings(max_examples=30, deadline=None)
 @given(value=st.floats(min_value=-1.0, max_value=4.0))
 def test_contact_angle_domain(value):
