@@ -381,12 +381,12 @@ def test_config_file(tmp_path):
      "--checks", "bvp"],
     ["run", "--surface", "@cap2.off", "--theta", THETA_STR, "--dim", "2", "--ladder", "8",
      "--checks", "reilly"],
+    {"checks": ["hk", ["x"]]},
+    {"checks": [{"a": 1}]},
     "5",
     '{"name": "x"}',
     {"surface": "cap"},
     {"checks": "hk"},
-    {"checks": ["hk", ["x"]]},
-    {"checks": [{"a": 1}]},
     {"jobs": True},
     {"surface": {"kind": "profile"}},
     {"surface": {"kind": "off", "path": 5}},
