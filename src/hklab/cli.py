@@ -35,7 +35,6 @@ from hklab.meshio import (
     dumps_json,
     read_mesh_json,
     read_off,
-    read_surface_json,
     solution_to_dict,
     write_domain_json,
     write_off,
@@ -277,7 +276,9 @@ def cmd_convert(args) -> int:
         mesh = read_off(src, args.container, theta)
         write_surface_json(mesh, dst)
     elif src.suffix == ".json" and dst.suffix == ".off":
-        mesh = read_surface_json(src)
+        mesh = read_mesh_json(src)
+        if isinstance(mesh, DomainMesh):
+            raise MeshFileError(f"{src}: a domain file cannot be written as OFF")
         write_off(mesh, dst)
     elif src.suffix == ".json" and dst.suffix == ".json":
         mesh = read_mesh_json(src)

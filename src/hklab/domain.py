@@ -23,12 +23,16 @@ Solid domains (n = 2) are axisymmetric (cap, lens or ball): the (rho, z)
 cross-section between the generator curve (surface.generator_polyline,
 the samples the surface revolves) and the axis+support path is
 strip-meshed and revolved by meshutil.revolve with the azimuthal count the
-surfaces use.  The boundary step sweeps the cross-section's Sigma and T
-edges into facets (_revolve_edge); the tet step sweeps its triangles: prisms
-are split into tetrahedra with the min-vertex face-diagonal rule, so the
-mesh is conforming and deterministic, and the triangles at the axis sweep
-into cones over _revolve_edge's fans and split quads.  The prism stacks of
-all off-axis triangles are split in one call.
+surfaces use.  The boundary step sweeps all of the cross-section's Sigma and
+T edges into facets in one pass (_sweep_edges) and orients each edge's block
+of facets at once, outward from the cross-section triangle that owns the
+edge; that is exact where a test against an interior point fails on thin
+caps.  The tet step sweeps the triangles: prisms are split into tetrahedra
+with the min-vertex face-diagonal rule, so the mesh is conforming and
+deterministic, and the triangles at the axis sweep into cones over the fans
+and split quads of one more _sweep_edges call.  The prism stacks of all
+off-axis triangles are split in one call.  d_Gamma, which only the n = 1
+corner fit and the domain-file writer read, is computed on first read.
 
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
@@ -87,12 +91,25 @@ class DomainBoundary:
     sigma_facets: np.ndarray  # (ns, d) outward-oriented boundary facets on Sigma
     t_facets: np.ndarray  # (nt, d) outward-oriented boundary facets on T
     gamma_vertices: np.ndarray  # corner vertex indices
-    d_gamma: np.ndarray  # per-vertex distance to the corner set
     sigma_H: np.ndarray  # mean curvature of the source surface per Sigma facet
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
+
+    @lazy
+    def d_gamma(self) -> np.ndarray:
+        """Per-vertex distance to the corner set, on first read: only the n = 1
+        corner fit and the domain-file writer read it.  A solid's corner ring
+        revolves one cross-section point, so the distance is to its circle."""
+        gamma = self.gamma_vertices
+        if len(gamma) == 0:
+            return np.full(self.num_vertices, np.inf)
+        if self.dim == 2:
+            return nearest_distance(self.vertices, self.vertices[gamma])
+        rho_g, _, z_g = self.vertices[gamma[0]]
+        r_all = np.linalg.norm(self.vertices[:, :2], axis=1)
+        return np.sqrt((r_all - rho_g) ** 2 + (self.vertices[:, 2] - z_g) ** 2)
 
     def facet_measures(self, facets: np.ndarray) -> np.ndarray:
         return simplex_measures(self.vertices, facets)[0]
@@ -279,7 +296,6 @@ def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
         sigma_facets=_orient_facets_outward(vertices, sig_f, inner),
         t_facets=_orient_facets_outward(vertices, t_f, inner),
         gamma_vertices=corners,
-        d_gamma=nearest_distance(vertices, vertices[corners]),
         sigma_H=sigma_H,
     )
     return boundary, lambda: (cells, vols, h2max)
@@ -363,15 +379,27 @@ def _other_rail(container: Container, apex: np.ndarray, corner: np.ndarray,
     return np.vstack([axis_pts, support[1:]])
 
 
-def _revolve_edge(vid: np.ndarray, on_axis: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Triangles swept by the cross-section edge (i0, i1): a fan at the axis,
-    else the quads between its two rings split by the min-vertex diagonal."""
-    if on_axis[i0] or on_axis[i1]:
-        ax, off = (i0, i1) if on_axis[i0] else (i1, i0)
-        return np.stack([np.full(vid.shape[1], vid[ax, 0]), vid[off], np.roll(vid[off], -1)],
-                        axis=1)
-    return _split_quads(np.stack([vid[i0], vid[i1], np.roll(vid[i1], -1), np.roll(vid[i0], -1)],
-                                 axis=1))
+def _sweep_edges(vid: np.ndarray, on_axis: np.ndarray,
+                 edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles swept by the cross-section edges (i0, i1), edge after edge,
+    and how many each edge sweeps: a fan from the axis vertex, else the quads
+    (i0, i1, i1 next, i0 next) between the two rings split by the min-vertex
+    diagonal."""
+    k = vid.shape[1]
+    jn = np.roll(np.arange(k), -1)
+    i0, i1 = edges.T
+    fan = on_axis[i0] | on_axis[i1]
+    counts = np.where(fan, k, 2 * k)
+    slots = np.cumsum(counts) - counts
+    facets = np.empty((counts.sum(), 3), dtype=np.int64)
+    ring = vid[np.where(on_axis[i0], i1, i0)[fan]]
+    apex = np.repeat(vid[np.where(on_axis[i0], i0, i1)[fan], 0], k)
+    facets[(slots[fan][:, None] + np.arange(k)).ravel()] = np.column_stack(
+        [apex, ring.ravel(), ring[:, jn].ravel()])
+    a, b = vid[i0[~fan]], vid[i1[~fan]]
+    facets[(slots[~fan][:, None] + np.arange(2 * k)).ravel()] = _split_quads(
+        np.stack([a, b, b[:, jn], a[:, jn]], axis=-1).reshape(-1, 4))
+    return facets, counts
 
 
 def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
@@ -402,34 +430,26 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
     on_axis = vertices2[:, 0] <= 1e-12
     vertices, vid, _ = revolve(vertices2, on_axis, target * scale)
 
-    # per-facet H: the generator value of each revolved Sigma edge
-    sigma_blocks = [_revolve_edge(vid, on_axis, i0, i1) for i0, i1 in sigma_edges]
-    sigma_facets = np.vstack(sigma_blocks)
-    sigma_H = np.repeat(sigma_h_mid, [len(b) for b in sigma_blocks])
-    t_facets = np.vstack([np.empty((0, 3), dtype=np.int64)]
-                         + [_revolve_edge(vid, on_axis, i0, i1) for i0, i1 in t_edges])
-
-    inner = vertices.mean(axis=0)
-    if container.has_support:
-        corner_row = rows[-1][0]
-        gamma_vertices = vid[corner_row, :].astype(np.int64)
-        rho_g, z_g = vertices2[corner_row]
-        r_all = np.linalg.norm(vertices[:, :2], axis=1)
-        d_gamma = np.sqrt((r_all - rho_g) ** 2 + (vertices[:, 2] - z_g) ** 2)
-    else:
-        gamma_vertices = np.empty(0, dtype=np.int64)
-        d_gamma = np.full(len(vertices), np.inf)
-
+    # A block swept from a to b (from the axis vertex, for a fan) has normals
+    # along b - a turned by +90 degrees in the (rho, z) plane.  They point
+    # into the positively oriented cross-section triangle that owns the edge
+    # exactly when that triangle runs a -> b, and then the block is flipped.
+    edges = np.vstack([sigma_edges, t_edges])
+    facets, counts = _sweep_edges(vid, on_axis, edges)
+    n, (i0, i1) = len(vertices2), edges.T
+    runs = np.isin(i0 * n + i1, cross_cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2) @ [n, 1])
+    flip = np.repeat(runs != (on_axis[i1] & ~on_axis[i0]), counts)
+    facets[flip] = facets[flip, ::-1]
+    sigma_counts = counts[:len(sigma_edges)]
     boundary = DomainBoundary(
         dim=3,
         container=container,
         theta=surface.theta,
         vertices=vertices,
-        sigma_facets=_orient_facets_outward(vertices, sigma_facets, inner),
-        t_facets=_orient_facets_outward(vertices, t_facets, inner),
-        gamma_vertices=gamma_vertices,
-        d_gamma=d_gamma,
-        sigma_H=sigma_H,
+        sigma_facets=facets[:sigma_counts.sum()],
+        t_facets=facets[sigma_counts.sum():],
+        gamma_vertices=vid[rows[-1][0]] if container.has_support else np.empty(0, dtype=np.int64),
+        sigma_H=np.repeat(sigma_h_mid, sigma_counts),  # the generator value of each Sigma edge
     )
     return boundary, lambda: _revolve_cells(vertices, vid, on_axis, cross_cells)
 
@@ -447,12 +467,11 @@ def _revolve_cells(vertices: np.ndarray, vid: np.ndarray, on_axis: np.ndarray,
     n_ax = on_axis[cross_cells].sum(axis=1)
     rings = vid[cross_cells[n_ax == 0]]  # (m, 3, k_azim)
     prisms = np.concatenate([rings, rings[:, :, jn]], axis=1)
-    tet_blocks = [_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6))]
-    for tri in np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]]):
-        ax = tri[on_axis[tri]][0]
-        side = _revolve_edge(vid, on_axis, *tri[tri != ax])
-        tet_blocks.append(np.hstack([np.full((len(side), 1), vid[ax, 0]), side]))
-    cells = np.vstack(tet_blocks)
+    cones = np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]])
+    ax = cones[np.arange(len(cones)), np.argmax(on_axis[cones], axis=1)]
+    side, counts = _sweep_edges(vid, on_axis, cones[cones != ax[:, None]].reshape(-1, 2))
+    cells = np.vstack([_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6)),
+                       np.column_stack([np.repeat(vid[ax, 0], counts), side])])
     return (cells, *cell_geometry(vertices, cells, orient=True))
 
 
@@ -564,7 +583,6 @@ def _boundary_disk(surface: SurfaceMesh, resolution: int):
         sigma_facets=_orient_facets_outward(vertices, sigma_facets, seed[None, :]),
         t_facets=np.empty((0, 2), dtype=np.int64),
         gamma_vertices=np.empty(0, dtype=np.int64),
-        d_gamma=np.full(len(vertices), np.inf),
         sigma_H=h_mid,
     )
     return boundary, lambda: (cells, vols, h2max)

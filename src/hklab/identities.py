@@ -26,7 +26,7 @@ from hklab.bvp import t_facet_integrals
 from hklab.containers import Container
 from hklab.domain import DomainBoundary
 from hklab.errors import ContainerMismatchError, MeanConvexityError
-from hklab.meshutil import area_vectors, centroids, row_dot
+from hklab.meshutil import area_rows, centroids, coordinate_rows, row_dot, vertex_means
 from hklab.surface import SurfaceMesh
 
 MACHINE_FLOOR = 1e-300
@@ -274,13 +274,14 @@ def domain_volume_integrals(boundary: DomainBoundary) -> tuple[float, float]:
     int_F x_d^2 = |F| (sum z_i^2 + (sum z_i)^2) / ((k + 1)(k + 2)) on a
     k-simplex with vertex heights z_i is exact.  So both sums equal the
     cell sums of the mesh that the boundary encloses, without its cells.
+    Each facet's coordinates are gathered once, for all three.
     """
-    facets = np.vstack([boundary.sigma_facets, boundary.t_facets])
-    area = area_vectors(boundary.vertices, facets)
+    p = coordinate_rows(boundary.vertices, np.vstack([boundary.sigma_facets, boundary.t_facets]))
+    area = np.column_stack(area_rows(p))
     d = boundary.dim
-    z = boundary.vertices[:, -1][facets]
-    z2 = (z * z).sum(axis=1) + z.sum(axis=1) ** 2
-    volume = row_dot(centroids(boundary.vertices, facets), area).sum() / d
+    z = p[-1]
+    z2 = (z * z).sum(axis=0) + z.sum(axis=0) ** 2
+    volume = row_dot(vertex_means(p), area).sum() / d
     volume_z = 0.5 * (area[:, -1] * z2).sum() / (d * (d + 1))
     return float(volume), float(volume_z)
 

@@ -303,9 +303,7 @@ def read_domain_json(path: str | Path, data=None) -> DomainMesh:
                             ("T facet", t_facets), ("Gamma vertex", gamma)):
             check_indices(index, nv, what)
         _check_boundary_faces(cells, np.vstack([sigma_facets, t_facets]))
-    if d_gamma is None:
-        d_gamma = nearest_distance(vertices, vertices[gamma]) if len(gamma) else np.full(nv, np.inf)
-    return DomainMesh(
+    domain = DomainMesh(
         dim=d,
         container=container,
         theta=theta,
@@ -314,9 +312,12 @@ def read_domain_json(path: str | Path, data=None) -> DomainMesh:
         sigma_facets=sigma_facets,
         t_facets=t_facets,
         gamma_vertices=gamma,
-        d_gamma=d_gamma,
         sigma_H=sigma_h,
     )
+    # the stored distances, else those to the nearest Gamma vertex
+    if d_gamma is not None or len(gamma):
+        domain.d_gamma = nearest_distance(vertices, vertices[gamma]) if d_gamma is None else d_gamma
+    return domain
 
 
 def solution_to_dict(solution) -> dict:

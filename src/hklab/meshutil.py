@@ -8,8 +8,9 @@ shares: zipper_rows triangulates the strips between consecutive vertex rows
 turns (rho, z) points into rings of one azimuthal count about the x_d-axis.
 edge_determinant is the only cell determinant: domain volumes and fem's P1
 gradients divide by the same bits, in chunks of CELL_BLOCK cells.  The facet
-kernels (area vectors, measures, centroids) gather coordinate-major too, and
-cross_rows is the one cross product, written out the way np.cross rounds.
+kernels (area vectors, measures, centroids) gather coordinate-major too, in
+O(simplices) (coordinate_rows), and cross_rows is the one cross product,
+written out the way np.cross rounds.
 """
 
 from __future__ import annotations
@@ -169,47 +170,53 @@ def edge_determinant(edges: np.ndarray):
     return (y2, -x2), x1 * y2 - y1 * x2
 
 
-def _coordinate_rows(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+def coordinate_rows(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """(d, m, k) gather of points (nv, d): [c, b] is coordinate c of vertex b
-    of every simplex; per-vertex values (nv,) give (m, k)."""
-    return values.T.take(simplices.T, axis=-1)
+    of every simplex; per-vertex values (nv,) give (m, k).
+
+    take copies a non-contiguous (d, nv) view whole first, so a few simplices
+    of a large mesh gather coordinate by coordinate instead, in O(simplices).
+    """
+    index = np.ascontiguousarray(simplices.T)
+    if values.ndim == 1 or index.size >= len(values):
+        return values.T.take(index, axis=-1)
+    return np.stack([column[index] for column in values.T])
 
 
-def _area_rows(vertices: np.ndarray, simplices: np.ndarray) -> tuple:
-    """Coordinate rows of the area vectors of edges in the plane or triangles in space."""
-    p = _coordinate_rows(vertices, simplices)
-    if simplices.shape[1] == 2:
+def area_rows(p: np.ndarray) -> tuple:
+    """Coordinate rows of the area vectors (measure times unit normal) of edges
+    in the plane or triangles in space, from their coordinate_rows p.
+
+    Normals follow the vertex order: an edge (a, b) gets b - a turned by -90
+    degrees, a triangle (b - a) x (c - a) / 2.
+    """
+    if p.shape[1] == 2:
         (x0, x1), (y0, y1) = p
         return y1 - y0, -(x1 - x0)
     return tuple(0.5 * c for c in cross_rows(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
 
-def area_vectors(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Measure times unit normal of edges in the plane or triangles in space.
-
-    Normals follow the vertex order: an edge (a, b) gets b - a turned by -90
-    degrees, a triangle (b - a) x (c - a) / 2.
-    """
-    return np.column_stack(_area_rows(vertices, simplices))
-
-
 def simplex_measures(vertices: np.ndarray, simplices: np.ndarray):
     """(measures, unit normals) of edges in the plane or triangles in space,
-    the norms and directions of their area_vectors."""
-    area = _area_rows(vertices, simplices)
+    the norms and directions of their area vectors (area_rows)."""
+    area = area_rows(coordinate_rows(vertices, simplices))
     measures = norm_rows(area)
     return measures, np.column_stack([c / measures for c in area])
 
 
-def centroids(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Centroids (k, d) of simplices of points (nv, d), or the (k,) vertex means
-    of per-vertex values (nv,), with the bits of values[simplices].mean(axis=1).
+def vertex_means(p: np.ndarray) -> np.ndarray:
+    """Centroids (k, d) from coordinate_rows p of points, or (k,) means from
+    those of per-vertex values, with the bits of values[simplices].mean(axis=1).
 
     The gathered rows are summed in vertex order from 0, as that mean sums
     them, so a coordinate that is -0.0 at every vertex comes out +0.0 too.
     """
-    p = _coordinate_rows(values, simplices)
-    return np.ascontiguousarray((sum(np.moveaxis(p, -2, 0)) / simplices.shape[1]).T)
+    return np.ascontiguousarray((sum(np.moveaxis(p, -2, 0)) / p.shape[-2]).T)
+
+
+def centroids(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """vertex_means of the simplices of points (nv, d) or of values (nv,)."""
+    return vertex_means(coordinate_rows(values, simplices))
 
 
 def circumcircle_curvature(points: np.ndarray, closed: bool) -> np.ndarray:

@@ -102,6 +102,8 @@ class Scenario:
             b <= a for a, b in zip(self.ladder, self.ladder[1:])
         ):
             raise ConfigError("resolution ladder must be strictly increasing and non-empty")
+        if not all(isinstance(c, str) for c in self.checks):
+            raise ConfigError(f"checks must be a list of check names, got {self.checks!r}")
         if "all" in self.checks:
             self.checks = list(ALL_CHECKS)
         unknown = set(self.checks) - set(ALL_CHECKS)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,11 +173,13 @@ def test_weighted_reilly_off_the_half_ball_exits_2_before_meshing(container, cap
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
-    # only the fem kernels that build sparse matrices import scipy.sparse, and
-    # a run that solves nothing never builds a mesh's vertex graph
-    probe = ("import sys, hklab.cli; print('scipy.sparse' in sys.modules); "
-             "hklab.cli.main(sys.argv[1:]); print('scipy.sparse' in sys.modules)")
+def test_cli_import_and_geometry_run_load_no_scipy(tmp_path):
+    # only the fem kernels that build sparse matrices import scipy, and a run
+    # that solves nothing never builds a mesh's vertex graph: no scipy module
+    # may load at import, which every benchmark set-up pays, or in such a run
+    probe = ("import sys, hklab.cli\n"
+             "def scipy_loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+             "print(scipy_loaded()); hklab.cli.main(sys.argv[1:]); print(scipy_loaded())")
     argv = ["run", "--theta", THETA_STR, "--dim", "2", "--checks", "identities,hk",
             "--ladder", "8", "--out", str(tmp_path / "report.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(hklab.__file__).resolve().parents[1])}
@@ -184,6 +187,33 @@ def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
                           text=True, check=True)
     assert done.stdout.split() == ["False", "False"]
     assert json.loads((tmp_path / "report.json").read_text())["passed"]
+
+
+def test_hk_only_solid_rung_never_computes_d_gamma(monkeypatch, tmp_path):
+    # d_gamma is computed on first read, and only the corner fit and the
+    # domain-file writer read it
+    from hklab.domain import DomainBoundary
+    from hklab.meshutil import lazy
+
+    def refuse(boundary):
+        raise AssertionError("d_gamma computed")
+
+    monkeypatch.setattr(DomainBoundary, "d_gamma", lazy(refuse))
+    assert run_cli("run", "--theta", THETA_STR, "--dim", "2", "--checks", "identities,hk",
+                   "--ladder", "8", "--out", str(tmp_path / "report.json")) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solved_domain_file_round_trips_d_gamma(dim, tmp_path):
+    from hklab import make_cap, mesh_domain, mesh_surface
+    from hklab.meshio import read_domain_json
+
+    out = tmp_path / "solution.json"
+    assert run_cli("solve", "--container", "half-space", "--theta", THETA_STR, "--dim",
+                   str(dim), "--resolution", "8", "--out", str(out)) == 0
+    dom = mesh_domain(mesh_surface(make_cap("half-space", math.pi / 3, 1.0, dim), 8), None, 8)
+    assert np.array_equal(read_domain_json(out).d_gamma, dom.d_gamma)
+    assert np.all(np.isfinite(dom.d_gamma))
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -298,6 +328,18 @@ def test_convert_roundtrip(tmp_path):
                    "--container", "half-space", "--theta", THETA_STR) == 0
     assert run_cli("convert", str(tmp_path / "m.json"), str(tmp_path / "m2.off")) == 0
     assert (tmp_path / "m2.off").read_text().startswith("OFF")
+
+
+def test_convert_domain_file_to_off_exits_2(capsys, tmp_path):
+    dom = tmp_path / "dom.json"
+    assert run_cli("solve", "--container", "half-space", "--theta", THETA_STR, "--dim", "1",
+                   "--resolution", "8", "--out", str(dom)) == 0
+    capsys.readouterr()
+    assert run_cli("convert", str(dom), str(tmp_path / "out.off")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hk: invalid mesh file: ")
+    assert "a domain file cannot be written as OFF" in err
+    assert not (tmp_path / "out.off").exists()
 
 
 def test_invalid_config_exit_code():
@@ -455,6 +497,11 @@ def test_scenario_file_errors_name_the_key(change, key):
     with pytest.raises(ConfigError) as err:
         hklab.report.Scenario.from_dict(data)
     assert key in str(err.value)
+
+
+def test_scenario_built_in_python_refuses_a_check_that_is_no_name():
+    with pytest.raises(ConfigError, match="checks"):
+        hklab.report.Scenario(**{**_VALID_SCENARIO, "checks": ["hk", ["x"]]})
 
 
 def _write_cap_off(tmp_path, placeholder: str) -> str:

@@ -110,6 +110,16 @@ def test_d_gamma_exact_for_caps(hs_domain1):
     assert np.max(np.abs(d - hs_domain1.d_gamma)) < 1e-12
 
 
+def test_d_gamma_is_the_distance_to_the_gamma_circle(hs_cap2):
+    # a solid's corner ring lies on the circle rho = sin(theta), z = 0 of the
+    # unit half-space cap, and d_gamma is the distance to that circle
+    boundary = domain_boundary(mesh_surface(hs_cap2, 16), None, 16)
+    rho = np.linalg.norm(boundary.vertices[:, :2], axis=1)
+    exact = np.hypot(rho - math.sin(THETA3), boundary.vertices[:, 2])
+    assert np.max(np.abs(boundary.d_gamma - exact)) < 1e-12
+    assert np.max(boundary.d_gamma[boundary.gamma_vertices]) < 1e-12
+
+
 def test_grading_refines_toward_corner(hs_surface1):
     graded = mesh_domain(hs_surface1, "half-space", 64, grading=0.5)
     uniform = mesh_domain(hs_surface1, "half-space", 64, grading=0.0)
@@ -339,24 +349,29 @@ def test_domain_boundary_logs_its_size(hs_cap2, caplog):
 # ---------------------------------------------------------------------------
 
 
-# (source, container, n, resolution, grading): every cap mesher at an odd and
-# an even resolution, n = 1 graded and ungraded, and one perturbed profile
+# (source, container, n, resolution, grading[, theta]): every cap mesher at an
+# odd and an even resolution, n = 1 graded and ungraded, one perturbed profile,
+# and thin n = 2 caps whose T cone at the axis foot (the two caps) or whose
+# Sigma blocks (the profile) a test against the mean of all vertices turned
+# inward; theta is pi/3 where it is not given
 BOUNDARY_CASES = [
     ("cap", container, n, resolution, grading)
     for container in ("half-space", "half-ball", "closed")
     for n in (1, 2)
     for resolution in (9, 16)
     for grading in ((0.0, 0.5) if n == 1 else (0.0,))
-] + [("profile", "half-ball", 2, 16, 0.0)]
+] + [("profile", "half-ball", 2, 16, 0.0), ("cap", "half-space", 2, 8, 0.5, 0.3),
+     ("cap", "half-ball", 2, 9, 0.0, 0.1), ("profile", "half-ball", 2, 16, 0.0, 0.1)]
 
 
 @pytest.fixture(scope="module", params=BOUNDARY_CASES, ids=lambda k: "-".join(map(str, k)))
 def boundary_and_mesh(request):
-    kind, container, n, resolution, grading = request.param
-    source = make_cap(container, THETA3 if container != "closed" else None,
+    kind, container, n, resolution, grading, *theta = request.param
+    theta = theta[0] if theta else THETA3
+    source = make_cap(container, theta if container != "closed" else None,
                       0.5 if container == "half-ball" else 1.0, n)
     if kind == "profile":
-        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), theta,
                                    container)
     surface = mesh_surface(source, resolution)
     return (domain_boundary(surface, None, resolution, grading=grading),
@@ -381,11 +396,30 @@ def test_sigma_and_t_are_the_faces_of_one_cell(boundary_and_mesh):
 
 def test_boundary_step_is_the_mesh_boundary(boundary_and_mesh):
     # mesh_domain is the boundary step and then the tet step: the same
-    # vertices, facets, corner data and sigma_H, bit for bit
+    # vertices, facets, corner data and sigma_H, bit for bit, and the same
+    # d_gamma, which each computes on first read
     boundary, dom = boundary_and_mesh
     for name in DomainBoundary.__dataclass_fields__:
         got, want = getattr(boundary, name), getattr(dom, name)
         assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, name
+    assert np.array_equal(boundary.d_gamma, dom.d_gamma)
+
+
+def test_tagged_facets_point_away_from_their_cell(boundary_and_mesh):
+    # the true outward test: the normal of every Sigma and T facet points
+    # away from the vertex of its one cell that the facet leaves out
+    boundary, dom = boundary_and_mesh
+    m = dom.cells.shape[1]
+    faces = np.sort(dom.cells[:, [[a for a in range(m) if a != k] for k in range(m)]]
+                    .reshape(-1, m - 1), axis=1)  # face k of a cell leaves out its vertex k
+    tagged = np.vstack([boundary.sigma_facets, boundary.t_facets])
+    ids = np.unique(np.vstack([faces, np.sort(tagged, axis=1)]), axis=0,
+                    return_inverse=True)[1].reshape(-1)
+    face_of = np.empty(ids.max() + 1, dtype=np.int64)
+    face_of[ids[:len(faces)]] = np.arange(len(faces))  # a boundary face is one cell's
+    left_out = dom.vertices[dom.cells.reshape(-1)[face_of[ids[len(faces):]]]]
+    offset = left_out - dom.vertices[tagged[:, 0]]
+    assert np.all(np.einsum("ij,ij->i", boundary.facet_normals(tagged), offset) < 0)
 
 
 def _cell_volume_integrals(dom):

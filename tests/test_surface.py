@@ -12,7 +12,7 @@ from hklab.caps import AnalyticCap
 from hklab.containers import Container, support_conormal, support_normal
 from hklab.errors import HkLabError
 from hklab.meshio import read_off, write_off
-from hklab.meshutil import area_vectors, centroids, simplex_measures
+from hklab.meshutil import area_rows, centroids, coordinate_rows, simplex_measures
 from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.surface import (
     _boundary_loops_2d,
@@ -369,12 +369,16 @@ def test_facet_kernels_match_cross_norm_and_mean_oracle():
     space[:3, 0] = -0.0  # facet 0 has x = -0.0 at every vertex
     edges = np.array([rng.choice(40, 2, replace=False) for _ in range(200)])
     triangles = np.vstack([[0, 1, 2], [rng.choice(40, 3, replace=False) for _ in range(200)]])
+    # fewer vertex slots than vertices gather coordinate by coordinate
     cases = {"edges": (plane, edges), "triangles": (space, triangles),
+             "few edges": (plane, edges[:7]), "few triangles": (space, triangles[:5]),
              "no edges": (plane, edges[:0]), "no triangles": (space, triangles[:0])}
     for name, (vertices, simplices) in cases.items():
         area, measures, normals, means = _old_facet_kernels(vertices, simplices)
         got = simplex_measures(vertices, simplices)
-        assert np.array_equal(area_vectors(vertices, simplices), area), name
+        rows = coordinate_rows(vertices, simplices)
+        assert rows.flags.c_contiguous, name
+        assert np.array_equal(np.column_stack(area_rows(rows)), area), name
         assert np.array_equal(got[0], measures) and np.array_equal(got[1], normals), name
         cells_mean = centroids(vertices, simplices)
         assert np.array_equal(cells_mean, means) and cells_mean.flags.c_contiguous, name
