@@ -26,7 +26,7 @@ import numpy as np
 from hklab.containers import Container, as_angle, parse_container
 from hklab.domain import DomainMesh
 from hklab.errors import HkLabError, MeshFileError
-from hklab.meshutil import check_indices, nearest_distance
+from hklab.meshutil import check_indices
 from hklab.profiles import ProfileCurve, make_axisymmetric
 from hklab.surface import SurfaceMesh, build_surface_mesh, discrete_geometry
 
@@ -314,9 +314,8 @@ def read_domain_json(path: str | Path, data=None) -> DomainMesh:
         gamma_vertices=gamma,
         sigma_H=sigma_h,
     )
-    # the stored distances, else those to the nearest Gamma vertex
-    if d_gamma is not None or len(gamma):
-        domain.d_gamma = nearest_distance(vertices, vertices[gamma]) if d_gamma is None else d_gamma
+    if d_gamma is not None:
+        domain.d_gamma = d_gamma
     return domain
 
 

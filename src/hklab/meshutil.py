@@ -174,12 +174,12 @@ def coordinate_rows(values: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """(d, m, k) gather of points (nv, d): [c, b] is coordinate c of vertex b
     of every simplex; per-vertex values (nv,) give (m, k).
 
-    take copies a non-contiguous (d, nv) view whole first, so a few simplices
-    of a large mesh gather coordinate by coordinate instead, in O(simplices).
+    Points gather coordinate by coordinate, in O(simplices): take on the
+    non-contiguous (d, nv) view would first copy it whole.
     """
     index = np.ascontiguousarray(simplices.T)
-    if values.ndim == 1 or index.size >= len(values):
-        return values.T.take(index, axis=-1)
+    if values.ndim == 1:
+        return values[index]
     return np.stack([column[index] for column in values.T])
 
 

@@ -369,7 +369,6 @@ def test_facet_kernels_match_cross_norm_and_mean_oracle():
     space[:3, 0] = -0.0  # facet 0 has x = -0.0 at every vertex
     edges = np.array([rng.choice(40, 2, replace=False) for _ in range(200)])
     triangles = np.vstack([[0, 1, 2], [rng.choice(40, 3, replace=False) for _ in range(200)]])
-    # fewer vertex slots than vertices gather coordinate by coordinate
     cases = {"edges": (plane, edges), "triangles": (space, triangles),
              "few edges": (plane, edges[:7]), "few triangles": (space, triangles[:5]),
              "no edges": (plane, edges[:0]), "no triangles": (space, triangles[:0])}
