@@ -13,9 +13,12 @@ Both dimensions share one deterministic strip mesher: two rails, resampled
 at shared graded parameters, are joined by straight rungs that are
 subdivided by target size, and all rungs are zippered into triangles by one
 meshutil.zipper_rows call.  The rails stay boundary chains, so Sigma and T
-tags are never ambiguous.  The closed disk zips scaled copies of its loop,
-closed rings, the same way.  For n = 1 the boundary step is the whole strip
-mesh, which is cheap, and the tet step only hands over its triangles.
+tags are never ambiguous, and every rail edge is oriented outward from the
+strip triangle that owns it (_rail_edges reads only those owners); that is
+exact where a test against an interior point fails on thin domains.  The
+closed disk zips scaled copies of its loop, closed rings, the same way.  For
+n = 1 the boundary step is the whole strip mesh, which is cheap, and the tet
+step only hands over its triangles.
 
 Planar domains (n = 1) strip-mesh between the surface polyline and the
 support path, graded into both corners with local size ~ d_Gamma^exponent.
@@ -26,8 +29,7 @@ strip-meshed and revolved by meshutil.revolve with the azimuthal count the
 surfaces use.  The boundary step sweeps all of the cross-section's Sigma and
 T edges into facets in one pass (_sweep_edges) and orients each edge's block
 of facets at once, outward from the cross-section triangle that owns the
-edge; that is exact where a test against an interior point fails on thin
-caps.  The tet step sweeps the triangles: prisms are split into tetrahedra
+edge.  The tet step sweeps the triangles: prisms are split into tetrahedra
 with the min-vertex face-diagonal rule, so the mesh is conforming and
 deterministic, and the triangles at the axis sweep into cones over the fans
 and split quads of one more _sweep_edges call.  The prism stacks of all
@@ -262,11 +264,29 @@ def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, targe
     return vertices, cells, vols, h2max, rows
 
 
-def _rail_edges(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges along rail_a and rail_b of a strip mesh."""
-    first = np.array([r[0] for r in rows], dtype=np.int64)
-    last = np.array([r[-1] for r in rows], dtype=np.int64)
-    return np.column_stack([first[:-1], first[1:]]), np.column_stack([last[:-1], last[1:]])
+def _rail_edges(rows: list, cells: np.ndarray) -> list:
+    """Boundary edges (u, v) along rail_a and rail_b of a strip mesh, each
+    rail with whether the positively oriented cell that owns an edge runs it
+    from u to v.
+
+    Only the owners are read: zipper_rows emits strip after strip, so the
+    first triangle of strip k holds the first vertices of rows k and k + 1,
+    which are its rail_a edge, and its last triangle their last vertices.
+    """
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    per_strip = sizes[:-1] + sizes[1:] - 2
+    if np.any(per_strip == 0):
+        raise MeshQualityError("the two rails of a strip mesh meet along an edge")
+    end = np.cumsum(per_strip)
+    rails = []
+    for ends, owners in ((np.array([r[0] for r in rows]), cells[end - per_strip]),
+                         (np.array([r[-1] for r in rows]), cells[end - 1])):
+        edges = np.column_stack([ends[:-1], ends[1:]]).astype(np.int64)
+        # a triangle runs u -> v when v follows u in its cyclic vertex order
+        runs = np.any((owners == edges[:, :1]) & (np.roll(owners, -1, axis=1) == edges[:, 1:]),
+                      axis=1)
+        rails.append((edges, runs))
+    return rails
 
 
 def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
@@ -283,18 +303,19 @@ def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
     scale = max(np.linalg.norm(sigma_rail[0] - sigma_rail[-1]), 1.0)
     vertices, cells, vols, h2max, rows = _strip_mesh(t_rail, sigma_rail, fracs,
                                                      1.0 / resolution, scale)
-    t_f, sig_f = _rail_edges(rows)
+    # an edge's normal is its direction turned by -90 degrees, outward from
+    # the owning triangle exactly when that triangle runs it
+    (t_f, t_runs), (sig_f, sig_runs) = _rail_edges(rows, cells)
     corners = np.array([rows[0][0], rows[-1][0]], dtype=np.int64)
     h_along = surface.mean_curvature[order]
     sigma_H = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0, 1, len(h_along)), h_along)
-    inner = vertices.mean(axis=0)
     boundary = DomainBoundary(
         dim=2,
         container=container,
         theta=surface.theta,
         vertices=vertices,
-        sigma_facets=_orient_facets_outward(vertices, sig_f, inner),
-        t_facets=_orient_facets_outward(vertices, t_f, inner),
+        sigma_facets=np.where(sig_runs[:, None], sig_f, sig_f[:, ::-1]),
+        t_facets=np.where(t_runs[:, None], t_f, t_f[:, ::-1]),
         gamma_vertices=corners,
         sigma_H=sigma_H,
     )
@@ -420,12 +441,10 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
     vertices2[:, 0] = np.maximum(vertices2[:, 0], 0.0)
 
     # boundary chains of the cross-section; the axis part of the other rail is not T
-    other_edges, sigma_edges = _rail_edges(rows)
+    (other_edges, other_runs), (sigma_edges, sigma_runs) = _rail_edges(rows, cross_cells)
     sigma_h_mid = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0.0, 1.0, len(gen)), h_gen)
     mid_rho = 0.5 * (vertices2[other_edges[:, 0], 0] + vertices2[other_edges[:, 1], 0])
-    t_edges = other_edges[mid_rho > 1e-10 * scale]
-    if container is Container.CLOSED:
-        t_edges = t_edges[:0]
+    on_t = (mid_rho > 1e-10 * scale) & (container is not Container.CLOSED)
 
     on_axis = vertices2[:, 0] <= 1e-12
     vertices, vid, _ = revolve(vertices2, on_axis, target * scale)
@@ -434,10 +453,10 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
     # along b - a turned by +90 degrees in the (rho, z) plane.  They point
     # into the positively oriented cross-section triangle that owns the edge
     # exactly when that triangle runs a -> b, and then the block is flipped.
-    edges = np.vstack([sigma_edges, t_edges])
+    edges = np.vstack([sigma_edges, other_edges[on_t]])
+    runs = np.concatenate([sigma_runs, other_runs[on_t]])
     facets, counts = _sweep_edges(vid, on_axis, edges)
-    n, (i0, i1) = len(vertices2), edges.T
-    runs = np.isin(i0 * n + i1, cross_cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2) @ [n, 1])
+    i0, i1 = edges.T
     flip = np.repeat(runs != (on_axis[i1] & ~on_axis[i0]), counts)
     facets[flip] = facets[flip, ::-1]
     sigma_counts = counts[:len(sigma_edges)]

@@ -33,6 +33,12 @@ was measured paid for itself: unfiltered aggregates cut the iterations at
 resolution 24 from about 540 to 320 but doubled the solve time, strength-
 filtered ones (theta = 0.05) cut them to 35 but their coarse LU of 5-6k
 unknowns took 2.4 s, and a SuperLU solve of the whole system was 7x slower.
+Symmetric Gauss-Seidel through triangular solves lost too: on the n = 2
+meshes at 24 (23,850 unknowns) it took 209 iterations in 0.27-0.29 s
+against Jacobi's 524 in 0.18-0.19 s, SSOR at omega 1.3-1.85 took 133-169
+iterations in 0.19-0.22 s, and one triangular solve (scipy's
+spsolve_triangular) cost 4.4 ms against 0.22-0.33 ms for a product with the
+matrix.
 
 Derivative recovery fits a full quadratic to the vertex values over each
 vertex's 2-hop patch (grown to 3 and 4 hops where needed), with offsets
@@ -45,10 +51,14 @@ some vertices (`at`); a fit reads only its own patch, so their gradients
 equal a full recovery's bit for bit.
 
 At each hop, the Gram matrices of a block's patches of every size are
-stacked and take one Cholesky factorization G = L L^T, written out in
-coordinate-major layout (p, p, K) so that each step is one elementwise
-operation over the whole stack (a block holds about 2,000 fits; on batches
-of about 100 patches, LAPACK's batched Cholesky is the faster one).  The
+stacked, in batches of at most _FIT_POINTS patch points, and each stack
+takes one Cholesky factorization G = L L^T, written out in coordinate-major
+layout (p, p, K) so that each step is one elementwise operation over the
+whole stack (a stack holds hundreds to about 2,000 fits; on batches of
+about 100 patches, LAPACK's batched Cholesky is the faster one).  The cap
+bounds the designs and Gram matrices held at once: one stack per block and
+hop peaked 26.4 MB above the live data on the half-ball n = 2 mesh at 24,
+capped stacks 10.2 MB.  The
 Frobenius bound kappa_2(G) <= ||G||_F ||L^-1||_F^2 certifies almost every
 patch as full rank beyond rounding doubt, and those fits solve the normal
 equations with L.  A fit with a pivot that is not positive, or that the bound
@@ -76,7 +86,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger("hklab.fem")
 
 _DEGENERATE_REL = 1e-12
-_RECOVERY_BLOCK = 2048  # vertices whose patches are built and fitted together
+_RECOVERY_BLOCK = 2048  # vertices whose patches are built together
+_FIT_POINTS = 2**15  # patch points that one _fit_quadratic_patches call fits at most
 _RANK_RCOND = 1e-8  # a fit is full rank when s_min > _RANK_RCOND * s_max
 _GRAM_SAFE = 1e-4  # s_min / s_max that the Cholesky bound certifies as full rank
 _HASH = 2654435761  # odd, so i -> i * _HASH mod 2^32 is one-to-one (root order)
@@ -486,7 +497,8 @@ def _certified_cholesky(gram: np.ndarray, rhs: np.ndarray):
     right-hand sides A^T values.  G = L L^T and L^-1 are formed for all K at
     once in coordinate-major layout (p, p, K), column by column with
     elementwise updates, and every sum runs in a fixed order, so a fit's
-    result does not depend on the other fits of the stack.  A pivot that is
+    result does not depend on the other fits of the stack.  Only the lower
+    triangle of chol is updated and read.  A pivot that is
     not positive and finite marks its own fit as uncertified.  The bound
     kappa_2(G) <= ||G||_F ||G^-1||_F <= ||G||_F ||L^-1||_F^2 certifies a fit
     when it stays below _GRAM_SAFE**-2: then s_min / s_max > _GRAM_SAFE, the
@@ -505,8 +517,8 @@ def _certified_cholesky(gram: np.ndarray, rhs: np.ndarray):
             pivot = chol[j, j]
             ok &= (pivot > 0.0) & (pivot < math.inf)
             chol[j:, j] /= np.sqrt(np.where(ok, pivot, 1.0))
-            col = chol[j + 1 :, j]
-            chol[j + 1 :, j + 1 :] -= col[:, None] * col[None]
+            for i in range(j + 1, p):  # the lower triangle of the trailing block, row by row
+                chol[i, j + 1 : i + 1] -= chol[i, j] * chol[j + 1 : i + 1, j]
         for j in range(p):  # forward substitution L X = I, one column of L at a time
             linv[j, j] += 1.0
             linv[j, : j + 1] /= chol[j, j]
@@ -575,6 +587,24 @@ def _fit_quadratic_patches(coords, f, groups):
     return coef[:, 1 : 1 + d] * np.concatenate(scales)[:, None], full, by_svd
 
 
+def _fit_batches(groups):
+    """The groups (centers, ids) cut, in order, into batches of at most
+    _FIT_POINTS patch points; a patch of more points is a batch of its own."""
+    batch, points = [], 0
+    for centers, ids in groups:
+        k, m = ids.shape
+        step = max(1, _FIT_POINTS // m)
+        for lo in range(0, k, step):
+            n = min(step, k - lo) * m
+            if batch and points + n > _FIT_POINTS:
+                yield batch
+                batch, points = [], 0
+            batch.append((centers[lo : lo + step], ids[lo : lo + step]))
+            points += n
+    if batch:
+        yield batch
+
+
 def _linear_fallback(coords, f, v, ids):
     """Linear fit on one patch, offsets scaled as for the quadratic fits;
     None when the patch's offsets all vanish."""
@@ -609,8 +639,9 @@ def recover_nodal_gradients(
 
     Vertices are processed in blocks of _RECOVERY_BLOCK: the block's patches
     are rows of products of the mesh's vertex graph (DomainMesh.graph), and at
-    each hop the patches of every size are fitted by one
-    `_fit_quadratic_patches`.
+    each hop the patches of every size are fitted by `_fit_quadratic_patches`
+    calls of at most _FIT_POINTS patch points each, which bounds the designs
+    and Gram matrices held at once.
     """
     nv, d = vertices.shape
     at = np.arange(nv) if at is None else np.asarray(at, dtype=np.int64)
@@ -638,10 +669,12 @@ def recover_nodal_gradients(
             done = np.zeros(len(rows), dtype=bool)
             if groups:
                 sel = np.concatenate(sels)
-                grads, full, svd_fits = _fit_quadratic_patches(coords, f, groups)
+                grads, full, svd_fits = zip(*(_fit_quadratic_patches(coords, f, batch)
+                                              for batch in _fit_batches(groups)))
+                grads, full = np.concatenate(grads), np.concatenate(full)
                 nodal[rows[sel[full]]] = grads[full]
                 done[sel[full]] = True
-                by_svd += svd_fits
+                by_svd += sum(svd_fits)
             rows = rows[~done]
             if len(rows) == 0:
                 break

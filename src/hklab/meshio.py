@@ -95,36 +95,63 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 def write_off(mesh: SurfaceMesh, path: str | Path) -> None:
-    pad = [0.0] * (3 - mesh.vertices.shape[1])
-    lines = ["OFF", f"{mesh.num_vertices} {len(mesh.cells)} 0"]
-    lines += [" ".join(map(repr, v + pad)) for v in mesh.vertices.tolist()]
-    lines += [f"{len(cell)} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the mesh as ASCII OFF: every vertex line is one %r format of its
+    three coordinates (a polyline's z is 0.0), every facet line one %d format
+    of its arity and indices, and each block is one format call."""
+    nv, (nc, m) = mesh.num_vertices, mesh.cells.shape
+    coords = np.zeros((nv, 3))
+    coords[:, :mesh.vertices.shape[1]] = mesh.vertices
+    text = (f"OFF\n{nv} {nc} 0\n" + ("%r %r %r\n" * nv) % tuple(coords.ravel().tolist())
+            + (f"{m}{' %d' * m}\n" * nc) % tuple(mesh.cells.ravel().tolist()))
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _facet_integers(block: str) -> np.ndarray:
+    """Every whitespace-separated token of the facet block as an int64.
+
+    numpy's C parser reads the block in one strict call: a token that is not
+    a decimal integer, such as "2.5" or "0x1", raises ValueError, so trailing
+    text after the last facet makes the file malformed.  Two of its habits
+    are ruled out here: it reads a lone sign as a number (a "+" at the end
+    as 0), and it knows only ASCII whitespace, so a block that fails is
+    parsed again with its tokens joined by spaces.
+    """
+    if not block:
+        return np.empty(0, dtype=np.int64)
+    if ("+" in block or "-" in block) and not {"+", "-"}.isdisjoint(block.split()):
+        raise ValueError("a sign without digits")
+    try:
+        return np.fromstring(block, dtype=np.int64, sep=" ")
+    except ValueError:
+        return np.fromstring(" ".join(block.split()), dtype=np.int64, sep=" ")
 
 
 def _off_arrays(text: str):
     """(vertices, cells) of an OFF text, with the 3 coordinates of every vertex.
 
-    One whitespace split tokenizes the text: str.split breaks at every line
-    boundary of str.splitlines, so only a text with a "#" is cut into lines,
-    to drop each line's comment.
+    Whitespace splits only the header and the 3 nv coordinates; the facet
+    block stays one string for _facet_integers.  str.split breaks at every
+    line boundary of str.splitlines, so only a text with a "#" is cut into
+    lines, to drop each line's comment.
     """
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    tokens = text.split()
-    if not tokens or tokens[0] != "OFF":
+    head = text.split(maxsplit=4)
+    if not head or head[0] != "OFF":
         raise HkLabError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4 + 3 * nv
-    verts = np.array(tokens[4:pos], dtype=float).reshape(nv, 3)
+    nv, nf = int(head[1]), int(head[2])
+    if nv < 0 or nf < 0:
+        raise ValueError(f"negative counts {nv} {nf}")
+    tokens = head[4].split(maxsplit=3 * nv) if len(head) > 4 else []
+    verts = np.array(tokens[:3 * nv], dtype=float).reshape(nv, 3)
+    ints = _facet_integers(tokens[3 * nv] if len(tokens) > 3 * nv else "")
     # facet lines "m i_1 ... i_m", all with the arity m of the first one
-    arity = int(tokens[pos]) if nf else None
+    arity = int(ints[0]) if nf else None
     width = max(arity or 0, 0) + 1
-    facet_tokens = tokens[pos:pos + nf * width]
-    whole = len(facet_tokens) // width
-    rows = np.array(facet_tokens[:whole * width], dtype=np.int64).reshape(whole, width)
+    whole = min(len(ints) // width, nf)
+    rows = ints[:whole * width].reshape(whole, width)
     # a short file either ends early or holds a facet of smaller arity
-    next_arity = int(facet_tokens[whole * width]) if whole < nf else arity
+    next_arity = int(ints[whole * width]) if whole < nf else arity
     if np.any(rows[:, 0] != arity) or next_arity != arity:
         raise HkLabError("mixed facet arities are not supported")
     if whole < nf:

@@ -84,7 +84,9 @@ def zipper_rows(rows: list, keys: list) -> np.ndarray:
     (ties step along a): a step to a's next vertex makes (a_i, b_j, a_i+1),
     one to b's next vertex (a_i, b_j, b_j+1).  A row of length 1 is a fan
     apex; a closed ring is a row that repeats its first vertex at the end,
-    with key + 2 pi.
+    with key + 2 pi.  Triangles come strip after strip, each strip's in step
+    order, so a strip's first triangle holds the first vertices of both rows
+    and its last triangle their last vertices.
     """
     sizes = np.array([len(r) for r in rows], dtype=np.int64)
     first = np.cumsum(sizes) - sizes

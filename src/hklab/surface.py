@@ -29,6 +29,7 @@ from hklab.meshutil import (
     centroids,
     check_indices,
     circumcircle_curvature,
+    coordinate_rows,
     cross_rows,
     norm_rows,
     polyline_order,
@@ -467,18 +468,25 @@ def _mesh_profile_1d(profile: ProfileCurve, resolution: int) -> SurfaceMesh:
 def _corner_terms(vertices: np.ndarray, cells: np.ndarray):
     """Edges of every triangle, and the dot and cross products at its corners.
 
-    With p = vertices[cells] and local indices mod 3, edges[a] = p[a + 2] -
-    p[a + 1] is the edge opposite vertex a.  The sides at vertex a are then
-    edges[a + 2] = p[a + 1] - p[a] and -edges[a + 1] = p[a + 2] - p[a];
-    dots[a] is their dot product and crosses[a] the norm of their cross
-    product, twice the triangle's area.
+    With p the coordinate rows of the triangles' vertices (coordinate_rows,
+    p[c, a] is coordinate c of vertex a) and local indices mod 3, edges[a] =
+    p[:, a + 2] - p[:, a + 1], coordinate rows (3, k), is the edge opposite
+    vertex a.  The sides at vertex a are then edges[a + 2] = p[a + 1] - p[a]
+    and -edges[a + 1] = p[a + 2] - p[a]; dots[a] is their dot product and
+    crosses[a] the norm of their cross product, twice the triangle's area.
     """
-    p = vertices[cells]
+    p = coordinate_rows(vertices, cells)
     edges = [p[:, (a + 2) % 3] - p[:, (a + 1) % 3] for a in range(3)]
     sides = [(edges[(a + 2) % 3], -edges[(a + 1) % 3]) for a in range(3)]
-    dots = [np.einsum("ab,ab->a", s, t) for s, t in sides]
-    crosses = [norm_rows(cross_rows(s.T, t.T)) for s, t in sides]
+    dots = [_dot_rows(s, t) for s, t in sides]
+    crosses = [norm_rows(cross_rows(s, t)) for s, t in sides]
     return edges, dots, crosses
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of coordinate rows (3, k), with the bits of the row-wise
+    np.einsum("ab,ab->a") that they replaced: it adds x z first, then y."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
 def _mixed_voronoi_areas(cells: np.ndarray, nv: int, edges, dots, crosses) -> np.ndarray:
@@ -486,7 +494,7 @@ def _mixed_voronoi_areas(cells: np.ndarray, nv: int, edges, dots, crosses) -> np
     summed into each vertex by local vertex, then by cell."""
     full = 0.5 * crosses[0]
     sin_area = 2.0 * full
-    sq = [np.einsum("ab,ab->a", e, e) for e in edges]
+    sq = [_dot_rows(e, e) for e in edges]
     obtuse_any = (dots[0] < 0) | (dots[1] < 0) | (dots[2] < 0)
     contribs = []
     for i in range(3):
@@ -512,7 +520,7 @@ def _cotan_mean_curvature(vertices: np.ndarray, cells: np.ndarray, normals: np.n
     # w (p_i - p_j) at i and -w (p_i - p_j) at j, one coordinate at a time
     acc = np.column_stack([
         np.bincount(index, weights=np.concatenate([t for w, e in terms
-                                                   for t in (-(w * e[:, c]), w * e[:, c])]),
+                                                   for t in (-(w * e[c]), w * e[c])]),
                     minlength=nv)
         for c in range(3)
     ])

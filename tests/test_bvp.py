@@ -982,6 +982,24 @@ def test_solve_kernels_hold_chunk_sized_temporaries(hs_cap2):
     assert used <= limit
     assert transient(lambda: load_volume(dom.cells, dom.cell_volumes, np.ones(nv), nv))[1] <= limit
     assert transient(lambda: cell_hessians_of(nodal, dom.vertices, dom.cells, good))[1] <= limit
+    # patch recovery fits at most _FIT_POINTS patch points per call, and may
+    # hold, besides its result, the vertex graph's bytes plus 256 B per point
+    # of one call; one call per hop held 17.6 MB here
+    fit_limit = graph.data.nbytes + graph.indices.nbytes + graph.indptr.nbytes
+    fit_limit += 256 * hklab.fem._FIT_POINTS
+    recovery = transient(lambda: recover_nodal_gradients(dom.vertices, graph, nodal[:, 0]))
+    assert recovery[1] <= fit_limit
+
+
+@pytest.mark.parametrize("mesh", ["hs_domain2", "hb_domain1_graded"])
+def test_fit_batches_leave_gradients_bit_identical(mesh, request, monkeypatch):
+    # an odd cap cuts groups of every patch size and packs small ones together
+    dom = request.getfixturevalue(mesh)
+    f = _smooth_field(dom.vertices, 3)
+    monkeypatch.setattr(hklab.fem, "_FIT_POINTS", 2**40)
+    whole = recover_nodal_gradients(dom.vertices, dom.graph, f)
+    monkeypatch.setattr(hklab.fem, "_FIT_POINTS", 97)
+    assert recover_nodal_gradients(dom.vertices, dom.graph, f).tobytes() == whole.tobytes()
 
 
 def test_hop_distance_matches_breadth_first_search(hb_domain1_graded):

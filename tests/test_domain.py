@@ -349,11 +349,13 @@ def test_domain_boundary_logs_its_size(hs_cap2, caplog):
 # ---------------------------------------------------------------------------
 
 
-# (source, container, n, resolution, grading[, theta]): every cap mesher at an
-# odd and an even resolution, n = 1 graded and ungraded, one perturbed profile,
-# and thin n = 2 caps whose T cone at the axis foot (the two caps) or whose
-# Sigma blocks (the profile) a test against the mean of all vertices turned
-# inward; theta is pi/3 where it is not given
+# (source, container, n, resolution, grading[, theta[, amplitude]]): every cap
+# mesher at an odd and an even resolution, n = 1 graded and ungraded, one
+# perturbed profile, thin n = 2 caps whose T cone at the axis foot (the two
+# caps) or whose Sigma blocks (the profile) a test against the mean of all
+# vertices turned inward, and thin perturbed n = 1 profiles whose Sigma or T
+# edges that test turned inward; theta is pi/3 and a profile's perturbation
+# amplitude 0.02 where they are not given
 BOUNDARY_CASES = [
     ("cap", container, n, resolution, grading)
     for container in ("half-space", "half-ball", "closed")
@@ -361,17 +363,22 @@ BOUNDARY_CASES = [
     for resolution in (9, 16)
     for grading in ((0.0, 0.5) if n == 1 else (0.0,))
 ] + [("profile", "half-ball", 2, 16, 0.0), ("cap", "half-space", 2, 8, 0.5, 0.3),
-     ("cap", "half-ball", 2, 9, 0.0, 0.1), ("profile", "half-ball", 2, 16, 0.0, 0.1)]
+     ("cap", "half-ball", 2, 9, 0.0, 0.1), ("profile", "half-ball", 2, 16, 0.0, 0.1)] + [
+    ("profile", container, 1, resolution, grading, 0.1, 0.05)
+    for container, resolution, grading in (
+        ("half-space", 64, 0.0), ("half-space", 128, 0.0), ("half-space", 128, 0.5),
+        ("half-ball", 64, 0.5), ("half-ball", 128, 0.0), ("half-ball", 128, 0.5))
+]
 
 
 @pytest.fixture(scope="module", params=BOUNDARY_CASES, ids=lambda k: "-".join(map(str, k)))
 def boundary_and_mesh(request):
-    kind, container, n, resolution, grading, *theta = request.param
-    theta = theta[0] if theta else THETA3
+    kind, container, n, resolution, grading, *rest = request.param
+    theta, amplitude = (*rest, *(THETA3, 0.02)[len(rest):])
     source = make_cap(container, theta if container != "closed" else None,
                       0.5 if container == "half-ball" else 1.0, n)
     if kind == "profile":
-        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), theta,
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), amplitude), theta,
                                    container)
     surface = mesh_surface(source, resolution)
     return (domain_boundary(surface, None, resolution, grading=grading),

@@ -58,6 +58,28 @@ def test_off_roundtrip_triangles(hs_cap2, tmp_path):
     assert np.max(np.abs(back.mean_curvature[interior] - 2.0)) < 0.06
 
 
+def _line_write_off(mesh, path):
+    """Oracle: the line-by-line OFF writer that write_off used to run."""
+    pad = [0.0] * (3 - mesh.vertices.shape[1])
+    lines = ["OFF", f"{mesh.num_vertices} {len(mesh.cells)} 0"]
+    lines += [" ".join(map(repr, v + pad)) for v in mesh.vertices.tolist()]
+    lines += [f"{len(cell)} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_off_writer_bytes_and_rewrite(n, hs_cap1, hs_cap2, tmp_path):
+    # one format call per block writes the bytes of the line writer, and a
+    # file read back and written again is the same file
+    mesh = mesh_surface(hs_cap1 if n == 1 else hs_cap2, 16)
+    mesh.vertices[0, 0] = -0.0  # repr keeps the sign of a zero
+    write_off(mesh, tmp_path / "a.off")
+    _line_write_off(mesh, tmp_path / "want.off")
+    assert (tmp_path / "a.off").read_bytes() == (tmp_path / "want.off").read_bytes()
+    write_off(read_off(tmp_path / "a.off", "half-space", THETA3), tmp_path / "b.off")
+    assert (tmp_path / "b.off").read_bytes() == (tmp_path / "a.off").read_bytes()
+
+
 def test_off_roundtrip_polyline(hs_cap1, tmp_path):
     mesh = mesh_surface(hs_cap1, 32)
     path = tmp_path / "curve.off"
@@ -145,6 +167,10 @@ _OFF_LAYOUTS = {
     "form feeds": lambda text: text.replace("\n", "\n\f", 3),
     "vertex comment": _edit_line(2, lambda line: line + " # the first vertex"),
     "split vertex": _edit_line(3, lambda line: line.replace(" ", "\n", 1)),
+    # whitespace that str.split knows and numpy's C parser does not
+    "unicode spaces": lambda text: text.replace(" ", "\u2003").replace("\n", "\x1f\n"),
+    "vertical tabs": lambda text: text.replace(" ", "\v"),
+    "trailing comment": lambda text: text + "\n# end of facets\n\n   \n",
 }
 
 
@@ -174,6 +200,24 @@ def test_off_arrays_match_token_parser(hs_cap2, hs_cap1, tmp_path):
     ("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", "malformed OFF file"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "cell index outside"),
     ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 2 1 -1\n", "cell index outside"),
+    ("OFF\n-3 1 0\n0 0 0\n", "malformed OFF file"),
+    # a facet token is a decimal integer, never truncated to one
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2.5\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 0x1 2\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3.0 0 1 2\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 + 1 2\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -\n", "malformed OFF file"),
+    # a header that promises more facets than the text holds
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "ends within facet 0"),
+    ("OFF\n3 1000 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0\n", "ends within facet 1"),
+    ("OFF\n3 1000 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "malformed OFF file"),
+    # text after the last facet that is not an integer
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\nend\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 0.5 0.5 0.5\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 +\n", "malformed OFF file"),
+    # per-facet integer colours
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 255 0 0\n3 0 2 1 255 0 0\n",
+     "mixed facet arities"),
 ])
 def test_off_errors(text, message, tmp_path):
     path = tmp_path / "bad.off"

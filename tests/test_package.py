@@ -87,6 +87,22 @@ def test_one_scatter_rule():
     assert at_calls == []
 
 
+def test_no_counted_fromstring():
+    """np.fromstring reads text strictly only without a count: with numpy
+    2.4.6, fromstring("3 0 1 2", dtype=np.int64, sep=" ", count=8) returns
+    uninitialised values past the text, and with a count it reads "2.5" as 2.
+    No call in the package passes one, by keyword or as the third argument."""
+    counted = [
+        (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)) == "fromstring"
+        and (len(node.args) > 2 or any(kw.arg in ("count", None) for kw in node.keywords))
+    ]
+    assert counted == []
+
+
 # top-level definitions that only the tests use, with the reason they stay
 _TESTED_ONLY = {
     ("surface.py", "frame_residual"):
