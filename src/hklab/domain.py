@@ -12,13 +12,15 @@ rung that solves nothing builds no cells.
 Both dimensions share one deterministic strip mesher: two rails, resampled
 at shared graded parameters, are joined by straight rungs that are
 subdivided by target size, and all rungs are zippered into triangles by one
-meshutil.zipper_rows call.  The rails stay boundary chains, so Sigma and T
-tags are never ambiguous, and every rail edge is oriented outward from the
-strip triangle that owns it (_rail_edges reads only those owners); that is
-exact where a test against an interior point fails on thin domains.  The
-closed disk zips scaled copies of its loop, closed rings, the same way.  For
-n = 1 the boundary step is the whole strip mesh, which is cheap, and the tet
-step only hands over its triangles.
+meshutil.zipper_rows call; the closed disk zips scaled copies of its loop,
+closed rings, the same way.  The rails stay boundary chains, so Sigma and T
+tags are never ambiguous.  Each zipped region takes the one sign of its
+cells as the zipper emits them and is flipped whole when it is negative; one
+whose cells hold both signs has folded and is refused (_orient_region).  So
+every boundary edge runs as the zipper built it (_rail_edges), with no test
+against an interior point, which fails on thin domains.  For n = 1 the
+boundary step is the whole strip mesh, which is cheap, and the tet step only
+hands over its triangles.
 
 Planar domains (n = 1) strip-mesh between the surface polyline and the
 support path, graded into both corners with local size ~ d_Gamma^exponent.
@@ -28,10 +30,10 @@ the samples the surface revolves) and the axis+support path is
 strip-meshed and revolved by meshutil.revolve with the azimuthal count the
 surfaces use.  The boundary step sweeps all of the cross-section's Sigma and
 T edges into facets in one pass (_sweep_edges) and orients each edge's block
-of facets at once, outward from the cross-section triangle that owns the
-edge.  The tet step sweeps the triangles: prisms are split into tetrahedra
-with the min-vertex face-diagonal rule, so the mesh is conforming and
-deterministic, and the triangles at the axis sweep into cones over the fans
+of facets at once, by the direction the cross-section's cells run the edge.
+The tet step sweeps the triangles: prisms are split into tetrahedra with the
+min-vertex face-diagonal rule, so the mesh is conforming and deterministic,
+and the triangles at the axis sweep into cones over the fans
 and split quads of one more _sweep_edges call.  The prism stacks of all
 off-axis triangles are split in one call.  d_Gamma, which only the n = 1
 corner fit and the domain-file writer read, is computed on first read.
@@ -39,10 +41,11 @@ corner fit and the domain-file writer read, is computed on first read.
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
 (meshutil.edge_determinant over d!) and the longest squared edges.  The same
-pass fixes the orientation of every mesher: a negative cell swaps its last
-two vertices in place and its volume is negated, which is exact for both
-determinants.  Every mesher keeps both arrays of that pass, and mesh_quality
-grades a mesh from them without another gather.
+pass orients the n = 2 tets, whose prism splits hold both signs by design: a
+negative cell swaps its last two vertices in place and its volume is
+negated, which is exact for both determinants.  Every mesher keeps both
+arrays of that pass, and mesh_quality grades a mesh from them without
+another gather.
 
 A mesh owns its vertex graph (DomainMesh.graph): the one sparsity pattern
 that fem assembles into, whose row products are the recovery patches and
@@ -62,7 +65,6 @@ from hklab.errors import HkLabError, MeshQualityError
 from hklab.fem import nondegenerate, vertex_adjacency
 from hklab.meshutil import (
     CELL_BLOCK,
-    centroids,
     edge_determinant,
     graded_nodes,
     lazy,
@@ -194,16 +196,19 @@ def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
     return vols, h2max
 
 
-def _orient_facets_outward(vertices: np.ndarray, facets: np.ndarray,
-                           inner_points: np.ndarray) -> np.ndarray:
-    """Flip facet vertex order until the implied normal points away from inner_points."""
-    if len(facets) == 0:
-        return facets
-    normals = simplex_measures(vertices, facets)[1]
-    flip = np.einsum("ij,ij->i", normals, centroids(vertices, facets) - inner_points) < 0
-    out = facets.copy()
-    out[flip] = out[flip, ::-1]
-    return out
+def _orient_region(vertices: np.ndarray, cells: np.ndarray):
+    """Orient a zipped region's triangles by the one sign of its nondegenerate
+    cells, flipping all of them in place if it is negative: their volumes and
+    longest squared edges, and whether it was positive.  Refuse a fold."""
+    vols, h2max = cell_geometry(vertices, cells)
+    live = vols[nondegenerate(vols)]
+    positive, negative = int(np.count_nonzero(live > 0)), int(np.count_nonzero(live < 0))
+    if positive and negative:
+        raise MeshQualityError(f"folded planar mesh: {positive} positively and {negative} "
+                               "negatively oriented cells")
+    if negative:
+        cells[:, 1:] = cells[:, :0:-1]
+    return -vols if negative else vols, h2max, not negative
 
 
 def mesh_quality(dom: DomainMesh) -> np.ndarray:
@@ -239,10 +244,12 @@ def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, targe
     end rungs and rungs shorter than 1e-14 collapse to their midpoint; the
     others are subdivided to size ~ target * scale, all rungs in one pass:
     a rung of n segments samples s = i * (1/n) with its last sample 1.0, as
-    linspace rounds them.  Consecutive rungs are zipper-triangulated.
-    Returns the vertices, the positively oriented cells, their signed
-    volumes and longest squared edges, and the rows of vertex ids per rung,
-    each running from rail_a to rail_b.
+    linspace rounds them.  Consecutive rungs are zipper-triangulated, strip k
+    from the rail_a ends of rows k and k + 1 to their rail_b ends, and
+    oriented by their one sign.  Returns the vertices, the positively
+    oriented cells, their signed volumes and longest squared edges, the rows
+    of vertex ids per rung, each from rail_a to rail_b, and whether the
+    zipper's cells were positive.
     """
     pts_a = polyline_interp(rail_a, fracs)
     pts_b = polyline_interp(rail_b, fracs)
@@ -260,33 +267,20 @@ def _strip_mesh(rail_a: np.ndarray, rail_b: np.ndarray, fracs: np.ndarray, targe
     vertices = (1.0 - s)[:, None] * pts_a[rung] + s[:, None] * pts_b[rung]
     rows = np.split(np.arange(len(rung)), first[1:])
     cells = zipper_rows(rows, np.split(s, first[1:]))
-    vols, h2max = cell_geometry(vertices, cells, orient=True)
-    return vertices, cells, vols, h2max, rows
+    vols, h2max, positive = _orient_region(vertices, cells)
+    return vertices, cells, vols, h2max, rows, positive
 
 
-def _rail_edges(rows: list, cells: np.ndarray) -> list:
-    """Boundary edges (u, v) along rail_a and rail_b of a strip mesh, each
-    rail with whether the positively oriented cell that owns an edge runs it
-    from u to v.
-
-    Only the owners are read: zipper_rows emits strip after strip, so the
-    first triangle of strip k holds the first vertices of rows k and k + 1,
-    which are its rail_a edge, and its last triangle their last vertices.
-    """
+def _rail_edges(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary edges along rail_a and rail_b of a strip mesh in row order,
+    (rows[k][0], rows[k + 1][0]) and (rows[k][-1], rows[k + 1][-1]): as
+    zipper_rows emits a strip, a positive one runs the first in row order and
+    the second against it."""
     sizes = np.array([len(r) for r in rows], dtype=np.int64)
-    per_strip = sizes[:-1] + sizes[1:] - 2
-    if np.any(per_strip == 0):
+    if np.any(sizes[:-1] + sizes[1:] == 2):
         raise MeshQualityError("the two rails of a strip mesh meet along an edge")
-    end = np.cumsum(per_strip)
-    rails = []
-    for ends, owners in ((np.array([r[0] for r in rows]), cells[end - per_strip]),
-                         (np.array([r[-1] for r in rows]), cells[end - 1])):
-        edges = np.column_stack([ends[:-1], ends[1:]]).astype(np.int64)
-        # a triangle runs u -> v when v follows u in its cyclic vertex order
-        runs = np.any((owners == edges[:, :1]) & (np.roll(owners, -1, axis=1) == edges[:, 1:]),
-                      axis=1)
-        rails.append((edges, runs))
-    return rails
+    return tuple(np.column_stack([ends[:-1], ends[1:]])
+                 for ends in (np.array([r[0] for r in rows]), np.array([r[-1] for r in rows])))
 
 
 def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
@@ -301,11 +295,11 @@ def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
     t_rail = _support_rail(container, sigma_rail[0], sigma_rail[-1], max(resolution, 8))
     fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides="both")
     scale = max(np.linalg.norm(sigma_rail[0] - sigma_rail[-1]), 1.0)
-    vertices, cells, vols, h2max, rows = _strip_mesh(t_rail, sigma_rail, fracs,
-                                                     1.0 / resolution, scale)
+    vertices, cells, vols, h2max, rows, positive = _strip_mesh(t_rail, sigma_rail, fracs,
+                                                               1.0 / resolution, scale)
     # an edge's normal is its direction turned by -90 degrees, outward from
-    # the owning triangle exactly when that triangle runs it
-    (t_f, t_runs), (sig_f, sig_runs) = _rail_edges(rows, cells)
+    # the strip where the strip's positively oriented cells run it
+    t_f, sig_f = _rail_edges(rows)
     corners = np.array([rows[0][0], rows[-1][0]], dtype=np.int64)
     h_along = surface.mean_curvature[order]
     sigma_H = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0, 1, len(h_along)), h_along)
@@ -314,8 +308,8 @@ def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
         container=container,
         theta=surface.theta,
         vertices=vertices,
-        sigma_facets=np.where(sig_runs[:, None], sig_f, sig_f[:, ::-1]),
-        t_facets=np.where(t_runs[:, None], t_f, t_f[:, ::-1]),
+        sigma_facets=np.where(positive, sig_f[:, ::-1], sig_f),
+        t_facets=np.where(positive, t_f, t_f[:, ::-1]),
         gamma_vertices=corners,
         sigma_H=sigma_H,
     )
@@ -435,13 +429,13 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
     fracs = graded_nodes(1.0, 1.0 / resolution, grading, sides=sides)
     scale = max(float(np.linalg.norm(apex - corner)), 1e-12)
     target = 1.0 / resolution
-    vertices2, cross_cells, _, _, rows = _strip_mesh(rail_other, gen, fracs, target, scale)
+    vertices2, cross_cells, *_, rows, positive = _strip_mesh(rail_other, gen, fracs, target, scale)
     if np.any(vertices2[:, 0] < -1e-12):
         raise MeshQualityError("cross-section left the rho >= 0 half plane")
     vertices2[:, 0] = np.maximum(vertices2[:, 0], 0.0)
 
     # boundary chains of the cross-section; the axis part of the other rail is not T
-    (other_edges, other_runs), (sigma_edges, sigma_runs) = _rail_edges(rows, cross_cells)
+    other_edges, sigma_edges = _rail_edges(rows)
     sigma_h_mid = np.interp(0.5 * (fracs[:-1] + fracs[1:]), np.linspace(0.0, 1.0, len(gen)), h_gen)
     mid_rho = 0.5 * (vertices2[other_edges[:, 0], 0] + vertices2[other_edges[:, 1], 0])
     on_t = (mid_rho > 1e-10 * scale) & (container is not Container.CLOSED)
@@ -451,10 +445,10 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
 
     # A block swept from a to b (from the axis vertex, for a fan) has normals
     # along b - a turned by +90 degrees in the (rho, z) plane.  They point
-    # into the positively oriented cross-section triangle that owns the edge
-    # exactly when that triangle runs a -> b, and then the block is flipped.
+    # inward, and the block is flipped, when the positive cross-section runs
+    # a -> b, as it runs the other rail and not the generator (_rail_edges).
     edges = np.vstack([sigma_edges, other_edges[on_t]])
-    runs = np.concatenate([sigma_runs, other_runs[on_t]])
+    runs = (np.arange(len(edges)) >= len(sigma_edges)) == positive
     facets, counts = _sweep_edges(vid, on_axis, edges)
     i0, i1 = edges.T
     flip = np.repeat(runs != (on_axis[i1] & ~on_axis[i0]), counts)
@@ -590,16 +584,18 @@ def _boundary_disk(surface: SurfaceMesh, resolution: int):
     rows = [np.append(np.arange(a, a + m), a) for a, m in zip(starts, sizes)]
     keys = [np.append(np.arange(m) * 2.0 * math.pi / m, 2.0 * math.pi) for m in sizes]
     cells = zipper_rows(rows + [starts[-1:]], keys + [np.zeros(1)])
-    vols, h2max = cell_geometry(vertices, cells, orient=True)
+    vols, h2max, positive = _orient_region(vertices, cells)
 
-    sigma_facets = np.column_stack([order, np.roll(order, -1)]).astype(np.int64)
+    # Sigma is ring 0 in domain numbering; a positive fan runs it k + 1 -> k
+    ring = np.arange(len(pts))
+    loop = np.column_stack([ring, np.roll(ring, -1)])
     h_mid = 0.5 * (surface.mean_curvature[order] + surface.mean_curvature[np.roll(order, -1)])
     boundary = DomainBoundary(
         dim=2,
         container=Container.CLOSED,
         theta=None,
         vertices=vertices,
-        sigma_facets=_orient_facets_outward(vertices, sigma_facets, seed[None, :]),
+        sigma_facets=np.where(positive, loop[:, ::-1], loop),
         t_facets=np.empty((0, 2), dtype=np.int64),
         gamma_vertices=np.empty(0, dtype=np.int64),
         sigma_H=h_mid,

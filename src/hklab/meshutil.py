@@ -82,11 +82,13 @@ def zipper_rows(rows: list, keys: list) -> np.ndarray:
     Row k holds vertex ids with nondecreasing keys keys[k].  The strip
     between rows a and b steps along a stable merge of their next keys
     (ties step along a): a step to a's next vertex makes (a_i, b_j, a_i+1),
-    one to b's next vertex (a_i, b_j, b_j+1).  A row of length 1 is a fan
-    apex; a closed ring is a row that repeats its first vertex at the end,
-    with key + 2 pi.  Triangles come strip after strip, each strip's in step
-    order, so a strip's first triangle holds the first vertices of both rows
-    and its last triangle their last vertices.
+    one to b's next vertex (a_i, b_j, b_j+1).  So every triangle runs a_i ->
+    b_j, a region whose rows do not cross emits all its triangles with one
+    orientation, and the rows fix the direction it runs each boundary edge.
+    A row of length 1 is a fan apex; a closed ring is a row that repeats its
+    first vertex at the end, with key + 2 pi.  Triangles come strip after
+    strip, each strip's in step order, so a strip's first triangle runs a_0 ->
+    b_0 and its last runs b's last vertex -> a's last vertex.
     """
     sizes = np.array([len(r) for r in rows], dtype=np.int64)
     first = np.cumsum(sizes) - sizes

@@ -253,6 +253,30 @@ def test_closed_hk_report_has_no_angle(tmp_path):
     assert report["results"][0]["hk"]["theta"] is None
 
 
+def test_closed_circle_numbered_off_its_loop(tmp_path):
+    # the disk's Sigma is its loop in the domain's numbering, so an OFF
+    # circle whose vertices are not numbered along the loop encloses the
+    # same area (the loop's own surface ids once gave 9.88 against 3.12)
+    from dataclasses import replace
+
+    from hklab import make_cap, mesh_surface
+    from hklab.meshio import write_off
+
+    circle = mesh_surface(make_cap("closed", None, 1.0, 1), 32)
+    perm = np.random.default_rng(0).permutation(circle.num_vertices)
+    write_off(circle, tmp_path / "loop.off")
+    write_off(replace(circle, vertices=circle.vertices[perm], cells=np.argsort(perm)[circle.cells]),
+              tmp_path / "perm.off")
+    volumes = []
+    for name in ("loop", "perm"):
+        out = tmp_path / f"{name}.json"
+        assert run_cli("run", "--surface", str(tmp_path / f"{name}.off"), "--container", "closed",
+                       "--dim", "1", "--checks", "hk,identities", "--ladder", "32",
+                       "--out", str(out)) == 0
+        volumes.append(json.loads(out.read_text())["results"][0]["hk"]["components"]["volume"])
+    assert abs(volumes[1] - volumes[0]) <= 1e-12 * volumes[0]
+
+
 @pytest.mark.parametrize("dim, ladder", [("1", [16, 32, 64]), ("2", [8, 16, 24])])
 def test_default_ladder_follows_the_dimension(dim, ladder):
     from hklab.cli import _scenario_from_args, build_parser

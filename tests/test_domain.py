@@ -18,11 +18,13 @@ from hklab import (
     perturb_profile,
 )
 from hklab import domain
+from hklab.containers import Container
 from hklab.domain import DomainBoundary, cell_geometry, mesh_quality
 from hklab.identities import domain_volume_integrals
 from hklab.meshutil import polyline_order
 from hklab.profiles import profile_from_cap
-from hklab.errors import HkLabError
+from hklab.errors import HkLabError, MeshQualityError
+from hklab.surface import build_surface_mesh, discrete_geometry
 
 
 def test_planar_cap_area(hs_surface1):
@@ -353,9 +355,11 @@ def test_domain_boundary_logs_its_size(hs_cap2, caplog):
 # mesher at an odd and an even resolution, n = 1 graded and ungraded, one
 # perturbed profile, thin n = 2 caps whose T cone at the axis foot (the two
 # caps) or whose Sigma blocks (the profile) a test against the mean of all
-# vertices turned inward, and thin perturbed n = 1 profiles whose Sigma or T
-# edges that test turned inward; theta is pi/3 and a profile's perturbation
-# amplitude 0.02 where they are not given
+# vertices turned inward, thin perturbed n = 1 profiles whose Sigma or T
+# edges that test turned inward, and caps at theta 0.3 and 1.5 in both
+# dimensions, so that the one-sign rule is pinned across the admitted
+# angles; theta is pi/3 and a profile's perturbation amplitude 0.02 where
+# they are not given
 BOUNDARY_CASES = [
     ("cap", container, n, resolution, grading)
     for container in ("half-space", "half-ball", "closed")
@@ -368,6 +372,9 @@ BOUNDARY_CASES = [
     for container, resolution, grading in (
         ("half-space", 64, 0.0), ("half-space", 128, 0.0), ("half-space", 128, 0.5),
         ("half-ball", 64, 0.5), ("half-ball", 128, 0.0), ("half-ball", 128, 0.5))
+] + [
+    ("cap", container, n, 16 if n == 1 else 9, 0.0, theta)
+    for container in ("half-space", "half-ball") for n in (1, 2) for theta in (0.3, 1.5)
 ]
 
 
@@ -447,3 +454,47 @@ def test_boundary_volume_integrals_match_cell_sums(boundary_and_mesh):
         assert abs(volume_z) <= 1e-14 * volume and abs(want_z) <= 1e-14 * want_volume
     else:
         assert abs(volume_z - want_z) <= 1e-12 * abs(want_z)
+
+
+# ---------------------------------------------------------------------------
+# folded planar regions are refused
+# ---------------------------------------------------------------------------
+
+
+def _crescent(count: int = 24):
+    """A closed polyline of two concentric arcs, radius 1 and 0.6, over
+    [pi/4, 7 pi/4]: its area is 1.497, and the scaled loops of the disk's
+    fan cross each other."""
+    angles = np.linspace(math.pi / 4, 7 * math.pi / 4, count)
+    arc = np.column_stack([np.cos(angles), np.sin(angles)])
+    vertices = np.vstack([arc, 0.6 * arc[::-1]])
+    ring = np.arange(len(vertices))
+    cells = np.column_stack([ring, np.roll(ring, -1)])
+    return discrete_geometry(build_surface_mesh(1, Container.CLOSED, None, vertices, cells))
+
+
+def _thin_profile():
+    cap = make_cap("half-ball", 0.1, 0.5, 1)
+    return mesh_surface(make_axisymmetric(perturb_profile(profile_from_cap(cap), 0.05), 0.1,
+                                          "half-ball"), 64)
+
+
+# (surface, resolution, positive and negative cells before orientation).  The
+# thin profile's strip has one cell at the Gamma corner whose rungs cross;
+# flipped on its own, it gave a boundary |Omega| of 3.39e-3 against a cell
+# sum of 1.80e-3.  The crescent's fan, flipped cell by cell, gave 3.18
+# against 3.10.
+FOLDED = {
+    "thin-profile": (_thin_profile, 64, (1, 283)),
+    "crescent": (_crescent, 32, (385, 389)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLDED))
+def test_folded_regions_are_refused(case):
+    make_surface, resolution, (positive, negative) = FOLDED[case]
+    surface = make_surface()
+    want = f"{positive} positively and {negative} negatively oriented cells"
+    for mesher in (domain_boundary, mesh_domain):
+        with pytest.raises(MeshQualityError, match=want):
+            mesher(surface, None, resolution, grading=0.0)

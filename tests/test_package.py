@@ -87,20 +87,36 @@ def test_one_scatter_rule():
     assert at_calls == []
 
 
+def _calls(name: str, keyword: str):
+    """(module, top-level definition or None, line) of every call in the
+    package of a function called name that passes its third argument, by
+    position, as `keyword`, or through **kwargs."""
+    for path in sorted(SRC.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for node in ast.walk(statement):
+                if (isinstance(node, ast.Call)
+                        and (node.func.attr if isinstance(node.func, ast.Attribute)
+                             else getattr(node.func, "id", None)) == name
+                        and (len(node.args) > 2
+                             or any(kw.arg in (keyword, None) for kw in node.keywords))):
+                    yield path.name, getattr(statement, "name", None), node.lineno
+
+
 def test_no_counted_fromstring():
     """np.fromstring reads text strictly only without a count: with numpy
     2.4.6, fromstring("3 0 1 2", dtype=np.int64, sep=" ", count=8) returns
     uninitialised values past the text, and with a count it reads "2.5" as 2.
     No call in the package passes one, by keyword or as the third argument."""
-    counted = [
-        (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and (node.func.attr if isinstance(node.func, ast.Attribute)
-             else getattr(node.func, "id", None)) == "fromstring"
-        and (len(node.args) > 2 or any(kw.arg in ("count", None) for kw in node.keywords))
-    ]
-    assert counted == []
+    assert list(_calls("fromstring", "count")) == []
+
+
+def test_only_the_tet_sweep_orients_cell_by_cell():
+    """cell_geometry(..., orient=True) flips each negative cell on its own,
+    which only the n = 2 tets need: their prism splits hold both signs by
+    design.  A planar region takes the one sign of all its cells and refuses
+    a fold (domain._orient_region), so no other caller passes orient."""
+    assert [call[:2] for call in _calls("cell_geometry", "orient")] == [
+        ("domain.py", "_revolve_cells")]
 
 
 # top-level definitions that only the tests use, with the reason they stay
