@@ -297,8 +297,8 @@ def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
     scale = max(np.linalg.norm(sigma_rail[0] - sigma_rail[-1]), 1.0)
     vertices, cells, vols, h2max, rows, positive = _strip_mesh(t_rail, sigma_rail, fracs,
                                                                1.0 / resolution, scale)
-    # an edge's normal is its direction turned by -90 degrees, outward from
-    # the strip where the strip's positively oriented cells run it
+    # an edge's normal is its direction turned by -90 degrees, which points
+    # out of the strip in the direction its positively oriented cells run
     t_f, sig_f = _rail_edges(rows)
     corners = np.array([rows[0][0], rows[-1][0]], dtype=np.int64)
     h_along = surface.mean_curvature[order]
