@@ -427,6 +427,15 @@ def _binned_log_fit(d: np.ndarray, vals: np.ndarray, agg: str):
     return float(slope), r2
 
 
+def check_corner_inputs(window_fraction: float | None = None, lam: float | None = None) -> None:
+    """Refuse a corner window fraction outside (0, 1) and a wedge exponent that
+    is not finite and positive; None checks nothing."""
+    if window_fraction is not None and not 0.0 < window_fraction < 1.0:
+        raise ConfigError(f"corner window fraction must lie in (0, 1), got {window_fraction}")
+    if lam is not None and not (math.isfinite(lam) and lam > 0):
+        raise ConfigError(f"wedge exponent lambda must be finite and > 0, got {lam}")
+
+
 def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> CornerFit:
     """Log-log fits of the Hessian decay and the |f| growth against d_Gamma.
 
@@ -436,8 +445,7 @@ def corner_exponent(solution: BvpSolution, *, window_fraction: float = 0.2) -> C
     comes from the |f| growth; the Hessian fit reports beta_hat and the
     implied 3 - 2 beta_hat.
     """
-    if not 0.0 < window_fraction < 1.0:
-        raise ConfigError(f"corner window fraction must lie in (0, 1), got {window_fraction}")
+    check_corner_inputs(window_fraction)
     domain = solution.domain
     if domain.dim != 2:
         raise HkLabError("corner exponent fits are for planar domains (n = 1)")
@@ -489,8 +497,7 @@ def wedge_model_values(domain: DomainMesh, *, lam: float | None = None) -> np.nd
         raise HkLabError("wedge model fields are planar")
     if lam is None:
         lam = math.pi / (2.0 * domain.theta.radians)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ConfigError(f"wedge exponent lambda must be finite and > 0, got {lam}")
+    check_corner_inputs(lam=lam)
     corners = domain.gamma_vertices
     if len(corners) != 2:
         raise HkLabError("wedge model expects exactly two corners")

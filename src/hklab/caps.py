@@ -37,6 +37,21 @@ class AnalyticCap:
     def mean_curvature(self) -> float:
         return self.dim / self.radius
 
+    @property
+    def polar_span(self) -> float:
+        """Polar angle of Gamma from the pole: theta on the half-space, the
+        half-angle of Sigma on the half-ball, pi when closed."""
+        if self.container is Container.HALF_SPACE:
+            return self.theta.effective
+        return self.quantities.get("sigma_half_angle", math.pi)
+
+    def generator(self, angles: np.ndarray) -> np.ndarray:
+        """(rho, z) at polar angles from the pole, rho < 0 at negative angles;
+        the half-ball cap hangs below its centre, the others stand above it."""
+        z = self.radius * np.cos(angles)
+        z = self.center[-1] - z if self.container is Container.HALF_BALL else self.center[-1] + z
+        return np.column_stack([self.radius * np.sin(angles), z])
+
     def normal(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts - self.center) / self.radius
@@ -164,7 +179,8 @@ def make_cap(
     size is the cap radius R for every container.  For the half-ball the
     center height is the closed form h = sqrt(1 + R^2 + 2 R cos(theta)),
     rejected when the sphere misses the unit sphere in floating point.  For
-    the closed container theta is ignored and center may be supplied.
+    the closed container theta is ignored and center may be supplied, on the
+    x_d-axis.
     """
     from hklab.containers import parse_container
 
@@ -177,6 +193,8 @@ def make_cap(
 
     if container is Container.CLOSED:
         ctr = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+        if np.any(ctr[:-1] != 0.0):
+            raise InfeasibleCapError("a closed cap's generator turns about the x_d-axis")
         return AnalyticCap(container, None, float(size), ctr, n, _closed_quantities(size, ctr, n))
 
     angle = as_angle(theta)

@@ -22,6 +22,7 @@ from hklab import meshio
 from hklab.bvp import (
     DEFAULT_TOL,
     capillary_problem,
+    check_corner_inputs,
     corner_exponent,
     solution_from_field,
     solve_mixed_bvp,
@@ -258,6 +259,7 @@ def cmd_corner(args) -> int:
         raise ConfigError("corner fits need a container with a support")
     if args.model == "fem" and args.lam is not None:
         raise ConfigError("--lambda applies only to --model wedge")
+    check_corner_inputs(args.corner_window, args.lam)
     _, _, domain = _cap_and_meshes(args)
     problem = capillary_problem(domain)
     if args.model == "wedge":

@@ -1,11 +1,13 @@
 """Axisymmetric generator curves for non-spherical capillary test surfaces.
 
 A profile is an ordered polyline of (rho, z) samples running from the
-rotation axis (rho = 0) to the support, revolved about the x_d-axis for
-surface dimension 2 or mirrored across the axis for dimension 1.  Profiles
+rotation axis (rho = 0) to the support, or to the axis again when closed.
+surface.mesh_surface revolves it about the x_d-axis for surface dimension 2
+and mirrors it across the axis into one chain for dimension 1.  Profiles
 carry their own discrete field estimators (tangent, outward normal, profile
 curvature); geometric fields of meshes generated from a profile come from
-these estimators rather than from mesh-based ones.
+these estimators rather than from mesh-based ones.  profile_from_cap samples
+the cap's own parametrisation (AnalyticCap.generator over polar_span).
 """
 
 from __future__ import annotations
@@ -134,22 +136,11 @@ def _is_simple(samples: np.ndarray) -> bool:
 
 
 def profile_from_cap(cap, samples: int = 257) -> ProfileCurve:
-    """Generator polyline of an analytic cap, pole first."""
-    r = cap.radius
-    if cap.container is Container.HALF_SPACE:
-        phi = np.linspace(0.0, cap.theta.radians, samples)
-        pts = np.column_stack([r * np.sin(phi), cap.center[-1] + r * np.cos(phi)])
-        t_end = np.array([math.cos(cap.theta.radians), -math.sin(cap.theta.radians)])
-    elif cap.container is Container.HALF_BALL:
-        alpha = np.linspace(0.0, cap.quantities["sigma_half_angle"], samples)
-        pts = np.column_stack([r * np.sin(alpha), cap.center[-1] - r * np.cos(alpha)])
-        t_end = _capillary_end_tangent(cap.container, cap.theta, pts[-1])
-    else:
-        phi = np.linspace(0.0, math.pi, samples)
-        pts = np.column_stack([r * np.sin(phi), cap.center[-1] + r * np.cos(phi)])
-        t_end = None
-    prof = ProfileCurve(pts, cap.container, cap.theta, cap.dim, t_end)
-    return replace(prof, mean_convex=True)
+    """Generator polyline of an analytic cap, pole first, at uniform polar steps."""
+    pts = cap.generator(np.linspace(0.0, cap.polar_span, samples))
+    t_end = (_capillary_end_tangent(cap.container, cap.theta, pts[-1])
+             if cap.container.has_support else None)
+    return ProfileCurve(pts, cap.container, cap.theta, cap.dim, t_end, mean_convex=True)
 
 
 def perturb_profile(profile: ProfileCurve, amplitude: float) -> ProfileCurve:
@@ -208,7 +199,7 @@ def make_axisymmetric(
         target = endpoint / np.linalg.norm(endpoint)
     t_cap = _capillary_end_tangent(container, angle, target)
     if deviation <= 1e-12 and prof.end_tangent is not None:
-        if abs(measured_profile_angle(prof) - angle.radians) <= 1e-12:
+        if abs(measured_profile_angle(prof) - angle.effective) <= 1e-12:
             out = replace(prof, mean_convex=_convexity_flag(prof))
             _check_convexity(out, require_mean_convex)
             return out
@@ -232,7 +223,7 @@ def make_axisymmetric(
     out = ProfileCurve(pts, container, angle, prof.dim, end_tangent=t_cap)
 
     residual = abs(float(support_deviation(container, out.samples[-1:])[0]))
-    angle_err = abs(measured_profile_angle(out) - angle.radians)
+    angle_err = abs(measured_profile_angle(out) - angle.effective)
     if residual > 1e-12 or angle_err > 1e-10:
         raise HkLabError(
             f"endpoint correction did not converge (support defect {residual:.2e}, "

@@ -1,17 +1,17 @@
 """Simplicial hypersurface meshes and their geometric fields.
 
-mesh_surface builds ungraded polylines (n = 1) or surfaces of revolution
-(n = 2: meshutil.revolve rings zipped by meshutil.zipper_rows) from analytic
-caps and profile curves.  An n = 2 surface revolves the samples of
-generator_polyline, which domain meshing revolves too.  Analytic sources get
-exact fields; profile sources get fields from the profile's own estimators;
-discrete estimators for everything (area-weighted normals, cotangent mean
-curvature, boundary frames from the induced loop orientation) live in
-discrete_geometry and are what imported meshes rely on.  Every mesh comes
-from build_surface_mesh, which validates the cells and fills what a source
-does not know.  On Gamma, a source's frame takes N_bar and nu_bar from the
-support (support_normal, support_conormal) and mu from the source: exact on
-caps, the end tangent turned about the axis on profiles.
+mesh_surface is the one mesher of caps and profile curves: n = 2 revolves the
+samples of generator_polyline (meshutil.revolve rings zipped by
+meshutil.zipper_rows), which domain meshing revolves too, and n = 1 lays its
+samples out as one chain through the pole; fields, orientation and Gamma
+then take one path.  Caps get exact fields, profiles those of their own
+estimators; discrete estimators for everything (area-weighted normals,
+cotangent mean curvature, boundary frames from the induced loop orientation)
+live in discrete_geometry and are what imported meshes rely on.  Every mesh
+comes from build_surface_mesh, which validates the cells and fills what a
+source does not know.  On Gamma, a source's frame takes N_bar and nu_bar
+from the support (support_normal, support_conormal) and mu from the source:
+exact on caps, the end tangent turned about the axis on profiles.
 """
 
 from __future__ import annotations
@@ -265,16 +265,17 @@ def _frames_1d(vertices: np.ndarray, order: np.ndarray, container: Container):
 
 
 # ---------------------------------------------------------------------------
-# generators
+# the mesher
 # ---------------------------------------------------------------------------
 
 
 def generator_polyline(source: AnalyticCap | ProfileCurve, resolution: int):
-    """The generator of an n = 2 source at resolution uniform steps.
+    """The generator of a source at resolution uniform steps.
 
     Returns the (rho, z) samples, pole first, the mean curvature at each and
     the step length.  Caps step uniformly in polar angle, profiles in
-    arclength; the surface and the domain meshers revolve these same samples.
+    arclength.  The n = 2 surface and domain meshers revolve these samples;
+    an n = 1 profile mirrors them, at resolution // 2 steps.
     """
     if isinstance(source, ProfileCurve):
         prof = resample_profile(source, resolution)
@@ -282,22 +283,15 @@ def generator_polyline(source: AnalyticCap | ProfileCurve, resolution: int):
     if not isinstance(source, AnalyticCap):
         raise HkLabError("3-d domain meshing needs an analytic cap or profile source")
     r = source.radius
-    if source.container is Container.HALF_SPACE:
-        span = source.theta.effective
-    elif source.container is Container.HALF_BALL:
-        span = source.quantities["sigma_half_angle"]
-    else:
-        span = math.pi
-    angles = np.linspace(0.0, span * r, resolution + 1) / r  # polar angles from the pole
-    rho, z = r * np.sin(angles), r * np.cos(angles)
-    # the half-ball cap hangs below its centre, the others stand above it
-    z = source.center[-1] - z if source.container is Container.HALF_BALL else source.center[-1] + z
-    samples = np.column_stack([rho, z])
+    angles = np.linspace(0.0, source.polar_span * r, resolution + 1) / r
+    samples = source.generator(angles)
     return samples, np.full(len(samples), source.mean_curvature), r * angles[-1] / resolution
 
 
 def _revolve(samples: np.ndarray, spacing: float, close_end: bool):
-    """Revolve a generator polyline; returns vertices, triangles, sample per vertex.
+    """Revolve a generator polyline; returns vertices, triangles, the sample of
+    each vertex and omega, its horizontal unit direction away from the axis
+    (zero on the axis).
 
     samples[0] is the pole; if close_end the final sample is a pole too
     (closed surface), otherwise the last ring is the boundary loop.  The poles
@@ -316,148 +310,120 @@ def _revolve(samples: np.ndarray, spacing: float, close_end: bool):
     keys = [ring_keys[:1] if pole else ring_keys for pole in on_axis]
     sample_of_vertex = np.empty(len(vertices), dtype=np.int64)
     sample_of_vertex[vid] = np.arange(len(samples))[:, None]
-    return vertices, zipper_rows(rows, keys), sample_of_vertex
+    horiz = vertices[:, :2]
+    rho = np.linalg.norm(horiz, axis=1, keepdims=True)
+    omega = np.where(rho > 1e-12, horiz / np.maximum(rho, 1e-12), 0.0)
+    return vertices, zipper_rows(rows, keys), sample_of_vertex, omega
+
+
+def _chain(source: AnalyticCap | ProfileCurve, resolution: int, closed: bool):
+    """The n = 1 curve as one chain through the pole (a loop when closed):
+    generator samples, vertices, cells, the sample of each vertex and omega,
+    its side of the axis.
+
+    A cap takes resolution uniform steps over its whole arc, counterclockwise
+    about its centre (the polar angle falls from a top pole and rises from the
+    half-ball's bottom pole); a profile resolution // 2 steps per half, from
+    its right end (bottom pole when closed) to the pole and down its mirror.
+    """
+    if isinstance(source, AnalyticCap):
+        r, span = source.radius, source.polar_span
+        if closed:
+            angles = np.linspace(0.0, -2.0 * span, resolution + 1)[:-1]
+        else:
+            steps = np.linspace(0.0, 2.0 * span * r, resolution + 1) / r
+            angles = steps - span if source.container is Container.HALF_BALL else span - steps
+        samples = source.generator(angles)
+        if source.container is Container.HALF_SPACE:
+            samples[[0, -1], 1] = 0.0  # the ends sit on the plane
+        vertices, sample_ix = samples, np.arange(len(samples))
+        omega = np.where(samples[:, :1] < 0.0, -1.0, 1.0)
+    else:
+        samples, _, _ = generator_polyline(source, resolution // 2)
+        m = len(samples)
+        sample_ix = np.concatenate([np.arange(m)[::-1], np.arange(1, m - closed)])
+        omega = np.repeat([1.0, -1.0], [m, m - 1 - closed])[:, None]
+        vertices = _turned(samples[sample_ix], omega)
+    order = np.arange(len(vertices))
+    cells = np.column_stack([order, np.roll(order, -1)] if closed else [order[:-1], order[1:]])
+    return samples, vertices, cells, sample_ix, omega
+
+
+def _turned(rz: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Generator vectors (rho, z) turned about the axis into rho omega + z E_d."""
+    return np.column_stack([rz[:, :1] * omega, rz[:, 1]])
+
+
+def _gamma_loops(cells: np.ndarray, nv: int) -> list:
+    """Gamma of an open mesh: the one boundary loop of a surface, or the two
+    ends of a chain in its walk order."""
+    if cells.shape[1] == 2:
+        order = polyline_order(cells, nv)
+        return [order[:1], order[-1:]]
+    loops = _boundary_loops_2d(cells)
+    if len(loops) != 1:
+        raise HkLabError(f"surface of revolution must have one boundary loop, found {len(loops)}")
+    return loops
 
 
 def mesh_surface(source: AnalyticCap | ProfileCurve, resolution: int) -> SurfaceMesh:
-    """Ungraded simplicial mesh of the hypersurface with all geometric fields populated."""
+    """Ungraded, outward-oriented mesh of the hypersurface with all its fields.
+
+    Caps keep their exact normals, mean curvature and Gamma frame; profiles
+    take theirs from the resampled profile, and their Gamma samples are low
+    trust.  Unless closed, Gamma is the boundary loop or the chain's ends.
+    """
     if resolution < 4:
         raise HkLabError("resolution must be at least 4")
     if not isinstance(source, (AnalyticCap, ProfileCurve)):
         raise TypeError(f"cannot mesh source of type {type(source).__name__}")
-    if source.dim == 2:
-        return _mesh_revolved(source, resolution)
-    if isinstance(source, AnalyticCap):
-        return _mesh_cap_1d(source, resolution)
-    return _mesh_profile_1d(source, resolution)
-
-
-def _mesh_revolved(source: AnalyticCap | ProfileCurve, resolution: int) -> SurfaceMesh:
-    """Outward-oriented surface of revolution of the source's generator; unless
-    closed, Gamma is its one boundary loop.
-
-    Caps keep their exact normals and Gamma frame; profiles take theirs from
-    the resampled profile, and their Gamma ring is low trust.
-    """
-    samples, mean_curv, step = generator_polyline(source, resolution)
     closed = source.container is Container.CLOSED
-    vertices, cells, sample_ix = _revolve(samples, step, close_end=closed)
+    if source.dim == 2:
+        samples, _, step = generator_polyline(source, resolution)
+        vertices, cells, sample_ix, omega = _revolve(samples, step, close_end=closed)
+    else:
+        samples, vertices, cells, sample_ix, omega = _chain(source, resolution, closed)
     cap = isinstance(source, AnalyticCap)
     if cap:
         normals, low_trust = source.normal(vertices), None
+        mean_curv = np.full(len(vertices), source.mean_curvature)
     else:
         prof = replace(source, samples=samples)
-        normals = _profile_vertex_normals(prof, sample_ix, vertices)
+        normals = _profile_vertex_normals(prof, sample_ix, omega)
+        mean_curv = profile_mean_curvature(prof)[sample_ix]
         low_trust = sample_ix == len(samples) - 1
-    mesh = build_surface_mesh(2, source.container, source.theta, vertices, cells, normals,
-                              mean_curv[sample_ix], low_trust, source)
+    mesh = build_surface_mesh(source.dim, source.container, source.theta, vertices, cells,
+                              normals, mean_curv, low_trust, source)
     if enclosed_volume_flux(mesh) < 0:
-        # swapping two vertices of every cell turns the flux positive; areas stay
-        cells = cells.copy()
+        # the one orientation rule: swapping two vertices of every cell (of
+        # mesh.cells, in place) turns the flux positive, and the areas stay
         cells[:, [0, 1]] = cells[:, [1, 0]]
-        mesh = replace(mesh, cells=cells)
     if closed:
         return mesh
-    loops = _boundary_loops_2d(mesh.cells)
-    if len(loops) != 1:
-        raise HkLabError(f"surface of revolution must have one boundary loop, found {len(loops)}")
-    pts = vertices[loops[0]]
-    return _with_gamma(mesh, loops,
-                       gamma_frame(source, pts) if cap else _profile_boundary_frame(prof, pts))
-
-
-def _mesh_cap_1d(cap: AnalyticCap, resolution: int) -> SurfaceMesh:
-    r = cap.radius
-    closed = cap.container is Container.CLOSED
-    if closed:
-        beta = np.linspace(0.0, 2.0 * math.pi, resolution + 1)[:-1]
-        # (-sin, cos) traversal keeps the enclosed disk on the left
-        vertices = cap.center[None, :] + r * np.column_stack([-np.sin(beta), np.cos(beta)])
-    elif cap.container is Container.HALF_SPACE:
-        span = cap.theta.effective
-        arc = np.linspace(0.0, 2.0 * span * r, resolution + 1)
-        beta = span - arc / r  # from +theta down to -theta: outward normals
-        vertices = cap.center[None, :] + r * np.column_stack([np.sin(beta), np.cos(beta)])
-        vertices[0, 1] = 0.0
-        vertices[-1, 1] = 0.0
-    else:
-        span = cap.quantities["sigma_half_angle"]
-        arc = np.linspace(0.0, 2.0 * span * r, resolution + 1)
-        alpha = -span + arc / r  # from -alpha* to +alpha*: outward normals
-        vertices = cap.center[None, :] + r * np.column_stack([np.sin(alpha), -np.cos(alpha)])
-    order = np.arange(len(vertices), dtype=np.int64)
-    cells = np.column_stack([order, np.roll(order, -1)] if closed else [order[:-1], order[1:]])
-    mesh = build_surface_mesh(1, cap.container, cap.theta, vertices, cells, cap.normal(vertices),
-                              np.full(len(vertices), cap.mean_curvature), source=cap)
-    if not closed:
-        ends = order[[0, -1]]
-        mesh = _with_gamma(mesh, [ends[:1], ends[1:]], gamma_frame(cap, vertices[ends]))
-    if enclosed_volume_flux(mesh) < 0:
-        raise HkLabError("1d cap polyline orientation is inverted")
-    return mesh
+    loops = _gamma_loops(mesh.cells, len(vertices))
+    gamma = np.concatenate(loops)
+    pts = vertices[gamma]
+    return _with_gamma(mesh, loops, gamma_frame(source, pts) if cap
+                       else _profile_boundary_frame(prof, pts, omega[gamma]))
 
 
 def _profile_vertex_normals(profile: ProfileCurve, sample_ix: np.ndarray,
-                            vertices: np.ndarray) -> np.ndarray:
-    """Transfer profile normals onto revolved ring vertices."""
-    pn = profile_normals(profile)
-    rho = np.linalg.norm(vertices[:, :2], axis=1)
-    omega = np.zeros((len(vertices), 2))
-    off_axis = rho > 1e-12
-    omega[off_axis] = vertices[off_axis, :2] / rho[off_axis, None]
-    omega[~off_axis] = np.array([1.0, 0.0])
-    normals = np.column_stack(
-        [
-            pn[sample_ix, 0] * omega[:, 0],
-            pn[sample_ix, 0] * omega[:, 1],
-            pn[sample_ix, 1],
-        ]
-    )
-    on_axis = ~off_axis
-    normals[on_axis] = 0.0
-    normals[on_axis, 2] = np.sign(pn[sample_ix[on_axis], 1])
+                            omega: np.ndarray) -> np.ndarray:
+    """Profile normals turned onto the vertices; vertical on the axis."""
+    pn = profile_normals(profile)[sample_ix]
+    normals = _turned(pn, omega)
+    on_axis = ~omega.any(axis=1)
+    normals[on_axis, :-1] = 0.0
+    normals[on_axis, -1] = np.sign(pn[on_axis, 1])
     return normals
 
 
-def _profile_boundary_frame(profile: ProfileCurve, pts: np.ndarray):
-    """Turn the profile end tangent (rho, z) into mu = rho omega + z E_d at the
-    Gamma points, with omega the horizontal unit vector away from the axis."""
-    mu = pts.copy()
-    mu[:, -1] = 0.0
-    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
-    t_end = profile_tangents(profile)[-1]
-    mu *= t_end[0]
-    mu[:, -1] = t_end[1]
-    return mu, support_conormal(profile.container, pts), support_normal(profile.container, pts)
-
-
-def _mesh_profile_1d(profile: ProfileCurve, resolution: int) -> SurfaceMesh:
-    prof = resample_profile(profile, max(resolution // 2, 2))
-    samples = prof.samples
-    mirrored = samples[1:].copy()
-    mirrored[:, 0] = -mirrored[:, 0]
-    # right half support->pole, then mirrored pole->support keeps the enclosed
-    # region on the left for the half-space; half-ball ordering is the reverse
-    vertices = np.vstack([samples[::-1], mirrored])
-    m = len(samples)
-    sample_ix = np.concatenate([np.arange(m)[::-1], np.arange(1, m)])
-    normals = profile_normals(prof)[sample_ix]
-    normals[m:, 0] = -normals[m:, 0]
-    mean_curv = profile_mean_curvature(prof)[sample_ix]
-    order = np.arange(len(vertices), dtype=np.int64)
-    cells = np.column_stack([order[:-1], order[1:]])
-    low_trust = np.zeros(len(vertices), dtype=bool)
-    low_trust[[0, -1]] = True
-    mesh = build_surface_mesh(1, profile.container, profile.theta, vertices, cells, normals,
-                              mean_curv, low_trust, profile)
-    if enclosed_volume_flux(mesh) < 0:
-        # number the vertices from the other end; cell k still joins k and k + 1
-        mesh = build_surface_mesh(1, profile.container, profile.theta, vertices[::-1].copy(),
-                                  cells, normals[::-1].copy(), mean_curv[::-1].copy(),
-                                  low_trust, profile)
-    ends = order[[0, -1]]
-    return _with_gamma(mesh, [ends[:1], ends[1:]],
-                       _profile_boundary_frame(prof, mesh.vertices[ends]))
+def _profile_boundary_frame(profile: ProfileCurve, pts: np.ndarray, omega: np.ndarray):
+    """The profile end tangent (rho, z) turned into mu = rho omega + z E_d at
+    the Gamma points, with N_bar and nu_bar from the support."""
+    t_end = np.broadcast_to(profile_tangents(profile)[-1], (len(pts), 2))
+    return (_turned(t_end, omega), support_conormal(profile.container, pts),
+            support_normal(profile.container, pts))
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,10 @@ def test_closed_container_cap():
     assert abs(cap.quantities["volume"] - 4 * math.pi / 3) < 1e-12
     shifted = make_cap("closed", None, 1.0, 2, center=np.array([0.0, 0.0, 5.0]))
     assert abs(shifted.quantities["int_volume_height"] - 5.0 * 4 * math.pi / 3) < 1e-12
+
+
+@pytest.mark.parametrize("center", [[0.5, 0.0], [0.0, 1e-9, 2.0]], ids=["n1", "n2"])
+def test_closed_cap_centre_lies_on_the_axis(center):
+    # both meshers sample the generator about the x_d-axis
+    with pytest.raises(InfeasibleCapError, match="x_d-axis"):
+        make_cap("closed", None, 1.0, len(center) - 1, center=np.array(center))

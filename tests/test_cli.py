@@ -402,7 +402,9 @@ def test_config_file(tmp_path):
     assert report["scenario"]["name"] == "from-config"
 
 
-@pytest.mark.parametrize("argv", [
+# argv, or a scenario file: a dict is one that differs from a valid one in
+# these keys, a string the whole text of one
+_INVALID_INPUTS = [
     ["run", "--theta", "nan"],
     ["run", "--theta", "inf"],
     ["run", "--theta", "2.0"],
@@ -483,10 +485,11 @@ def test_config_file(tmp_path):
     ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--lambda", "-1"],
     ["corner", "--theta", THETA_STR, "--dim", "1", "--resolution", "16", "--model", "fem",
      "--lambda", "1.4"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _INVALID_INPUTS)
 def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
-    # a dict is a scenario file that differs from a valid one in these keys,
-    # a string the whole text of a scenario file
     if isinstance(argv, (dict, str)):
         text = argv if isinstance(argv, str) else json.dumps({**_VALID_SCENARIO, **argv})
         (tmp_path / "scenario.json").write_text(text)
@@ -496,6 +499,20 @@ def test_invalid_input_exits_2_without_traceback(argv, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("hk: invalid configuration")
     assert "Traceback" not in err
+
+
+# the corner windows and wedge exponents of _INVALID_INPUTS
+_BAD_CORNER_FITS = [argv for argv in _INVALID_INPUTS if isinstance(argv, list)
+                    and argv[0] == "corner" and ("--corner-window" in argv or "wedge" in argv)]
+
+
+@pytest.mark.parametrize("argv", _BAD_CORNER_FITS, ids=lambda argv: "=".join(argv[-2:]))
+def test_bad_corner_window_or_lambda_exits_2_before_meshing(argv, capsys, monkeypatch):
+    meshed = []
+    monkeypatch.setattr(hklab.cli, "mesh_domain", lambda *a, **k: meshed.append(a))
+    assert len(_BAD_CORNER_FITS) == 7
+    assert run_cli(*argv) == 2 and meshed == []
+    assert capsys.readouterr().err.startswith("hk: invalid configuration")
 
 
 _VALID_SCENARIO = {"name": "bad", "container": "half-space", "theta": math.pi / 3, "dim": 1,

@@ -119,6 +119,19 @@ def test_only_the_tet_sweep_orients_cell_by_cell():
         ("domain.py", "_revolve_cells")]
 
 
+def test_only_caps_reads_cap_quantities():
+    """A cap owns its parametrisation (AnalyticCap.polar_span and .generator)
+    and its closed forms: no module but caps.py subscripts a cap's
+    quantities.  cli.cmd_cap prints them whole, which reads no entry."""
+    reads = [
+        (path.name, node.lineno) for path in sorted(SRC.glob("*.py")) if path.name != "caps.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "quantities"
+    ]
+    assert reads == []
+
+
 # top-level definitions that only the tests use, with the reason they stay
 _TESTED_ONLY = {
     ("surface.py", "frame_residual"):

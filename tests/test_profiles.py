@@ -77,3 +77,15 @@ def test_perturbed_surface_mesh_fields(hs_cap1):
 
     assert enclosed_volume_flux(mesh) > 0
     assert frame_residual(mesh) < 1e-12  # frames built from the exact end tangent
+
+
+@pytest.mark.parametrize("container, radius", [("half-space", 1.0), ("half-ball", 0.5)])
+def test_orthogonal_cap_profiles_pass_through_unchanged(container, radius):
+    # pi/2 to ten decimals, the CLI spelling: the profile ends on the support at
+    # the effective angle, so no tail is blended in
+    theta = 1.5707963268
+    exact = profile_from_cap(make_cap(container, theta, radius, 1))
+    for prof in (exact, perturb_profile(exact, 0.02)):
+        out = make_axisymmetric(prof, theta, container)
+        assert np.array_equal(out.samples, prof.samples)
+        assert np.array_equal(out.end_tangent, prof.end_tangent)

@@ -12,7 +12,8 @@ from hklab.caps import AnalyticCap
 from hklab.containers import Container, support_conormal, support_normal
 from hklab.errors import HkLabError
 from hklab.meshio import read_off, write_off
-from hklab.meshutil import area_rows, centroids, coordinate_rows, simplex_measures
+from hklab.meshutil import (area_rows, centroids, coordinate_rows, polyline_order,
+                            simplex_measures)
 from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
 from hklab.surface import (
     _boundary_loops_2d,
@@ -125,11 +126,14 @@ def test_scaling_equivariance_analytic_path():
     assert np.max(np.abs(b.mean_curvature - 0.5 * a.mean_curvature)) < 1e-15
 
 
-def test_closed_profile_revolves_to_a_closed_surface():
-    # caps and profiles share one revolved mesher, which closes both poles
-    mesh = mesh_surface(profile_from_cap(make_cap("closed", None, 1.0, 2)), 16)
-    assert len(mesh.boundary_vertices) == 0
-    assert abs(mesh.cell_areas.sum() / (4.0 * math.pi) - 1.0) < 1e-2
+@pytest.mark.parametrize("dim", [2, 1])
+def test_closed_profile_revolves_to_a_closed_surface(dim):
+    # caps and profiles share one mesher: a surface closes its second pole,
+    # a chain closes into a loop
+    mesh = mesh_surface(profile_from_cap(make_cap("closed", None, 1.0, dim)), 16)
+    assert len(mesh.boundary_vertices) == 0 and mesh.boundary_loops == []
+    full = 4.0 * math.pi if dim == 2 else 2.0 * math.pi
+    assert abs(mesh.cell_areas.sum() / full - 1.0) < 1e-2
     assert enclosed_volume_flux(mesh) > 0
 
 
@@ -307,6 +311,55 @@ def test_revolved_surfaces_are_unchanged(key):
     got = array_digest(mesh.vertices, mesh.cells, mesh.normals, mesh.mean_curvature,
                        mesh.boundary_vertices)
     assert got == REVOLVED_SURFACE_SHA256[key]
+
+
+def _n1_source(kind, container, theta=THETA3):
+    source = make_cap(container, None if container == "closed" else theta,
+                      0.5 if container == "half-ball" else 1.0, 1)
+    if kind == "profile":
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), theta,
+                                   container)
+    return source
+
+
+def _walk_digest(mesh) -> str:
+    """sha256 of an n = 1 surface's source fields in the walk order of its chain.
+
+    Vertices, normals, mean curvature and low trust are gathered along
+    polyline_order, then the Gamma frame (mu, nu_bar, N_bar) at the walk's
+    first and last vertex; so the digest does not depend on vertex numbering.
+    """
+    order = polyline_order(mesh.cells, mesh.num_vertices)
+    walk = order[:-1] if order[0] == order[-1] else order
+    rows = [int(np.flatnonzero(mesh.boundary_vertices == v)[0])
+            for v in (order[[0, -1]] if len(mesh.boundary_vertices) else [])]
+    return array_digest(mesh.vertices[walk], mesh.normals[walk], mesh.mean_curvature[walk],
+                        mesh.low_trust[walk], mesh.boundary_mu[rows],
+                        mesh.boundary_conormal_support[rows], mesh.boundary_support_normal[rows])
+
+
+# sha256 of _walk_digest on n = 1 surfaces (theta = pi/3): caps and 0.02
+# perturbed profiles.  Keys are (source, container, resolution); taken while
+# caps and profiles still had a polyline mesher each and the half-ball profile
+# was numbered from its other end.
+CHAIN_SURFACE_SHA256 = {
+    ("cap", "closed", 13): "ce917cffc11cf44cc000162cb95b94d3cbf03b8fc8301f7cf084a5d1f8eecc33",
+    ("cap", "closed", 16): "2130e21df2e9d33bf5aaf3664342e9b8f3787d63376d2838e1b434bf8682e540",
+    ("cap", "half-ball", 13): "fe2ef68ebbf7a7262236706139393178618a93acf93349f5d4148f19d0f50c74",
+    ("cap", "half-ball", 16): "8a71ce63f70b44dc36f23748cf6f873a0d07053eb8f6b8b5c6fba1fcb9ce8226",
+    ("cap", "half-space", 13): "4cd0298c158d37a132577469407e688b6e5062b438e73e22ca410f665c16bcda",
+    ("cap", "half-space", 16): "c12912f718b847ca9834fedfe4b0bcc52ad1576ebcf76a7114d4faea2261c389",
+    ("profile", "half-ball", 16): "0caa9aed03c6f95f6cc3f003a7ff4199754e33d7b110e864d6468933feeff9b7",
+    ("profile", "half-space", 16): "d9df87cf011f1908897849c7029a915895ebb20681099a2a067bbea05c9b7f53",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_SURFACE_SHA256),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_chain_surfaces_are_unchanged(key):
+    kind, container, resolution = key
+    assert _walk_digest(mesh_surface(_n1_source(kind, container), resolution)) == \
+        CHAIN_SURFACE_SHA256[key]
 
 
 # sha256 of the fields discrete_geometry gives (cell areas, normals, mean
