@@ -318,8 +318,8 @@ def _revolve(samples: np.ndarray, spacing: float, close_end: bool):
 
 def _chain(source: AnalyticCap | ProfileCurve, resolution: int, closed: bool):
     """The n = 1 curve as one chain through the pole (a loop when closed):
-    generator samples, vertices, cells, the sample of each vertex and omega,
-    its side of the axis.
+    generator samples, their mean curvature, vertices, cells, the sample of
+    each vertex and omega, its side of the axis.
 
     A cap takes resolution uniform steps over its whole arc, counterclockwise
     about its centre (the polar angle falls from a top pole and rises from the
@@ -334,19 +334,20 @@ def _chain(source: AnalyticCap | ProfileCurve, resolution: int, closed: bool):
             steps = np.linspace(0.0, 2.0 * span * r, resolution + 1) / r
             angles = steps - span if source.container is Container.HALF_BALL else span - steps
         samples = source.generator(angles)
+        mean_curv = np.full(len(samples), source.mean_curvature)
         if source.container is Container.HALF_SPACE:
             samples[[0, -1], 1] = 0.0  # the ends sit on the plane
         vertices, sample_ix = samples, np.arange(len(samples))
         omega = np.where(samples[:, :1] < 0.0, -1.0, 1.0)
     else:
-        samples, _, _ = generator_polyline(source, resolution // 2)
+        samples, mean_curv, _ = generator_polyline(source, resolution // 2)
         m = len(samples)
         sample_ix = np.concatenate([np.arange(m)[::-1], np.arange(1, m - closed)])
         omega = np.repeat([1.0, -1.0], [m, m - 1 - closed])[:, None]
         vertices = _turned(samples[sample_ix], omega)
     order = np.arange(len(vertices))
     cells = np.column_stack([order, np.roll(order, -1)] if closed else [order[:-1], order[1:]])
-    return samples, vertices, cells, sample_ix, omega
+    return samples, mean_curv, vertices, cells, sample_ix, omega
 
 
 def _turned(rz: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -379,21 +380,20 @@ def mesh_surface(source: AnalyticCap | ProfileCurve, resolution: int) -> Surface
         raise TypeError(f"cannot mesh source of type {type(source).__name__}")
     closed = source.container is Container.CLOSED
     if source.dim == 2:
-        samples, _, step = generator_polyline(source, resolution)
+        samples, mean_curv, step = generator_polyline(source, resolution)
         vertices, cells, sample_ix, omega = _revolve(samples, step, close_end=closed)
     else:
-        samples, vertices, cells, sample_ix, omega = _chain(source, resolution, closed)
+        samples, mean_curv, vertices, cells, sample_ix, omega = _chain(source, resolution,
+                                                                        closed)
     cap = isinstance(source, AnalyticCap)
     if cap:
         normals, low_trust = source.normal(vertices), None
-        mean_curv = np.full(len(vertices), source.mean_curvature)
     else:
         prof = replace(source, samples=samples)
         normals = _profile_vertex_normals(prof, sample_ix, omega)
-        mean_curv = profile_mean_curvature(prof)[sample_ix]
         low_trust = sample_ix == len(samples) - 1
     mesh = build_surface_mesh(source.dim, source.container, source.theta, vertices, cells,
-                              normals, mean_curv, low_trust, source)
+                              normals, mean_curv[sample_ix], low_trust, source)
     if enclosed_volume_flux(mesh) < 0:
         # the one orientation rule: swapping two vertices of every cell (of
         # mesh.cells, in place) turns the flux positive, and the areas stay

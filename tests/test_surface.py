@@ -313,11 +313,11 @@ def test_revolved_surfaces_are_unchanged(key):
     assert got == REVOLVED_SURFACE_SHA256[key]
 
 
-def _n1_source(kind, container, theta=THETA3):
-    source = make_cap(container, None if container == "closed" else theta,
+def _n1_source(kind, container):
+    source = make_cap(container, None if container == "closed" else THETA3,
                       0.5 if container == "half-ball" else 1.0, 1)
     if kind == "profile":
-        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), theta,
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
                                    container)
     return source
 
