@@ -36,8 +36,7 @@ def main() -> int:
             source = cap
         else:
             prof = perturb_profile(profile_from_cap(cap, 1025), eps)
-            source = make_axisymmetric(prof, args.theta, "half-space",
-                                       require_mean_convex=True)
+            source = make_axisymmetric(prof, args.theta, "half-space")
         surf = mesh_surface(source, args.resolution)
         boundary = domain_boundary(surf, None, args.resolution, grading=0.0)
         report = hk_report(surf, boundary)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hklab.containers import Container, ContactAngle, as_angle, support_conormal, support_normal
+from hklab.containers import Container, ContactAngle, as_angle, contact_angle, support_normal
 from hklab.errors import InfeasibleCapError
 
 _SUPPORTED_DIMS = (1, 2)
@@ -233,9 +233,7 @@ def make_cap(
 def measured_contact_angle(cap: AnalyticCap) -> float:
     """Independent angle measurement at a point of the intersection circle."""
     p = gamma_point(cap, 0.0)
-    nu = cap.normal(p)[0]
-    nbar = support_normal(cap.container, p)[0]
-    return math.acos(min(max(-float(np.dot(nu, nbar)), -1.0), 1.0))
+    return contact_angle(cap.normal(p)[0], support_normal(cap.container, p)[0])
 
 
 def gamma_point(cap: AnalyticCap, azimuth: float) -> np.ndarray:
@@ -248,16 +246,3 @@ def gamma_point(cap: AnalyticCap, azimuth: float) -> np.ndarray:
         sgn = 1.0 if math.cos(azimuth) >= 0 else -1.0
         return np.array([sgn * rho, z])
     return np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), z])
-
-
-def gamma_frame(cap: AnalyticCap, points: np.ndarray):
-    """Exact (mu, nu_bar, N_bar) at points of Gamma.
-
-    mu is the outward conormal of Gamma within Sigma, nu_bar the outward
-    conormal within T, and N_bar the outward support normal; they satisfy
-    mu = sin(theta) N_bar + cos(theta) nu_bar exactly.
-    """
-    nbar = support_normal(cap.container, points)
-    nu_bar = support_conormal(cap.container, points)
-    mu = cap.theta.sin * nbar + cap.theta.cos * nu_bar
-    return mu, nu_bar, nbar

@@ -119,6 +119,24 @@ def support_conormal(container: Container, points: np.ndarray) -> np.ndarray:
     return nubar
 
 
+def gamma_frame(container: Container, theta: ContactAngle, points: np.ndarray):
+    """Exact (mu, nu_bar, N_bar) of a theta-capillary surface at points of Gamma.
+
+    mu is the outward conormal of Gamma within Sigma, nu_bar the outward
+    conormal within T, and N_bar the outward support normal; they satisfy
+    mu = sin(theta) N_bar + cos(theta) nu_bar exactly.
+    """
+    nbar = support_normal(container, points)
+    nu_bar = support_conormal(container, points)
+    return theta.sin * nbar + theta.cos * nu_bar, nu_bar, nbar
+
+
+def contact_angle(nu: np.ndarray, nbar: np.ndarray) -> float:
+    """The angle between the surface normal nu and the support normal N_bar at
+    a point of Gamma, acos(-nu . N_bar)."""
+    return math.acos(min(max(-float(np.dot(nu, nbar)), -1.0), 1.0))
+
+
 def support_deviation(container: Container, points: np.ndarray) -> np.ndarray:
     """Signed distance-like defect of points from the support hypersurface."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -35,17 +35,19 @@ The tet step sweeps the triangles: prisms are split into tetrahedra with the
 min-vertex face-diagonal rule, so the mesh is conforming and deterministic,
 and the triangles at the axis sweep into cones over the fans
 and split quads of one more _sweep_edges call.  The prism stacks of all
-off-axis triangles are split in one call.  d_Gamma, which only the n = 1
-corner fit and the domain-file writer read, is computed on first read.
+off-axis triangles are split in one call.  Every tet comes out positive by
+rule, not by its computed sign: a positive triangle in (rho, z) swept toward
+increasing psi spans a left-handed frame, so a tet whose sweep runs that way
+swaps its last two vertices (_split_prisms, _revolve_cells).  d_Gamma, which
+only the n = 1 corner fit and the domain-file writer read, is computed on
+first read.
 
 Cell geometry is one pass over fixed chunks of cells (cell_geometry): each
 chunk gathers its vertex coordinates once and yields the signed volumes
-(meshutil.edge_determinant over d!) and the longest squared edges.  The same
-pass orients the n = 2 tets, whose prism splits hold both signs by design: a
-negative cell swaps its last two vertices in place and its volume is
-negated, which is exact for both determinants.  Every mesher keeps both
-arrays of that pass, and mesh_quality grades a mesh from them without
-another gather.
+(meshutil.edge_determinant over d!) and the longest squared edges.  Every
+mesher keeps both arrays of that pass, and mesh_quality grades a mesh from
+them without another gather.  A domain, built or read from a file, refuses
+an inverted cell (DomainMesh); no cell is flipped by its sign.
 
 A mesh owns its vertex graph (DomainMesh.graph): the one sparsity pattern
 that fem assembles into, whose row products are the recovery patches and
@@ -134,6 +136,9 @@ class DomainMesh(DomainBoundary):
     def __post_init__(self) -> None:
         if self.cell_volumes is None:
             self.cell_volumes, self.cell_h2max = cell_geometry(self.vertices, self.cells)
+        inverted = int(np.count_nonzero(self.cell_volumes < -1e-14))
+        if inverted:
+            raise MeshQualityError(f"{inverted} inverted cells")
 
     @lazy
     def graph(self):
@@ -170,27 +175,15 @@ def _block_geometry(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vols, h2max
 
 
-def cell_geometry(vertices: np.ndarray, cells: np.ndarray,
-                  orient: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Signed volumes and longest squared edges of all cells, chunk by chunk.
-
-    Each chunk of CELL_BLOCK cells gathers its vertex coordinates once.  With
-    orient=True, a chunk's negatively oriented cells get their last two
-    vertices swapped in place in `cells` and their volumes negated.  The set
-    of squared edges stays as it was, and the swap negates the triple product
-    and the triangle determinant exactly, so the returned volumes are those
-    of the oriented cells.
-    """
+def cell_geometry(vertices: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed volumes and longest squared edges of all cells, chunk by chunk:
+    each chunk of CELL_BLOCK cells gathers its vertex coordinates once."""
     coords = np.ascontiguousarray(vertices.T)
     vols = np.empty(len(cells))
     h2max = np.empty(len(cells))
     for start in range(0, len(cells), CELL_BLOCK):
         block = cells[start:start + CELL_BLOCK]
         block_vols, block_h2max = _block_geometry(coords.take(block.T, axis=1))
-        if orient:
-            flip = block_vols < 0
-            block[flip, -2:] = block[flip, :-3:-1]
-            block_vols[flip] = -block_vols[flip]
         vols[start:start + len(block)] = block_vols
         h2max[start:start + len(block)] = block_h2max
     return vols, h2max
@@ -336,7 +329,9 @@ _PRISM_PERMS = np.array(
 
 
 # the three tets of a prism brought to its smallest vertex by _PRISM_PERMS, by
-# whether the face diagonals run from vertex 1 to 5 (case a, row 1) or not
+# whether that vertex is on the first ring (row 1: the sweep is left-handed and
+# the tets swap their last two vertices) and whether the face diagonals run
+# from vertex 1 to 5 (case a, row 1)
 _PRISM_TETS = np.array(
     [
         [[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]],
@@ -344,25 +339,31 @@ _PRISM_TETS = np.array(
     ],
     dtype=np.int64,
 )
+_PRISM_TETS = np.stack([_PRISM_TETS, _PRISM_TETS[..., [0, 1, 3, 2]]])
 # the two triangles of a quad (u0, v0, v1, u1), by whether its diagonal runs
 # from u0 to v1 (row 1) or from v0 to u1 (row 0)
 _QUAD_TRIS = np.array([[[0, 1, 3], [1, 2, 3]], [[0, 1, 2], [0, 2, 3]]], dtype=np.int64)
 
 
 def _split_prisms(prisms: np.ndarray) -> np.ndarray:
-    """Split prisms (n, 6) into tets with the min-vertex face-diagonal rule.
+    """Split prisms (n, 6) into positive tets with the min-vertex face-diagonal
+    rule.
 
-    Every quad face receives the diagonal through its smallest global vertex
-    id, which makes splits of face-sharing elements agree.  Prisms are split
-    CELL_BLOCK at a time, so the index arrays of the lookups stay small.
+    A prism is a positive cross-section triangle (slots 0-2) and its next
+    ring toward increasing psi (slots 3-5).  Every quad face receives the
+    diagonal through its smallest global vertex id, which makes splits of
+    face-sharing elements agree.  Prisms are split CELL_BLOCK at a time, so
+    the index arrays of the lookups stay small.
     """
     tets = np.empty((len(prisms), 3, 4), dtype=np.int64)
     for start in range(0, len(prisms), CELL_BLOCK):
         block = prisms[start:start + CELL_BLOCK]
-        w = np.take_along_axis(block, _PRISM_PERMS[np.argmin(block, axis=1)], axis=1)
+        first = np.argmin(block, axis=1)
+        w = np.take_along_axis(block, _PRISM_PERMS[first], axis=1)
         case_a = np.minimum(w[:, 1], w[:, 5]) < np.minimum(w[:, 2], w[:, 4])
         tets[start:start + len(block)] = np.take_along_axis(
-            w[:, None, :], _PRISM_TETS[case_a.astype(np.intp)], axis=2)
+            w[:, None, :], _PRISM_TETS[(first < 3).astype(np.intp), case_a.astype(np.intp)],
+            axis=2)
     return tets.reshape(-1, 4)
 
 
@@ -469,23 +470,32 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
 
 def _revolve_cells(vertices: np.ndarray, vid: np.ndarray, on_axis: np.ndarray,
                    cross_cells: np.ndarray):
-    """The tets swept by the cross-section's triangles, oriented, with their
-    volumes and longest squared edges.
+    """The tets swept by the positive cross-section triangles, positive by
+    rule, with their volumes and longest squared edges.
 
     A triangle off the axis sweeps a stack of prisms, and the stacks of all of
     them are split in one call; a triangle at the axis sweeps a cone from its
-    first axis vertex over the facets its other edge sweeps.
+    first axis vertex over the facets its other edge (i0, i1) sweeps.  That
+    edge runs against the triangle's cyclic order when the apex is in slot 1,
+    and its facets run against the edge when it fans from its axis vertex
+    i1: a cone with both or neither is left-handed and swaps its last two
+    vertices.
     """
     jn = np.roll(np.arange(vid.shape[1]), -1)
     n_ax = on_axis[cross_cells].sum(axis=1)
     rings = vid[cross_cells[n_ax == 0]]  # (m, 3, k_azim)
     prisms = np.concatenate([rings, rings[:, :, jn]], axis=1)
     cones = np.concatenate([cross_cells[n_ax == 1], cross_cells[n_ax == 2]])
-    ax = cones[np.arange(len(cones)), np.argmax(on_axis[cones], axis=1)]
-    side, counts = _sweep_edges(vid, on_axis, cones[cones != ax[:, None]].reshape(-1, 2))
-    cells = np.vstack([_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6)),
-                       np.column_stack([np.repeat(vid[ax, 0], counts), side])])
-    return (cells, *cell_geometry(vertices, cells, orient=True))
+    slot = np.argmax(on_axis[cones], axis=1)
+    ax = cones[np.arange(len(cones)), slot]
+    edges = cones[cones != ax[:, None]].reshape(-1, 2)
+    side, counts = _sweep_edges(vid, on_axis, edges)
+    i0, i1 = edges.T
+    cone_cells = np.column_stack([np.repeat(vid[ax, 0], counts), side])
+    flip = np.repeat((slot == 1) == (on_axis[i1] & ~on_axis[i0]), counts)
+    cone_cells[flip, 2:] = cone_cells[flip, :1:-1]
+    cells = np.vstack([_split_prisms(prisms.transpose(0, 2, 1).reshape(-1, 6)), cone_cells])
+    return (cells, *cell_geometry(vertices, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +556,7 @@ def mesh_domain(
     cells, vols, h2max = tets()
     dom = DomainMesh(**vars(boundary), cells=cells, cell_volumes=vols, cell_h2max=h2max)
     if np.any(vols <= 0):
-        nonpos = int(np.sum(vols <= 0))
-        if np.any(vols < -1e-14):
-            raise MeshQualityError(f"{nonpos} negatively oriented cells after fixing")
-        logger.warning("%d zero-volume cells retained (degenerate Delaunay faces)", nonpos)
+        logger.warning("%d zero-volume cells retained", int(np.sum(vols <= 0)))
     q = mesh_quality(dom)
     q_min = float(np.min(q))
     logger.info("domain mesh: nv=%d nc=%d min_quality=%.3e", dom.num_vertices,

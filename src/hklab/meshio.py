@@ -330,17 +330,17 @@ def read_domain_json(path: str | Path, data=None) -> DomainMesh:
                             ("T facet", t_facets), ("Gamma vertex", gamma)):
             check_indices(index, nv, what)
         _check_boundary_faces(cells, np.vstack([sigma_facets, t_facets]))
-    domain = DomainMesh(
-        dim=d,
-        container=container,
-        theta=theta,
-        vertices=vertices,
-        cells=cells,
-        sigma_facets=sigma_facets,
-        t_facets=t_facets,
-        gamma_vertices=gamma,
-        sigma_H=sigma_h,
-    )
+        domain = DomainMesh(
+            dim=d,
+            container=container,
+            theta=theta,
+            vertices=vertices,
+            cells=cells,
+            sigma_facets=sigma_facets,
+            t_facets=t_facets,
+            gamma_vertices=gamma,
+            sigma_H=sigma_h,
+        )
     if d_gamma is not None:
         domain.d_gamma = d_gamma
     return domain

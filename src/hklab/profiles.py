@@ -21,11 +21,12 @@ from hklab.containers import (
     Container,
     ContactAngle,
     as_angle,
-    support_conormal,
+    contact_angle,
+    gamma_frame,
     support_deviation,
     support_normal,
 )
-from hklab.errors import HkLabError, MeanConvexityError
+from hklab.errors import HkLabError
 from hklab.meshutil import circumcircle_curvature
 
 # orientation of the outward normal relative to the pole-to-support tangent:
@@ -40,7 +41,6 @@ class ProfileCurve:
     theta: ContactAngle | None
     dim: int = 2
     end_tangent: np.ndarray | None = None  # unit tangent at the support endpoint
-    mean_convex: bool | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=float)
@@ -100,18 +100,10 @@ def profile_mean_curvature(profile: ProfileCurve) -> np.ndarray:
     return kappa + (profile.dim - 1) * azim
 
 
-def _capillary_end_tangent(container: Container, theta: ContactAngle,
-                           endpoint: np.ndarray) -> np.ndarray:
-    """Outgoing tangent mu = sin(theta) N_bar + cos(theta) nu_bar at the support endpoint."""
-    nbar = support_normal(container, endpoint)[0]
-    return theta.sin * nbar + theta.cos * support_conormal(container, endpoint)[0]
-
-
 def measured_profile_angle(profile: ProfileCurve) -> float:
     """Contact angle implied by the stored endpoint tangent."""
     nu = _rot(profile_tangents(profile)[-1], _NORMAL_SIGN[profile.container])
-    nbar = support_normal(profile.container, profile.samples[-1:])[0]
-    return math.acos(min(max(-float(np.dot(nu, nbar)), -1.0), 1.0))
+    return contact_angle(nu, support_normal(profile.container, profile.samples[-1:])[0])
 
 
 def _is_simple(samples: np.ndarray) -> bool:
@@ -138,9 +130,9 @@ def _is_simple(samples: np.ndarray) -> bool:
 def profile_from_cap(cap, samples: int = 257) -> ProfileCurve:
     """Generator polyline of an analytic cap, pole first, at uniform polar steps."""
     pts = cap.generator(np.linspace(0.0, cap.polar_span, samples))
-    t_end = (_capillary_end_tangent(cap.container, cap.theta, pts[-1])
+    t_end = (gamma_frame(cap.container, cap.theta, pts[-1])[0][0]
              if cap.container.has_support else None)
-    return ProfileCurve(pts, cap.container, cap.theta, cap.dim, t_end, mean_convex=True)
+    return ProfileCurve(pts, cap.container, cap.theta, cap.dim, t_end)
 
 
 def perturb_profile(profile: ProfileCurve, amplitude: float) -> ProfileCurve:
@@ -155,7 +147,7 @@ def perturb_profile(profile: ProfileCurve, amplitude: float) -> ProfileCurve:
     pts = profile.samples + amplitude * bump[:, None] * normals
     pts[0, 0] = 0.0  # pole stays on the axis
     pts[-1] = profile.samples[-1]
-    return replace(profile, samples=pts, mean_convex=None)
+    return replace(profile, samples=pts)
 
 
 def resample_profile(profile: ProfileCurve, count: int) -> ProfileCurve:
@@ -174,9 +166,8 @@ def make_axisymmetric(
     profile: ProfileCurve,
     theta: float | ContactAngle,
     container: Container | str,
-    require_mean_convex: bool = False,
 ) -> ProfileCurve:
-    """Correct a profile into an exactly capillary one and flag mean convexity.
+    """Correct a profile into an exactly capillary one.
 
     The endpoint is projected onto the support, the endpoint tangent is set to
     the direction realizing contact angle theta, and the last quarter of the
@@ -197,12 +188,10 @@ def make_axisymmetric(
         target = np.array([endpoint[0], 0.0])
     else:
         target = endpoint / np.linalg.norm(endpoint)
-    t_cap = _capillary_end_tangent(container, angle, target)
+    t_cap = gamma_frame(container, angle, target)[0][0]
     if deviation <= 1e-12 and prof.end_tangent is not None:
         if abs(measured_profile_angle(prof) - angle.effective) <= 1e-12:
-            out = replace(prof, mean_convex=_convexity_flag(prof))
-            _check_convexity(out, require_mean_convex)
-            return out
+            return prof
 
     # Hermite blend over the tail of the curve
     s = prof.arclengths
@@ -231,15 +220,4 @@ def make_axisymmetric(
         )
     if not _is_simple(out.samples):
         raise HkLabError("corrected profile is self-intersecting")
-    out = replace(out, mean_convex=_convexity_flag(out))
-    _check_convexity(out, require_mean_convex)
     return out
-
-
-def _convexity_flag(profile: ProfileCurve) -> bool:
-    return bool(np.all(profile_mean_curvature(profile) > 0.0))
-
-
-def _check_convexity(profile: ProfileCurve, required: bool) -> None:
-    if required and not profile.mean_convex:
-        raise MeanConvexityError("corrected profile is not mean convex")

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hklab.caps import AnalyticCap, gamma_frame
-from hklab.containers import Container, ContactAngle, support_conormal, support_normal
+from hklab.caps import AnalyticCap
+from hklab.containers import Container, ContactAngle, gamma_frame, support_conormal, support_normal
 from hklab.errors import HkLabError, MeshQualityError
 from hklab.meshutil import (
     centroids,
@@ -403,7 +403,7 @@ def mesh_surface(source: AnalyticCap | ProfileCurve, resolution: int) -> Surface
     loops = _gamma_loops(mesh.cells, len(vertices))
     gamma = np.concatenate(loops)
     pts = vertices[gamma]
-    return _with_gamma(mesh, loops, gamma_frame(source, pts) if cap
+    return _with_gamma(mesh, loops, gamma_frame(source.container, source.theta, pts) if cap
                        else _profile_boundary_frame(prof, pts, omega[gamma]))
 
 
@@ -541,11 +541,3 @@ def discrete_geometry(mesh: SurfaceMesh) -> SurfaceMesh:
     out = _with_gamma(out, loops, frame)
     out.low_trust[out.boundary_vertices] = True
     return out
-
-
-def frame_residual(mesh: SurfaceMesh) -> float:
-    """max over Gamma of |mu - (sin(theta) N_bar + cos(theta) nu_bar)|."""
-    if mesh.theta is None or len(mesh.boundary_vertices) == 0:
-        return 0.0
-    target = mesh.theta.sin * mesh.boundary_support_normal + mesh.theta.cos * mesh.boundary_conormal_support
-    return float(np.max(np.linalg.norm(mesh.boundary_mu - target, axis=1)))

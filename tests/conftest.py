@@ -105,3 +105,13 @@ def array_digest(*arrays) -> str:
         dtype = "<f8" if a.dtype.kind == "f" else "<i8"
         digest.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
     return digest.hexdigest()
+
+
+def frame_residual(mesh) -> float:
+    """max over Gamma of |mu - (sin(theta) N_bar + cos(theta) nu_bar)|, the
+    capillary frame relation."""
+    if mesh.theta is None or len(mesh.boundary_vertices) == 0:
+        return 0.0
+    target = (mesh.theta.sin * mesh.boundary_support_normal
+              + mesh.theta.cos * mesh.boundary_conormal_support)
+    return float(np.max(np.linalg.norm(mesh.boundary_mu - target, axis=1)))

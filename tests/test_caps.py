@@ -7,8 +7,8 @@ import pytest
 
 from conftest import run_python
 from hklab import make_cap
-from hklab.caps import gamma_frame, gamma_point, measured_contact_angle
-from hklab.containers import Container
+from hklab.caps import gamma_point, measured_contact_angle
+from hklab.containers import Container, gamma_frame
 from hklab.errors import InfeasibleCapError
 
 THETA = math.pi / 3.0
@@ -134,7 +134,7 @@ def test_halfball_height_integrals_against_quadrature():
 def test_gamma_frame_exact():
     for cap in (make_cap("half-space", THETA, 1.0, 2), make_cap("half-ball", THETA, 0.5, 2)):
         pts = np.array([gamma_point(cap, a) for a in (0.0, 1.1, 2.5)])
-        mu, nu_bar, nbar = gamma_frame(cap, pts)
+        mu, nu_bar, nbar = gamma_frame(cap.container, cap.theta, pts)
         target = cap.theta.sin * nbar + cap.theta.cos * nu_bar
         assert np.max(np.abs(mu - target)) < 1e-14
         assert np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0)) < 1e-14

@@ -366,6 +366,24 @@ def test_convert_domain_file_to_off_exits_2(capsys, tmp_path):
     assert not (tmp_path / "out.off").exists()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_domain_file_with_an_inverted_cell_exits_2(dim, capsys, tmp_path):
+    # swapping two vertices of a cell inverts it: the file is refused, not
+    # solved with a negative volume in the stiffness matrix
+    dom = tmp_path / "dom.json"
+    assert run_cli("solve", "--container", "half-space", "--theta", "1.0", "--dim", str(dim),
+                   "--resolution", "8", "--out", str(dom)) == 0
+    data = json.loads(dom.read_text())
+    data["cells"][0][1:3] = data["cells"][0][2:0:-1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("convert", str(bad), str(tmp_path / "out.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hk: invalid mesh file: {bad}: 1 inverted cells")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_invalid_config_exit_code():
     assert run_cli(
         "run", "--container", "half-space", "--theta", THETA_STR, "--dim", "1",

@@ -264,6 +264,10 @@ def test_solid_mesh_topology_is_unchanged(solid_domain):
 # digests leave out the cell volumes: they were re-taken without them before
 # triangle volumes became closed-form determinants, which moved them by
 # rounding (test_chunk_boundaries_leave_meshes_bit_identical pins those).
+# Keys may end in theta and a profile's perturbation amplitude, as in
+# BOUNDARY_CASES; the solids at theta 0.1 and 0.3, of the 0.05 profile and at
+# resolution 13 were taken while the tets were still oriented by their
+# computed sign, so they pin the sweep's orientation rule.
 DOMAIN_SHA256 = {
     ("cap", "half-space", 1, 32, 0.5): "d56f17536610397ce300d2489d11e5e3d0452a0e50b01811cf60978c58e7696c",
     ("cap", "half-ball", 1, 32, 0.5): "2c9b1326a80c0fb78251c27961464eb9b31f3d37492a819b00eff170ea478372",
@@ -271,15 +275,21 @@ DOMAIN_SHA256 = {
     ("cap", "closed", 2, 16, 0.5): "3e770108b69612bbcfcd7a47f2c48fbcfdd3aaf50fec9eed30c63f72653d94cb",
     ("profile", "half-space", 2, 16, 0.5): "43040fdc7415b891efa37db4df6381cd2c56e3e4894f4b19377999fc8963bd13",
     ("profile", "half-ball", 2, 16, 0.5): "afecae12c4cc001abeb4fbe1008368d1a088504a8bf9107bb430faa4c5a813e2",
+    ("cap", "half-ball", 2, 16, 0.5, 0.1): "7c2cee7c6ca2d7310129ef6c5672641fee8ecf7339d340448ab8ecbe3448bb44",
+    ("cap", "half-space", 2, 16, 0.0, 0.3): "673142a7269ace12c0a696278c3a64ad46bc48418e06eec4c7513c83a2a52539",
+    ("profile", "half-ball", 2, 16, 0.0, 1.0, 0.05): "80a709106cc007bdc5fa03dd6ae3c6b80391dbdba75e45b1179b2719288c9f4c",
+    ("cap", "half-space", 2, 13, 0.0): "420972837f035c77af302ff1eec6fa60204565cda4e52e70b7d9806099836a27",
+    ("cap", "half-ball", 2, 13, 0.5): "ade60883f429a85bb61883b9c38a2b3710d4e2fe4a9ebdc39181d30f6b25b9fb",
 }
 
 
 @pytest.mark.parametrize("key", sorted(DOMAIN_SHA256), ids=lambda k: "-".join(map(str, k)))
 def test_domain_meshes_are_unchanged(key):
-    kind, container, n, resolution, grading = key
-    source = make_cap(container, THETA3, 0.5 if container == "half-ball" else 1.0, n)
+    kind, container, n, resolution, grading, *rest = key
+    theta, amplitude = (*rest, *(THETA3, 0.02)[len(rest):])
+    source = make_cap(container, theta, 0.5 if container == "half-ball" else 1.0, n)
     if kind == "profile":
-        source = make_axisymmetric(perturb_profile(profile_from_cap(source), 0.02), THETA3,
+        source = make_axisymmetric(perturb_profile(profile_from_cap(source), amplitude), theta,
                                    container)
     dom = mesh_domain(mesh_surface(source, resolution), None, resolution, grading=grading)
     volumes = [dom.cell_volumes] if n == 2 else []
@@ -322,10 +332,10 @@ def test_chunk_boundaries_leave_meshes_bit_identical(block, monkeypatch, hs_surf
 
 
 def test_cell_geometry_of_no_cells():
-    for d, orient in ((3, True), (2, False)):
+    for d in (3, 2):
         vertices = np.zeros((4, d))
         cells = np.empty((0, d + 1), dtype=np.int64)
-        vols, h2max = cell_geometry(vertices, cells, orient=orient)
+        vols, h2max = cell_geometry(vertices, cells)
         assert vols.shape == h2max.shape == (0,)
 
 
@@ -498,3 +508,31 @@ def test_folded_regions_are_refused(case):
     for mesher in (domain_boundary, mesh_domain):
         with pytest.raises(MeshQualityError, match=want):
             mesher(surface, None, resolution, grading=0.0)
+
+
+# ---------------------------------------------------------------------------
+# inverted cells are refused
+# ---------------------------------------------------------------------------
+
+
+# (reversed cross-section triangle, tets it sweeps per Gamma-ring vertex): the
+# first triangle is at the apex and sweeps one cone per azimuth, the last one
+# is at the Gamma corner and sweeps a stack of prisms, three tets each
+@pytest.mark.parametrize("index, per_azimuth", [(0, 1), (-1, 3)], ids=["cone", "prisms"])
+@pytest.mark.parametrize("container, radius", [("half-space", 1.0), ("half-ball", 0.5)])
+def test_an_inverted_sweep_is_refused(index, per_azimuth, container, radius, monkeypatch):
+    # the tets take their orientation from the sweep, so a cross-section
+    # triangle reversed after the region was oriented inverts every tet it
+    # sweeps, and the domain refuses them where a flip by sign would hide them
+    surface = mesh_surface(make_cap(container, THETA3, radius, 2), 8)
+    azimuths = len(mesh_domain(surface, None, 8).gamma_vertices)
+    strip_mesh = domain._strip_mesh
+
+    def reversed_one(*args):
+        vertices, cells, *rest = strip_mesh(*args)
+        cells[index, 1:] = cells[index, :0:-1]
+        return (vertices, cells, *rest)
+
+    monkeypatch.setattr(domain, "_strip_mesh", reversed_one)
+    with pytest.raises(MeshQualityError, match=f"^{per_azimuth * azimuths} inverted cells$"):
+        mesh_domain(surface, None, 8)

@@ -110,15 +110,6 @@ def test_no_counted_fromstring():
     assert list(_calls("fromstring", "count")) == []
 
 
-def test_only_the_tet_sweep_orients_cell_by_cell():
-    """cell_geometry(..., orient=True) flips each negative cell on its own,
-    which only the n = 2 tets need: their prism splits hold both signs by
-    design.  A planar region takes the one sign of all its cells and refuses
-    a fold (domain._orient_region), so no other caller passes orient."""
-    assert [call[:2] for call in _calls("cell_geometry", "orient")] == [
-        ("domain.py", "_revolve_cells")]
-
-
 def test_only_caps_reads_cap_quantities():
     """A cap owns its parametrisation (AnalyticCap.polar_span and .generator)
     and its closed forms: no module but caps.py subscripts a cap's
@@ -133,10 +124,7 @@ def test_only_caps_reads_cap_quantities():
 
 
 # top-level definitions that only the tests use, with the reason they stay
-_TESTED_ONLY = {
-    ("surface.py", "frame_residual"):
-        "checks the frame relation of analytic and imported surfaces in the tests",
-}
+_TESTED_ONLY: dict = {}
 
 
 def _top_level_references(path: Path):

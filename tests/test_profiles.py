@@ -1,12 +1,21 @@
-"""Profile curves: capillary correction, perturbation, convexity flags."""
+"""Profile curves: capillary correction, perturbation, mean convexity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import THETA3
-from hklab import make_cap, make_axisymmetric, mesh_surface, perturb_profile, profile_from_cap
+from conftest import THETA3, frame_residual
+from hklab import (
+    alexandrov_certify,
+    domain_boundary,
+    hk_report,
+    make_axisymmetric,
+    make_cap,
+    mesh_surface,
+    perturb_profile,
+    profile_from_cap,
+)
 from hklab.errors import HkLabError, MeanConvexityError
 from hklab.profiles import (
     ProfileCurve,
@@ -19,7 +28,6 @@ def test_cap_profile_is_fixed_point(hs_cap1):
     prof = profile_from_cap(hs_cap1, 257)
     out = make_axisymmetric(prof, THETA3, "half-space")
     assert np.array_equal(out.samples, prof.samples)
-    assert out.mean_convex is True
 
 
 def test_cap_profile_mean_curvature(hs_cap2):
@@ -38,17 +46,26 @@ def test_offset_tangent_is_corrected():
 
 def test_perturbation_preserves_capillarity(hs_cap1):
     prof = perturb_profile(profile_from_cap(hs_cap1, 513), 0.05)
-    out = make_axisymmetric(prof, THETA3, "half-space", require_mean_convex=True)
-    assert out.mean_convex is True
+    out = make_axisymmetric(prof, THETA3, "half-space")
     h = profile_mean_curvature(out)
+    assert h.min() > 0.0
     assert h.max() - h.min() > 0.05  # genuinely non-CMC
     assert abs(measured_profile_angle(out) - THETA3) < 1e-12
 
 
-def test_large_perturbation_fails_convexity(hs_cap1):
-    prof = perturb_profile(profile_from_cap(hs_cap1, 513), 0.6)
-    with pytest.raises(MeanConvexityError):
-        make_axisymmetric(prof, THETA3, "half-space", require_mean_convex=True)
+def test_large_perturbation_fails_convexity():
+    # the profile is corrected whatever its curvature; hk and the Alexandrov
+    # certificate refuse the surface it makes, in both dimensions
+    for n in (1, 2):
+        cap = make_cap("half-space", THETA3, 1.0, n)
+        prof = make_axisymmetric(perturb_profile(profile_from_cap(cap, 513), 0.6), THETA3,
+                                 "half-space")
+        for resolution in (16, 32):
+            surface = mesh_surface(prof, resolution)
+            boundary = domain_boundary(surface, None, resolution, grading=0.0)
+            for check in (hk_report, alexandrov_certify):
+                with pytest.raises(MeanConvexityError):
+                    check(surface, boundary)
 
 
 def test_halfball_profile_roundtrip(hb_cap1):
@@ -56,7 +73,7 @@ def test_halfball_profile_roundtrip(hb_cap1):
     out = make_axisymmetric(prof, THETA3, "half-ball")
     assert np.array_equal(out.samples, prof.samples)
     pert = perturb_profile(prof, 0.02)
-    fixed = make_axisymmetric(pert, THETA3, "half-ball", require_mean_convex=True)
+    fixed = make_axisymmetric(pert, THETA3, "half-ball")
     assert abs(np.linalg.norm(fixed.samples[-1]) - 1.0) < 1e-12
 
 
@@ -73,7 +90,7 @@ def test_perturbed_surface_mesh_fields(hs_cap1):
     )
     mesh = mesh_surface(prof, 64)
     assert np.all(mesh.mean_curvature > 0)
-    from hklab.surface import enclosed_volume_flux, frame_residual
+    from hklab.surface import enclosed_volume_flux
 
     assert enclosed_volume_flux(mesh) > 0
     assert frame_residual(mesh) < 1e-12  # frames built from the exact end tangent

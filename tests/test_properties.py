@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame_residual
 from hklab import make_cap, mesh_surface
 from hklab.caps import measured_contact_angle
 from hklab.containers import ContactAngle
 from hklab.meshutil import graded_nodes, zipper_rows
-from hklab.surface import enclosed_volume_flux, frame_residual
+from hklab.surface import enclosed_volume_flux
 
 angles = st.floats(min_value=0.2, max_value=math.pi / 2)
 radii = st.floats(min_value=0.3, max_value=2.0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import THETA3, array_digest, rotate_z
+from conftest import THETA3, array_digest, frame_residual, rotate_z
 from hklab import make_cap, mesh_surface, discrete_geometry
 from hklab.caps import AnalyticCap
 from hklab.containers import Container, support_conormal, support_normal
@@ -15,12 +15,7 @@ from hklab.meshio import read_off, write_off
 from hklab.meshutil import (area_rows, centroids, coordinate_rows, polyline_order,
                             simplex_measures)
 from hklab.profiles import make_axisymmetric, perturb_profile, profile_from_cap
-from hklab.surface import (
-    _boundary_loops_2d,
-    build_surface_mesh,
-    enclosed_volume_flux,
-    frame_residual,
-)
+from hklab.surface import _boundary_loops_2d, build_surface_mesh, enclosed_volume_flux
 
 
 def test_cap_area_convergence(hs_cap2):
