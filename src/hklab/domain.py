@@ -51,7 +51,10 @@ an inverted cell (DomainMesh); no cell is flipped by its sign.
 
 A mesh owns its vertex graph (DomainMesh.graph): the one sparsity pattern
 that fem assembles into, whose row products are the recovery patches and
-along which the corner collar counts hops.
+along which the corner collar counts hops.  A revolved solid also keeps the
+revolve's vertex ids (DomainBoundary.rings), whose azimuthal shift the
+solid preconditioner averages over (fem.circulant); planar meshes and
+meshes read from a file have none, and the file format does not change.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ class DomainBoundary:
     t_facets: np.ndarray  # (nt, d) outward-oriented boundary facets on T
     gamma_vertices: np.ndarray  # corner vertex indices
     sigma_H: np.ndarray  # mean curvature of the source surface per Sigma facet
+    # a revolved solid's (points, k) vertex ids, cross-section point i at each
+    # azimuth (an axis point repeats its one vertex); None for other meshes
+    rings: np.ndarray | None
 
     @property
     def num_vertices(self) -> int:
@@ -305,6 +311,7 @@ def _boundary_2d(surface: SurfaceMesh, container: Container, resolution: int,
         t_facets=np.where(positive, t_f, t_f[:, ::-1]),
         gamma_vertices=corners,
         sigma_H=sigma_H,
+        rings=None,
     )
     return boundary, lambda: (cells, vols, h2max)
 
@@ -464,6 +471,7 @@ def _boundary_3d(surface: SurfaceMesh, container: Container, resolution: int,
         t_facets=facets[sigma_counts.sum():],
         gamma_vertices=vid[rows[-1][0]] if container.has_support else np.empty(0, dtype=np.int64),
         sigma_H=np.repeat(sigma_h_mid, sigma_counts),  # the generator value of each Sigma edge
+        rings=vid,
     )
     return boundary, lambda: _revolve_cells(vertices, vid, on_axis, cross_cells)
 
@@ -606,5 +614,6 @@ def _boundary_disk(surface: SurfaceMesh, resolution: int):
         t_facets=np.empty((0, 2), dtype=np.int64),
         gamma_vertices=np.empty(0, dtype=np.int64),
         sigma_H=h_mid,
+        rings=None,
     )
     return boundary, lambda: (cells, vols, h2max)

@@ -28,17 +28,28 @@ coarse matrix is factored once by SuperLU.  Jacobi alone needs O(1/h)
 iterations there (about 930 on the half-ball at 512, 1055 on its graded
 mesh); the two-level method needs 28-49 on uniform meshes and 95 on the
 graded one.
-Solid systems keep Jacobi, because on the n = 2 meshes no coarse space that
-was measured paid for itself: unfiltered aggregates cut the iterations at
-resolution 24 from about 540 to 320 but doubled the solve time, strength-
-filtered ones (theta = 0.05) cut them to 35 but their coarse LU of 5-6k
-unknowns took 2.4 s, and a SuperLU solve of the whole system was 7x slower.
-Symmetric Gauss-Seidel through triangular solves lost too: on the n = 2
-meshes at 24 (23,850 unknowns) it took 209 iterations in 0.27-0.29 s
-against Jacobi's 524 in 0.18-0.19 s, SSOR at omega 1.3-1.85 took 133-169
-iterations in 0.19-0.22 s, and one triangular solve (scipy's
-spsolve_triangular) cost 4.4 ms against 0.22-0.33 ms for a product with the
-matrix.
+Solid systems that come from the revolve take `circulant`, the exact inverse
+of the rotation average of the matrix over the k azimuthal shifts of its
+rings.  The mesh is symmetric under the shift except at the one wedge where
+the sweep wraps, so the average is close to the matrix and is SPD (a mean of
+SPD conjugates); a discrete Fourier transform over the rings splits it
+into one banded (rho, z) system per azimuthal mode, and all modes are
+factored at once.  At resolution 24 (2 vCPU, one BLAS thread) CG then takes
+7-10 iterations against Jacobi's 524-572, and the solve (assembly included)
+falls from about 0.33-0.39 s to 0.20-0.23 s: the set-up costs 35-45 ms and
+one apply 2-3 ms.  A solid without rings
+(one read from a file) keeps Jacobi.  No generic coarse space measured on
+the n = 2 meshes paid for itself: unfiltered aggregates cut the iterations
+at 24 from about 540 to 320 but doubled the solve time, strength-filtered
+ones (theta = 0.05) cut them to 35 but their coarse LU of 5-6k unknowns took
+2.4 s, and a SuperLU solve of the whole system was 7x slower.  Symmetric
+Gauss-Seidel through triangular solves lost too: on the n = 2 meshes at 24
+(23,850 unknowns) it took 209 iterations in 0.27-0.29 s against Jacobi's
+524 in 0.18-0.19 s, SSOR at omega 1.3-1.85 took 133-169 iterations in
+0.19-0.22 s, and one triangular solve (scipy's spsolve_triangular) cost 4.4
+ms against 0.22-0.33 ms for a product with the matrix.  The mode systems are
+factored with numpy alone: SuperLU on every mode raised the benchmark's peak
+RSS to 142-146 MB, and importing scipy.linalg costs 3-8 MB more.
 
 Derivative recovery fits a full quadratic to the vertex values over each
 vertex's 2-hop patch (grown to 3 and 4 hops where needed), with offsets
@@ -360,6 +371,148 @@ def two_level(a: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
         return x
 
     apply.coarse_size = nc
+    return apply
+
+
+def _stencil_sums(a: sp.csr_matrix, rings: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """sums[e, p, slot]: the sum of a's stored entries from the unknowns of
+    point p to those of point p - e (e >= 0) whose azimuth step is 0, +1 or
+    -1 (slot 0, 1 or 2).
+
+    Ring unknowns sit at azimuths 0 to k - 1 and axis unknowns at 2k, so a
+    step to or from the axis lies outside +-(k - 1) and takes slot 0, and a
+    step between rings is looked up in a table that refuses all but 0, +-1
+    and the wrap +-(k - 1).  The rows are gathered for CELL_BLOCK // k whole
+    points at a time, so each sum adds its terms in one bincount, in row
+    order, whatever the chunk length.
+    """
+    (points, k), n = rings.shape, a.shape[0]
+    point = np.empty(n, dtype=np.int64)
+    point[rings] = np.arange(points)[:, None]
+    azimuth = np.full(n, 2 * k, dtype=np.int64)
+    azimuth[rings[~axis]] = np.arange(k)
+    table = np.full(4 * k + 1, -1, dtype=np.int64)
+    table[:k] = table[3 * k + 1:] = 0
+    table[2 * k + np.array([0, 1, 1 - k, -1, k - 1])] = [0, 1, 1, 2, 2]
+    own = np.ones(rings.shape, dtype=bool)
+    own[axis, 1:] = False
+    counts = np.diff(a.indptr)
+    sums = np.zeros(0)
+    for start in range(0, points, max(1, CELL_BLOCK // k)):
+        chunk = slice(start, start + max(1, CELL_BLOCK // k))
+        rows = rings[chunk][own[chunk]]
+        at = _row_entries(a.indptr, rows)[0]
+        rows = np.repeat(rows, counts[rows])
+        cols = a.indices[at]
+        slot = table[azimuth[cols] - azimuth[rows] + 2 * k]
+        if np.any(slot < 0):
+            raise SolverError("the system couples unknowns more than one azimuth apart")
+        gap = point[rows] - point[cols]
+        low = gap >= 0
+        part = np.bincount(((gap * points + point[rows]) * 3 + slot)[low], weights=a.data[at][low])
+        if len(part) > len(sums):
+            sums, part = part, sums
+        sums[:len(part)] += part
+    width = -(-len(sums) // (3 * points))
+    return np.pad(sums, (0, 3 * points * width - len(sums))).reshape(width, points, 3)
+
+
+def circulant(a: sp.csr_matrix, rings: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse r -> Abar^-1 r of the rotation average of an SPD matrix a
+    on the unknowns of a revolved mesh.
+
+    Row p of rings (points, k) numbers cross-section point p at the k
+    azimuths; an axis point repeats its one unknown.  With S the one-step
+    azimuthal shift, Abar = (1/k) sum_s S^s a S^-s is SPD and block
+    circulant, so a discrete Fourier transform over the rings splits
+    Abar^-1 into one (rho, z) system per azimuthal mode (T. F. Chan, SIAM
+    J. Sci. Stat. Comput. 9, 1988).  The sweep couples azimuths at most one
+    step apart, so the stencil is three sums per pair of points
+    (_stencil_sums).  Mode 0 is the
+    Galerkin matrix of a on the shift-invariant vectors, each ring's ones
+    over sqrt(k) and each axis unknown; modes 1 to k // 2 span the rings
+    alone, and their axis rows are identity rows.  Every mode matrix is
+    banded, its bandwidth b the largest point-number gap of the stencil, so
+    in blocks of b points it is block tridiagonal, and all modes take one
+    batched block Cholesky factorization.  An apply is a real DFT over the
+    rings, two batched block sweeps and the inverse DFT.  The DFTs are
+    products with a (2 modes, k) matrix: k is often prime (131 at
+    resolution 24), where numpy's rfft of 190 rings took 0.77 ms against
+    0.16 ms for the product.  The returned function carries the factored
+    rows, modes times padded points, as `factored_size`.
+    """
+    n, k = a.shape[0], rings.shape[1]
+    axis = np.all(rings == rings[:, :1], axis=1)
+    ring_ids, axis_ids = rings[~axis], rings[axis, 0]
+    if not np.array_equal(np.bincount(np.concatenate([ring_ids.ravel(), axis_ids]),
+                                      minlength=n), np.ones(n)):
+        raise SolverError("rings do not number every unknown exactly once")
+    points = len(rings)
+    sums = _stencil_sums(a, rings, axis)
+
+    # diag[i] and sub[i] hold each mode's blocks (i, i) and (i + 1, i) of b points
+    modes, b = k // 2 + 1, max(len(sums) - 1, 1)
+    blocks = -(-points // b)
+    diag = np.zeros((blocks, modes, b, b), dtype=complex)
+    sub = np.zeros((blocks, modes, b, b), dtype=complex)
+    phase = np.exp(2j * math.pi * np.arange(modes) / k)[:, None]
+    scale = np.where(axis, 1.0, 1.0 / math.sqrt(k))
+    for e, (s0, s1, s2) in enumerate(sums.transpose(0, 2, 1)):
+        p = np.arange(e, points)
+        q = p - e
+        entry = (s0[e:] + s1[e:] * phase + s2[e:] * phase.conj()) * (scale[p] * scale[q])
+        entry[1:, axis[p] | axis[q]] = 1.0 if e == 0 else 0.0
+        same = p // b == q // b
+        diag[p[same] // b, :, p[same] % b, q[same] % b] = entry[:, same].T
+        sub[q[~same] // b, :, p[~same] % b, q[~same] % b] = entry[:, ~same].T
+    pad = np.arange(points, blocks * b)
+    diag[pad // b, :, pad % b, pad % b] = 1.0
+    diag += np.tril(diag, -1).conj().swapaxes(-1, -2)
+
+    # diag[i] becomes L_ii^-1 and sub[i] the factor block L_(i+1)i = sub[i] L_ii^-H
+    for i in range(blocks):
+        if i:
+            diag[i] -= sub[i - 1] @ sub[i - 1].conj().swapaxes(-1, -2)
+        try:
+            diag[i] = np.linalg.inv(np.linalg.cholesky(diag[i]))
+        except np.linalg.LinAlgError:
+            raise SolverError("rotation average of the system is not positive definite")
+        sub[i] = sub[i] @ diag[i].conj().swapaxes(-1, -2)
+
+    # real DFT over the rings: rows cos and -sin of each mode, mode 0 over sqrt(k)
+    # (the Galerkin scaling), and its inverse, the transpose weighted by
+    # 2 / k for the modes that stand for a conjugate pair too
+    turns = 2.0 * math.pi / k * (np.arange(modes)[:, None] * np.arange(k) % k)
+    dft = np.vstack([np.cos(turns), -np.sin(turns)])
+    dft[0] /= math.sqrt(k)
+    weight = np.where(np.arange(modes) == 0, 1.0, 2.0 / k)
+    if k % 2 == 0:
+        weight[-1] = 1.0 / k
+    idft = (dft * np.tile(weight, 2)[:, None]).T
+    ring_rows, axis_rows = np.flatnonzero(~axis), np.flatnonzero(axis)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        spectrum = dft @ r[ring_ids.T]
+        y = np.zeros((modes, blocks * b), dtype=complex)
+        y[:, ring_rows] = spectrum[:modes] + 1j * spectrum[modes:]
+        y[0, axis_rows] = r[axis_ids]
+        y = np.ascontiguousarray(y.reshape(modes, blocks, b, 1).transpose(1, 0, 2, 3))
+        for i in range(blocks):
+            if i:
+                y[i] -= sub[i - 1] @ y[i - 1]
+            y[i] = diag[i] @ y[i]
+        for i in range(blocks - 1, -1, -1):
+            if i < blocks - 1:
+                y[i] -= (sub[i].swapaxes(-1, -2) @ y[i + 1].conj()).conj()
+            y[i] = (diag[i].swapaxes(-1, -2) @ y[i].conj()).conj()
+        x = y.transpose(1, 0, 2, 3).reshape(modes, blocks * b)
+        spectrum = x[:, ring_rows]
+        out = np.empty(n)
+        out[ring_ids.T] = idft @ np.vstack([spectrum.real, spectrum.imag])
+        out[axis_ids] = x[0, axis_rows].real
+        return out
+
+    apply.factored_size = modes * blocks * b
     return apply
 
 

@@ -340,6 +340,7 @@ def read_domain_json(path: str | Path, data=None) -> DomainMesh:
             t_facets=t_facets,
             gamma_vertices=gamma,
             sigma_H=sigma_h,
+            rings=None,
         )
     if d_gamma is not None:
         domain.d_gamma = d_gamma

@@ -47,6 +47,7 @@ from hklab.fem import (
     assemble_boundary_mass,
     assemble_stiffness,
     cell_hessians_of,
+    circulant,
     load_facets,
     load_volume,
     nondegenerate,
@@ -1150,7 +1151,7 @@ def hs_domain2_res8(hs_cap2):
     return mesh_domain(mesh_surface(hs_cap2, 8), None, 8, grading=0.0)
 
 
-def test_jacobi_pcg_matches_previous_loop_bit_for_bit(hs_domain2_res8):
+def test_jacobi_pcg_matches_previous_loop_bit_for_bit(hs_domain2_res8, tmp_path):
     problem = capillary_problem(hs_domain2_res8)
     a, b, free = _reduced_system(problem)
     want = _jacobi_pcg_oracle(a, b, 1e-10, 10000)
@@ -1158,8 +1159,11 @@ def test_jacobi_pcg_matches_previous_loop_bit_for_bit(hs_domain2_res8):
     assert want[1] > 50
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
-    # a solid solve keeps the Jacobi path
-    assert np.array_equal(solve_mixed_bvp(problem).f[free], want[0])
+    # a solid read from a file has no rings and keeps the Jacobi path
+    write_domain_json(hs_domain2_res8, tmp_path / "domain.json")
+    read = read_domain_json(tmp_path / "domain.json")
+    assert read.rings is None
+    assert np.array_equal(solve_mixed_bvp(capillary_problem(read)).f[free], want[0])
 
 
 def test_pcg_rejects_indefinite_preconditioner(hs_domain1):
@@ -1237,23 +1241,96 @@ def test_solve_logs_its_preconditioner(hs_domain1, hs_domain2_res8, caplog):
     assert len(lines) == 2
     assert lines[0].startswith("solve: two-level preconditioner, coarse size ")
     assert f", {planar.iterations} iterations, residual " in lines[0]
-    assert lines[1].startswith("solve: jacobi preconditioner, coarse size 0, ")
+    assert lines[1].startswith("solve: circulant preconditioner, factored size ")
     assert f", {solid.iterations} iterations, residual " in lines[1]
 
 
 def test_solid_solve_leaves_sparse_linalg_unloaded():
-    # the coarse LU of the planar preconditioner is the only user of scipy.sparse.linalg
+    # the coarse LU of the planar preconditioner is the only user of
+    # scipy.sparse.linalg, and the solid one factors with numpy alone
     probe = (
         "import sys\n"
         "from hklab import make_cap, mesh_surface, mesh_domain, capillary_problem, "
         "solve_mixed_bvp\n"
         "cap = make_cap('half-space', 1.0, 1.0, 2)\n"
         "solve_mixed_bvp(capillary_problem(mesh_domain(mesh_surface(cap, 8), None, 8)))\n"
-        "print('scipy.sparse.linalg' in sys.modules)\n"
+        "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)\n"
     )
     done = run_python("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
+
+
+def _ring_system(dom):
+    """The reduced system of a revolved solid and its rings in the free numbering."""
+    a, b, free = _reduced_system(capillary_problem(dom))
+    rings = (np.cumsum(free) - 1)[dom.rings[free[dom.rings[:, 0]]]]
+    return a, b, rings
+
+
+@pytest.mark.parametrize("container,radius,resolution",
+                         [("half-space", 1.0, 6), ("half-ball", 0.5, 6)])
+def test_circulant_is_symmetric_positive_definite(container, radius, resolution):
+    cap = make_cap(container, THETA3, radius, 2)
+    a, _, rings = _ring_system(mesh_domain(mesh_surface(cap, resolution), None, resolution))
+    m = np.column_stack([circulant(a, rings)(e) for e in np.eye(a.shape[0])])
+    assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+    assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 0.0
+
+
+def test_solid_solve_refuses_a_dirichlet_set_that_splits_a_ring(hs_domain2_res8):
+    split = replace(hs_domain2_res8, sigma_facets=hs_domain2_res8.sigma_facets[:1])
+    with pytest.raises(SolverError, match="whole rings"):
+        solve_mixed_bvp(capillary_problem(split))
+
+
+@pytest.mark.parametrize("container,radius", [("half-space", 1.0), ("half-ball", 0.5)])
+def test_circulant_inverts_the_rotation_average(container, radius):
+    # the average (1/k) sum_s S^s a S^-s over the k shifts of the rings,
+    # built entry by entry: the preconditioner is its inverse, not merely SPD
+    cap = make_cap(container, THETA3, radius, 2)
+    a, _, rings = _ring_system(mesh_domain(mesh_surface(cap, 6), None, 6))
+    k = rings.shape[1]
+    shift = np.arange(a.shape[0])
+    ring = rings[np.any(rings != rings[:, :1], axis=1)]
+    shift[ring] = np.roll(ring, -1, axis=1)
+    dense, turned, average = a.toarray(), np.arange(a.shape[0]), np.zeros(a.shape)
+    for _ in range(k):
+        average += dense[np.ix_(turned, turned)]
+        turned = shift[turned]
+    average /= k
+    assert np.abs(average - average.T).max() == 0.0
+    x = np.random.default_rng(6).standard_normal((3, a.shape[0]))
+    for row in x:
+        assert np.abs(circulant(a, rings)(average @ row) - row).max() <= 1e-10
+
+
+def _solid_sources():
+    from hklab import make_axisymmetric, perturb_profile, profile_from_cap
+
+    for container, radius in (("half-space", 1.0), ("half-ball", 0.5)):
+        for theta in (0.1, THETA3, 1.5):
+            for resolution in (8, 16):
+                yield pytest.param(make_cap(container, theta, radius, 2), resolution, 0.0,
+                                   id=f"{container}-{theta:.2f}-{resolution}")
+        cap = make_cap(container, THETA3, radius, 2)
+        yield pytest.param(cap, 16, 0.5, id=f"{container}-graded-16")
+        profile = perturb_profile(profile_from_cap(cap), 0.05)
+        yield pytest.param(make_axisymmetric(profile, THETA3, container), 12, 0.5,
+                           id=f"{container}-perturbed-12")
+
+
+@pytest.mark.parametrize("source,resolution,grading", list(_solid_sources()))
+def test_solid_solve_takes_few_iterations_and_matches_spsolve(source, resolution, grading):
+    from scipy.sparse.linalg import spsolve
+
+    dom = mesh_domain(mesh_surface(source, resolution), None, resolution, grading=grading)
+    problem = capillary_problem(dom)
+    sol = solve_mixed_bvp(problem)
+    assert sol.iterations <= 12  # Jacobi takes 140-320 at 8 and 16
+    a, b, free = _reduced_system(problem)
+    direct = spsolve(a.tocsc(), b)
+    assert np.linalg.norm(sol.f[free] - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 # ---------------------------------------------------------------------------

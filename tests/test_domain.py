@@ -233,6 +233,24 @@ def test_tet_volumes_match_determinant_oracle(solid_domain):
     assert np.max(rel) <= 1e-12
 
 
+def test_solid_rings_are_the_revolve(solid_domain, hs_domain1):
+    # every vertex once: a ring of k vertices, each the last turned by 2 pi / k,
+    # or an axis vertex repeated k times; planar meshes have no rings
+    _, dom = solid_domain
+    rings = dom.rings
+    k = rings.shape[1]
+    axis = np.all(rings == rings[:, :1], axis=1)
+    ids = np.concatenate([rings[~axis].ravel(), rings[axis, 0]])
+    assert np.array_equal(np.sort(ids), np.arange(dom.num_vertices))
+    assert np.all(dom.vertices[rings[axis, 0], :2] == 0.0)
+    turn = 2.0 * np.pi / k
+    rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    here, there = dom.vertices[rings[~axis]], dom.vertices[np.roll(rings[~axis], -1, axis=1)]
+    assert np.abs(here[..., :2] @ rotation.T - there[..., :2]).max() <= 1e-12
+    assert np.array_equal(here[..., 2], there[..., 2])
+    assert hs_domain1.rings is None
+
+
 def test_stored_volumes_are_the_fresh_volumes(solid_domain):
     _, dom = solid_domain
     vols, h2max = cell_geometry(dom.vertices, dom.cells)
